@@ -14,18 +14,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from pne.network import (
-    DenseOp,
     Edge,
     EdgeInsertion,
     MessagePair,
     NetworkError,
     ProjectorP,
     TensorNetwork,
+    absorb_matrix,
     apply_insertions,
     contract,
     validate,
 )
-from pne.tensor import asarray, orthogonal_complement
+from pne.tensor import asarray, basis_columns, orthogonal_complement
 
 __all__ = [
     "BPError",
@@ -79,18 +79,15 @@ class BPState:
 def _incoming(net: TensorNetwork, messages, nid: int, exclude: tuple[int, int] | None):
     """Incoming message for every axis of ``nid`` except the excluded (edge, axis)."""
     pairs = []
-    for eid, edge in net.edges.items():
-        for slot, (n, ax) in enumerate(edge.endpoints):
-            if n != nid:
-                continue
-            if exclude is not None and (eid, ax) == exclude:
-                continue
-            if edge.is_open:
-                # Reflection: incoming equals the stored outgoing message.
-                pairs.append((ax, messages[(eid, 0)]))
-            else:
-                # Incoming at the tail is the head-emitted message and vice versa.
-                pairs.append((ax, messages[(eid, 1 - slot)]))
+    for eid, slot, ax in net.attachments(nid):
+        if exclude is not None and (eid, ax) == exclude:
+            continue
+        if net.edges[eid].is_open:
+            # Reflection: incoming equals the stored outgoing message.
+            pairs.append((ax, messages[(eid, 0)]))
+        else:
+            # Incoming at the tail is the head-emitted message and vice versa.
+            pairs.append((ax, messages[(eid, 1 - slot)]))
     return pairs
 
 
@@ -235,17 +232,30 @@ class SymmetrizedGauge:
         out = tensor
         for ax, eid in enumerate(open_edge_order):
             if eid in self.open_edges:
-                out = np.moveaxis(np.tensordot(np.asarray(out), self.x[eid], axes=([ax], [0])), -1, ax)
+                out = absorb_matrix(np.asarray(out), ax, self.x[eid], head_side=False)
         return out
+
+
+def _message_gauge(fwd: np.ndarray, rev: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauge matrix ``x`` and its inverse for a message pair of overlap
+    ``c = fwd @ rev`` (checked nonzero by the caller).
+
+    ``x`` stacks the pair-normalized forward message on top of an
+    orthonormal basis of the normalized reverse message's orthogonal
+    complement, so absorbing ``x_inv`` on the tail side and ``x`` on the
+    head side turns both messages into e0.
+    """
+    s = np.sqrt(abs(c))
+    x = np.vstack([(fwd * (np.sign(c) / s))[None, :], orthogonal_complement(rev / s)])
+    return x, np.linalg.solve(x, np.eye(x.shape[0]))
 
 
 def symmetrize(net: TensorNetwork, state: BPState) -> tuple[TensorNetwork, SymmetrizedGauge]:
     """Re-gauge every edge so incoming and outgoing messages both become e0.
 
-    The gauge matrix on an edge stacks the (pair-normalized) reverse message
-    on top of an orthonormal basis of the forward message's orthogonal
-    complement; absorbing the factor pair into the endpoint tensors leaves
-    the contracted value unchanged.
+    The gauge factor pair of each edge comes from ``_message_gauge``;
+    absorbing it into the endpoint tensors leaves the contracted value
+    unchanged.
     """
     if not state.converged:
         raise BPError("symmetrize requires a converged BP state")
@@ -257,28 +267,19 @@ def symmetrize(net: TensorNetwork, state: BPState) -> tuple[TensorNetwork, Symme
         c = float(fwd @ rev)
         if abs(c) < 1e-12:
             raise GaugeError(f"message overlap {c:.2e} on edge {eid} is too small to symmetrize")
-        s = np.sqrt(abs(c))
-        fwd_n = fwd * (np.sign(c) / s)
-        rev_n = rev / s
-        x = np.vstack([fwd_n[None, :], orthogonal_complement(rev_n)])
-        x_inv = np.linalg.solve(x, np.eye(edge.dim))
+        x, x_inv = _message_gauge(fwd, rev, c)
         gauge.x[eid] = x
         gauge.x_inv[eid] = x_inv
         gauge.dims[eid] = edge.dim
         if edge.is_open:
             gauge.open_edges.add(eid)
             tn, tax = edge.endpoints[0]
-            out.nodes[tn] = _absorb(out.nodes[tn], tax, x_inv, head_side=False)
+            out.nodes[tn] = absorb_matrix(out.nodes[tn], tax, x_inv, head_side=False)
         else:
             (tn, tax), (hn, hax) = edge.endpoints
-            out.nodes[tn] = _absorb(out.nodes[tn], tax, x_inv, head_side=False)
-            out.nodes[hn] = _absorb(out.nodes[hn], hax, x, head_side=True)
+            out.nodes[tn] = absorb_matrix(out.nodes[tn], tax, x_inv, head_side=False)
+            out.nodes[hn] = absorb_matrix(out.nodes[hn], hax, x, head_side=True)
     return out, gauge
-
-
-def _absorb(t: np.ndarray, ax: int, m: np.ndarray, head_side: bool) -> np.ndarray:
-    out = np.tensordot(t, m, axes=([ax], [1 if head_side else 0]))
-    return np.moveaxis(out, -1, ax)
 
 
 def projectors_from_bp(gauge: SymmetrizedGauge, edges) -> dict[int, ProjectorP]:
@@ -291,9 +292,7 @@ def projectors_from_bp(gauge: SymmetrizedGauge, edges) -> dict[int, ProjectorP]:
     for eid in edges:
         if eid not in gauge.dims:
             raise GaugeError(f"edge {eid} is not part of the gauge")
-        iso = np.zeros((gauge.dims[eid], 1))
-        iso[0, 0] = 1.0
-        out[eid] = ProjectorP(isometry=iso)
+        out[eid] = ProjectorP(isometry=basis_columns(gauge.dims[eid], 1))
     return out
 
 

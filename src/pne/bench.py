@@ -3,8 +3,7 @@ and the suite runner that reproduces the accuracy comparisons as CSV tables.
 
 Every suite is deterministic for fixed seeds: instance generators are
 seeded, evaluation reduces in fixed term order, and the CSV contains no
-timestamps or timings unless explicitly requested (timing columns are
-excluded from the determinism contract).
+timestamps or timings.
 """
 
 from __future__ import annotations
@@ -230,7 +229,6 @@ class BenchRecord:
     error: float
     flops: int
     converged: bool = True
-    walltime: float | None = None
 
 
 CSV_COLUMNS = [
@@ -239,18 +237,15 @@ CSV_COLUMNS = [
 ]
 
 
-def records_to_csv(records, timings: bool = False) -> str:
-    cols = CSV_COLUMNS + (["walltime"] if timings else [])
+def records_to_csv(records) -> str:
     buf = _io.StringIO()
-    buf.write(",".join(cols) + "\n")
+    buf.write(",".join(CSV_COLUMNS) + "\n")
     for r in records:
         row = []
-        for c in cols:
+        for c in CSV_COLUMNS:
             v = getattr(r, c)
             if isinstance(v, float):
                 row.append(repr(v))
-            elif v is None:
-                row.append("")
             else:
                 row.append(str(v))
         buf.write(",".join(row) + "\n")
@@ -275,7 +270,6 @@ def run_suite(
     seed: int = 0,
     workers: int = 1,
     out: str | None = None,
-    timings: bool = False,
 ) -> SuiteResult:
     """Run a named benchmark suite and emit its CSV table.
 
@@ -292,7 +286,7 @@ def run_suite(
     records = records + medians
     ok = _identity_selftest(name, seed)
     result = SuiteResult(name=name, records=records, identities_ok=ok)
-    result.csv = records_to_csv(records, timings=timings)
+    result.csv = records_to_csv(records)
     if out:
         with open(out, "w") as fh:
             fh.write(result.csv)

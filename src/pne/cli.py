@@ -84,13 +84,10 @@ def cmd_bp(args) -> int:
 def cmd_expand(args) -> int:
     from pne import io as pio
     from pne.expansion import evaluate, evaluate_residue
-    from pne.models import GridNetwork
     from pne.network import contract
-    from pne.presets import PRESETS, build_preset, preset_names
+    from pne.presets import build_preset
 
     net = pio.load_network(args.netfile)
-    # Rebuild the lattice lookup tables assuming generator edge-id layout.
-    from pne.presets import LayoutSpec  # noqa: F401  (documentation pointer)
     shape = _parse_shape(args.shape) if args.shape else None
     if shape is None:
         print("error: --shape is required to map the preset onto the lattice", file=sys.stderr)
@@ -206,7 +203,6 @@ def cmd_bench(args) -> int:
         seed=args.seed,
         workers=args.workers,
         out=args.out,
-        timings=args.timings,
     )
     if not args.out:
         sys.stdout.write(result.csv)
@@ -281,7 +277,6 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None, help="CSV output path")
-    p.add_argument("--timings", action="store_true", help="append wall-time column (non-deterministic)")
     p.set_defaults(func=cmd_bench)
 
     args = parser.parse_args(argv)

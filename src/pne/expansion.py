@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from pne.network import (
+    DEFAULT_MEMORY_CAP_BYTES,
     ContractionPlan,
     DenseOp,
     EdgeInsertion,
@@ -32,7 +33,7 @@ from pne.network import (
     insert_joint_ketbra,
     plan_order,
 )
-from pne.tensor import asarray
+from pne.tensor import asarray, basis_columns
 
 __all__ = [
     "ExpansionError",
@@ -335,7 +336,7 @@ def evaluate(
     exp: Expansion,
     workers: int = 1,
     prune_dangling: bool = False,
-    memory_cap_bytes: int | None = None,
+    memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES,
 ) -> EvalResult:
     """Evaluate the expansion: sum of coefficient * contraction over terms.
 
@@ -346,10 +347,6 @@ def evaluate(
     not contracted: they all equal the message vacuum, which is computed
     once and accounted for combinatorially.
     """
-    kwargs = {}
-    if memory_cap_bytes is not None:
-        kwargs["memory_cap_bytes"] = memory_cap_bytes
-
     pruned_idx: list[int] = []
     vacuum = None
     if prune_dangling:
@@ -357,7 +354,7 @@ def evaluate(
             raise ExpansionError("dangling-excitation pruning applies to the combinatorial form only")
         pruned_idx = _prunable_terms(exp)
         if pruned_idx:
-            vacuum = _message_vacuum(exp.net, **kwargs)
+            vacuum = _message_vacuum(exp.net, memory_cap_bytes)
     prune_set = set(pruned_idx)
 
     def term_value(i: int) -> np.ndarray:
@@ -365,7 +362,7 @@ def evaluate(
         if i in prune_set:
             return vacuum
         try:
-            return contract(t.network, plan=t.plan, **kwargs)
+            return contract(t.network, plan=t.plan, memory_cap_bytes=memory_cap_bytes)
         except NetworkError as exc:
             raise ExpansionError(f"term {t.pattern} failed to contract: {exc}") from exc
     n = len(exp.terms)
@@ -384,17 +381,12 @@ def evaluate(
 def _prunable_terms(exp: Expansion) -> list[int]:
     if not exp.net.is_closed:
         raise ExpansionError("dangling-excitation pruning is only valid for closed networks")
-    for part in exp.partitions:
-        if not isinstance(part.projector, Factorized):
-            raise ExpansionError("pruning requires per-edge rank-1 message projectors")
-        for f in part.projector.factors:
-            f = asarray(f)
-            e0 = np.zeros(f.shape[0])
-            e0[0] = 1.0
-            if f.shape[1] != 1 or not np.allclose(f[:, 0], e0, atol=1e-10):
-                raise ExpansionError(
-                    "pruning requires symmetrized fixed-point projectors (rank-1, e0 basis column)"
-                )
+    if any(not isinstance(part.projector, Factorized) for part in exp.partitions):
+        raise ExpansionError("pruning requires per-edge rank-1 message projectors")
+    if not _e0_columns(exp.partitions):
+        raise ExpansionError(
+            "pruning requires symmetrized fixed-point projectors (rank-1, e0 basis column)"
+        )
     out = []
     for i, term in enumerate(exp.terms):
         capped: set[int] = set()
@@ -404,6 +396,19 @@ def _prunable_terms(exp: Expansion) -> list[int]:
         if not _has_loop_support(exp.net, capped):
             out.append(i)
     return out
+
+
+def _e0_columns(partitions: Sequence[Partition]) -> bool:
+    """Whether every partition is factorized into rank-1 e0 basis columns,
+    the projectors of a symmetrized message fixed point."""
+    for part in partitions:
+        if not isinstance(part.projector, Factorized):
+            return False
+        for f in part.projector.factors:
+            f = asarray(f)
+            if f.shape[1] != 1 or not np.allclose(f, basis_columns(f.shape[0], 1), atol=1e-10):
+                return False
+    return True
 
 
 def _has_loop_support(net: TensorNetwork, capped: set[int]) -> bool:
@@ -439,27 +444,21 @@ def _has_loop_support(net: TensorNetwork, capped: set[int]) -> bool:
     return bool(live)
 
 
-def _message_vacuum(net: TensorNetwork, **kwargs) -> np.ndarray:
+def _message_vacuum(net: TensorNetwork, memory_cap_bytes: int) -> np.ndarray:
     """Contraction with the e0 rank-1 cap on every closed edge."""
-    e0cols = {}
-    ins = []
-    for eid, edge in sorted(net.edges.items()):
-        if edge.is_open:
-            continue
-        iso = e0cols.get(edge.dim)
-        if iso is None:
-            iso = np.zeros((edge.dim, 1))
-            iso[0, 0] = 1.0
-            e0cols[edge.dim] = iso
-        ins.append(EdgeInsertion(eid, ProjectorP(iso)))
-    return contract(apply_insertions(net, ins), **kwargs)
+    ins = [
+        EdgeInsertion(eid, ProjectorP(basis_columns(edge.dim, 1)))
+        for eid, edge in sorted(net.edges.items())
+        if not edge.is_open
+    ]
+    return contract(apply_insertions(net, ins), memory_cap_bytes=memory_cap_bytes)
 
 
 def evaluate_residue(
     exp: Expansion,
     cross_check: bool = True,
     rtol: float = 1e-10,
-    memory_cap_bytes: int | None = None,
+    memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES,
 ) -> np.ndarray:
     """Directly evaluate the all-complement residue network(s).
 
@@ -467,17 +466,14 @@ def evaluate_residue(
     affordable only at verification scale. With ``cross_check`` the result
     is compared against ``contract(net) - evaluate(exp)``.
     """
-    kwargs = {}
-    if memory_cap_bytes is not None:
-        kwargs["memory_cap_bytes"] = memory_cap_bytes
     total = None
     for spec in exp.residues:
         work = _insert_all_q(spec.network, spec.partitions)
-        val = spec.coefficient * contract(work, **kwargs)
+        val = spec.coefficient * contract(work, memory_cap_bytes=memory_cap_bytes)
         total = val if total is None else total + val
     total = np.asarray(total)
     if cross_check:
-        exact = contract(exp.net, **kwargs)
+        exact = contract(exp.net, memory_cap_bytes=memory_cap_bytes)
         approx = evaluate(exp, memory_cap_bytes=memory_cap_bytes).value
         ref = exact - approx
         scale = max(float(np.linalg.norm(exact.ravel())), 1e-300)
@@ -492,16 +488,13 @@ def evaluate_residue(
 def residue_pattern_sum(
     net: TensorNetwork,
     partitions: Sequence[Partition],
-    memory_cap_bytes: int | None = None,
+    memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES,
 ) -> np.ndarray:
     """Residue of factorized partitions as the explicit sum over per-edge
     complement patterns (at least one complement within every partition).
 
     Exponential in the total edge count; verification oracle only.
     """
-    kwargs = {}
-    if memory_cap_bytes is not None:
-        kwargs["memory_cap_bytes"] = memory_cap_bytes
     seen_edges = set()
     for part in partitions:
         if not isinstance(part.projector, Factorized):
@@ -525,7 +518,7 @@ def residue_pattern_sum(
                 else:
                     q = np.eye(f.shape[0]) - f @ f.T
                     work = apply_insertions(work, [EdgeInsertion(e, DenseOp(q))])
-        val = contract(work, **kwargs)
+        val = contract(work, memory_cap_bytes=memory_cap_bytes)
         total = val if total is None else total + val
     return np.asarray(total)
 
@@ -542,15 +535,8 @@ def residue_degrees(
     identically. Every configuration must excite at least one edge of every
     partition and give each tensor 0 or >= 2 excited edges.
     """
-    for part in exp.partitions:
-        if not isinstance(part.projector, Factorized):
-            raise ExpansionError("residue degrees require rank-1 fixed-point message projectors")
-        for f in part.projector.factors:
-            f = asarray(f)
-            e0 = np.zeros(f.shape[0])
-            e0[0] = 1.0
-            if f.shape[1] != 1 or not np.allclose(f[:, 0], e0, atol=1e-10):
-                raise ExpansionError("residue degrees require rank-1 fixed-point message projectors")
+    if not _e0_columns(exp.partitions):
+        raise ExpansionError("residue degrees require rank-1 fixed-point message projectors")
     net = exp.net
     closed = sorted(e for e, edge in net.edges.items() if not edge.is_open)
     part_sets = [set(p.edges) for p in exp.partitions]

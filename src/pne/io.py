@@ -4,12 +4,15 @@ partition sets.
 Layout: 4-byte magic ``PNEC``, a little-endian uint32 header length, a UTF-8
 JSON header, then the concatenated float64 little-endian payload arrays in
 the order they are declared in the header. The header always carries
-``format_version`` and ``kind``.
+``format_version`` and ``kind``. Loading validates what it reads: a
+truncated, corrupt or structurally invalid file raises
+:class:`ContainerError`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from typing import BinaryIO
 
@@ -17,10 +20,11 @@ import numpy as np
 
 from pne.belief import BPState
 from pne.expansion import Factorized, JointIsometry, JointKetBra, Partition
-from pne.network import Edge, TensorNetwork
+from pne.network import Edge, TensorNetwork, validate
 from pne.weights import WeightState
 
 __all__ = [
+    "ContainerError",
     "save_network",
     "load_network",
     "save_bp_state",
@@ -36,6 +40,10 @@ MAGIC = b"PNEC"
 FORMAT_VERSION = 1
 
 
+class ContainerError(ValueError):
+    """A container file is truncated, corrupt or of the wrong kind."""
+
+
 def _write(fh: BinaryIO, header: dict, arrays: list[np.ndarray]) -> None:
     header = dict(header)
     header["format_version"] = FORMAT_VERSION
@@ -47,19 +55,48 @@ def _write(fh: BinaryIO, header: dict, arrays: list[np.ndarray]) -> None:
         fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def _read(fh: BinaryIO) -> tuple[dict, bytes]:
-    magic = fh.read(4)
-    if magic != MAGIC:
-        raise ValueError(f"not a container file (magic {magic!r})")
-    (hlen,) = struct.unpack("<I", fh.read(4))
-    header = json.loads(fh.read(hlen).decode("utf-8"))
-    if header.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported format version {header.get('format_version')}")
-    return header, fh.read()
+def _read(path: str) -> tuple[dict, memoryview]:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data[:4] != MAGIC:
+        raise ContainerError(f"not a container file (magic {data[:4]!r})")
+    if len(data) < 8:
+        raise ContainerError("container ends inside the header length")
+    (hlen,) = struct.unpack_from("<I", data, 4)
+    if 8 + hlen > len(data):
+        raise ContainerError(f"header of {hlen} bytes overruns the {len(data)}-byte file")
+    blob = data[8 : 8 + hlen]
+    buf = memoryview(data)[8 + hlen :]
+    try:
+        header = json.loads(blob.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ContainerError(f"unreadable header: {exc}") from exc
+    if not isinstance(header, dict) or header.get("format_version") != FORMAT_VERSION:
+        raise ContainerError(f"unsupported container header {str(header)[:80]!r}")
+    return header, buf
 
 
-def _take(buf: bytes, offset: int, shape) -> tuple[np.ndarray, int]:
-    count = int(np.prod(shape)) if shape else 1
+def _load(path: str, kind: str, decode):
+    """Decode the container at ``path`` as ``kind``; any malformed field is
+    reported as a :class:`ContainerError`."""
+    header, buf = _read(path)
+    if header.get("kind") != kind:
+        raise ContainerError(f"expected a {kind} container, found {header.get('kind')}")
+    try:
+        return decode(header, buf)
+    except ContainerError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+        raise ContainerError(f"malformed {kind} container: {exc!r}") from exc
+
+
+def _take(buf, offset: int, shape) -> tuple[np.ndarray, int]:
+    shape = tuple(int(d) for d in shape)
+    if any(d < 0 for d in shape):
+        raise ContainerError(f"negative extent in array shape {shape}")
+    count = math.prod(shape)
+    if offset + count * 8 > len(buf):
+        raise ContainerError(f"payload ends inside an array of shape {shape}")
     arr = np.frombuffer(buf, dtype="<f8", count=count, offset=offset).astype(np.float64)
     return arr.reshape(shape), offset + count * 8
 
@@ -74,10 +111,10 @@ def _network_header(net: TensorNetwork) -> tuple[dict, list[np.ndarray]]:
     return {"node_count": len(nodes), "nodes": nodes, "edges": edges}, payload
 
 
-def _network_from_header(header: dict, buf: bytes, offset: int) -> tuple[TensorNetwork, int]:
+def _network_from_header(header: dict, buf, offset: int) -> tuple[TensorNetwork, int]:
     nodes = {}
     for rec in header["nodes"]:
-        arr, offset = _take(buf, offset, tuple(rec["dims"]))
+        arr, offset = _take(buf, offset, rec["dims"])
         nodes[int(rec["id"])] = arr
     edges = {}
     for rec in header["edges"]:
@@ -85,7 +122,11 @@ def _network_from_header(header: dict, buf: bytes, offset: int) -> tuple[TensorN
             endpoints=tuple((int(n), int(ax)) for n, ax in rec["endpoints"]),
             dim=int(rec["dim"]),
         )
-    return TensorNetwork(nodes=nodes, edges=edges), offset
+    net = TensorNetwork(nodes=nodes, edges=edges)
+    problems = validate(net)
+    if problems:
+        raise ContainerError("invalid network: " + "; ".join(problems))
+    return net, offset
 
 
 def save_network(path: str, net: TensorNetwork) -> None:
@@ -96,12 +137,7 @@ def save_network(path: str, net: TensorNetwork) -> None:
 
 
 def load_network(path: str) -> TensorNetwork:
-    with open(path, "rb") as fh:
-        header, buf = _read(fh)
-    if header["kind"] != "network":
-        raise ValueError(f"expected a network container, found {header['kind']}")
-    net, _ = _network_from_header(header, buf, 0)
-    return net
+    return _load(path, "network", lambda header, buf: _network_from_header(header, buf, 0)[0])
 
 
 def save_bp_state(path: str, state: BPState) -> None:
@@ -121,11 +157,7 @@ def save_bp_state(path: str, state: BPState) -> None:
         _write(fh, header, [state.messages[k] for k in keys])
 
 
-def load_bp_state(path: str) -> BPState:
-    with open(path, "rb") as fh:
-        header, buf = _read(fh)
-    if header["kind"] != "bp_state":
-        raise ValueError(f"expected a bp_state container, found {header['kind']}")
+def _bp_state_from_header(header: dict, buf) -> BPState:
     messages = {}
     offset = 0
     for rec in header["messages"]:
@@ -139,6 +171,10 @@ def load_bp_state(path: str) -> BPState:
         converged=bool(header["converged"]),
         tol=float(header["tol"]),
     )
+
+
+def load_bp_state(path: str) -> BPState:
+    return _load(path, "bp_state", _bp_state_from_header)
 
 
 def save_weight_state(path: str, state: WeightState) -> None:
@@ -160,16 +196,14 @@ def save_weight_state(path: str, state: WeightState) -> None:
         _write(fh, header, net_payload + [state.weights[e] for e in keys])
 
 
-def load_weight_state(path: str) -> WeightState:
-    with open(path, "rb") as fh:
-        header, buf = _read(fh)
-    if header["kind"] != "weight_state":
-        raise ValueError(f"expected a weight_state container, found {header['kind']}")
+def _weight_state_from_header(header: dict, buf) -> WeightState:
     net, offset = _network_from_header(header["network"], buf, 0)
     weights = {}
     for rec in header["weights"]:
         vec, offset = _take(buf, offset, (rec["length"],))
         weights[int(rec["edge"])] = vec
+    if sorted(weights) != sorted(net.edges) or any(w.size != net.edges[e].dim for e, w in weights.items()):
+        raise ContainerError("weight vectors do not match the edges of the network")
     # Containers written before the run settings were stored load with the
     # run_weight_passing defaults.
     settings = {
@@ -185,6 +219,10 @@ def load_weight_state(path: str) -> WeightState:
         log_prefactor=float(header["log_prefactor"]),
         **settings,
     )
+
+
+def load_weight_state(path: str) -> WeightState:
+    return _load(path, "weight_state", _weight_state_from_header)
 
 
 def save_partitions(path: str, partitions, form: str | None = None) -> None:
@@ -215,11 +253,7 @@ def save_partitions(path: str, partitions, form: str | None = None) -> None:
         _write(fh, header, payload)
 
 
-def load_partitions(path: str) -> tuple[list[Partition], str | None]:
-    with open(path, "rb") as fh:
-        header, buf = _read(fh)
-    if header["kind"] != "partitions":
-        raise ValueError(f"expected a partitions container, found {header['kind']}")
+def _partitions_from_header(header: dict, buf) -> tuple[list[Partition], str | None]:
     out = []
     offset = 0
     for rec in header["partitions"]:
@@ -227,29 +261,33 @@ def load_partitions(path: str) -> tuple[list[Partition], str | None]:
         if kind == "factorized":
             factors = []
             for shape in rec["shapes"]:
-                arr, offset = _take(buf, offset, tuple(shape))
+                arr, offset = _take(buf, offset, shape)
                 factors.append(arr)
             proj = Factorized(factors=tuple(factors))
         elif kind == "joint_isometry":
-            arr, offset = _take(buf, offset, tuple(rec["shapes"][0]))
+            arr, offset = _take(buf, offset, rec["shapes"][0])
             proj = JointIsometry(isometry=arr)
         else:
-            ket, offset = _take(buf, offset, tuple(rec["shapes"][0]))
-            bra, offset = _take(buf, offset, tuple(rec["shapes"][1]))
+            ket, offset = _take(buf, offset, rec["shapes"][0])
+            bra, offset = _take(buf, offset, rec["shapes"][1])
             proj = JointKetBra(ket=ket, bra=bra)
         out.append(Partition(id=int(rec["id"]), edges=tuple(int(e) for e in rec["edges"]), projector=proj))
     return out, header.get("form")
 
 
+def load_partitions(path: str) -> tuple[list[Partition], str | None]:
+    return _load(path, "partitions", _partitions_from_header)
+
+
 def load_any(path: str):
     """Load whatever the container holds, dispatching on its kind field."""
-    with open(path, "rb") as fh:
-        header, _ = _read(fh)
-    kind = header["kind"]
-    loader = {
+    header, _ = _read(path)
+    loaders = {
         "network": load_network,
         "bp_state": load_bp_state,
         "weight_state": load_weight_state,
         "partitions": load_partitions,
-    }[kind]
-    return loader(path)
+    }
+    if header.get("kind") not in loaders:
+        raise ContainerError(f"unknown container kind {header.get('kind')!r}")
+    return loaders[header["kind"]](path)

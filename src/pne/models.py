@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 
-from pne.network import Edge, NetworkError, TensorNetwork, contract, validate
+from pne.belief import _message_gauge, _sign_fix
+from pne.network import NetworkError, TensorNetwork, absorb_matrix, contract
 from pne.tensor import asarray
 
 __all__ = [
@@ -95,6 +96,22 @@ class GridNetwork:
 
 def _positions(shape: tuple[int, ...]) -> list[Pos]:
     return [tuple(p) for p in itertools.product(*(range(n) for n in shape))]
+
+
+def _site_axes(
+    shape: tuple[int, ...], pos: Pos, open_axes: frozenset[tuple[Pos, AxisDir]] = frozenset()
+) -> list[tuple[str, int, int]]:
+    """Axis descriptors of the site at ``pos`` in ``(g, s)`` order: a bond
+    toward each in-lattice neighbor, an open leg for each outward direction
+    listed in ``open_axes``, nothing for the other outward directions."""
+    axes = []
+    for g in range(len(shape)):
+        for s in (0, 1):
+            if 0 <= pos[g] + (1 if s == 1 else -1) < shape[g]:
+                axes.append(("bond", g, s))
+            elif (pos, (g, s)) in open_axes:
+                axes.append(("open", g, s))
+    return axes
 
 
 def _assemble_grid(
@@ -189,17 +206,8 @@ def ising_open_patch(dimension: int, beta: float, shape: tuple[int, ...]) -> Gri
     function."""
     if len(shape) != dimension:
         raise ModelError(f"shape {shape} does not match dimension {dimension}")
-    node_axes: dict[Pos, list] = {}
-    tensors: dict[Pos, np.ndarray] = {}
-    for pos in _positions(tuple(shape)):
-        axes = []
-        for g in range(dimension):
-            for s in (0, 1):
-                coord = pos[g] + (1 if s == 1 else -1)
-                if 0 <= coord < shape[g]:
-                    axes.append(("bond", g, s))
-        node_axes[pos] = axes
-        tensors[pos] = _spin_vertex(beta, len(axes))
+    node_axes = {pos: _site_axes(shape, pos) for pos in _positions(tuple(shape))}
+    tensors = {pos: _spin_vertex(beta, len(axes)) for pos, axes in node_axes.items()}
     return _assemble_grid(tuple(shape), node_axes, tensors)
 
 
@@ -248,32 +256,14 @@ def random_grid(
     ``open_axes`` lists boundary directions to keep as open legs (they must
     point outside the grid)."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    ndim = len(shape)
-    node_axes: dict[Pos, list] = {}
-    tensors: dict[Pos, np.ndarray] = {}
-    for pos in _positions(tuple(shape)):
-        axes = []
-        for g in range(ndim):
-            for s in (0, 1):
-                coord = pos[g] + (1 if s == 1 else -1)
-                if 0 <= coord < shape[g]:
-                    axes.append(("bond", g, s))
-                elif (pos, (g, s)) in open_axes:
-                    axes.append(("open", g, s))
-        node_axes[pos] = axes
-        tensors[pos] = random_tensor((chi,) * len(axes), bias, rng)
+    node_axes = {pos: _site_axes(shape, pos, open_axes) for pos in _positions(tuple(shape))}
+    tensors = {pos: random_tensor((chi,) * len(axes), bias, rng) for pos, axes in node_axes.items()}
     return _assemble_grid(tuple(shape), node_axes, tensors)
 
 
 # ---------------------------------------------------------------------------
 # Uniform (infinite-lattice) message passing
 # ---------------------------------------------------------------------------
-
-def _sign_fix(v: np.ndarray) -> np.ndarray:
-    idx = np.flatnonzero(np.abs(v) > 1e-12)
-    pivot = v[idx[0]] if idx.size else v[np.argmax(np.abs(v))]
-    return -v if pivot < 0 else v
-
 
 class _UnitOps:
     """Uniform-update dispatch for a dense unit tensor."""
@@ -362,8 +352,6 @@ def symmetrize_uniform(unit: np.ndarray, ubp: UniformBP) -> tuple[np.ndarray, di
     Returns the re-gauged unit and the per-axis gauge matrices. On each axis
     the tail side absorbs the inverse and the head side the gauge, so any
     network tiled from the unit keeps its contraction value."""
-    from pne.tensor import orthogonal_complement
-
     unit = asarray(unit)
     ndim = unit.ndim // 2
     gauges: dict[int, np.ndarray] = {}
@@ -374,11 +362,9 @@ def symmetrize_uniform(unit: np.ndarray, ubp: UniformBP) -> tuple[np.ndarray, di
         c = float(fwd @ rev)
         if abs(c) < 1e-12:
             raise ModelError(f"uniform message overlap {c:.2e} on axis {g} is too small")
-        srt = math.sqrt(abs(c))
-        x = np.vstack([(fwd * (np.sign(c) / srt))[None, :], orthogonal_complement(rev / srt)])
-        x_inv = np.linalg.solve(x, np.eye(x.shape[0]))
-        out = np.moveaxis(np.tensordot(out, x_inv, axes=([2 * g + 1], [0])), -1, 2 * g + 1)
-        out = np.moveaxis(np.tensordot(out, x, axes=([2 * g], [1])), -1, 2 * g)
+        x, x_inv = _message_gauge(fwd, rev, c)
+        out = absorb_matrix(out, 2 * g + 1, x_inv, head_side=False)
+        out = absorb_matrix(out, 2 * g, x, head_side=True)
         gauges[g] = x
     return out, gauges
 
@@ -579,22 +565,10 @@ def capped_patch(
     node_axes: dict[Pos, list] = {}
     tensors: dict[Pos, np.ndarray] = {}
     for pos in _positions(tuple(shape)):
-        axes = []
-        cap_pattern: dict[AxisDir, np.ndarray | None] = {}
-        for g in range(ndim):
-            for s in (0, 1):
-                coord = pos[g] + (1 if s == 1 else -1)
-                if 0 <= coord < shape[g]:
-                    axes.append(("bond", g, s))
-                    cap_pattern[(g, s)] = None
-                elif (pos, (g, s)) in open_axes:
-                    axes.append(("open", g, s))
-                    cap_pattern[(g, s)] = None
-                else:
-                    cap_pattern[(g, s)] = caps[(g, s)]
-        node_axes[pos] = axes
-        t = ops.apply_caps(cap_pattern)
-        tensors[pos] = np.asarray(t)
+        node_axes[pos] = _site_axes(shape, pos, open_axes)
+        kept = {(g, s) for _, g, s in node_axes[pos]}
+        cap_pattern = {d: None if d in kept else caps[d] for d in itertools.product(range(ndim), (0, 1))}
+        tensors[pos] = np.asarray(ops.apply_caps(cap_pattern))
     return _assemble_grid(tuple(shape), node_axes, tensors)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -33,6 +33,7 @@ __all__ = [
     "PlanStep",
     "ContractionPlan",
     "validate",
+    "absorb_matrix",
     "apply_insertions",
     "insert_joint_ketbra",
     "insert_joint_isometry",
@@ -119,13 +120,19 @@ class TensorNetwork:
     def copy(self) -> "TensorNetwork":
         return TensorNetwork(nodes=dict(self.nodes), edges=dict(self.edges))
 
+    def attachments(self, nid: int) -> Iterator[tuple[int, int, int]]:
+        """``(edge id, endpoint slot, axis)`` of every attachment of node
+        ``nid``, in edge-dict order (a self-loop yields both of its slots)."""
+        for eid, edge in self.edges.items():
+            for slot, (n, ax) in enumerate(edge.endpoints):
+                if n == nid:
+                    yield eid, slot, ax
+
     def node_axes(self, nid: int) -> list[int | None]:
         """Edge id attached to each axis of node ``nid`` (None if uncovered)."""
         axes: list[int | None] = [None] * self.nodes[nid].ndim
-        for eid, edge in self.edges.items():
-            for n, ax in edge.endpoints:
-                if n == nid:
-                    axes[ax] = eid
+        for eid, _slot, ax in self.attachments(nid):
+            axes[ax] = eid
         return axes
 
     def open_edge_ids(self) -> list[int]:
@@ -250,7 +257,7 @@ class EdgeInsertion:
     op: Operator
 
 
-def _absorb_matrix(t: np.ndarray, ax: int, m: np.ndarray, head_side: bool) -> np.ndarray:
+def absorb_matrix(t: np.ndarray, ax: int, m: np.ndarray, head_side: bool) -> np.ndarray:
     """Contract matrix ``m`` onto axis ``ax`` of ``t`` and restore axis order.
 
     Tail side: new_axis_j = sum_i t[..i..] m[i, j]. Head side:
@@ -303,7 +310,7 @@ def apply_insertions(
             if not np.allclose(u.T @ u, np.eye(u.shape[1]), atol=1e-8):
                 raise InsertionError(f"edge {eid}: projector factor columns are not orthonormal")
             for n, ax in edge.endpoints:
-                out.nodes[n] = _absorb_matrix(out.nodes[n], ax, u, head_side=False)
+                out.nodes[n] = absorb_matrix(out.nodes[n], ax, u, head_side=False)
             out.edges[eid] = Edge(endpoints=edge.endpoints, dim=u.shape[1])
         elif isinstance(op, MessagePair):
             if edge.is_open:
@@ -342,7 +349,7 @@ def apply_insertions(
             if side >= len(edge.endpoints):
                 raise InsertionError(f"edge {eid} is open; dense side must be 0")
             n, ax = edge.endpoints[side]
-            out.nodes[n] = _absorb_matrix(out.nodes[n], ax, m, head_side=(side == 1))
+            out.nodes[n] = absorb_matrix(out.nodes[n], ax, m, head_side=(side == 1))
         else:
             raise InsertionError(f"unknown operator {op!r}")
     return out
@@ -350,17 +357,56 @@ def apply_insertions(
 
 def _shift_axes(net: TensorNetwork, nid: int, removed_axis: int) -> None:
     """Re-index edge attachments of ``nid`` after one of its axes was removed."""
-    for eid, edge in list(net.edges.items()):
-        new_eps = []
-        changed = False
-        for n, ax in edge.endpoints:
-            if n == nid and ax > removed_axis:
-                new_eps.append((n, ax - 1))
-                changed = True
-            else:
-                new_eps.append((n, ax))
-        if changed:
-            net.edges[eid] = Edge(endpoints=tuple(new_eps), dim=edge.dim)
+    for eid, slot, ax in list(net.attachments(nid)):
+        if ax > removed_axis:
+            edge = net.edges[eid]
+            eps = edge.endpoints[:slot] + ((nid, ax - 1),) + edge.endpoints[slot + 1 :]
+            net.edges[eid] = Edge(endpoints=eps, dim=edge.dim)
+
+
+def _joint_dims(net: TensorNetwork, edge_ids: Sequence[int]) -> tuple[list[int], int]:
+    """Extents of the closed edges of a joint insertion and their product."""
+    dims = []
+    for eid in edge_ids:
+        edge = net.edges[eid]
+        if edge.is_open:
+            raise InsertionError(f"edge {eid} is open; joint insertions need closed edges")
+        dims.append(edge.dim)
+    return dims, int(np.prod(dims))
+
+
+def _cut_joint(
+    net: TensorNetwork,
+    edge_ids: Sequence[int],
+    tail: np.ndarray,
+    head: np.ndarray | None = None,
+) -> tuple[TensorNetwork, dict[int, int]]:
+    """Cut the edges and wire them through new nodes.
+
+    Edge m's tail attachment joins axis m of the ``tail`` node and its head
+    attachment joins axis m of the ``head`` node, or axis k + m of ``tail``
+    when there is no ``head`` (k edges). The new nodes take the next free
+    node ids and each cut edge the next two free edge ids (tail side first),
+    in ``edge_ids`` order. Returns the new network plus, per cut edge, the
+    id of its head-side edge.
+    """
+    out = net.copy()
+    tail_node = head_node = out.next_node_id()
+    out.nodes[tail_node] = tail
+    offset = len(edge_ids)
+    if head is not None:
+        head_node, offset = tail_node + 1, 0
+        out.nodes[head_node] = head
+    next_eid = out.next_edge_id()
+    continuation: dict[int, int] = {}
+    for m, eid in enumerate(edge_ids):
+        edge = out.edges.pop(eid)
+        (tn, tax), (hn, hax) = edge.endpoints
+        out.edges[next_eid] = Edge(endpoints=((tn, tax), (tail_node, m)), dim=edge.dim)
+        out.edges[next_eid + 1] = Edge(endpoints=((head_node, offset + m), (hn, hax)), dim=edge.dim)
+        continuation[eid] = next_eid + 1
+        next_eid += 2
+    return out, continuation
 
 
 def insert_joint_ketbra(
@@ -376,30 +422,12 @@ def insert_joint_ketbra(
     The edges are cut; a ket node joins their tail attachments and a bra node
     joins the head attachments (each reshaped over the per-edge extents).
     """
-    out = net.copy()
-    dims = []
-    for eid in edge_ids:
-        edge = out.edges[eid]
-        if edge.is_open:
-            raise InsertionError(f"edge {eid} is open; joint insertions need closed edges")
-        dims.append(edge.dim)
-    bigdim = int(np.prod(dims))
+    dims, bigdim = _joint_dims(net, edge_ids)
     ket = asarray(ket).reshape(-1)
     bra = asarray(bra).reshape(-1)
     if ket.size != bigdim or bra.size != bigdim:
         raise InsertionError(f"joint vectors of length {ket.size}/{bra.size} != merged dim {bigdim}")
-    ket_node = out.next_node_id()
-    bra_node = ket_node + 1
-    out.nodes[ket_node] = (scale * ket).reshape(dims)
-    out.nodes[bra_node] = bra.reshape(dims)
-    next_eid = out.next_edge_id()
-    for k, eid in enumerate(edge_ids):
-        edge = out.edges[eid]
-        (tn, tax), (hn, hax) = edge.endpoints
-        del out.edges[eid]
-        out.edges[next_eid] = Edge(endpoints=((tn, tax), (ket_node, k)), dim=edge.dim)
-        out.edges[next_eid + 1] = Edge(endpoints=((bra_node, k), (hn, hax)), dim=edge.dim)
-        next_eid += 2
+    out, _ = _cut_joint(net, edge_ids, (scale * ket).reshape(dims), bra.reshape(dims))
     return out
 
 
@@ -414,14 +442,7 @@ def insert_joint_isometry(
     ``W`` is (D, r); it becomes a (k+1)-leg node on each side of the cut,
     joined by a new rank-r edge.
     """
-    out = net.copy()
-    dims = []
-    for eid in edge_ids:
-        edge = out.edges[eid]
-        if edge.is_open:
-            raise InsertionError(f"edge {eid} is open; joint insertions need closed edges")
-        dims.append(edge.dim)
-    bigdim = int(np.prod(dims))
+    dims, bigdim = _joint_dims(net, edge_ids)
     w = asarray(isometry)
     if w.ndim != 2 or w.shape[0] != bigdim or not 1 <= w.shape[1] <= bigdim:
         raise InsertionError(f"joint isometry shape {w.shape} incompatible with merged dim {bigdim}")
@@ -429,19 +450,9 @@ def insert_joint_isometry(
         raise InsertionError("joint projector factor columns are not orthonormal")
     r = w.shape[1]
     k = len(dims)
-    tail_node = out.next_node_id()
-    head_node = tail_node + 1
-    out.nodes[tail_node] = w.reshape(dims + [r])
-    out.nodes[head_node] = w.reshape(dims + [r])
-    next_eid = out.next_edge_id()
-    for m, eid in enumerate(edge_ids):
-        edge = out.edges[eid]
-        (tn, tax), (hn, hax) = edge.endpoints
-        del out.edges[eid]
-        out.edges[next_eid] = Edge(endpoints=((tn, tax), (tail_node, m)), dim=edge.dim)
-        out.edges[next_eid + 1] = Edge(endpoints=((head_node, m), (hn, hax)), dim=edge.dim)
-        next_eid += 2
-    out.edges[next_eid] = Edge(endpoints=((tail_node, k), (head_node, k)), dim=r)
+    tail_node = net.next_node_id()
+    out, _ = _cut_joint(net, edge_ids, w.reshape(dims + [r]), w.reshape(dims + [r]))
+    out.edges[out.next_edge_id()] = Edge(endpoints=((tail_node, k), (tail_node + 1, k)), dim=r)
     return out
 
 
@@ -457,31 +468,11 @@ def insert_joint_dense(
     the new network plus, per input edge, the id of the head-side edge: a
     later operator inserted there composes on the right of this one.
     """
-    out = net.copy()
-    dims = []
-    for eid in edge_ids:
-        edge = out.edges[eid]
-        if edge.is_open:
-            raise InsertionError(f"edge {eid} is open; joint insertions need closed edges")
-        dims.append(edge.dim)
-    bigdim = int(np.prod(dims))
+    dims, bigdim = _joint_dims(net, edge_ids)
     op = asarray(op)
     if op.shape != (bigdim, bigdim):
         raise InsertionError(f"joint operator shape {op.shape} != ({bigdim}, {bigdim})")
-    op_node = out.next_node_id()
-    out.nodes[op_node] = op.reshape(dims + dims)
-    k = len(dims)
-    next_eid = out.next_edge_id()
-    continuation: dict[int, int] = {}
-    for m, eid in enumerate(edge_ids):
-        edge = out.edges[eid]
-        (tn, tax), (hn, hax) = edge.endpoints
-        del out.edges[eid]
-        out.edges[next_eid] = Edge(endpoints=((tn, tax), (op_node, m)), dim=edge.dim)
-        out.edges[next_eid + 1] = Edge(endpoints=((op_node, k + m), (hn, hax)), dim=edge.dim)
-        continuation[eid] = next_eid + 1
-        next_eid += 2
-    return out, continuation
+    return _cut_joint(net, edge_ids, op.reshape(dims + dims))
 
 
 # ---------------------------------------------------------------------------
@@ -712,11 +703,11 @@ def _plan_dp(net: TensorNetwork) -> ContractionPlan:
     return pl.plan()
 
 
-def plan_order(net: TensorNetwork, strategy: str = "auto") -> ContractionPlan:
+def plan_order(net: TensorNetwork) -> ContractionPlan:
     """Deterministic pairwise contraction plan.
 
-    ``auto`` evaluates the greedy heuristic and the id-order sweep, plus an
-    optimal subset DP on small networks, and keeps the plan with the lowest
+    Evaluates the greedy heuristic and the id-order sweep, plus an optimal
+    subset DP on small networks, and keeps the plan with the lowest
     peak step cost (plain greedy misjudges wide lattices, where the sweep's
     cross-section frontier is the right shape). Disconnected components end
     in outer products between the smallest surviving node ids.
@@ -724,14 +715,6 @@ def plan_order(net: TensorNetwork, strategy: str = "auto") -> ContractionPlan:
     problems = validate(net)
     if problems:
         raise NetworkError("cannot plan an invalid network: " + "; ".join(problems))
-    if strategy == "greedy":
-        return _plan_greedy(net)
-    if strategy == "sweep":
-        return _plan_sweep(net)
-    if strategy == "dp":
-        return _plan_dp(net)
-    if strategy != "auto":
-        raise NetworkError(f"unknown planning strategy {strategy!r}")
     candidates = [_plan_sweep(net), _plan_sweep(net, reverse=True), _plan_greedy(net)]
     candidates += [_plan_greedy(net, seed=k) for k in range(GREEDY_RESTARTS)]
     if len(net.nodes) <= DP_NODE_CAP:

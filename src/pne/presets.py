@@ -34,6 +34,7 @@ from pne.expansion import (
 )
 from pne.models import GridNetwork
 from pne.network import TensorNetwork
+from pne.tensor import basis_columns
 from pne.weights import WeightState, projectors_from_weights, rank_stage, run_weight_passing
 
 __all__ = ["PresetError", "LayoutSpec", "PresetExpansion", "PRESETS", "preset_names", "build_preset"]
@@ -45,7 +46,6 @@ class PresetError(ExpansionError):
 
 @dataclass(frozen=True)
 class LayoutSpec:
-    shape: tuple[int, ...]
     form: str                                   # "linear" | "combinatorial" | "recursive"
     edge_lists: tuple[tuple[int, ...], ...]     # factorized partitions
     joint_pairs: tuple[tuple[int, int], ...] = ()
@@ -56,23 +56,21 @@ class LayoutSpec:
 
 def _doubleloop_3v(g: GridNetwork) -> LayoutSpec:
     return LayoutSpec(
-        shape=(2, 3),
         form="linear",
         edge_lists=tuple((g.v_edge(0, c),) for c in range(3)),
     )
 
 
 def _doubleloop_cut1(g: GridNetwork) -> LayoutSpec:
-    return LayoutSpec(shape=(2, 3), form="linear", edge_lists=((g.v_edge(0, 0),),))
+    return LayoutSpec(form="linear", edge_lists=((g.v_edge(0, 0),),))
 
 
 def _doubleloop_single(g: GridNetwork) -> LayoutSpec:
-    return LayoutSpec(shape=(2, 3), form="linear", edge_lists=((g.v_edge(0, 1),),))
+    return LayoutSpec(form="linear", edge_lists=((g.v_edge(0, 1),),))
 
 
 def _doubleloop_2col(g: GridNetwork) -> LayoutSpec:
     return LayoutSpec(
-        shape=(2, 3),
         form="combinatorial",
         edge_lists=(
             (g.h_edge(0, 0), g.h_edge(1, 0)),
@@ -83,7 +81,6 @@ def _doubleloop_2col(g: GridNetwork) -> LayoutSpec:
 
 def _grid3x3_chi5(g: GridNetwork) -> LayoutSpec:
     return LayoutSpec(
-        shape=(3, 3),
         form="linear",
         edge_lists=(
             (g.v_edge(0, 0),),
@@ -95,7 +92,7 @@ def _grid3x3_chi5(g: GridNetwork) -> LayoutSpec:
 
 
 def _grid3x3_single(g: GridNetwork) -> LayoutSpec:
-    return LayoutSpec(shape=(3, 3), form="linear", edge_lists=((g.v_edge(0, 0),),))
+    return LayoutSpec(form="linear", edge_lists=((g.v_edge(0, 0),),))
 
 
 def _grid3x3_chi4(g: GridNetwork) -> LayoutSpec:
@@ -111,7 +108,6 @@ def _grid3x3_chi4(g: GridNetwork) -> LayoutSpec:
     d_tl = (g.h_edge(0, 1), g.v_edge(0, 1), g.h_edge(1, 0), g.v_edge(1, 0))
     d_br = (g.v_edge(0, 2), g.h_edge(1, 1), g.v_edge(1, 1), g.h_edge(2, 0))
     return LayoutSpec(
-        shape=(3, 3),
         form="combinatorial",
         edge_lists=(v1, v2, h1, h2, d_tl, d_br),
     )
@@ -119,7 +115,6 @@ def _grid3x3_chi4(g: GridNetwork) -> LayoutSpec:
 
 def _cube_chi5(g: GridNetwork) -> LayoutSpec:
     return LayoutSpec(
-        shape=(2, 2, 2),
         form="linear",
         edge_lists=(
             (g.bond[(0, (0, 0, 0))],),
@@ -135,7 +130,6 @@ def _cube_chi4(g: GridNetwork) -> LayoutSpec:
     """Three two-edge partitions, one per lattice axis, each pairing two
     parallel bonds of one face so the grouped messages are genuinely joint."""
     return LayoutSpec(
-        shape=(2, 2, 2),
         form="combinatorial",
         edge_lists=(),
         joint_pairs=(
@@ -148,11 +142,9 @@ def _cube_chi4(g: GridNetwork) -> LayoutSpec:
 
 
 def _cube_chi3(g: GridNetwork) -> LayoutSpec:
-    axis = lambda a: tuple(g.bond[(a, pos)] for pos in sorted(p for (ax, p) in g.bond if ax == a))
     return LayoutSpec(
-        shape=(2, 2, 2),
         form="combinatorial",
-        edge_lists=(axis(0), axis(1), axis(2)),
+        edge_lists=tuple(tuple(g.axis_bonds(a)) for a in range(3)),
     )
 
 
@@ -161,7 +153,6 @@ OPEN2X3_AXES = frozenset({((1, c), (0, 1)) for c in range(3)})
 
 def _open2x3_chi5(g: GridNetwork) -> LayoutSpec:
     return LayoutSpec(
-        shape=(2, 3),
         form="linear",
         edge_lists=(
             (g.v_edge(0, 0),),
@@ -176,7 +167,6 @@ def _open2x3_chi5(g: GridNetwork) -> LayoutSpec:
 
 def _open2x3_chi4(g: GridNetwork) -> LayoutSpec:
     return LayoutSpec(
-        shape=(2, 3),
         form="combinatorial",
         edge_lists=(
             (g.h_edge(0, 0), g.h_edge(1, 0)),
@@ -189,7 +179,6 @@ def _open2x3_chi4(g: GridNetwork) -> LayoutSpec:
 
 def _grid5x4_chi6(g: GridNetwork) -> LayoutSpec:
     return LayoutSpec(
-        shape=(5, 4),
         form="linear",
         edge_lists=(
             (g.v_edge(1, 0),),
@@ -207,7 +196,6 @@ def _grid4x3_recursive(g: GridNetwork) -> LayoutSpec:
     rows = tuple(tuple(g.v_edge(r, c) for c in range(3)) for r in range(3))
     cols = tuple(tuple(g.h_edge(r, c) for r in range(4)) for c in range(2))
     return LayoutSpec(
-        shape=(4, 3),
         form="recursive",
         edge_lists=rows + cols,
         rank_capable=False,
@@ -215,38 +203,22 @@ def _grid4x3_recursive(g: GridNetwork) -> LayoutSpec:
     )
 
 
-PRESETS: dict[str, Callable[[GridNetwork], LayoutSpec]] = {
-    "doubleloop-3v": _doubleloop_3v,
-    "doubleloop-cut1": _doubleloop_cut1,
-    "doubleloop-single": _doubleloop_single,
-    "doubleloop-2col": _doubleloop_2col,
-    "grid3x3-chi5": _grid3x3_chi5,
-    "grid3x3-chi4": _grid3x3_chi4,
-    "grid3x3-single": _grid3x3_single,
-    "cube222-chi5": _cube_chi5,
-    "cube222-chi4": _cube_chi4,
-    "cube222-chi3": _cube_chi3,
-    "open2x3-chi5": _open2x3_chi5,
-    "open2x3-chi4": _open2x3_chi4,
-    "grid5x4-chi6": _grid5x4_chi6,
-    "grid4x3-recursive": _grid4x3_recursive,
-}
-
-PRESET_SHAPES: dict[str, tuple[int, ...]] = {
-    "doubleloop-3v": (2, 3),
-    "doubleloop-cut1": (2, 3),
-    "doubleloop-single": (2, 3),
-    "doubleloop-2col": (2, 3),
-    "grid3x3-chi5": (3, 3),
-    "grid3x3-chi4": (3, 3),
-    "grid3x3-single": (3, 3),
-    "cube222-chi5": (2, 2, 2),
-    "cube222-chi4": (2, 2, 2),
-    "cube222-chi3": (2, 2, 2),
-    "open2x3-chi5": (2, 3),
-    "open2x3-chi4": (2, 3),
-    "grid5x4-chi6": (5, 4),
-    "grid4x3-recursive": (4, 3),
+# Each preset: the lattice shape it is defined on, and its layout.
+PRESETS: dict[str, tuple[tuple[int, ...], Callable[[GridNetwork], LayoutSpec]]] = {
+    "doubleloop-3v": ((2, 3), _doubleloop_3v),
+    "doubleloop-cut1": ((2, 3), _doubleloop_cut1),
+    "doubleloop-single": ((2, 3), _doubleloop_single),
+    "doubleloop-2col": ((2, 3), _doubleloop_2col),
+    "grid3x3-chi5": ((3, 3), _grid3x3_chi5),
+    "grid3x3-chi4": ((3, 3), _grid3x3_chi4),
+    "grid3x3-single": ((3, 3), _grid3x3_single),
+    "cube222-chi5": ((2, 2, 2), _cube_chi5),
+    "cube222-chi4": ((2, 2, 2), _cube_chi4),
+    "cube222-chi3": ((2, 2, 2), _cube_chi3),
+    "open2x3-chi5": ((2, 3), _open2x3_chi5),
+    "open2x3-chi4": ((2, 3), _open2x3_chi4),
+    "grid5x4-chi6": ((5, 4), _grid5x4_chi6),
+    "grid4x3-recursive": ((4, 3), _grid4x3_recursive),
 }
 
 
@@ -272,12 +244,6 @@ class PresetExpansion:
     gauge: SymmetrizedGauge | None = None
     weight_state: WeightState | None = None
     scale: float = 1.0            # multiply evaluated values by this (weight prefactor)
-
-
-def _basis_columns(dim: int, rank: int) -> np.ndarray:
-    iso = np.zeros((dim, rank))
-    iso[:rank, :rank] = np.eye(rank)
-    return iso
 
 
 def _random_isometry(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
@@ -314,11 +280,10 @@ def build_preset(
     """
     if name not in PRESETS:
         raise PresetError(f"unknown preset {name!r}; available: {', '.join(preset_names())}")
-    if grid.shape != PRESET_SHAPES[name]:
-        raise PresetError(
-            f"preset {name} expects a {PRESET_SHAPES[name]} lattice, got {grid.shape}"
-        )
-    layout = PRESETS[name](grid)
+    shape, layout_of = PRESETS[name]
+    if grid.shape != shape:
+        raise PresetError(f"preset {name} expects a {shape} lattice, got {grid.shape}")
+    layout = layout_of(grid)
     if rank > 1 and not layout.rank_capable:
         raise PresetError(f"preset {name} is a rank-1 construction")
 
@@ -336,7 +301,7 @@ def build_preset(
                 "use projectors='weights'"
             )
         net, gauge = symmetrize(grid.net, bp_state)
-        factor_of = lambda e: _basis_columns(net.edges[e].dim, 1)
+        factor_of = lambda e: basis_columns(net.edges[e].dim, 1)
     elif projectors == "weights":
         if weight_state is None:
             weight_state = run_weight_passing(grid.net, **(wp_kwargs or {}))
@@ -360,17 +325,8 @@ def build_preset(
     else:
         raise PresetError(f"unknown projector source {projectors!r}")
 
-    factors: dict[int, np.ndarray] = {}
-    partitions: list[Partition] = []
-    pid = 0
-    for edges in layout.edge_lists:
-        for e in edges:
-            if e not in factors:
-                factors[e] = factor_of(e)
-        partitions.append(
-            Partition(id=pid, edges=tuple(edges), projector=Factorized(tuple(factors[e] for e in edges)))
-        )
-        pid += 1
+    partitions = _factorized_partitions(layout.edge_lists, factor_of)
+    pid = len(partitions)
     for pair in layout.joint_pairs:
         if projectors != "bp":
             raise PresetError("joint two-site partitions require fixed-point message projectors")
@@ -387,7 +343,7 @@ def build_preset(
     elif layout.form == "combinatorial":
         expansion = build_combinatorial(net, partitions)
     else:
-        expansion = _build_recursive(net, partitions, layout, projectors, rank, seed)
+        expansion = _build_recursive(grid, net, partitions, layout, projectors, seed)
     return PresetExpansion(
         name=name,
         net=net,
@@ -401,6 +357,21 @@ def build_preset(
     )
 
 
+def _factorized_partitions(edge_lists, factor_of: Callable[[int], np.ndarray]) -> list[Partition]:
+    """One factorized partition per edge list, numbered in order; an edge in
+    several lists gets its factor from ``factor_of`` once, on first use."""
+    factors: dict[int, np.ndarray] = {}
+    partitions = []
+    for pid, edges in enumerate(edge_lists):
+        for e in edges:
+            if e not in factors:
+                factors[e] = factor_of(e)
+        partitions.append(
+            Partition(id=pid, edges=tuple(edges), projector=Factorized(tuple(factors[e] for e in edges)))
+        )
+    return partitions
+
+
 def _full_extent_edges(net: TensorNetwork, reference: TensorNetwork) -> set[int]:
     return {
         e for e, edge in net.edges.items()
@@ -408,38 +379,29 @@ def _full_extent_edges(net: TensorNetwork, reference: TensorNetwork) -> set[int]
     }
 
 
-def _build_recursive(net, partitions, layout, projectors, rank, seed):
+def _build_recursive(grid, net, partitions, layout, projectors, seed):
     """Recursive preset: over-budget terms are re-gauged and re-partitioned
     with the six-line scheme restricted to their surviving full-extent
-    cluster."""
+    cluster of ``grid``."""
 
     def source(sub_net: TensorNetwork, depth: int):
         alive = _full_extent_edges(sub_net, net)
         # Cluster lines: group surviving edges of each original line that
         # still has all members alive; then cut the cluster with its own
         # column/row/diagonal lines, mirroring the dense 3x3 scheme.
-        lines = [tuple(es) for es in _cluster_lines(sub_net, alive)]
+        lines = [tuple(es) for es in _cluster_lines(grid, alive)]
         if not lines:
             return None
         if projectors == "random":
             rng = np.random.default_rng(seed + 7919 * depth)
-            parts = []
-            factors = {}
-            for k, es in enumerate(lines):
-                for e in es:
-                    if e not in factors:
-                        factors[e] = _random_isometry(sub_net.edges[e].dim, 1, rng)
-                parts.append(Partition(id=k, edges=es, projector=Factorized(tuple(factors[e] for e in es))))
-            return sub_net, parts
+            return sub_net, _factorized_partitions(
+                lines, lambda e: _random_isometry(sub_net.edges[e].dim, 1, rng)
+            )
         state = run_bp(sub_net)
         if not state.converged:
             return None
         gauged, _ = symmetrize(sub_net, state)
-        parts = []
-        for k, es in enumerate(lines):
-            fs = tuple(_basis_columns(gauged.edges[e].dim, 1) for e in es)
-            parts.append(Partition(id=k, edges=es, projector=Factorized(fs)))
-        return gauged, parts
+        return gauged, _factorized_partitions(lines, lambda e: basis_columns(gauged.edges[e].dim, 1))
 
     return recursive_expand(
         net,
@@ -450,22 +412,14 @@ def _build_recursive(net, partitions, layout, projectors, rank, seed):
     )
 
 
-def _cluster_lines(sub_net: TensorNetwork, alive: set[int]):
+def _cluster_lines(grid: GridNetwork, alive: set[int]):
     """Partition lines for the full-extent cluster of a 4x3 recursion term.
 
     The term networks keep the original edge ids, so the surviving 3x3
     cluster can be cut with the same column/row/diagonal lines as the dense
     3x3 preset, expressed through the original lattice coordinates.
     """
-    # Recover lattice coordinates from the edge-id layout of the 4x3 grid:
-    # vertical bonds (axis 0) come first, row-major; then horizontal bonds.
-    # v(r, c) = 3*r + c for r in 0..2; h(r, c) = 9 + 2*r + c for c in 0..1.
-    def v(r, c):
-        return 3 * r + c
-
-    def h(r, c):
-        return 9 + 2 * r + c
-
+    v, h = grid.v_edge, grid.h_edge
     rows_alive = [r for r in range(3) if all(v(r, c) in alive for c in range(3))]
     if len(rows_alive) != 2 or rows_alive[1] != rows_alive[0] + 1:
         return []

@@ -1,5 +1,5 @@
 """Dense real tensor primitives: pairwise contraction, bipartitioned SVD,
-orthogonal complements and dominant-eigenvalue solving.
+basis columns, orthogonal complements and dominant-eigenvalue solving.
 
 All tensors are plain ``numpy.ndarray`` objects of dtype float64 in row-major
 layout. Complex arithmetic is out of scope; every routine coerces its input
@@ -21,6 +21,7 @@ __all__ = [
     "DominantEig",
     "contract_pair",
     "svd",
+    "basis_columns",
     "orthogonal_complement",
     "dominant_eig",
 ]
@@ -141,6 +142,14 @@ def svd(
         s=s,
         vh=np.ascontiguousarray(vh.reshape((s.size,) + col_dims)),
     )
+
+
+def basis_columns(dim: int, rank: int) -> np.ndarray:
+    """The ``(dim, rank)`` isometry of the first ``rank`` basis vectors: the
+    projector factor on an edge whose gauge puts the dominant subspace first."""
+    iso = np.zeros((dim, rank))
+    iso[:rank, :rank] = np.eye(rank)
+    return iso
 
 
 def orthogonal_complement(row: np.ndarray) -> np.ndarray:

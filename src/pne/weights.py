@@ -30,8 +30,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from pne.network import Edge, NetworkError, ProjectorP, TensorNetwork, validate
-from pne.tensor import asarray, svd
+from pne.network import (
+    Edge,
+    EdgeInsertion,
+    NetworkError,
+    ProjectorP,
+    TensorNetwork,
+    Weight,
+    absorb_matrix,
+    apply_insertions,
+    validate,
+)
+from pne.tensor import basis_columns, svd
 
 __all__ = [
     "WeightState",
@@ -76,13 +86,8 @@ class WeightState:
 
     def network_with_weights(self) -> TensorNetwork:
         """Plain network with every edge weight absorbed into its tail node."""
-        out = self.net.copy()
-        for eid, w in sorted(self.weights.items()):
-            n, ax = out.edges[eid].endpoints[0]
-            shape = [1] * out.nodes[n].ndim
-            shape[ax] = w.size
-            out.nodes[n] = out.nodes[n] * w.reshape(shape)
-        return out
+        ops = [EdgeInsertion(eid, Weight(w)) for eid, w in sorted(self.weights.items())]
+        return apply_insertions(self.net, ops)
 
     def contract_value(self) -> float:
         from pne.network import contract
@@ -106,20 +111,13 @@ def _init_state(net: TensorNetwork, alpha: float) -> WeightState:
 def _dressed(state: WeightState, nid: int, skip_edge: int) -> np.ndarray:
     """Node tensor with the weights of all other incident edges absorbed."""
     t = state.net.nodes[nid]
-    for eid, edge in state.net.edges.items():
+    for eid, _slot, ax in state.net.attachments(nid):
         if eid == skip_edge:
             continue
-        for n, ax in edge.endpoints:
-            if n == nid:
-                shape = [1] * t.ndim
-                shape[ax] = state.weights[eid].size
-                t = t * state.weights[eid].reshape(shape)
+        shape = [1] * t.ndim
+        shape[ax] = state.weights[eid].size
+        t = t * state.weights[eid].reshape(shape)
     return t
-
-
-def _apply_gauge(t: np.ndarray, ax: int, g: np.ndarray, head_side: bool) -> np.ndarray:
-    out = np.tensordot(t, g, axes=([ax], [1 if head_side else 0]))
-    return np.moveaxis(out, -1, ax)
 
 
 def wp_update_edge(state: WeightState, eid: int) -> WeightState:
@@ -164,8 +162,8 @@ def wp_update_edge(state: WeightState, eid: int) -> WeightState:
     g_a = (res_a.vh_matrix().T * inv_a[None, :]) @ (u_c * half[None, :])
     g_b = (half[:, None] * vh_c) @ (inv_b[:, None] * u_b.T)
 
-    state.net.nodes[an] = _apply_gauge(state.net.nodes[an], aax, g_a, head_side=False)
-    state.net.nodes[bn] = _apply_gauge(state.net.nodes[bn], bax, g_b, head_side=True)
+    state.net.nodes[an] = absorb_matrix(state.net.nodes[an], aax, g_a, head_side=False)
+    state.net.nodes[bn] = absorb_matrix(state.net.nodes[bn], bax, g_b, head_side=True)
     new_dim = s_c.size
     if new_dim != edge.dim:
         state.net.edges[eid] = Edge(endpoints=edge.endpoints, dim=new_dim)
@@ -298,9 +296,7 @@ def projectors_from_weights(
                 f"(weights {w[rank - 1]:.2e}, {w[rank]:.2e})",
                 stacklevel=2,
             )
-        iso = np.zeros((dim, rank))
-        iso[:rank, :rank] = np.eye(rank)
-        out[eid] = ProjectorP(isometry=iso)
+        out[eid] = ProjectorP(isometry=basis_columns(dim, rank))
     return out
 
 

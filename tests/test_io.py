@@ -1,9 +1,14 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pne.belief import run_bp
 from pne.expansion import Factorized, JointIsometry, JointKetBra, Partition
 from pne.io import (
+    ContainerError,
     load_any,
     load_bp_state,
     load_network,
@@ -15,7 +20,7 @@ from pne.io import (
     save_weight_state,
 )
 from pne.models import random_grid
-from pne.network import contract
+from pne.network import Edge, TensorNetwork, contract, validate
 from pne.weights import run_weight_passing
 
 
@@ -92,3 +97,70 @@ def test_bad_magic(tmp_path):
     path.write_bytes(b"nope")
     with pytest.raises(ValueError, match="magic"):
         load_network(path)
+
+
+def test_load_validates_network(tmp_path):
+    # An edge whose dim disagrees with the axis it names is rejected on load.
+    net = TensorNetwork(nodes={0: np.ones(2), 1: np.ones(2)}, edges={0: Edge(((0, 0), (1, 0)), dim=3)})
+    path = tmp_path / "bad.pnec"
+    save_network(path, net)
+    with pytest.raises(ContainerError, match="edge 0"):
+        load_network(path)
+
+
+CONTAINER_SETTINGS = settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+grids = st.builds(
+    lambda shape, chi, seed, open_leg: random_grid(
+        shape, chi, bias=0.2, seed=seed,
+        open_axes=frozenset({((0, 0), (0, 0))}) if open_leg else frozenset(),
+    ),
+    st.sampled_from([(1, 2), (2, 2), (2, 3), (1, 1, 2)]),
+    st.integers(1, 3),
+    st.integers(0, 2**16),
+    st.booleans(),
+)
+
+
+@CONTAINER_SETTINGS
+@given(grids)
+def test_network_round_trip_bit_exact(tmp_path, g):
+    path = tmp_path / "net.pnec"
+    save_network(path, g.net)
+    loaded = load_network(path)
+    assert loaded.edges == g.net.edges
+    assert sorted(loaded.nodes) == sorted(g.net.nodes)
+    for n, t in g.net.nodes.items():
+        assert loaded.nodes[n].dtype == np.float64
+        assert loaded.nodes[n].tobytes() == t.tobytes() and loaded.nodes[n].shape == t.shape
+
+
+@CONTAINER_SETTINGS
+@given(grids, st.data())
+def test_truncated_container_raises(tmp_path, g, data):
+    path = tmp_path / "net.pnec"
+    save_network(path, g.net)
+    blob = path.read_bytes()
+    cut = data.draw(st.integers(0, len(blob) - 1))
+    path.write_bytes(blob[:cut])
+    with pytest.raises(ContainerError):
+        load_network(path)
+
+
+@CONTAINER_SETTINGS
+@given(grids, st.data())
+def test_corrupt_header_raises_container_error(tmp_path, g, data):
+    path = tmp_path / "net.pnec"
+    save_network(path, g.net)
+    blob = bytearray(path.read_bytes())
+    (hlen,) = struct.unpack_from("<I", blob, 4)
+    # Any byte of the header length or the header itself.
+    pos = data.draw(st.integers(4, 8 + hlen - 1))
+    blob[pos] = data.draw(st.integers(0, 255).filter(lambda b: b != blob[pos]))
+    path.write_bytes(bytes(blob))
+    try:
+        loaded = load_network(path)
+    except ContainerError:
+        return
+    assert validate(loaded) == []

@@ -22,6 +22,9 @@ from pne.network import (
     insert_joint_dense,
     insert_joint_isometry,
     insert_joint_ketbra,
+    _plan_dp,
+    _plan_greedy,
+    _plan_sweep,
     plan_order,
     validate,
 )
@@ -99,10 +102,14 @@ class TestContract:
 
     def test_plan_independence(self):
         g = random_grid((3, 3), 3, bias=0.2, seed=5)
-        values = [
-            float(contract(g.net, plan=plan_order(g.net, strategy=s)))
-            for s in ("greedy", "sweep", "dp")
+        plans = [
+            _plan_sweep(g.net),
+            _plan_sweep(g.net, reverse=True),
+            _plan_greedy(g.net),
+            _plan_greedy(g.net, seed=3),
+            _plan_dp(g.net),
         ]
+        values = [float(contract(g.net, plan=plan)) for plan in plans]
         for v in values[1:]:
             np.testing.assert_allclose(v, values[0], rtol=1e-10)
 

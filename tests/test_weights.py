@@ -5,7 +5,8 @@ import pytest
 
 from pne.bench import make_instance
 from pne.models import random_grid
-from pne.network import TensorNetwork, contract
+from pne.network import EdgeInsertion, ProjectorP, TensorNetwork, apply_insertions, contract
+from pne.tensor import basis_columns
 from pne.weights import (
     RANK_ALPHA,
     SINGULAR_FLOOR,
@@ -205,12 +206,18 @@ class TestProjectors:
         net2, gauge = symmetrize(g.net, bp)
         ws = run_weight_passing(net2, alpha=0.8, tol=1e-10, max_sweeps=300)
         assert ws.converged
-        # In the symmetrized gauge the message direction is e0; weight passing
-        # re-gauges, so compare the physical overlap through its own gauge:
-        # the projector onto the top weight direction, pulled back, must have
-        # large overlap with e0.
+        # In the symmetrized gauge the message direction is e0, and in the
+        # weight gauge the top weight direction is e0. Both are value-exact
+        # gauges of the same network, so when the two directions span the
+        # same subspace the rank-1 cut of an edge keeps the same share of
+        # the contraction in either gauge.
+        def cut_ratio(net, eid):
+            e0 = ProjectorP(basis_columns(net.edges[eid].dim, 1))
+            return float(contract(apply_insertions(net, [EdgeInsertion(eid, e0)]))) / float(contract(net))
+
+        weighted = ws.network_with_weights()
         for eid in sorted(net2.edges):
-            state_net = ws.network_with_weights()
-            # fidelity proxy: weight spectrum strongly dominated by one value
             w = ws.weights[eid]
             assert w[0] / np.linalg.norm(w) > 0.99
+            bp_ratio = cut_ratio(net2, eid)
+            assert abs(cut_ratio(weighted, eid) - bp_ratio) < 1e-8 * abs(bp_ratio)
