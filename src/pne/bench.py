@@ -31,7 +31,7 @@ from pne.models import (
     random_tensor,
     uniform_fixed_point,
 )
-from pne.network import NetworkError, TensorNetwork, contract, plan_order
+from pne.network import Edge, NetworkError, contract, plan_order, subnetwork
 from pne.presets import OPEN2X3_AXES, build_preset
 from pne.tensor import svd
 from pne.weights import run_weight_passing
@@ -91,70 +91,27 @@ def svd_baseline_5x4(
     if grid.shape != (5, 4):
         raise BenchError(f"the SVD baseline is defined for the (5, 4) lattice, got {grid.shape}")
     net = grid.net
-    top_nodes = [grid.node_of[(r, c)] for r in (0, 1) for c in range(4)]
-    axes_of = {n: net.node_axes(n) for n in net.nodes}
     stub_edges = [grid.v_edge(1, c) for c in range(4)]
-    sub_tensors = {}
-    sub_attach: dict[int, list[tuple[int, int]]] = {}
-    eid = 0
-    for n in top_nodes:
-        sub_tensors[n] = net.nodes[n]
-    covered = set()
-    for n in top_nodes:
-        for ax, e in enumerate(axes_of[n]):
-            if e in covered or e in stub_edges:
-                continue
-            eps = net.edges[e].endpoints
-            if all(m in top_nodes for m, _ in eps):
-                sub_attach[eid] = list(eps)
-                covered.add(e)
-                eid += 1
-    for e in stub_edges:
-        (tn, tax), _ = net.edges[e].endpoints
-        sub_attach[eid] = [(tn, tax)]
-        eid += 1
-    top = contract(TensorNetwork.build(sub_tensors, {k: tuple(v) for k, v in sub_attach.items()}))
+    # The top rows' only open edges are the stubs, in column order.
+    top = contract(subnetwork(net, [grid.node_of[(r, c)] for r in (0, 1) for c in range(4)]))
     res = svd(top, row_axes=list(bipartition[0]), col_axes=list(bipartition[1]))
     k = min(int(chi_keep), res.s.size)
     root = np.sqrt(res.s[:k])
     left = res.u_matrix()[:, :k] * root[None, :]
     right = root[:, None] * res.vh_matrix()[:k, :]
-    d_row = [net.edges[e].dim for e in stub_edges]
-    left = left.reshape(d_row[bipartition[0][0]], d_row[bipartition[0][1]], k)
-    right = right.reshape(k, d_row[bipartition[1][0]], d_row[bipartition[1][1]])
+    left = left.reshape(*(top.shape[c] for c in bipartition[0]), k)
+    right = right.reshape(k, *(top.shape[c] for c in bipartition[1]))
 
-    tensors = {}
-    attach: dict[int, list[tuple[int, int]]] = {}
-    eid = 0
-    bottom_nodes = [grid.node_of[(r, c)] for r in (2, 3, 4) for c in range(4)]
-    for n in bottom_nodes:
-        tensors[n] = net.nodes[n]
-    la = max(bottom_nodes) + 1
+    # Wire the factors onto the bottom rows through the stub edges.
+    reduced = subnetwork(net, [grid.node_of[(r, c)] for r in (2, 3, 4) for c in range(4)])
+    la = reduced.next_node_id()
     rb = la + 1
-    tensors[la] = left
-    tensors[rb] = right
-    covered = set()
-    for n in bottom_nodes:
-        for ax, e in enumerate(axes_of[n]):
-            if e in covered:
-                continue
-            eps = net.edges[e].endpoints
-            if all(m in bottom_nodes for m, _ in eps):
-                attach[eid] = list(eps)
-                covered.add(e)
-                eid += 1
-    for slot, c in enumerate(bipartition[0]):
-        e = stub_edges[c]
-        (_, _), (hn, hax) = net.edges[e].endpoints
-        attach[eid] = [(la, slot), (hn, hax)]
-        eid += 1
-    for slot, c in enumerate(bipartition[1]):
-        e = stub_edges[c]
-        (_, _), (hn, hax) = net.edges[e].endpoints
-        attach[eid] = [(rb, 1 + slot), (hn, hax)]
-        eid += 1
-    attach[eid] = [(la, 2), (rb, 0)]
-    reduced = TensorNetwork.build(tensors, {k2: tuple(v) for k2, v in attach.items()})
+    reduced.nodes.update({la: left, rb: right})
+    for node, first_axis, cols in ((la, 0, bipartition[0]), (rb, 1, bipartition[1])):
+        for slot, c in enumerate(cols):
+            stub = reduced.edges[stub_edges[c]]
+            reduced.edges[stub_edges[c]] = Edge(((node, first_axis + slot),) + stub.endpoints, stub.dim)
+    reduced.edges[reduced.next_edge_id()] = Edge(((la, 2), (rb, 0)), k)
     return float(contract(reduced))
 
 
@@ -324,18 +281,19 @@ def _identity_selftest(suite: str, seed: int) -> bool:
     from pne.models import random_grid
     from pne.presets import PRESETS
 
-    shapes = {
-        "doubleloop": ("doubleloop-3v", (2, 3), frozenset()),
-        "grid3x3": ("grid3x3-chi4", (3, 3), frozenset()),
-        "cube222": ("cube222-chi3", (2, 2, 2), frozenset()),
-        "open2x3": ("open2x3-chi4", (2, 3), OPEN2X3_AXES),
-        "grid5x4": ("grid5x4-chi6", (5, 4), frozenset()),
-        "grid4x3-recursive": ("grid4x3-recursive", (4, 3), frozenset()),
-        "degenerate-ising": ("grid3x3-chi5", (3, 3), frozenset()),
-        "rank-sweep": ("grid3x3-chi5", (3, 3), frozenset()),
-        "infinite": ("doubleloop-3v", (2, 3), frozenset()),
-    }
-    preset, shape, open_axes = shapes[suite]
+    preset = {
+        "doubleloop": "doubleloop-3v",
+        "grid3x3": "grid3x3-chi4",
+        "cube222": "cube222-chi3",
+        "open2x3": "open2x3-chi4",
+        "grid5x4": "grid5x4-chi6",
+        "grid4x3-recursive": "grid4x3-recursive",
+        "degenerate-ising": "grid3x3-chi5",
+        "rank-sweep": "grid3x3-chi5",
+        "infinite": "doubleloop-3v",
+    }[suite]
+    shape = PRESETS[preset][0]
+    open_axes = OPEN2X3_AXES if preset.startswith("open2x3") else frozenset()
     g = random_grid(shape, 3, bias=0.2, seed=seed + 99991, open_axes=open_axes)
     pre = build_preset(preset, g, projectors="random", rank=1, seed=seed)
     val = evaluate(pre.expansion).value

@@ -5,12 +5,15 @@ Subcommands: ``model`` (generate benchmark networks into container files),
 (partitioned expansion with a named preset), ``infinite`` (strip
 free-energy estimates) and ``bench`` (accuracy suites as CSV). The bench
 command exits non-zero if the run's internal exactness identities fail.
+
+``expand`` places the preset on the lattice layout that ``model`` records
+in the container file, and fails with a named error when there is none or
+when it is not the preset's lattice.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -39,7 +42,7 @@ def cmd_model(args) -> int:
         chi=args.chi,
     )
     grid = finite_patch(spec)
-    pio.save_network(args.out, grid.net)
+    pio.save_grid(args.out, grid)
     print(f"wrote {args.out}: {len(grid.net.nodes)} nodes, {len(grid.net.edges)} edges")
     return 0
 
@@ -87,12 +90,7 @@ def cmd_expand(args) -> int:
     from pne.network import contract
     from pne.presets import build_preset
 
-    net = pio.load_network(args.netfile)
-    shape = _parse_shape(args.shape) if args.shape else None
-    if shape is None:
-        print("error: --shape is required to map the preset onto the lattice", file=sys.stderr)
-        return 2
-    grid = _grid_view(net, shape)
+    grid = pio.load_grid(args.netfile)
     pre = build_preset(
         args.preset, grid, projectors=args.projector, rank=args.rank, seed=args.seed
     )
@@ -120,29 +118,6 @@ def cmd_expand(args) -> int:
         mag = float(res) if res.ndim == 0 else float(np.linalg.norm(res.ravel()))
         print(f"residue (direct complement evaluation) = {mag!r}")
     return 0
-
-
-def _grid_view(net, shape):
-    """Wrap a container network in lattice lookup tables (generator layout)."""
-    from pne.models import GridNetwork, _positions
-
-    ndim = len(shape)
-    positions = _positions(tuple(shape))
-    node_of = {pos: i for i, pos in enumerate(positions)}
-    bond = {}
-    eid = 0
-    for g in range(ndim):
-        for pos in positions:
-            nxt = tuple(p + (1 if a == g else 0) for a, p in enumerate(pos))
-            if all(0 <= c < s for c, s in zip(nxt, shape)):
-                if eid in net.edges and not net.edges[eid].is_open:
-                    bond[(g, pos)] = eid
-                eid += 1
-    open_leg = {}
-    for e, edge in net.edges.items():
-        if edge.is_open:
-            open_leg[(("file", e), (0, 0))] = e
-    return GridNetwork(net=net, shape=tuple(shape), node_of=node_of, bond=bond, open_leg=open_leg)
 
 
 def cmd_infinite(args) -> int:
@@ -250,7 +225,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("expand", help="evaluate a partitioned expansion of a network file")
     p.add_argument("netfile")
     p.add_argument("--preset", required=True)
-    p.add_argument("--shape", required=True, help="lattice shape of the file, e.g. 3x3")
     p.add_argument("--rank", type=int, default=1)
     p.add_argument("--projector", default="bp", choices=["bp", "weights", "random"])
     p.add_argument("--seed", type=int, default=0)

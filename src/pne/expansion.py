@@ -123,22 +123,24 @@ class Partition:
         if isinstance(self.projector, JointIsometry):
             w = asarray(self.projector.isometry)
             return w @ w.T
-        ket = asarray(self.projector.ket).reshape(-1)
-        bra = asarray(self.projector.bra).reshape(-1)
-        ov = float(bra @ ket)
-        if abs(ov) < 1e-14:
-            raise ExpansionError(f"partition {self.id}: ket/bra overlap {ov:.2e} is numerically singular")
+        ket, bra, ov = _ketbra_overlap(self)
         return np.outer(ket, bra) / ov
 
 
-def _insert_joint_p(net: TensorNetwork, part: Partition) -> TensorNetwork:
-    if isinstance(part.projector, JointIsometry):
-        return insert_joint_isometry(net, part.edges, part.projector.isometry)
+def _ketbra_overlap(part: Partition) -> tuple[np.ndarray, np.ndarray, float]:
+    """Flat ket and bra of a joint rank-1 partition, and their (nonsingular) overlap."""
     ket = asarray(part.projector.ket).reshape(-1)
     bra = asarray(part.projector.bra).reshape(-1)
     ov = float(bra @ ket)
     if abs(ov) < 1e-14:
         raise ExpansionError(f"partition {part.id}: ket/bra overlap {ov:.2e} is numerically singular")
+    return ket, bra, ov
+
+
+def _insert_joint_p(net: TensorNetwork, part: Partition) -> TensorNetwork:
+    if isinstance(part.projector, JointIsometry):
+        return insert_joint_isometry(net, part.edges, part.projector.isometry)
+    ket, bra, ov = _ketbra_overlap(part)
     return insert_joint_ketbra(net, part.edges, ket, bra, scale=1.0 / ov)
 
 

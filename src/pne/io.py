@@ -7,6 +7,11 @@ the order they are declared in the header. The header always carries
 ``format_version`` and ``kind``. Loading validates what it reads: a
 truncated, corrupt or structurally invalid file raises
 :class:`ContainerError`.
+
+:func:`save_grid` adds a ``lattice`` key, ``{"shape", "open_axes"}``, to a
+network header; :func:`load_grid` rebuilds the lattice lookups from it. The
+version-1 reader ignores keys it does not use, so the key needs no new
+``FORMAT_VERSION`` and :func:`load_network` reads both kinds of file.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import numpy as np
 
 from pne.belief import BPState
 from pne.expansion import Factorized, JointIsometry, JointKetBra, Partition
+from pne.models import GridNetwork, grid_view
 from pne.network import Edge, TensorNetwork, validate
 from pne.weights import WeightState
 
@@ -27,6 +33,8 @@ __all__ = [
     "ContainerError",
     "save_network",
     "load_network",
+    "save_grid",
+    "load_grid",
     "save_bp_state",
     "load_bp_state",
     "save_weight_state",
@@ -138,6 +146,32 @@ def save_network(path: str, net: TensorNetwork) -> None:
 
 def load_network(path: str) -> TensorNetwork:
     return _load(path, "network", lambda header, buf: _network_from_header(header, buf, 0)[0])
+
+
+def save_grid(path: str, grid: GridNetwork) -> None:
+    """Write ``grid.net`` as a network container that records its lattice."""
+    header, payload = _network_header(grid.net)
+    header["kind"] = "network"
+    header["lattice"] = {"shape": grid.shape, "open_axes": sorted(grid.open_leg)}
+    with open(path, "wb") as fh:
+        _write(fh, header, payload)
+
+
+def _grid_from_header(header: dict, buf) -> GridNetwork:
+    if "lattice" not in header:
+        raise ContainerError("the network container records no lattice layout")
+    net, _ = _network_from_header(header, buf, 0)
+    lattice = header["lattice"]
+    open_axes = frozenset(
+        (tuple(int(c) for c in pos), (int(g), int(s))) for pos, (g, s) in lattice["open_axes"]
+    )
+    # grid_view raises ModelError for a mismatch; _load reports it as a ContainerError.
+    return grid_view(net, tuple(int(n) for n in lattice["shape"]), open_axes)
+
+
+def load_grid(path: str) -> GridNetwork:
+    """Load a container written by :func:`save_grid` with its lattice lookups."""
+    return _load(path, "network", _grid_from_header)
 
 
 def save_bp_state(path: str, state: BPState) -> None:

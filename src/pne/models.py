@@ -9,7 +9,8 @@ Positions are tuples (row, col) or (i, j, k); grid axis g advances the g-th
 coordinate. A uniform *unit* tensor carries one axis pair per grid axis in
 the order ``[(0,-), (0,+), (1,-), (1,+), ...]``, where ``(g,+)`` faces the
 neighbor at larger coordinate. Bond edges are directed from the smaller
-coordinate (tail) to the larger (head).
+coordinate (tail) to the larger (head). Node and edge ids of every grid
+network follow one layout, :func:`_grid_layout`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from scipy import integrate
 
 from pne.belief import _message_gauge, _sign_fix
-from pne.network import NetworkError, TensorNetwork, absorb_matrix, contract
+from pne.network import NetworkError, TensorNetwork, absorb_matrix, contract, subnetwork
 from pne.tensor import asarray
 
 __all__ = [
@@ -31,6 +32,7 @@ __all__ = [
     "BETA_C_3D",
     "ModelSpec",
     "GridNetwork",
+    "grid_view",
     "ising_unit_tensor",
     "ising_open_patch",
     "aklt_peps_tensor",
@@ -67,17 +69,13 @@ AxisDir = tuple[int, int]      # (grid axis, side): side 0 faces -g, 1 faces +g
 
 @dataclass
 class GridNetwork:
-    """A lattice-shaped tensor network with position/edge lookup tables."""
+    """A lattice-shaped tensor network with the lookups of its layout (:func:`_grid_layout`)."""
 
     net: TensorNetwork
     shape: tuple[int, ...]
     node_of: dict[Pos, int]
     bond: dict[tuple[int, Pos], int]          # (axis, tail position) -> edge id
     open_leg: dict[tuple[Pos, AxisDir], int]  # (position, (axis, side)) -> edge id
-
-    @property
-    def ndim(self) -> int:
-        return len(self.shape)
 
     def v_edge(self, r: int, c: int) -> int:
         """2D: bond between (r, c) and (r+1, c)."""
@@ -90,12 +88,13 @@ class GridNetwork:
     def axis_bonds(self, g: int) -> list[int]:
         return [eid for (ax, _), eid in sorted(self.bond.items()) if ax == g]
 
-    def contract(self, **kwargs) -> np.ndarray:
-        return contract(self.net, **kwargs)
-
 
 def _positions(shape: tuple[int, ...]) -> list[Pos]:
     return [tuple(p) for p in itertools.product(*(range(n) for n in shape))]
+
+
+def _shifted(pos: Pos, g: int, step: int) -> Pos:
+    return tuple(c + step if a == g else c for a, c in enumerate(pos))
 
 
 def _site_axes(
@@ -114,57 +113,66 @@ def _site_axes(
     return axes
 
 
-def _assemble_grid(
-    shape: tuple[int, ...],
-    node_axes: dict[Pos, list[tuple[str, int, int]]],
-    tensors: dict[Pos, np.ndarray],
-) -> GridNetwork:
-    """Wire per-position tensors into a grid network.
+def _grid_layout(shape: tuple[int, ...], open_axes: frozenset[tuple[Pos, AxisDir]] = frozenset()):
+    """The lattice layout: the one map from positions to network ids.
 
-    ``node_axes[pos]`` lists descriptors aligned with the tensor axes, each
-    ``("bond", g, side)`` or ``("open", g, side)``. Bond edge ids come first
-    (ordered by axis then tail position), then open legs (by position).
+    Nodes are numbered in position order and their axes follow
+    :func:`_site_axes`. Bond edge ids come first (ordered by axis then tail
+    position), then open legs (by position). Returns ``(node_of, bond,
+    open_leg, attachments)``, where ``attachments`` maps each edge id, in
+    ascending order, to its ``(node, axis)`` endpoints, tail first.
     """
     positions = _positions(shape)
-    node_of = {pos: i for i, pos in enumerate(p for p in positions if p in tensors)}
-    bond: dict[tuple[int, Pos], int] = {}
-    eid = 0
-    ndim = len(shape)
-    for g in range(ndim):
-        for pos in positions:
-            if pos not in tensors:
-                continue
-            nxt = tuple(p + (1 if a == g else 0) for a, p in enumerate(pos))
-            if ("bond", g, 1) in node_axes[pos]:
-                if nxt not in tensors or ("bond", g, 0) not in node_axes[nxt]:
-                    raise ModelError(f"bond ({g}, {pos}) has no matching endpoint")
-                bond[(g, pos)] = eid
-                eid += 1
-    open_leg: dict[tuple[Pos, AxisDir], int] = {}
+    node_of = {pos: i for i, pos in enumerate(positions)}
+    bond_keys = [(g, pos) for g in range(len(shape)) for pos in positions if pos[g] + 1 < shape[g]]
+    bond = {key: eid for eid, key in enumerate(bond_keys)}
+    site_axes = {pos: _site_axes(shape, pos, open_axes) for pos in positions}
+    open_keys = [(pos, (g, s)) for pos in positions for kind, g, s in site_axes[pos] if kind == "open"]
+    open_leg = {key: len(bond) + i for i, key in enumerate(open_keys)}
+    # A bond's tail sits at the smaller coordinate (its s == 1 side), so the
+    # position-order scan meets the tail first.
+    attachments: dict[int, tuple[tuple[int, int], ...]] = {}
     for pos in positions:
-        if pos not in tensors:
-            continue
-        for kind, g, s in node_axes[pos]:
+        for ax, (kind, g, s) in enumerate(site_axes[pos]):
             if kind == "open":
-                open_leg[(pos, (g, s))] = eid
-                eid += 1
-    slotted: dict[int, list[tuple[int, int, int]]] = {e: [] for e in range(eid)}
-    for pos in positions:
-        if pos not in tensors:
-            continue
-        nid = node_of[pos]
-        for ax, (kind, g, s) in enumerate(node_axes[pos]):
-            if kind == "open":
-                slotted[open_leg[(pos, (g, s))]].append((0, nid, ax))
+                eid = open_leg[(pos, (g, s))]
             else:
-                # The tail of a bond sits at the smaller coordinate (s == 1 side).
-                key = (g, pos) if s == 1 else (
-                    g, tuple(p - (1 if a == g else 0) for a, p in enumerate(pos))
-                )
-                slotted[bond[key]].append((0 if s == 1 else 1, nid, ax))
-    final = {e: tuple((n, ax) for _, n, ax in sorted(eps)) for e, eps in slotted.items()}
-    net = TensorNetwork.build({node_of[p]: tensors[p] for p in node_of}, final)
-    return GridNetwork(net=net, shape=tuple(shape), node_of=node_of, bond=bond, open_leg=open_leg)
+                eid = bond[(g, pos if s == 1 else _shifted(pos, g, -1))]
+            attachments[eid] = attachments.get(eid, ()) + ((node_of[pos], ax),)
+    return node_of, bond, open_leg, dict(sorted(attachments.items()))
+
+
+def _assemble_grid(
+    shape: tuple[int, ...],
+    tensors: dict[Pos, np.ndarray],
+    open_axes: frozenset[tuple[Pos, AxisDir]] = frozenset(),
+) -> GridNetwork:
+    """Wire one tensor per position, its axes ordered as
+    :func:`_site_axes` lists them, into a grid network."""
+    shape = tuple(shape)
+    node_of, bond, open_leg, attachments = _grid_layout(shape, open_axes)
+    net = TensorNetwork.build({node_of[p]: tensors[p] for p in node_of}, attachments)
+    return GridNetwork(net=net, shape=shape, node_of=node_of, bond=bond, open_leg=open_leg)
+
+
+def grid_view(
+    net: TensorNetwork,
+    shape: tuple[int, ...],
+    open_axes: frozenset[tuple[Pos, AxisDir]] = frozenset(),
+) -> GridNetwork:
+    """Lattice lookups for a network wired as :func:`_assemble_grid` wires
+    a ``shape`` lattice with the given open legs.
+
+    Raises :class:`ModelError` when the node ids or edge endpoints differ
+    from that layout."""
+    shape = tuple(shape)
+    if any(n < 1 for n in shape) or math.prod(shape) != len(net.nodes):
+        raise ModelError(f"{len(net.nodes)} nodes cannot form a {shape} lattice")
+    node_of, bond, open_leg, attachments = _grid_layout(shape, open_axes)
+    wiring = {eid: edge.endpoints for eid, edge in net.edges.items()}
+    if sorted(net.nodes) != list(node_of.values()) or wiring != attachments:
+        raise ModelError(f"the network is not wired as a {shape} lattice with open legs {sorted(open_leg)}")
+    return GridNetwork(net=net, shape=shape, node_of=node_of, bond=bond, open_leg=open_leg)
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +214,8 @@ def ising_open_patch(dimension: int, beta: float, shape: tuple[int, ...]) -> Gri
     function."""
     if len(shape) != dimension:
         raise ModelError(f"shape {shape} does not match dimension {dimension}")
-    node_axes = {pos: _site_axes(shape, pos) for pos in _positions(tuple(shape))}
-    tensors = {pos: _spin_vertex(beta, len(axes)) for pos, axes in node_axes.items()}
-    return _assemble_grid(tuple(shape), node_axes, tensors)
+    tensors = {pos: _spin_vertex(beta, len(_site_axes(shape, pos))) for pos in _positions(shape)}
+    return _assemble_grid(shape, tensors)
 
 
 def aklt_peps_tensor() -> np.ndarray:
@@ -256,9 +263,11 @@ def random_grid(
     ``open_axes`` lists boundary directions to keep as open legs (they must
     point outside the grid)."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    node_axes = {pos: _site_axes(shape, pos, open_axes) for pos in _positions(tuple(shape))}
-    tensors = {pos: random_tensor((chi,) * len(axes), bias, rng) for pos, axes in node_axes.items()}
-    return _assemble_grid(tuple(shape), node_axes, tensors)
+    tensors = {
+        pos: random_tensor((chi,) * len(_site_axes(shape, pos, open_axes)), bias, rng)
+        for pos in _positions(shape)
+    }
+    return _assemble_grid(shape, tensors, open_axes)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +420,7 @@ class BlockedUnit:
         eid = 0
         for g in range(self.ndim):
             for pos in cells:
-                nxt = tuple(p + (1 if a == g else 0) for a, p in enumerate(pos))
+                nxt = _shifted(pos, g, 1)
                 if nxt in node_of:
                     attachments[eid] = [(node_of[pos], 2 * g + 1), (node_of[nxt], 2 * g)]
                     eid += 1
@@ -474,72 +483,28 @@ def block(grid: GridNetwork, factors: tuple[int, ...]) -> GridNetwork:
     ``factors`` nodes into single tensors with fused cross-block bonds."""
     if grid.open_leg:
         raise ModelError("blocking of grids with open legs is not supported")
-    ndim = grid.ndim
     factors = tuple(int(f) for f in factors)
-    if len(factors) != ndim:
+    if len(factors) != len(grid.shape):
         raise ModelError("one blocking factor per grid axis is required")
     if any(n % f for n, f in zip(grid.shape, factors)):
         raise ModelError(f"shape {grid.shape} is not divisible by factors {factors}")
     new_shape = tuple(n // f for n, f in zip(grid.shape, factors))
-    node_axes: dict[Pos, list] = {}
     tensors: dict[Pos, np.ndarray] = {}
     for bpos in _positions(new_shape):
-        cells = [
-            tuple(bpos[a] * factors[a] + off[a] for a in range(ndim))
-            for off in _positions(factors)
-        ]
-        cellset = set(cells)
-        sub_tensors = {}
-        sub_attach: dict[int, list[tuple[int, int]]] = {}
-        local_id = {p: i for i, p in enumerate(cells)}
-        for p in cells:
-            sub_tensors[local_id[p]] = grid.net.nodes[grid.node_of[p]]
-        # Internal bonds first, then boundary stubs face by face.
-        eid = 0
-        axis_of = {}
-        for p in cells:
-            nid = grid.node_of[p]
-            axes = grid.net.node_axes(nid)
-            axis_of[p] = axes
-        for g in range(ndim):
-            for p in cells:
-                nxt = tuple(q + (1 if a == g else 0) for a, q in enumerate(p))
-                if nxt in cellset and (g, p) in grid.bond:
-                    orig = grid.bond[(g, p)]
-                    tail_ax = [ax for ax, e in enumerate(axis_of[p]) if e == orig][0]
-                    head_ax = [ax for ax, e in enumerate(axis_of[nxt]) if e == orig][0]
-                    sub_attach[eid] = [(local_id[p], tail_ax), (local_id[nxt], head_ax)]
-                    eid += 1
+        cells = [tuple(b * f + o for b, f, o in zip(bpos, factors, off)) for off in _positions(factors)]
+        # The cut bonds of each face of the block, in (g, s) then cell order.
         faces = []
-        for g in range(ndim):
-            for s in (0, 1):
-                stubs = []
-                for p in sorted(cellset):
-                    q = tuple(c + (1 if (a == g and s == 1) else -1 if (a == g and s == 0) else 0)
-                              for a, c in enumerate(p))
-                    if q in cellset:
-                        continue
-                    key = (g, p) if s == 1 else (g, q)
-                    if key in grid.bond:
-                        orig = grid.bond[key]
-                        ax = [a for a, e in enumerate(axis_of[p]) if e == orig][0]
-                        stubs.append((p, ax, orig))
-                if stubs:
-                    faces.append(((g, s), stubs))
-        face_dims = []
-        for (g, s), stubs in faces:
-            dims = []
-            for p, ax, orig in stubs:
-                sub_attach[eid] = [(local_id[p], ax)]
-                dims.append(grid.net.edges[orig].dim)
-                eid += 1
-            face_dims.append(((g, s), int(np.prod(dims))))
-        sub_net = TensorNetwork.build(sub_tensors, {e: tuple(a) for e, a in sub_attach.items()})
-        blocked = contract(sub_net)
-        blocked = blocked.reshape(tuple(d for _, d in face_dims))
-        node_axes[bpos] = [("bond", g, s) for (g, s), _ in face_dims]
-        tensors[bpos] = blocked
-    return _assemble_grid(new_shape, node_axes, tensors)
+        for _, g, s in _site_axes(new_shape, bpos):
+            rim = cells[-1][g] if s == 1 else cells[0][g]
+            faces.append([grid.bond[(g, p if s == 1 else _shifted(p, g, -1))] for p in cells if p[g] == rim])
+        cut = [eid for face in faces for eid in face]
+        # contract leaves the cut bonds in edge-id order, which interleaves
+        # the two faces of an axis after the first; put them face by face.
+        by_id = sorted(cut)
+        blocked = contract(subnetwork(grid.net, [grid.node_of[p] for p in cells]))
+        blocked = blocked.transpose([by_id.index(eid) for eid in cut])
+        tensors[bpos] = blocked.reshape([math.prod(grid.net.edges[e].dim for e in face) for face in faces])
+    return _assemble_grid(new_shape, tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -562,14 +527,12 @@ def capped_patch(
     ndim = ops.ndim
     if len(shape) != ndim:
         raise ModelError(f"patch shape {shape} does not match the unit rank")
-    node_axes: dict[Pos, list] = {}
     tensors: dict[Pos, np.ndarray] = {}
-    for pos in _positions(tuple(shape)):
-        node_axes[pos] = _site_axes(shape, pos, open_axes)
-        kept = {(g, s) for _, g, s in node_axes[pos]}
+    for pos in _positions(shape):
+        kept = {(g, s) for _, g, s in _site_axes(shape, pos, open_axes)}
         cap_pattern = {d: None if d in kept else caps[d] for d in itertools.product(range(ndim), (0, 1))}
         tensors[pos] = np.asarray(ops.apply_caps(cap_pattern))
-    return _assemble_grid(tuple(shape), node_axes, tensors)
+    return _assemble_grid(shape, tensors, open_axes)
 
 
 @dataclass
@@ -647,7 +610,7 @@ def brute_force_ising(dimension: int, beta: float, shape: tuple[int, ...]) -> fl
     bonds = []
     for p in positions:
         for g in range(dimension):
-            q = tuple(c + (1 if a == g else 0) for a, c in enumerate(p))
+            q = _shifted(p, g, 1)
             if q in index:
                 bonds.append((index[p], index[q]))
     states = ((np.arange(2**n)[:, None] >> np.arange(n)[None, :]) & 1) * 2 - 1

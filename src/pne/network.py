@@ -33,6 +33,7 @@ __all__ = [
     "PlanStep",
     "ContractionPlan",
     "validate",
+    "subnetwork",
     "absorb_matrix",
     "apply_insertions",
     "insert_joint_ketbra",
@@ -190,6 +191,20 @@ def validate(net: TensorNetwork) -> list[str]:
     return problems
 
 
+def subnetwork(net: TensorNetwork, node_ids: Iterable[int]) -> TensorNetwork:
+    """The nodes ``node_ids`` of ``net`` and every edge that touches them.
+
+    Node and edge ids are kept. An edge the selection cuts becomes an open
+    edge at its inside endpoint."""
+    keep = set(node_ids)
+    edges = {}
+    for eid, edge in net.edges.items():
+        inside = tuple(ep for ep in edge.endpoints if ep[0] in keep)
+        if inside:
+            edges[eid] = Edge(endpoints=inside, dim=edge.dim)
+    return TensorNetwork(nodes={n: t for n, t in net.nodes.items() if n in keep}, edges=edges)
+
+
 # ---------------------------------------------------------------------------
 # Edge insertions
 # ---------------------------------------------------------------------------
@@ -321,9 +336,11 @@ def apply_insertions(
                 raise InsertionError(
                     f"edge {eid}: message lengths {ket.size}/{bra.size} != edge dim {edge.dim}"
                 )
-            (tn, tax), (hn, hax) = edge.endpoints
+            (tn, tax), _ = edge.endpoints
             out.nodes[tn] = _absorb_vector(out.nodes[tn], tax, ket)
             _shift_axes(out, tn, tax)
+            # Read the head only now: on a self-loop the shift moved it.
+            _, (hn, hax) = out.edges[eid].endpoints
             out.nodes[hn] = _absorb_vector(out.nodes[hn], hax, bra)
             _shift_axes(out, hn, hax)
             del out.edges[eid]

@@ -50,7 +50,6 @@ class LayoutSpec:
     edge_lists: tuple[tuple[int, ...], ...]     # factorized partitions
     joint_pairs: tuple[tuple[int, int], ...] = ()
     rank_capable: bool = True
-    open_axes: frozenset = frozenset()
     recursion_cap: float | None = None
 
 
@@ -161,7 +160,6 @@ def _open2x3_chi5(g: GridNetwork) -> LayoutSpec:
             (g.h_edge(0, 0),),
             (g.h_edge(0, 1),),
         ),
-        open_axes=OPEN2X3_AXES,
     )
 
 
@@ -172,7 +170,6 @@ def _open2x3_chi4(g: GridNetwork) -> LayoutSpec:
             (g.h_edge(0, 0), g.h_edge(1, 0)),
             (g.h_edge(0, 1), g.h_edge(1, 1)),
         ),
-        open_axes=OPEN2X3_AXES,
         rank_capable=False,
     )
 

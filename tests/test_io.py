@@ -11,16 +11,19 @@ from pne.io import (
     ContainerError,
     load_any,
     load_bp_state,
+    load_grid,
     load_network,
     load_partitions,
     load_weight_state,
     save_bp_state,
+    save_grid,
     save_network,
     save_partitions,
     save_weight_state,
 )
-from pne.models import random_grid
+from pne.models import BETA_C_2D, block, ising_open_patch, random_grid
 from pne.network import Edge, TensorNetwork, contract, validate
+from pne.presets import OPEN2X3_AXES
 from pne.weights import run_weight_passing
 
 
@@ -34,6 +37,39 @@ def test_network_round_trip(tmp_path):
         assert loaded.edges[e].endpoints == g.net.edges[e].endpoints
         assert loaded.edges[e].dim == g.net.edges[e].dim
     np.testing.assert_allclose(contract(loaded), contract(g.net), rtol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: random_grid((3, 4), 2, seed=1),
+        lambda: random_grid((2, 2, 2), 2, seed=2),
+        lambda: random_grid((2, 3), 2, seed=3, open_axes=OPEN2X3_AXES),
+        lambda: block(ising_open_patch(2, BETA_C_2D, (4, 6)), (2, 3)),
+    ],
+    ids=["2d", "3d", "open-legs", "blocked"],
+)
+def test_grid_round_trip(tmp_path, make):
+    g = make()
+    path = tmp_path / "grid.pnec"
+    save_grid(path, g)
+    loaded = load_grid(path)
+    assert loaded.shape == g.shape
+    assert (loaded.node_of, loaded.bond, loaded.open_leg) == (g.node_of, g.bond, g.open_leg)
+    assert list(loaded.net.edges.items()) == list(g.net.edges.items())
+    assert list(loaded.net.nodes) == list(g.net.nodes)
+    for n, t in g.net.nodes.items():
+        assert loaded.net.nodes[n].tobytes() == t.tobytes()
+    # The lattice key is invisible to the plain network reader.
+    assert load_network(path).edges == g.net.edges
+
+
+def test_grid_needs_lattice_layout(tmp_path):
+    g = random_grid((2, 3), 2, seed=4)
+    path = tmp_path / "net.pnec"
+    save_network(path, g.net)
+    with pytest.raises(ContainerError, match="no lattice layout"):
+        load_grid(path)
 
 
 def test_bp_state_round_trip(tmp_path):
@@ -149,10 +185,13 @@ def test_truncated_container_raises(tmp_path, g, data):
 
 
 @CONTAINER_SETTINGS
-@given(grids, st.data())
-def test_corrupt_header_raises_container_error(tmp_path, g, data):
+@given(grids, st.booleans(), st.data())
+def test_corrupt_header_raises_container_error(tmp_path, g, as_grid, data):
     path = tmp_path / "net.pnec"
-    save_network(path, g.net)
+    if as_grid:
+        save_grid(path, g)
+    else:
+        save_network(path, g.net)
     blob = bytearray(path.read_bytes())
     (hlen,) = struct.unpack_from("<I", blob, 4)
     # Any byte of the header length or the header itself.
@@ -160,7 +199,7 @@ def test_corrupt_header_raises_container_error(tmp_path, g, data):
     blob[pos] = data.draw(st.integers(0, 255).filter(lambda b: b != blob[pos]))
     path.write_bytes(bytes(blob))
     try:
-        loaded = load_network(path)
+        loaded = load_grid(path) if as_grid else load_network(path)
     except ContainerError:
         return
-    assert validate(loaded) == []
+    assert validate(loaded.net if as_grid else loaded) == []

@@ -9,6 +9,7 @@ from pne.models import (
     BETA_C_2D,
     BETA_C_3D,
     BlockedUnit,
+    ModelError,
     ModelSpec,
     aklt_norm_tensor,
     aklt_peps_tensor,
@@ -17,6 +18,7 @@ from pne.models import (
     brute_force_ising,
     capped_patch,
     finite_patch,
+    grid_view,
     ising_free_energy_2d,
     ising_open_patch,
     ising_unit_tensor,
@@ -118,6 +120,24 @@ class TestRandom:
     def test_default_benchmark_bias(self):
         t = random_tensor((6, 6), bias=0.2, seed=2)
         assert t.min() >= -0.8 and t.max() <= 1.2
+
+
+class TestGridView:
+    def test_recovers_generator_lookups(self):
+        open_axes = frozenset({((0, 0, 1), (2, 1)), ((1, 1, 0), (0, 1))})
+        g = random_grid((2, 2, 2), 2, seed=1, open_axes=open_axes)
+        view = grid_view(g.net, (2, 2, 2), open_axes)
+        assert view.net is g.net
+        assert (view.node_of, view.bond, view.open_leg) == (g.node_of, g.bond, g.open_leg)
+
+    @pytest.mark.parametrize(
+        "shape, open_axes",
+        [((3, 2), frozenset()), ((3, 3), frozenset()), ((2, 3), frozenset({((0, 0), (0, 0))}))],
+    )
+    def test_other_layout_raises(self, shape, open_axes):
+        g = random_grid((2, 3), 2, seed=2)
+        with pytest.raises(ModelError):
+            grid_view(g.net, shape, open_axes)
 
 
 class TestBlocking:

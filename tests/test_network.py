@@ -26,6 +26,7 @@ from pne.network import (
     _plan_greedy,
     _plan_sweep,
     plan_order,
+    subnetwork,
     validate,
 )
 
@@ -187,6 +188,16 @@ class TestInsertions:
         via_dense = apply_insertions(g.net, [EdgeInsertion(eid, DenseOp(dense))])
         np.testing.assert_allclose(float(contract(cut)), float(contract(via_dense)), rtol=1e-10)
 
+    def test_message_pair_on_self_loop(self):
+        rng = np.random.default_rng(2)
+        t, v = rng.normal(size=(2, 3, 2)), rng.normal(size=3)
+        net = TensorNetwork.build({0: t, 1: v}, {0: [(0, 0), (0, 2)], 1: [(0, 1), (1, 0)]})
+        ket = bra = np.ones(2)
+        cut = apply_insertions(net, [EdgeInsertion(0, MessagePair(ket, bra))])
+        np.testing.assert_allclose(
+            float(contract(cut)), np.einsum("iaj,i,j,a->", t, ket, bra, v), rtol=1e-12
+        )
+
     def test_weight_on_tail(self):
         net = vec_net()
         w = np.array([2.0, 10.0])
@@ -207,6 +218,29 @@ class TestInsertions:
         net = vec_net()
         with pytest.raises(InsertionError, match="orthonormal"):
             apply_insertions(net, [EdgeInsertion(0, ProjectorP(np.array([[2.0], [0.0]])))])
+
+
+class TestSubnetwork:
+    def test_keeps_ids_and_cuts_to_open_edges(self):
+        g = random_grid((3, 3), 2, bias=0.2, seed=10)
+        top = [g.node_of[(r, c)] for r in (0, 1) for c in range(3)]
+        sub = subnetwork(g.net, top)
+        assert sorted(sub.nodes) == sorted(top)
+        assert all(sub.nodes[n] is g.net.nodes[n] for n in top)
+        for eid, edge in sub.edges.items():
+            inside = tuple(ep for ep in g.net.edges[eid].endpoints if ep[0] in top)
+            assert edge == Edge(endpoints=inside, dim=g.net.edges[eid].dim)
+        assert sub.open_edge_ids() == [g.v_edge(1, c) for c in range(3)]
+        assert validate(sub) == []
+
+    def test_joining_the_cut_restores_the_value(self):
+        g = random_grid((3, 3), 3, bias=0.2, seed=11)
+        left = [n for p, n in g.node_of.items() if p[1] < 2]
+        right = [n for n in g.net.nodes if n not in left]
+        a, b = subnetwork(g.net, left), subnetwork(g.net, right)
+        assert a.open_edge_ids() == b.open_edge_ids() == [g.h_edge(r, 1) for r in range(3)]
+        joined = np.tensordot(contract(a), contract(b), axes=3)
+        np.testing.assert_allclose(float(joined), float(contract(g.net)), rtol=1e-12)
 
 
 class TestJointInsertions:
