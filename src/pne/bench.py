@@ -231,7 +231,9 @@ def run_suite(
     """Run a named benchmark suite and emit its CSV table.
 
     Reruns with identical seeds and flags produce byte-identical CSV for any
-    worker count. The result carries an ``identities_ok`` flag from a
+    worker count, given the same BLAS thread count: threaded BLAS sums in a
+    different order, which moves the last digits of the grid5x4 rows. The
+    result carries an ``identities_ok`` flag from a
     randomized exactness self-check on the suite's geometry; the CLI exit
     code reflects it.
     """

@@ -617,7 +617,12 @@ def recursive_expand(
                 f"{cost_cap_exponent}: {offenders}"
             )
 
-    expand(net, tuple(partitions), 1.0, 0)
+    try:
+        expand(net, tuple(partitions), 1.0, 0)
+    finally:
+        # ``expand`` refers to itself; unbinding it frees the terms' networks
+        # when the caller drops them, not at the next cyclic collection.
+        del expand
     result = Expansion(
         form="recursive",
         net=net,

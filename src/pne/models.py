@@ -120,7 +120,9 @@ def _grid_layout(shape: tuple[int, ...], open_axes: frozenset[tuple[Pos, AxisDir
     :func:`_site_axes`. Bond edge ids come first (ordered by axis then tail
     position), then open legs (by position). Returns ``(node_of, bond,
     open_leg, attachments)``, where ``attachments`` maps each edge id, in
-    ascending order, to its ``(node, axis)`` endpoints, tail first.
+    ascending order, to its ``(node, axis)`` endpoints, tail first. Raises
+    :class:`ModelError` for an ``open_axes`` entry that points into the
+    lattice or names a position outside it.
     """
     positions = _positions(shape)
     node_of = {pos: i for i, pos in enumerate(positions)}
@@ -128,6 +130,9 @@ def _grid_layout(shape: tuple[int, ...], open_axes: frozenset[tuple[Pos, AxisDir
     bond = {key: eid for eid, key in enumerate(bond_keys)}
     site_axes = {pos: _site_axes(shape, pos, open_axes) for pos in positions}
     open_keys = [(pos, (g, s)) for pos in positions for kind, g, s in site_axes[pos] if kind == "open"]
+    stray = set(open_axes) - set(open_keys)
+    if stray:
+        raise ModelError(f"open_axes entries {sorted(stray)} do not point out of the {shape} lattice")
     open_leg = {key: len(bond) + i for i, key in enumerate(open_keys)}
     # A bond's tail sits at the smaller coordinate (its s == 1 side), so the
     # position-order scan meets the tail first.
@@ -397,7 +402,6 @@ class BlockedUnit:
             raise ModelError("blocking factors must give one entry per grid axis")
         self.ndim = len(self.factors)
         self._materialized: np.ndarray | None = None
-        self._plan_cache: dict = {}
 
     def face_cells(self, g: int, s: int) -> list[Pos]:
         edge_coord = self.factors[g] - 1 if s == 1 else 0
@@ -442,17 +446,7 @@ class BlockedUnit:
                     for cell in face:
                         attachments[eid] = [(node_of[cell], 2 * g + s)]
                         eid += 1
-        net = TensorNetwork.build(tensors, {e: tuple(a) for e, a in attachments.items()})
-        # The network topology only depends on which faces are capped, so the
-        # contraction plan can be reused across message-passing sweeps.
-        sig = tuple(sorted((g, s) for (g, s), v in caps.items() if v is not None))
-        plan = self._plan_cache.get(sig)
-        if plan is None:
-            from pne.network import plan_order
-
-            plan = plan_order(net)
-            self._plan_cache[sig] = plan
-        res = contract(net, plan=plan)
+        res = contract(TensorNetwork.build(tensors, {e: tuple(a) for e, a in attachments.items()}))
         # Open sub-axes arrive grouped per face in (g, s) order; fuse each group.
         shape = []
         for g, s in open_faces:

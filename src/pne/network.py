@@ -9,6 +9,7 @@ construction; every canonical ordering in the package derives from them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -520,15 +521,26 @@ class ContractionPlan:
         return math.log(self.peak_step_flops) / math.log(chi)
 
 
+# What a planner reads of a network: its node ids and, in edge-dict order,
+# each edge's (edge id, endpoint node ids, dim).
+PlanKey = tuple[tuple[int, ...], tuple[tuple[int, tuple[int, ...], int], ...]]
+
+
+def _plan_key(net: TensorNetwork) -> PlanKey:
+    edges = tuple((eid, tuple(n for n, _ in e.endpoints), int(e.dim)) for eid, e in net.edges.items())
+    return tuple(net.nodes), edges
+
+
 class _Planner:
     """Shared stepping machinery for the deterministic plan heuristics."""
 
-    def __init__(self, net: TensorNetwork):
+    def __init__(self, key: PlanKey):
+        node_ids, edges = key
         # node id -> list of (edge id, dim); self-loops appear twice.
-        self.incident: dict[int, list[tuple[int, int]]] = {n: [] for n in net.nodes}
-        for eid, edge in net.edges.items():
-            for n, _ax in edge.endpoints:
-                self.incident[n].append((eid, edge.dim))
+        self.incident: dict[int, list[tuple[int, int]]] = {n: [] for n in node_ids}
+        for eid, ends, dim in edges:
+            for n in ends:
+                self.incident[n].append((eid, dim))
         self.steps: list[PlanStep] = []
         self.total = 0
         self.peak_flops = 0
@@ -546,9 +558,9 @@ class _Planner:
             for eid, _ in self.incident[n]:
                 counts[eid] = counts.get(eid, 0) + 1
             for eid in sorted(e for e, c in counts.items() if c == 2):
-                flops = int(np.prod([d for _, d in self.incident[n]], dtype=np.int64)) or 1
+                flops = math.prod(d for _, d in self.incident[n]) or 1
                 self.incident[n] = [(e, d) for e, d in self.incident[n] if e != eid]
-                entries = int(np.prod([d for _, d in self.incident[n]], dtype=np.int64)) or 1
+                entries = math.prod(d for _, d in self.incident[n]) or 1
                 self.record("trace", (n,), n, flops, entries)
 
     def step_cost(self, a: int, b: int) -> tuple[int, int, int]:
@@ -557,8 +569,8 @@ class _Planner:
         union: dict[int, int] = {}
         for e, d in self.incident[a] + self.incident[b]:
             union[e] = d
-        flops = int(np.prod(list(union.values()), dtype=np.int64)) or 1
-        entries = int(np.prod([d for e, d in union.items() if e not in shared], dtype=np.int64)) or 1
+        flops = math.prod(union.values()) or 1
+        entries = math.prod(d for e, d in union.items() if e not in shared) or 1
         return flops, entries, (shared[0] if shared else -1)
 
     def merge(self, a: int, b: int, kind: str, flops: int, entries: int):
@@ -578,14 +590,14 @@ class _Planner:
         )
 
 
-def _plan_greedy(net: TensorNetwork, seed: int | None = None) -> ContractionPlan:
+def _plan_greedy(key: PlanKey, seed: int | None = None) -> ContractionPlan:
     """Greedy: contract the adjacent pair with the smallest merged tensor.
 
     With ``seed=None`` ties break on node ids; otherwise among the tied
     pairs a seeded choice is made, which lets a handful of restarts escape
     the bias of any fixed tie order."""
     rng = np.random.default_rng(seed) if seed is not None else None
-    pl = _Planner(net)
+    pl = _Planner(key)
     pl.trace_loops()
     live = sorted(pl.incident)
     while len(live) > 1:
@@ -613,12 +625,12 @@ def _plan_greedy(net: TensorNetwork, seed: int | None = None) -> ContractionPlan
     return pl.plan()
 
 
-def _plan_sweep(net: TensorNetwork, reverse: bool = False) -> ContractionPlan:
+def _plan_sweep(key: PlanKey, reverse: bool = False) -> ContractionPlan:
     """Sweep: absorb nodes into an accumulator in node-id order, preferring
     adjacent nodes. Node ids of lattice builders follow row-major position
     order, so this reproduces the boundary sweep whose frontier is one
     lattice cross-section (``reverse`` sweeps from the other end)."""
-    pl = _Planner(net)
+    pl = _Planner(key)
     pl.trace_loops()
     while len(pl.incident) > 1:
         live = sorted(pl.incident, reverse=reverse)
@@ -643,12 +655,12 @@ DP_NODE_CAP = 10
 GREEDY_RESTARTS = 8
 
 
-def _plan_dp(net: TensorNetwork) -> ContractionPlan:
+def _plan_dp(key: PlanKey) -> ContractionPlan:
     """Exact subset dynamic program minimizing (peak step flops, total flops).
 
     Exponential in the node count; only used below :data:`DP_NODE_CAP`.
     """
-    pl = _Planner(net)
+    pl = _Planner(key)
     pl.trace_loops()
     nodes = sorted(pl.incident)
     n = len(nodes)
@@ -700,24 +712,39 @@ def _plan_dp(net: TensorNetwork) -> ContractionPlan:
         split[mask] = choice[1]
 
     merges: list[tuple[int, int]] = []
-
-    def emit(mask: int) -> int:
-        if mask & (mask - 1) == 0:
-            return nodes[mask.bit_length() - 1]
-        a = split[mask]
-        b = mask ^ a
-        ra = emit(a)
-        rb = emit(b)
-        lo, hi = min(ra, rb), max(ra, rb)
-        merges.append((lo, hi))
-        return lo
-
-    emit((1 << n) - 1)
+    _emit_merges((1 << n) - 1, split, nodes, merges)
     for a, b in merges:
         shared = {e for e, _ in pl.incident[a]} & {e for e, _ in pl.incident[b]}
         flops, entries, _ = pl.step_cost(a, b)
         pl.merge(a, b, "pair" if shared else "outer", flops, entries)
     return pl.plan()
+
+
+def _emit_merges(mask: int, split: list[int], nodes: list[int], merges: list[tuple[int, int]]) -> int:
+    """Append the merges of the DP split tree under ``mask`` to ``merges`` in
+    post-order; return the node id that survives them."""
+    if mask & (mask - 1) == 0:
+        return nodes[mask.bit_length() - 1]
+    a = split[mask]
+    ra = _emit_merges(a, split, nodes, merges)
+    rb = _emit_merges(mask ^ a, split, nodes, merges)
+    lo, hi = min(ra, rb), max(ra, rb)
+    merges.append((lo, hi))
+    return lo
+
+
+# An entry holds about 3 KB; one round of the three expand-finite presets
+# on chi=16 patches needs about 200 of them.
+PLAN_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan_for(key: PlanKey) -> ContractionPlan:
+    candidates = [_plan_sweep(key), _plan_sweep(key, reverse=True), _plan_greedy(key)]
+    candidates += [_plan_greedy(key, seed=k) for k in range(GREEDY_RESTARTS)]
+    if len(key[0]) <= DP_NODE_CAP:
+        candidates.append(_plan_dp(key))
+    return min(candidates, key=lambda p: (p.peak_step_flops, p.total_flops))
 
 
 def plan_order(net: TensorNetwork) -> ContractionPlan:
@@ -728,15 +755,16 @@ def plan_order(net: TensorNetwork) -> ContractionPlan:
     peak step cost (plain greedy misjudges wide lattices, where the sweep's
     cross-section frontier is the right shape). Disconnected components end
     in outer products between the smallest surviving node ids.
+
+    Plans are memoized for the whole process by structure: node ids and each
+    edge's id, endpoint nodes and dim, never tensor values, so networks that
+    share a structure share one plan object while it stays cached. The
+    network is still validated on every call.
     """
     problems = validate(net)
     if problems:
         raise NetworkError("cannot plan an invalid network: " + "; ".join(problems))
-    candidates = [_plan_sweep(net), _plan_sweep(net, reverse=True), _plan_greedy(net)]
-    candidates += [_plan_greedy(net, seed=k) for k in range(GREEDY_RESTARTS)]
-    if len(net.nodes) <= DP_NODE_CAP:
-        candidates.append(_plan_dp(net))
-    return min(candidates, key=lambda p: (p.peak_step_flops, p.total_flops))
+    return _plan_for(_plan_key(net))
 
 
 def contract(

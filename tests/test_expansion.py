@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -360,3 +362,17 @@ class TestRecursive:
         assert abs((float(val.value) + float(res) - ex) / ex) < 1e-9
         assert pre.expansion.peak_cost_exponent(3) <= 4.0 + 1e-9
         assert len(pre.expansion.residues) == 3     # top level + two re-expanded terms
+
+    def test_terms_freed_without_cyclic_gc(self):
+        from pne.presets import build_preset
+
+        g = random_grid((4, 3), 3, bias=0.2, seed=27)
+        gc.collect()
+        gc.disable()
+        try:
+            pre = build_preset("grid4x3-recursive", g, projectors="random", seed=0)
+            refs = [weakref.ref(t.network) for t in pre.expansion.terms]
+            del pre
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()

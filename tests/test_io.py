@@ -150,7 +150,7 @@ CONTAINER_SETTINGS = settings(
 grids = st.builds(
     lambda shape, chi, seed, open_leg: random_grid(
         shape, chi, bias=0.2, seed=seed,
-        open_axes=frozenset({((0, 0), (0, 0))}) if open_leg else frozenset(),
+        open_axes=frozenset({((0,) * len(shape), (0, 0))}) if open_leg else frozenset(),
     ),
     st.sampled_from([(1, 2), (2, 2), (2, 3), (1, 1, 2)]),
     st.integers(1, 3),

@@ -139,6 +139,17 @@ class TestGridView:
         with pytest.raises(ModelError):
             grid_view(g.net, shape, open_axes)
 
+    @pytest.mark.parametrize(
+        "stray", [((0, 0), (0, 1)), ((5, 5), (0, 0)), ((0, 0), (2, 0)), ((1, 2), (1, 2))]
+    )
+    def test_stray_open_axes_raise(self, stray):
+        open_axes = frozenset({((0, 0), (0, 0)), stray})
+        with pytest.raises(ModelError, match="do not point out"):
+            random_grid((2, 3), 2, open_axes=open_axes)
+        unit = ising_unit_tensor(2, 0.3)
+        with pytest.raises(ModelError, match="do not point out"):
+            capped_patch(unit, (2, 3), uniform_fixed_point(unit).caps(), open_axes)
+
 
 class TestBlocking:
     def test_grid_blocking_preserves_scalar(self):

@@ -23,12 +23,15 @@ from pne.network import (
     insert_joint_isometry,
     insert_joint_ketbra,
     _plan_dp,
+    _plan_for,
     _plan_greedy,
+    _plan_key,
     _plan_sweep,
     plan_order,
     subnetwork,
     validate,
 )
+from pne.presets import OPEN2X3_AXES, PRESETS, build_preset
 
 
 def vec_net():
@@ -103,12 +106,13 @@ class TestContract:
 
     def test_plan_independence(self):
         g = random_grid((3, 3), 3, bias=0.2, seed=5)
+        key = _plan_key(g.net)
         plans = [
-            _plan_sweep(g.net),
-            _plan_sweep(g.net, reverse=True),
-            _plan_greedy(g.net),
-            _plan_greedy(g.net, seed=3),
-            _plan_dp(g.net),
+            _plan_sweep(key),
+            _plan_sweep(key, reverse=True),
+            _plan_greedy(key),
+            _plan_greedy(key, seed=3),
+            _plan_dp(key),
         ]
         values = [float(contract(g.net, plan=plan)) for plan in plans]
         for v in values[1:]:
@@ -157,6 +161,55 @@ class TestPlanOrder:
         )
         plan = plan_order(net)
         assert any(s.kind == "outer" for s in plan.steps)
+
+    def test_costs_beyond_int64(self):
+        # Zero-copy views: the cap check must stop contract before numpy allocates.
+        big = np.broadcast_to(np.zeros(1), (2**16,) * 3)
+        ends = [((0, 0), (1, 0)), ((0, 1),), ((0, 2),), ((1, 1),), ((1, 2),)]
+        net = TensorNetwork(nodes={0: big, 1: big}, edges={e: Edge(eps, 2**16) for e, eps in enumerate(ends)})
+        plan = plan_order(net)
+        assert (plan.peak_step_flops, plan.peak_result_entries) == (2**80, 2**64)
+        with pytest.raises(MemoryBudgetError):
+            contract(net)
+
+
+class TestPlanCache:
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        _plan_for.cache_clear()
+
+    def test_cached_plans_match_fresh_ones(self):
+        terms = []
+        for name, (shape, _) in sorted(PRESETS.items()):
+            if name == "cube222-chi4":   # its joint partitions need BP projectors
+                continue
+            open_axes = OPEN2X3_AXES if name.startswith("open2x3") else frozenset()
+            g = random_grid(shape, 3, bias=0.2, seed=5, open_axes=open_axes)
+            terms += build_preset(name, g, projectors="random", seed=1).expansion.terms
+        assert _plan_for.cache_info().hits > 0
+        for term in terms:
+            _plan_for.cache_clear()
+            assert plan_order(term.network) == term.plan
+
+    def test_bond_dim_gets_its_own_plan(self):
+        p2 = plan_order(random_grid((3, 3), 2, seed=0).net)
+        p3 = plan_order(random_grid((3, 3), 3, seed=0).net)
+        assert p2 is not p3
+        assert (p2.peak_step_flops, p3.peak_step_flops) == (2**6, 3**6)
+        assert _plan_for.cache_info().currsize == 2
+
+    def test_same_structure_shares_the_plan_object(self):
+        a, b = random_grid((3, 3), 3, seed=1), random_grid((3, 3), 3, bias=0.5, seed=2)
+        assert plan_order(a.net) is plan_order(b.net)
+        assert _plan_for.cache_info().hits == 1
+
+    def test_invalid_twin_still_raises(self):
+        g = random_grid((2, 3), 3, seed=0)
+        plan_order(g.net)
+        bad = g.net.copy()
+        bad.nodes[0] = bad.nodes[0][..., :2]   # same edges, wrong extent
+        with pytest.raises(NetworkError, match="invalid"):
+            plan_order(bad)
 
 
 class TestInsertions:
