@@ -20,7 +20,6 @@ from pne.network import (
     TensorNetwork,
     Identity,
     ProjectorP,
-    ProjectorQ,
     MessagePair,
     Weight,
     DenseOp,

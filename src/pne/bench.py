@@ -8,6 +8,7 @@ timestamps or timings.
 
 from __future__ import annotations
 
+import functools
 import io as _io
 import math
 from dataclasses import dataclass
@@ -354,31 +355,38 @@ def _classes_2d(trials, seed):
     yield ("random", "bias=0.2", [(str(seed + t), None, seed + t) for t in range(trials)])
 
 
-def _run_doubleloop(trials, seed, workers):
-    records = []
-    methods = [
+# suite -> (geometry, shape, methods) of the suites that run scalar
+# methods on the three 2D model classes.
+_SCALAR_2D = {
+    "doubleloop": ("2x3", (2, 3), [
         ("bp", "-", "bp", 1, BP_KW),
         ("single-cut", "doubleloop-cut1", "bp", 1, {}),
         ("pne", "doubleloop-3v", "bp", 1, {}),
-    ]
-    for model, param, instances in _classes_2d(trials, seed):
-        for tag, beta, s in instances:
-            g = make_instance(model, (2, 3), beta=beta, seed=s if s is not None else 0)
-            records += _scalar_records("doubleloop", "2x3", model, param, tag, g, methods, workers)
-    return records
-
-
-def _run_grid3x3(trials, seed, workers):
-    records = []
-    methods = [
+    ]),
+    "grid3x3": ("3x3", (3, 3), [
         ("bp", "-", "bp", 1, BP_KW),
         ("pne-chi4", "grid3x3-chi4", "bp", 1, {}),
         ("pne-chi5", "grid3x3-chi5", "bp", 1, {}),
-    ]
+    ]),
+    "grid5x4": ("5x4", (5, 4), [
+        ("bp", "-", "bp", 1, BP_KW),
+        ("svd", "-", "-", 16, {}),
+        ("pne", "grid5x4-chi6", "bp", 1, {}),
+    ]),
+    "grid4x3-recursive": ("4x3", (4, 3), [
+        ("bp", "-", "bp", 1, BP_KW),
+        ("pne-recursive", "grid4x3-recursive", "bp", 1, {}),
+    ]),
+}
+
+
+def _run_scalar_2d(suite, trials, seed, workers):
+    geometry, shape, methods = _SCALAR_2D[suite]
+    records = []
     for model, param, instances in _classes_2d(trials, seed):
         for tag, beta, s in instances:
-            g = make_instance(model, (3, 3), beta=beta, seed=s if s is not None else 0)
-            records += _scalar_records("grid3x3", "3x3", model, param, tag, g, methods, workers)
+            g = make_instance(model, shape, beta=beta, seed=s if s is not None else 0)
+            records += _scalar_records(suite, geometry, model, param, tag, g, methods, workers)
     return records
 
 
@@ -434,34 +442,6 @@ def _run_open2x3(trials, seed, workers):
                                            pre.name, 1, "2norm", float(np.linalg.norm(val.ravel())),
                                            norm, tensor_error(exact_t, val),
                                            _expansion_flops(pre.expansion)))
-    return records
-
-
-def _run_grid5x4(trials, seed, workers):
-    records = []
-    methods = [
-        ("bp", "-", "bp", 1, BP_KW),
-        ("svd", "-", "-", 16, {}),
-        ("pne", "grid5x4-chi6", "bp", 1, {}),
-    ]
-    for model, param, instances in _classes_2d(trials, seed):
-        for tag, beta, s in instances:
-            g = make_instance(model, (5, 4), beta=beta, seed=s if s is not None else 0)
-            records += _scalar_records("grid5x4", "5x4", model, param, tag, g, methods, workers)
-    return records
-
-
-def _run_recursive(trials, seed, workers):
-    records = []
-    methods = [
-        ("bp", "-", "bp", 1, BP_KW),
-        ("pne-recursive", "grid4x3-recursive", "bp", 1, {}),
-    ]
-    for model, param, instances in _classes_2d(trials, seed):
-        for tag, beta, s in instances:
-            g = make_instance(model, (4, 3), beta=beta, seed=s if s is not None else 0)
-            records += _scalar_records("grid4x3-recursive", "4x3", model, param, tag, g,
-                                       methods, workers)
     return records
 
 
@@ -532,7 +512,6 @@ def _run_rank_sweep(trials, seed, workers):
 
 def _run_infinite(trials, seed, workers):
     records = []
-    spin_unit_cache = {}
     for frac in (0.7, 0.9, 1.0, 1.05, 1.2):
         beta = frac * BETA_C_2D
         f_exact = ising_free_energy_2d(beta)
@@ -563,12 +542,12 @@ def _run_infinite(trials, seed, workers):
 
 
 _SUITES = {
-    "doubleloop": (_run_doubleloop, 100),
-    "grid3x3": (_run_grid3x3, 100),
+    "doubleloop": (functools.partial(_run_scalar_2d, "doubleloop"), 100),
+    "grid3x3": (functools.partial(_run_scalar_2d, "grid3x3"), 100),
     "cube222": (_run_cube, 30),
     "open2x3": (_run_open2x3, 100),
-    "grid5x4": (_run_grid5x4, 30),
-    "grid4x3-recursive": (_run_recursive, 20),
+    "grid5x4": (functools.partial(_run_scalar_2d, "grid5x4"), 30),
+    "grid4x3-recursive": (functools.partial(_run_scalar_2d, "grid4x3-recursive"), 20),
     "degenerate-ising": (_run_degenerate, 1),
     "rank-sweep": (_run_rank_sweep, 30),
     "infinite": (_run_infinite, 1),

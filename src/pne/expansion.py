@@ -7,11 +7,17 @@ projector); the combinatorial form is an inclusion-exclusion over the
 2^M - 1 non-empty activation patterns. Both are exact identities once the
 all-complement *residue* is added back, for any network and any idempotent
 projectors.
+
+Every term and every residue is one *pattern*: partition k carries the
+identity ("I"), its projector ("P") or its complement ("Q"). A pattern's
+network takes the complements first, in partition order, then the
+projectors, with a factor shared by several partitions absorbed once.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -107,7 +113,7 @@ class Partition:
 
     def rank(self) -> int:
         if isinstance(self.projector, Factorized):
-            return int(np.prod([f.shape[1] for f in self.projector.factors]))
+            return math.prod(f.shape[1] for f in self.projector.factors)
         if isinstance(self.projector, JointIsometry):
             return self.projector.isometry.shape[1]
         return 1
@@ -137,58 +143,46 @@ def _ketbra_overlap(part: Partition) -> tuple[np.ndarray, np.ndarray, float]:
     return ket, bra, ov
 
 
-def _insert_joint_p(net: TensorNetwork, part: Partition) -> TensorNetwork:
-    if isinstance(part.projector, JointIsometry):
-        return insert_joint_isometry(net, part.edges, part.projector.isometry)
-    ket, bra, ov = _ketbra_overlap(part)
-    return insert_joint_ketbra(net, part.edges, ket, bra, scale=1.0 / ov)
+def _pattern_network(
+    net: TensorNetwork, partitions: Sequence[Partition], pattern: Sequence[str]
+) -> TensorNetwork:
+    """The network of one pattern, built as the module docstring states.
 
-
-def _apply_active(net: TensorNetwork, partitions: Sequence[Partition], active) -> TensorNetwork:
-    """Insert the projectors of the active partitions.
-
-    Partitions may share edges when their per-edge factors coincide there;
-    the shared factor is absorbed once (the operator product of identical
-    idempotents). Joint projectors never share edges with anything.
+    Complements of overlapping partitions compose as operators on the shared
+    edges, tail to head. The factors go in as one batch in edge order, then
+    the joint projectors, which never share edges with anything.
     """
-    factors: dict[int, np.ndarray] = {}
-    joints: list[Partition] = []
-    for k in active:
-        part = partitions[k]
-        if isinstance(part.projector, Factorized):
-            for e, f in zip(part.edges, part.projector.factors):
-                if e not in factors:
-                    factors[e] = asarray(f)
-        else:
-            joints.append(part)
-    work = net
-    if factors:
-        work = apply_insertions(
-            work, [EdgeInsertion(e, ProjectorP(f)) for e, f in sorted(factors.items())]
-        )
-    for part in joints:
-        work = _insert_joint_p(work, part)
-    return work
-
-
-def _insert_all_q(net: TensorNetwork, partitions: Sequence[Partition]) -> TensorNetwork:
-    """Insert the complement of every partition at full extent (verification
-    only). Complements of overlapping partitions compose as operators on the
-    shared edges, tail to head in partition order."""
     remap = {e: e for e in net.edges}
     work = net
-    for part in partitions:
-        if part.is_single_edge and isinstance(part.projector, Factorized):
+    factors: dict[int, np.ndarray] = {}
+    joints: list[Partition] = []
+    for part, tag in zip(partitions, pattern):
+        if tag == "P":
+            if isinstance(part.projector, Factorized):
+                for e, f in zip(part.edges, part.projector.factors):
+                    factors.setdefault(e, asarray(f))
+            else:
+                joints.append(part)
+        elif tag == "Q" and part.is_single_edge and isinstance(part.projector, Factorized):
             f = asarray(part.projector.factors[0])
             q = np.eye(f.shape[0]) - f @ f.T
-            eid = remap[part.edges[0]]
-            work = apply_insertions(work, [EdgeInsertion(eid, DenseOp(q, side=0))])
-        else:
+            work = apply_insertions(work, [EdgeInsertion(remap[part.edges[0]], DenseOp(q, side=0))])
+        elif tag == "Q":
             p = part.dense_matrix()
             eids = [remap[e] for e in part.edges]
             work, continuation = insert_joint_dense(work, eids, np.eye(p.shape[0]) - p)
             for orig, cur in zip(part.edges, eids):
                 remap[orig] = continuation[cur]
+    if factors:
+        work = apply_insertions(
+            work, [EdgeInsertion(remap[e], ProjectorP(f)) for e, f in sorted(factors.items())]
+        )
+    for part in joints:
+        if isinstance(part.projector, JointIsometry):
+            work = insert_joint_isometry(work, part.edges, part.projector.isometry)
+        else:
+            ket, bra, ov = _ketbra_overlap(part)
+            work = insert_joint_ketbra(work, part.edges, ket, bra, scale=1.0 / ov)
     return work
 
 
@@ -251,6 +245,23 @@ def _check_partitions(net: TensorNetwork, partitions: Sequence[Partition]) -> No
                 joint_edges.add(e)
 
 
+def _expansion(
+    form: str,
+    net: TensorNetwork,
+    partitions: tuple[Partition, ...],
+    patterns: Sequence[tuple[tuple[str, ...], int]],
+) -> Expansion:
+    """One term per (pattern, coefficient), plus the all-complement residue."""
+    terms = []
+    for pattern, coefficient in patterns:
+        work = _pattern_network(net, partitions, pattern)
+        terms.append(
+            ExpansionTerm(pattern=pattern, coefficient=coefficient, network=work, plan=plan_order(work))
+        )
+    residue = ResidueSpec(coefficient=1.0, network=net, partitions=partitions)
+    return Expansion(form=form, net=net, partitions=partitions, terms=terms, residues=[residue])
+
+
 def build_linear(net: TensorNetwork, partitions: Sequence[Partition]) -> Expansion:
     """Linear-form expansion: term r carries complements on the first r
     partitions and the projector on partition r.
@@ -271,25 +282,9 @@ def build_linear(net: TensorNetwork, partitions: Sequence[Partition]) -> Expansi
         if part.edges[0] in edges_seen:
             raise ExpansionError(f"edge {part.edges[0]} appears in more than one linear partition")
         edges_seen.add(part.edges[0])
-    terms = []
     m = len(partitions)
-    for r in range(m):
-        work = net
-        pattern = []
-        for k, part in enumerate(partitions):
-            if k < r:
-                work = _insert_all_q(work, [part])
-                pattern.append("Q")
-            elif k == r:
-                work = _apply_active(work, partitions, [k])
-                pattern.append("P")
-            else:
-                pattern.append("I")
-        terms.append(
-            ExpansionTerm(pattern=tuple(pattern), coefficient=1, network=work, plan=plan_order(work))
-        )
-    residue = ResidueSpec(coefficient=1.0, network=net, partitions=partitions)
-    return Expansion(form="linear", net=net, partitions=partitions, terms=terms, residues=[residue])
+    patterns = [(("Q",) * r + ("P",) + ("I",) * (m - r - 1), 1) for r in range(m)]
+    return _expansion("linear", net, partitions, patterns)
 
 
 def build_combinatorial(
@@ -310,18 +305,12 @@ def build_combinatorial(
             f"{m} partitions would create {2 ** m - 1} terms (cap {cap}); "
             "use recursive_expand to keep the term count bounded"
         )
-    terms = []
-    indices = range(m)
-    for size in range(1, m + 1):
-        for active in itertools.combinations(indices, size):
-            work = _apply_active(net, partitions, active)
-            pattern = tuple("P" if k in active else "I" for k in indices)
-            coeff = 1 if size % 2 == 1 else -1
-            terms.append(
-                ExpansionTerm(pattern=pattern, coefficient=coeff, network=work, plan=plan_order(work))
-            )
-    residue = ResidueSpec(coefficient=1.0, network=net, partitions=partitions)
-    return Expansion(form="combinatorial", net=net, partitions=partitions, terms=terms, residues=[residue])
+    patterns = [
+        (tuple("P" if k in active else "I" for k in range(m)), 1 if size % 2 == 1 else -1)
+        for size in range(1, m + 1)
+        for active in itertools.combinations(range(m), size)
+    ]
+    return _expansion("combinatorial", net, partitions, patterns)
 
 
 @dataclass(frozen=True)
@@ -470,7 +459,7 @@ def evaluate_residue(
     """
     total = None
     for spec in exp.residues:
-        work = _insert_all_q(spec.network, spec.partitions)
+        work = _pattern_network(spec.network, spec.partitions, ("Q",) * len(spec.partitions))
         val = spec.coefficient * contract(work, memory_cap_bytes=memory_cap_bytes)
         total = val if total is None else total + val
     total = np.asarray(total)

@@ -178,13 +178,11 @@ def free_energy(
 
     ``axes="v"`` partitions into vertical width-``width`` strips only;
     ``axes="vh"`` uses both axes. ``mode="single"`` keeps one strip set (one
-    expansion term); ``mode="all"`` uses every offset class of strip sets
-    and the full inclusion-exclusion over their activations. Each term
-    factorizes into strip eigenvalues (for the uncut axis) or into capped
-    rectangular patches (both axes cut).
+    expansion term; ``axes="v"`` only); ``mode="all"`` uses every offset
+    class of strip sets and the full inclusion-exclusion over their
+    activations. Each term factorizes into strip eigenvalues (for the uncut
+    axis) or into capped rectangular patches (both axes cut).
     """
-    if ctx is None:
-        ctx = prepare_strips(unit, **bp_kwargs)
     width = int(width)
     if width < 1:
         raise InfiniteError("strip width must be at least 1")
@@ -192,6 +190,10 @@ def free_energy(
         raise InfiniteError("axes must be 'v' or 'vh'")
     if mode not in ("single", "all"):
         raise InfiniteError("mode must be 'single' or 'all'")
+    if axes == "vh" and mode == "single":
+        raise InfiniteError("mode='single' keeps one strip set and needs axes='v'")
+    if ctx is None:
+        ctx = prepare_strips(unit, **bp_kwargs)
 
     terms: list[tuple[str, int, float]] = []
     if axes == "v" and mode == "single":

@@ -301,10 +301,12 @@ def _partitions_from_header(header: dict, buf) -> tuple[list[Partition], str | N
         elif kind == "joint_isometry":
             arr, offset = _take(buf, offset, rec["shapes"][0])
             proj = JointIsometry(isometry=arr)
-        else:
+        elif kind == "joint_ketbra":
             ket, offset = _take(buf, offset, rec["shapes"][0])
             bra, offset = _take(buf, offset, rec["shapes"][1])
             proj = JointKetBra(ket=ket, bra=bra)
+        else:
+            raise ContainerError(f"unknown partition kind {kind!r}")
         out.append(Partition(id=int(rec["id"]), edges=tuple(int(e) for e in rec["edges"]), projector=proj))
     return out, header.get("form")
 

@@ -26,7 +26,6 @@ __all__ = [
     "TensorNetwork",
     "Identity",
     "ProjectorP",
-    "ProjectorQ",
     "MessagePair",
     "Weight",
     "DenseOp",
@@ -227,14 +226,6 @@ class ProjectorP:
 
 
 @dataclass(frozen=True)
-class ProjectorQ:
-    """Complement of :class:`ProjectorP`. Never realized directly here; the
-    expansion module rewrites it as a dense ``I - U U^T`` absorption."""
-
-    isometry: np.ndarray
-
-
-@dataclass(frozen=True)
 class MessagePair:
     """Rank-1 cut: the tail absorbs ``ket`` and the head absorbs ``bra``,
     removing the edge. The inserted operator is ``|ket><bra|``."""
@@ -264,7 +255,7 @@ class DenseOp:
     side: int | None = None
 
 
-Operator = Identity | ProjectorP | ProjectorQ | MessagePair | Weight | DenseOp
+Operator = Identity | ProjectorP | MessagePair | Weight | DenseOp
 
 
 @dataclass(frozen=True)
@@ -310,11 +301,6 @@ def apply_insertions(
         edge = out.edges[eid]
         if isinstance(op, Identity):
             continue
-        if isinstance(op, ProjectorQ):
-            raise InsertionError(
-                "ProjectorQ cannot be applied directly (it would require extent "
-                "growth); the expansion module rewrites Q as a dense I - U U^T"
-            )
         if isinstance(op, ProjectorP):
             if edge.is_open:
                 raise InsertionError(f"edge {eid} is open; projectors apply to closed edges")
@@ -390,7 +376,7 @@ def _joint_dims(net: TensorNetwork, edge_ids: Sequence[int]) -> tuple[list[int],
         if edge.is_open:
             raise InsertionError(f"edge {eid} is open; joint insertions need closed edges")
         dims.append(edge.dim)
-    return dims, int(np.prod(dims))
+    return dims, math.prod(dims)
 
 
 def _cut_joint(

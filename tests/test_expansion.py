@@ -20,7 +20,17 @@ from pne.expansion import (
     residue_pattern_sum,
 )
 from pne.models import random_grid
-from pne.network import DenseOp, EdgeInsertion, apply_insertions, contract
+from pne.network import (
+    DenseOp,
+    Edge,
+    EdgeInsertion,
+    InsertionError,
+    TensorNetwork,
+    apply_insertions,
+    contract,
+    insert_joint_dense,
+    insert_joint_ketbra,
+)
 
 
 def rand_iso(d, r, rng):
@@ -116,6 +126,30 @@ class TestBuildCombinatorial:
         exp = build_combinatorial(g.net, parts)
         ex = float(contract(g.net))
         np.testing.assert_allclose(float(evaluate(exp).value), ex, rtol=1e-12)
+
+    def test_terms_match_dense_insertions(self):
+        # Term by term against explicit dense insertions: two factorized
+        # partitions sharing an edge plus one joint isometry.
+        rng = np.random.default_rng(8)
+        g = random_grid((2, 3), 3, bias=0.2, seed=8)
+        line = [g.v_edge(0, c) for c in range(3)]
+        joint = (g.h_edge(1, 0), g.h_edge(1, 1))
+        isos = {e: rand_iso(3, 1, rng) for e in line}
+        w = rand_iso(9, 2, rng)
+        parts = [
+            Partition(id=0, edges=tuple(line[:2]), projector=Factorized(tuple(isos[e] for e in line[:2]))),
+            Partition(id=1, edges=tuple(line[1:]), projector=Factorized(tuple(isos[e] for e in line[1:]))),
+            Partition(id=2, edges=joint, projector=JointIsometry(w)),
+        ]
+        exp = build_combinatorial(g.net, parts)
+        assert exp.term_count == 7
+        mats = {e: u @ u.T for e, u in isos.items()}
+        for term in exp.terms:
+            capped = {e for part, tag in zip(parts[:2], term.pattern) if tag == "P" for e in part.edges}
+            oracle = apply_insertions(g.net, [EdgeInsertion(e, DenseOp(mats[e])) for e in sorted(capped)])
+            if term.pattern[2] == "P":
+                oracle, _ = insert_joint_dense(oracle, joint, w @ w.T)
+            np.testing.assert_allclose(float(contract(term.network)), float(contract(oracle)), rtol=1e-10)
 
     def test_term_count_six_partitions(self):
         g = random_grid((3, 3), 2, bias=0.2, seed=7)
@@ -298,6 +332,18 @@ class TestOverlappingPartitions:
         p2 = Partition(id=1, edges=(0, 1), projector=Factorized((rand_iso(3, 1, rng), rand_iso(3, 1, rng))))
         with pytest.raises(ExpansionError, match="identical"):
             build_combinatorial(g.net, [p1, p2])
+
+
+def test_wide_joint_sizes_do_not_wrap():
+    # Four 2**16 edges between zero-copy (2**16, 2**16) views, tails on nodes
+    # 0 and 1 and heads on 2 and 3, merge to 2**64: past int64.
+    big = np.broadcast_to(np.ones(1), (2**16, 2**16))
+    edges = {2 * a + ax: Edge(((a, ax), (a + 2, ax)), dim=2**16) for a in (0, 1) for ax in (0, 1)}
+    net = TensorNetwork(nodes={n: big for n in range(4)}, edges=edges)
+    with pytest.raises(InsertionError, match=f"merged dim {2**64}$"):
+        insert_joint_ketbra(net, sorted(edges), np.ones(4), np.ones(4))
+    part = Partition(id=0, edges=tuple(sorted(edges)), projector=Factorized((big,) * 4))
+    assert part.rank() == 2**64
 
 
 class TestJointPartitions:

@@ -162,3 +162,12 @@ class TestErrors:
         unit = ising_unit_tensor(2, 0.3)
         with pytest.raises(InfiniteError):
             free_energy(unit, 0)
+
+    def test_single_mode_on_both_axes_rejected(self):
+        from pne.models import random_tensor
+
+        # Arguments are checked before the fixed point: this unit's would
+        # not converge.
+        unit = random_tensor((3,) * 4, bias=0.0, seed=6)
+        with pytest.raises(InfiniteError, match="single"):
+            free_energy(unit, 3, axes="vh", mode="single", max_iter=200)

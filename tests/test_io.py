@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -118,6 +119,21 @@ def test_partitions_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded[0].projector.factors[1], np.eye(3)[:, :2])
     np.testing.assert_array_equal(loaded[1].projector.isometry, q)
     np.testing.assert_array_equal(loaded[2].projector.ket, parts[2].projector.ket)
+
+
+def test_unknown_partition_kind_rejected(tmp_path):
+    rng = np.random.default_rng(4)
+    parts = [Partition(id=0, edges=(0,), projector=JointKetBra(rng.normal(size=3), rng.normal(size=3)))]
+    path = tmp_path / "parts.pnec"
+    save_partitions(path, parts)
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack_from("<I", blob, 4)
+    header = json.loads(blob[8 : 8 + hlen])
+    header["partitions"][0]["kind"] = "bogus"
+    edited = json.dumps(header).encode()
+    path.write_bytes(blob[:4] + struct.pack("<I", len(edited)) + edited + blob[8 + hlen :])
+    with pytest.raises(ContainerError, match="bogus"):
+        load_partitions(path)
 
 
 def test_load_any_dispatch(tmp_path):

@@ -14,7 +14,6 @@ from pne.network import (
     MessagePair,
     NetworkError,
     ProjectorP,
-    ProjectorQ,
     TensorNetwork,
     Weight,
     apply_insertions,
@@ -256,11 +255,6 @@ class TestInsertions:
         w = np.array([2.0, 10.0])
         out = apply_insertions(net, [EdgeInsertion(0, Weight(w))])
         assert float(contract(out)) == 1 * 2 * 3 + 2 * 10 * 4
-
-    def test_q_rejected(self):
-        net = vec_net()
-        with pytest.raises(InsertionError, match="ProjectorQ"):
-            apply_insertions(net, [EdgeInsertion(0, ProjectorQ(np.array([[1.0], [0.0]])))])
 
     def test_duplicate_edge_rejected(self):
         net = vec_net()
