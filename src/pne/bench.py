@@ -355,58 +355,50 @@ def _classes_2d(trials, seed):
     yield ("random", "bias=0.2", [(str(seed + t), None, seed + t) for t in range(trials)])
 
 
-# suite -> (geometry, shape, methods) of the suites that run scalar
-# methods on the three 2D model classes.
-_SCALAR_2D = {
-    "doubleloop": ("2x3", (2, 3), [
+def _classes_3d(trials, seed):
+    for t_over_tc in (0.9, 1.0, 1.1):
+        yield ("ising3d", f"T/Tc={t_over_tc:.2f}", [("-", BETA_C_3D / t_over_tc, None)])
+    yield ("random3d", "bias=0.2", [(str(seed + t), None, seed + t) for t in range(trials)])
+
+
+# suite -> (geometry, shape, model classes, methods) of the suites that run
+# scalar methods on every instance of their model classes.
+_SCALAR = {
+    "doubleloop": ("2x3", (2, 3), _classes_2d, [
         ("bp", "-", "bp", 1, BP_KW),
         ("single-cut", "doubleloop-cut1", "bp", 1, {}),
         ("pne", "doubleloop-3v", "bp", 1, {}),
     ]),
-    "grid3x3": ("3x3", (3, 3), [
+    "grid3x3": ("3x3", (3, 3), _classes_2d, [
         ("bp", "-", "bp", 1, BP_KW),
         ("pne-chi4", "grid3x3-chi4", "bp", 1, {}),
         ("pne-chi5", "grid3x3-chi5", "bp", 1, {}),
     ]),
-    "grid5x4": ("5x4", (5, 4), [
+    "grid5x4": ("5x4", (5, 4), _classes_2d, [
         ("bp", "-", "bp", 1, BP_KW),
         ("svd", "-", "-", 16, {}),
         ("pne", "grid5x4-chi6", "bp", 1, {}),
     ]),
-    "grid4x3-recursive": ("4x3", (4, 3), [
+    "cube222": ("2x2x2", (2, 2, 2), _classes_3d, [
+        ("bp", "-", "bp", 1, BP_KW),
+        ("pne-chi3", "cube222-chi3", "bp", 1, {}),
+        ("pne-chi4", "cube222-chi4", "bp", 1, {}),
+        ("pne-chi5", "cube222-chi5", "bp", 1, {}),
+    ]),
+    "grid4x3-recursive": ("4x3", (4, 3), _classes_2d, [
         ("bp", "-", "bp", 1, BP_KW),
         ("pne-recursive", "grid4x3-recursive", "bp", 1, {}),
     ]),
 }
 
 
-def _run_scalar_2d(suite, trials, seed, workers):
-    geometry, shape, methods = _SCALAR_2D[suite]
+def _run_scalar(suite, trials, seed, workers):
+    geometry, shape, classes, methods = _SCALAR[suite]
     records = []
-    for model, param, instances in _classes_2d(trials, seed):
+    for model, param, instances in classes(trials, seed):
         for tag, beta, s in instances:
             g = make_instance(model, shape, beta=beta, seed=s if s is not None else 0)
             records += _scalar_records(suite, geometry, model, param, tag, g, methods, workers)
-    return records
-
-
-def _run_cube(trials, seed, workers):
-    records = []
-    methods = [
-        ("bp", "-", "bp", 1, BP_KW),
-        ("pne-chi3", "cube222-chi3", "bp", 1, {}),
-        ("pne-chi4", "cube222-chi4", "bp", 1, {}),
-        ("pne-chi5", "cube222-chi5", "bp", 1, {}),
-    ]
-    for t_over_tc in (0.9, 1.0, 1.1):
-        beta = BETA_C_3D / t_over_tc
-        g = make_instance("ising3d", (2, 2, 2), beta=beta)
-        records += _scalar_records("cube222", "2x2x2", "ising3d", f"T/Tc={t_over_tc:.2f}", "-",
-                                   g, methods, workers)
-    for t in range(trials):
-        g = make_instance("random3d", (2, 2, 2), seed=seed + t)
-        records += _scalar_records("cube222", "2x2x2", "random3d", "bias=0.2", str(seed + t),
-                                   g, methods, workers)
     return records
 
 
@@ -542,12 +534,12 @@ def _run_infinite(trials, seed, workers):
 
 
 _SUITES = {
-    "doubleloop": (functools.partial(_run_scalar_2d, "doubleloop"), 100),
-    "grid3x3": (functools.partial(_run_scalar_2d, "grid3x3"), 100),
-    "cube222": (_run_cube, 30),
+    "doubleloop": (functools.partial(_run_scalar, "doubleloop"), 100),
+    "grid3x3": (functools.partial(_run_scalar, "grid3x3"), 100),
+    "cube222": (functools.partial(_run_scalar, "cube222"), 30),
     "open2x3": (_run_open2x3, 100),
-    "grid5x4": (functools.partial(_run_scalar_2d, "grid5x4"), 30),
-    "grid4x3-recursive": (functools.partial(_run_scalar_2d, "grid4x3-recursive"), 20),
+    "grid5x4": (functools.partial(_run_scalar, "grid5x4"), 30),
+    "grid4x3-recursive": (functools.partial(_run_scalar, "grid4x3-recursive"), 20),
     "degenerate-ising": (_run_degenerate, 1),
     "rank-sweep": (_run_rank_sweep, 30),
     "infinite": (_run_infinite, 1),

@@ -102,6 +102,8 @@ class Partition:
     projector: Projector
 
     def __post_init__(self):
+        if len(set(self.edges)) != len(self.edges):
+            raise ExpansionError(f"partition {self.id}: repeated edge in {self.edges}")
         if isinstance(self.projector, Factorized) and len(self.projector.factors) != len(self.edges):
             raise ExpansionError(
                 f"partition {self.id}: {len(self.projector.factors)} factors for {len(self.edges)} edges"

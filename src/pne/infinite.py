@@ -1,9 +1,12 @@
 """Free-energy density of infinite translation-invariant square-lattice
 networks via strip expansions.
 
-The lattice is partitioned into width-L strips along one or both axes; the
-inclusion-exclusion over strip-set activations reduces every term to
-products of strip transfer-matrix eigenvalues and finite capped patches.
+The lattice is partitioned into width-L strips along one or both axes.
+``free_energy`` sums one inclusion-exclusion loop over activation patterns,
+the sets of active vertical and horizontal strips; each term reduces to a
+product of strip transfer-matrix eigenvalues (one axis active) or of finite
+capped patches (both axes active). The strip and cylinder transfer
+operators share one row kernel.
 All quantities are computed in the symmetrized uniform gauge, where every
 boundary cap is the first basis vector, and with the unit tensor normalized
 by its single-site capped scalar so the logarithms stay well conditioned.
@@ -79,34 +82,32 @@ def prepare_strips(unit: np.ndarray, ubp: UniformBP | None = None, **bp_kwargs) 
     return StripContext(unit=gauged / site, log_site_scale=math.log(site))
 
 
+def _row(first: np.ndarray, unit: np.ndarray, k: int, v: np.ndarray) -> np.ndarray:
+    """One row of k units, ``first`` leading, applied to the state on k
+    vertical bonds.
+
+    Unit axes are (up, down, left, right); ``first`` is a unit with or
+    without its left leg. Returns the row with axes (down_0 .. down_{k-1},
+    open left leg of ``first`` if any, right leg of the last unit)."""
+    chi = unit.shape[0]
+    carry = np.tensordot(v.reshape((chi,) * k), first, axes=([0], [0]))   # (s_1.., d, [l], r)
+    carry = np.moveaxis(carry, k - 1, 0)
+    for j in range(1, k):
+        # carry axes: (d_0..d_{j-1}, s_j.., [l], h); contract (s_j, h) with (u, l)
+        carry = np.tensordot(carry, unit, axes=([j, carry.ndim - 1], [0, 2]))
+        carry = np.moveaxis(carry, -2, j)
+    return carry
+
+
 def _strip_apply(unit: np.ndarray, k: int, v: np.ndarray) -> np.ndarray:
     """One row of a width-k strip applied to the state on k vertical bonds.
 
-    Axes are (up, down, left, right); the transverse boundary bonds are
-    capped with e0 on both sides (the partition projectors in the
-    symmetrized gauge)."""
-    chi = unit.shape[0]
-    state = v.reshape((chi,) * k)
-    # carry: (consumed output axes ..., horizontal bond)
-    carry = state
+    The transverse boundary bonds are capped with e0 on both sides (the
+    partition projectors in the symmetrized gauge)."""
     e0 = np.zeros(unit.shape[2])
     e0[0] = 1.0
-    left = np.tensordot(unit, e0, axes=([2], [0]))      # (u, d, r)
-    bulk = unit                                          # (u, d, l, r)
-    for j in range(k):
-        t = left if j == 0 else bulk
-        if j == 0:
-            # carry axes: (s_0 .. s_{k-1}); contract s_0 with u of t
-            carry = np.tensordot(carry, t, axes=([0], [0]))
-            # now (s_1.., d, r) -> put d at front of "done" block
-            carry = np.moveaxis(carry, -2, 0)
-        else:
-            # carry axes: (d_0..d_{j-1}, s_j.., h); contract (s_j, h) with (u, l)
-            carry = np.tensordot(carry, t, axes=([j, carry.ndim - 1], [0, 2]))
-            carry = np.moveaxis(carry, -2, j)
-    # remaining last axis is the right boundary bond
-    carry = np.tensordot(carry, e0, axes=([carry.ndim - 1], [0]))
-    return carry.reshape(-1)
+    carry = _row(np.tensordot(unit, e0, axes=([2], [0])), unit, k, v)
+    return np.tensordot(carry, e0, axes=([carry.ndim - 1], [0])).reshape(-1)
 
 
 def transfer_eigs(
@@ -176,12 +177,17 @@ def free_energy(
 ) -> FreeEnergyResult:
     """Strip-expansion estimate of the free energy density.
 
-    ``axes="v"`` partitions into vertical width-``width`` strips only;
-    ``axes="vh"`` uses both axes. ``mode="single"`` keeps one strip set (one
-    expansion term; ``axes="v"`` only); ``mode="all"`` uses every offset
-    class of strip sets and the full inclusion-exclusion over their
-    activations. Each term factorizes into strip eigenvalues (for the uncut
-    axis) or into capped rectangular patches (both axes cut).
+    The sum runs over activation patterns ``(sv, sh)``: the offsets of the
+    active vertical and of the active horizontal width-``width`` strips,
+    not both empty, each with sign (-1)**(|sv| + |sh| + 1). ``mode="all"``
+    lets ``sv`` range over every subset of the offsets, and ``sh`` too for
+    ``axes="vh"`` (it stays empty for ``axes="v"``); ``mode="single"`` keeps
+    the one pattern ``((0,), ())`` and needs ``axes="v"``. A pattern with
+    one axis active is a product of strip eigenvalues over the cyclic gaps
+    of its offsets, each raised to the supercell height (``width`` for
+    "vh", 1 for "v"); a pattern with both axes active is a product of capped
+    rectangular patches, one per pair of gaps. The density is -log of the
+    signed sum per supercell site.
     """
     width = int(width)
     if width < 1:
@@ -195,72 +201,40 @@ def free_energy(
     if ctx is None:
         ctx = prepare_strips(unit, **bp_kwargs)
 
+    height = width if axes == "vh" else 1
+    # every subset of the strip offsets, by size, then in combinations order
+    subsets = [s for n in range(width + 1) for s in itertools.combinations(range(width), n)]
+    vsets = [(0,)] if mode == "single" else subsets
+    hsets = subsets if axes == "vh" else [()]
+    gaps = {s: _cyclic_gaps(s, width) for s in subsets}
+    lams = transfer_eigs(ctx, {w for s in vsets for w in gaps[s]}, axis=0)
+    gams = transfer_eigs(ctx, {w for s in hsets for w in gaps[s]}, axis=1)
     terms: list[tuple[str, int, float]] = []
-    if axes == "v" and mode == "single":
-        lam = transfer_eigs(ctx, [width], axis=0)[width]
-        terms.append((f"strip(v,{width})", 1, lam**1))
-        total = lam
-        sites = width
-        f_norm = -math.log(total) / sites
-    elif axes == "v":
-        lams = transfer_eigs(ctx, range(1, width + 1), axis=0)
-        total = 0.0
-        for size in range(1, width + 1):
-            for offsets in itertools.combinations(range(width), size):
-                gaps = _cyclic_gaps(offsets, width)
-                val = 1.0
-                for w in gaps:
-                    val *= lams[w]
-                sign = 1 if size % 2 == 1 else -1
-                terms.append((f"v-offsets{offsets}->widths{tuple(sorted(gaps))}", sign, val))
-                total += sign * val
-        if total <= 0:
-            raise InfiniteError(
-                f"strip expansion argument {total:.6e} is not positive; "
-                f"terms: {[(d, s, v) for d, s, v in terms]}"
-            )
-        f_norm = -math.log(total) / width
-    else:
-        lams = transfer_eigs(ctx, range(1, width + 1), axis=0)
-        gams = transfer_eigs(ctx, range(1, width + 1), axis=1)
-        total = 0.0
-        supercell = width * width
-        for nv in range(width + 1):
-            for sv in itertools.combinations(range(width), nv):
-                for nh in range(width + 1):
-                    if nv == 0 and nh == 0:
-                        continue
-                    for sh in itertools.combinations(range(width), nh):
-                        sign = 1 if (nv + nh) % 2 == 1 else -1
-                        if nh == 0:
-                            gaps = _cyclic_gaps(sv, width)
-                            val = 1.0
-                            for w in gaps:
-                                val *= lams[w] ** width
-                            desc = f"v{sv}"
-                        elif nv == 0:
-                            gaps = _cyclic_gaps(sh, width)
-                            val = 1.0
-                            for w in gaps:
-                                val *= gams[w] ** width
-                            desc = f"h{sh}"
-                        else:
-                            vgaps = _cyclic_gaps(sv, width)
-                            hgaps = _cyclic_gaps(sh, width)
-                            val = 1.0
-                            for w in vgaps:
-                                for hgt in hgaps:
-                                    val *= patch_scalar(ctx, w, hgt)
-                            desc = f"v{sv} x h{sh}"
-                        terms.append((desc, sign, val))
-                        total += sign * val
-        if total <= 0:
-            raise InfiniteError(
-                f"strip expansion argument {total:.6e} is not positive; "
-                f"term breakdown: {[(d, s, v) for d, s, v in terms]}"
-            )
-        f_norm = -math.log(total) / supercell
-    value = f_norm - ctx.log_site_scale
+    total = 0.0
+    patterns = [(sv, sh) for sv in vsets for sh in hsets if sv or sh]
+    for sv, sh in patterns:
+        val = 1.0
+        if not sh:
+            for w in gaps[sv]:
+                val *= lams[w] ** height
+            desc = f"v{sv}"
+        elif not sv:
+            for w in gaps[sh]:
+                val *= gams[w] ** width
+            desc = f"h{sh}"
+        else:
+            for w in gaps[sv]:
+                for hgt in gaps[sh]:
+                    val *= patch_scalar(ctx, w, hgt)
+            desc = f"v{sv} x h{sh}"
+        sign = 1 if (len(sv) + len(sh)) % 2 == 1 else -1
+        terms.append((desc, sign, val))
+        total += sign * val
+    if total <= 0:
+        raise InfiniteError(
+            f"strip expansion argument {total:.6e} is not positive; term breakdown: {terms}"
+        )
+    value = -math.log(total) / (width * height) - ctx.log_site_scale
     return FreeEnergyResult(
         value=value, width=width, axes=axes, mode=mode, terms=tuple(terms), argument=float(total)
     )
@@ -268,14 +242,7 @@ def free_energy(
 
 def _ring_apply(unit: np.ndarray, length: int, v: np.ndarray) -> np.ndarray:
     """Transfer operator of a circumference-``length`` cylinder row."""
-    chi = unit.shape[0]
-    state = v.reshape((chi,) * length)
-    carry = np.tensordot(state, unit, axes=([0], [0]))   # (s1.., d, l, r)
-    carry = np.moveaxis(carry, -3, 0)                    # (d0, s1.., l, r)
-    for j in range(1, length):
-        # contract (s_j, r) with (u, l) of the next unit
-        carry = np.tensordot(carry, unit, axes=([j, carry.ndim - 1], [0, 2]))
-        carry = np.moveaxis(carry, -2, j)                # place d_j
+    carry = _row(unit, unit, length, v)
     # close the ring: trace the left bond of site 0 with the right of site L-1
     return np.trace(carry, axis1=length, axis2=length + 1).reshape(-1)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 
-from pne.belief import _message_gauge, _sign_fix
+from pne.belief import _absorb_all, _message_gauge, _sign_fix
 from pne.network import NetworkError, TensorNetwork, absorb_matrix, contract, subnetwork
 from pne.tensor import asarray
 
@@ -292,13 +292,7 @@ class _UnitOps:
         return self.unit.shape[2 * g + s]
 
     def apply_caps(self, caps: dict[AxisDir, np.ndarray | None]) -> np.ndarray:
-        t = self.unit
-        for g in range(self.ndim - 1, -1, -1):
-            for s in (1, 0):
-                vec = caps.get((g, s))
-                if vec is not None:
-                    t = np.tensordot(t, vec, axes=([2 * g + s], [0]))
-        return t
+        return _absorb_all(self.unit, [(2 * g + s, vec) for (g, s), vec in caps.items() if vec is not None])
 
 
 @dataclass

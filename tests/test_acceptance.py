@@ -409,6 +409,16 @@ def test_criterion_10_higher_rank_convergence():
         m = [med[(tag, "multi", r)] for r in (1, 2, 3, 4)]
         assert all(b <= a for a, b in zip(s, s[1:])), (tag, "single", s)
         assert all(b <= a for a, b in zip(m, m[1:])), (tag, "multi", m)
+    # Per instance as well: a median step sits near seed-to-seed noise, so
+    # more than half of the instances must improve at every rank step.
+    improved = {}
+    for tag, sranks in (("2x3", (2, 4, 6, 8)), ("3x3", (4, 8, 12, 16))):
+        for kind, ranks in (("single", sranks), ("multi", (1, 2, 3, 4))):
+            for a, b in zip(ranks, ranks[1:]):
+                pairs = list(zip(res[(tag, kind, a)], res[(tag, kind, b)]))
+                n = sum(eb < ea for ea, eb in pairs)
+                improved[(tag, kind, a, b)] = (n, len(pairs))
+                assert 2 * n > len(pairs), (tag, kind, a, b, n, len(pairs))
     # Matched flop budget on the 3x3: multi with rank k costs what single with
     # rank 4k does. The 4k = 16 pair is excluded: at desk scale chi=16 the
     # rank-16 single projector is the identity, i.e. exact contraction rather
@@ -421,8 +431,9 @@ def test_criterion_10_higher_rank_convergence():
     elapsed = time.time() - t0
     assert elapsed < 600
     txt = "; ".join(f"k={k}: {mm:.1e} <= {ss:.1e}" for k, (mm, ss) in budget.items())
-    print(f"\nACCEPTANCE 10: PASS - medians non-increasing in rank; matched-budget {txt} "
-          f"({elapsed:.0f}s)")
+    fewest = min(improved.values())
+    print(f"\nACCEPTANCE 10: PASS - medians non-increasing in rank; at least {fewest[0]}/"
+          f"{fewest[1]} instances improve at every rank step; matched-budget {txt} ({elapsed:.0f}s)")
 
 
 def test_criterion_11_determinism():

@@ -333,6 +333,15 @@ class TestOverlappingPartitions:
         with pytest.raises(ExpansionError, match="identical"):
             build_combinatorial(g.net, [p1, p2])
 
+    def test_repeated_edge_rejected(self):
+        # Rejected when built: an expansion over it would fail in the residue
+        # with a bare KeyError.
+        q = e0col(3)
+        with pytest.raises(ExpansionError, match="repeated edge"):
+            Partition(id=0, edges=(0, 0), projector=Factorized((q, q)))
+        with pytest.raises(ExpansionError, match="repeated edge"):
+            Partition(id=1, edges=(2, 1, 2), projector=JointIsometry(np.eye(27)[:, :1]))
+
 
 def test_wide_joint_sizes_do_not_wrap():
     # Four 2**16 edges between zero-copy (2**16, 2**16) views, tails on nodes

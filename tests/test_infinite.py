@@ -95,6 +95,21 @@ class TestFreeEnergy:
         np.testing.assert_allclose(res.argument, r1 - r2 + r3 - r4, rtol=1e-12)
         assert len(res.terms) == 15
 
+    def test_vertical_only_sum(self):
+        blocked = block_unit(ising_unit_tensor(2, 0.9 * BETA_C_2D), (2, 2)).materialize()
+        ctx = prepare_strips(blocked)
+        lam = transfer_eigs(ctx, [1, 2, 3], axis=0)
+        expected = {
+            2: 2 * lam[2] - lam[1] ** 2,
+            3: 3 * lam[3] - 3 * lam[1] * lam[2] + lam[1] ** 3,
+        }
+        for width, argument in expected.items():
+            res = free_energy(blocked, width, axes="v", mode="all", ctx=ctx)
+            np.testing.assert_allclose(res.argument, argument, rtol=1e-12)
+            assert len(res.terms) == 2**width - 1
+            both = free_energy(blocked, width, axes="vh", mode="all", ctx=ctx)
+            assert len(both.terms) == 4**width - 1
+
     def test_monotone_in_width(self):
         blocked = block_unit(ising_unit_tensor(2, 0.9 * BETA_C_2D), (2, 2)).materialize()
         ctx = prepare_strips(blocked)
