@@ -63,6 +63,7 @@ class BPState:
 
     Direction 0 is emitted by the edge tail toward the head; direction 1 is
     the reverse. Open edges store both directions equal (reflection).
+    ``residual_history`` holds the largest message residual of each sweep.
     """
 
     messages: dict[tuple[int, int], np.ndarray]
@@ -70,31 +71,58 @@ class BPState:
     residuals: dict[tuple[int, int], float]
     converged: bool
     tol: float
+    residual_history: list[float] = field(default_factory=list)
 
     @property
     def max_residual(self) -> float:
         return max(self.residuals.values(), default=0.0)
 
 
-def _incoming(net: TensorNetwork, messages, nid: int, exclude: tuple[int, int] | None):
-    """Incoming message for every axis of ``nid`` except the excluded (edge, axis)."""
-    pairs = []
-    for eid, slot, ax in net.attachments(nid):
-        if exclude is not None and (eid, ax) == exclude:
-            continue
+def _wiring(net: TensorNetwork, index, nid: int) -> list[tuple[int, tuple[int, int], tuple[int, int]]]:
+    """``(axis, incoming key, outgoing key)`` of every attachment of ``nid``
+    (``index`` is ``net.attachment_index()``), in the descending-axis order
+    that ``_absorb_all`` absorbs messages in."""
+    wires = []
+    for eid, slot, ax in index[nid]:
         if net.edges[eid].is_open:
             # Reflection: incoming equals the stored outgoing message.
-            pairs.append((ax, messages[(eid, 0)]))
+            wires.append((ax, (eid, 0), (eid, 0)))
         else:
             # Incoming at the tail is the head-emitted message and vice versa.
-            pairs.append((ax, messages[(eid, 1 - slot)]))
-    return pairs
+            wires.append((ax, (eid, 1 - slot), (eid, slot)))
+    return sorted(wires, key=lambda w: -w[0])
 
 
 def _absorb_all(t: np.ndarray, pairs) -> np.ndarray:
     for ax, vec in sorted(pairs, key=lambda p: -p[0]):
         t = np.tensordot(t, vec, axes=([ax], [0]))
     return t
+
+
+def _outgoing(t: np.ndarray, pairs) -> list[np.ndarray]:
+    """Every outgoing message of a node with incoming ``(axis, message)``
+    ``pairs`` in descending-axis order: entry ``j`` is ``_absorb_all`` of
+    all pairs but the ``j``-th. The chains share their prefixes, so each
+    prefix is contracted once."""
+    out = []
+    for j, (ax, vec) in enumerate(pairs):
+        out.append(_absorb_all(t, pairs[j + 1:]))
+        if j + 1 < len(pairs):
+            t = np.tensordot(t, vec, axes=([ax], [0]))
+    return out
+
+
+def _start_message(initial, eid: int, d: int, dim: int) -> np.ndarray:
+    if (eid, d) not in initial:
+        raise BPError(f"initial messages have no entry for edge {eid} direction {d}")
+    m = asarray(initial[(eid, d)]).copy()
+    if m.shape != (dim,):
+        raise BPError(f"initial message on edge {eid} direction {d} has shape {m.shape}, not ({dim},)")
+    nrm = np.linalg.norm(m)
+    if not (np.isfinite(nrm) and nrm > 0.0):
+        raise BPError(f"initial message on edge {eid} direction {d} has norm {nrm}; "
+                      "it must be finite and nonzero")
+    return m
 
 
 def run_bp(
@@ -110,8 +138,15 @@ def run_bp(
     Returns a state with ``converged=False`` after ``max_iter`` sweeps rather
     than raising; expansions can fall back to weight passing in that case.
     ``initial`` warm-starts from given directed messages (normalized copies
-    are taken) instead of the seeded near-uniform start.
+    are taken) instead of the seeded near-uniform start; every message must
+    be there, of its edge's extent, finite and nonzero. ``damping`` keeps
+    that fraction of the previous message and must lie in [0, 1).
+
+    Each sweep visits every node once and contracts all of its outgoing
+    messages from shared absorption prefixes, so it costs O(E).
     """
+    if not 0.0 <= damping < 1.0:
+        raise BPError(f"damping {damping} is outside [0, 1)")
     problems = validate(net)
     if problems:
         raise BPError("cannot run BP on an invalid network: " + "; ".join(problems))
@@ -120,12 +155,13 @@ def run_bp(
             raise BPError(f"edge {eid} is a self-loop; BP updates are not defined for it")
 
     rng = np.random.default_rng(seed)
+    edges = sorted(net.edges.items())
     messages: dict[tuple[int, int], np.ndarray] = {}
-    for eid, edge in sorted(net.edges.items()):
+    for eid, edge in edges:
         ndir = 1 if edge.is_open else 2
         for d in range(ndir):
             if initial is not None:
-                m = asarray(initial[(eid, d)]).copy()
+                m = _start_message(initial, eid, d, edge.dim)
             else:
                 m = np.ones(edge.dim) + 1e-3 * rng.standard_normal(edge.dim)
             m /= np.linalg.norm(m)
@@ -133,16 +169,23 @@ def run_bp(
         if edge.is_open:
             messages[(eid, 1)] = messages[(eid, 0)]
 
+    index = net.attachment_index()
+    wiring = {nid: _wiring(net, index, nid) for nid in net.nodes}
     residuals = {k: np.inf for k in messages}
+    history: list[float] = []
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
+        raw: dict[tuple[int, int], np.ndarray] = {}
+        for nid, wires in wiring.items():
+            outs = _outgoing(net.nodes[nid], [(ax, messages[k_in]) for ax, k_in, _ in wires])
+            for (_, _, k_out), t in zip(wires, outs):
+                raw[k_out] = t
         new: dict[tuple[int, int], np.ndarray] = {}
-        for eid, edge in sorted(net.edges.items()):
+        for eid, edge in edges:
             ndir = 1 if edge.is_open else 2
             for d in range(ndir):
-                nid, ax = edge.endpoints[d]
-                t = _absorb_all(net.nodes[nid], _incoming(net, messages, nid, exclude=(eid, ax)))
+                t = raw[(eid, d)]
                 nrm = np.linalg.norm(t)
                 if nrm == 0.0:
                     raise BPError(f"zero outgoing message on edge {eid}")
@@ -155,15 +198,12 @@ def run_bp(
                 new[(eid, 1)] = new[(eid, 0)]
         residuals = {k: float(np.linalg.norm(new[k] - messages[k])) for k in new}
         messages = new
-        if max(residuals.values(), default=0.0) < tol:
+        history.append(max(residuals.values(), default=0.0))
+        if history[-1] < tol:
             converged = True
             break
-    return BPState(messages=messages, iterations=it, residuals=residuals, converged=converged, tol=tol)
-
-
-def _node_term(net: TensorNetwork, messages, nid: int) -> float:
-    val = _absorb_all(net.nodes[nid], _incoming(net, messages, nid, exclude=None))
-    return float(val)
+    return BPState(messages=messages, iterations=it, residuals=residuals, converged=converged, tol=tol,
+                   residual_history=history)
 
 
 def bp_scalar(net: TensorNetwork, state: BPState) -> float:
@@ -177,8 +217,10 @@ def bp_scalar(net: TensorNetwork, state: BPState) -> float:
     if not net.is_closed:
         raise BPError("bp_scalar is defined for closed networks; use bp_approx for open ones")
     value = 1.0
+    index = net.attachment_index()
     for nid in sorted(net.nodes):
-        value *= _node_term(net, state.messages, nid)
+        pairs = [(ax, state.messages[k_in]) for ax, k_in, _ in _wiring(net, index, nid)]
+        value *= float(_absorb_all(net.nodes[nid], pairs))
     for eid, edge in sorted(net.edges.items()):
         ov = float(state.messages[(eid, 0)] @ state.messages[(eid, 1)])
         if abs(ov) < 1e-14:

@@ -323,7 +323,11 @@ def uniform_fixed_point(
     seed: int = 0,
 ) -> UniformBP:
     """Damped synchronous iteration of the single-tensor self-consistency
-    equations (all nodes share one message per axis direction)."""
+    equations (all nodes share one message per axis direction).
+    ``damping`` keeps that fraction of the previous message and must lie in
+    [0, 1)."""
+    if not 0.0 <= damping < 1.0:
+        raise ModelError(f"damping {damping} is outside [0, 1)")
     ops = unit if isinstance(unit, BlockedUnit) else _UnitOps(unit)
     rng = np.random.default_rng(seed)
     dirs = [(g, s) for g in range(ops.ndim) for s in (0, 1)]

@@ -129,6 +129,17 @@ class TensorNetwork:
                 if n == nid:
                     yield eid, slot, ax
 
+    def attachment_index(self) -> dict[int, list[tuple[int, int, int]]]:
+        """:meth:`attachments` of every node from one pass over the edges.
+
+        It stays valid while no edge is added, removed or re-attached;
+        changing an edge's ``dim`` alone keeps it valid."""
+        index: dict[int, list[tuple[int, int, int]]] = {nid: [] for nid in self.nodes}
+        for eid, edge in self.edges.items():
+            for slot, (n, ax) in enumerate(edge.endpoints):
+                index[n].append((eid, slot, ax))
+        return index
+
     def node_axes(self, nid: int) -> list[int | None]:
         """Edge id attached to each axis of node ``nid`` (None if uncovered)."""
         axes: list[int | None] = [None] * self.nodes[nid].ndim

@@ -108,10 +108,11 @@ def _init_state(net: TensorNetwork, alpha: float) -> WeightState:
     return WeightState(net=net.copy(), weights=weights, alpha=alpha)
 
 
-def _dressed(state: WeightState, nid: int, skip_edge: int) -> np.ndarray:
-    """Node tensor with the weights of all other incident edges absorbed."""
+def _dressed(state: WeightState, index, nid: int, skip_edge: int) -> np.ndarray:
+    """Node tensor with the weights of all other incident edges absorbed
+    (``index`` is ``state.net.attachment_index()``)."""
     t = state.net.nodes[nid]
-    for eid, _slot, ax in state.net.attachments(nid):
+    for eid, _slot, ax in index[nid]:
         if eid == skip_edge:
             continue
         shape = [1] * t.ndim
@@ -126,10 +127,16 @@ def wp_update_edge(state: WeightState, eid: int) -> WeightState:
     Singular values below ``1e-13`` are floored before inversion (with a
     warning); directions that small carry no weight anyway.
     """
+    return _update_edge(state, state.net.attachment_index(), eid)
+
+
+def _update_edge(state: WeightState, index, eid: int) -> WeightState:
+    # An update changes the edge's dim, never its endpoints, so one
+    # attachment index serves a whole stage.
     edge = state.net.edges[eid]
     (an, aax), (bn, bax) = edge.endpoints
-    a_dressed = _dressed(state, an, skip_edge=eid)
-    b_dressed = _dressed(state, bn, skip_edge=eid)
+    a_dressed = _dressed(state, index, an, skip_edge=eid)
+    b_dressed = _dressed(state, index, bn, skip_edge=eid)
 
     other_a = [i for i in range(a_dressed.ndim) if i != aax]
     res_a = svd(a_dressed, row_axes=other_a, col_axes=[aax])
@@ -188,10 +195,11 @@ def _run_stage(state: WeightState, alpha: float) -> None:
     state.converged = False
     rel_tol = float(np.sqrt(state.tol))
     resolved_ratio = SINGULAR_FLOOR**alpha
+    index = state.net.attachment_index()
     for _ in range(state.max_sweeps):
         previous = {eid: w.copy() for eid, w in state.weights.items()}
         for eid in sorted(state.net.edges):
-            wp_update_edge(state, eid)
+            _update_edge(state, index, eid)
         state.sweeps += 1
         residual = 0.0
         for eid, w in state.weights.items():

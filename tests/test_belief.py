@@ -3,6 +3,8 @@ import pytest
 
 from pne.belief import (
     BPError,
+    _absorb_all,
+    _sign_fix,
     bp_approx,
     bp_scalar,
     grouped_network,
@@ -14,6 +16,7 @@ from pne.belief import (
 from pne.models import random_grid
 from pne.network import TensorNetwork, contract
 from pne.presets import OPEN2X3_AXES
+from pne.tensor import asarray
 
 
 def random_tree(n_nodes, rng, max_dim=5):
@@ -33,6 +36,41 @@ def random_tree(n_nodes, rng, max_dim=5):
         for ax, (eid, _) in enumerate(legs[i]):
             attach[eid].append((i, ax))
     return TensorNetwork.build(tensors, attach)
+
+
+def per_message_bp(net, tol, max_iter, damping=0.2, seed=0, initial=None):
+    """The sweep run_bp had before it went node by node: every directed
+    message absorbs its node's other incoming messages from scratch."""
+    rng = np.random.default_rng(seed)
+    edges = sorted(net.edges.items())
+    messages = {}
+    for eid, edge in edges:
+        for d in range(1 if edge.is_open else 2):
+            m = (asarray(initial[(eid, d)]).copy() if initial is not None
+                 else np.ones(edge.dim) + 1e-3 * rng.standard_normal(edge.dim))
+            messages[(eid, d)] = _sign_fix(m / np.linalg.norm(m))
+        if edge.is_open:
+            messages[(eid, 1)] = messages[(eid, 0)]
+    for it in range(1, max_iter + 1):
+        new = {}
+        for eid, edge in edges:
+            for d in range(1 if edge.is_open else 2):
+                nid, ax = edge.endpoints[d]
+                pairs = [(a, messages[(e, 0) if net.edges[e].is_open else (e, 1 - s)])
+                         for e, s, a in net.attachments(nid) if (e, a) != (eid, ax)]
+                t = _absorb_all(net.nodes[nid], pairs)
+                m = t / np.linalg.norm(t)
+                if damping:
+                    m = (1.0 - damping) * m + damping * messages[(eid, d)]
+                    m /= np.linalg.norm(m)
+                new[(eid, d)] = _sign_fix(m)
+            if edge.is_open:
+                new[(eid, 1)] = new[(eid, 0)]
+        residual = max(float(np.linalg.norm(new[k] - messages[k])) for k in new)
+        messages = new
+        if residual < tol:
+            break
+    return messages, it
 
 
 def converged_instance(seed, shape=(2, 3), chi=4, bias=0.5):
@@ -87,6 +125,104 @@ class TestRunBp:
         assert s1.converged and s2.converged
         for k in s1.messages:
             np.testing.assert_allclose(s2.messages[k], s1.messages[k], atol=1e-9)
+
+
+class TestNodeSweep:
+    """run_bp goes node by node; it must reproduce the per-message sweep bit
+    for bit, in the same dict order and the same number of sweeps."""
+
+    def assert_same_run(self, net, **kwargs):
+        state = run_bp(net, **kwargs)
+        messages, iterations = per_message_bp(net, **kwargs)
+        assert state.iterations == iterations
+        assert list(state.messages) == list(messages)
+        for k, m in messages.items():
+            assert state.messages[k].tobytes() == m.tobytes(), k
+        return state
+
+    def test_closed_grid(self):
+        g = random_grid((3, 3), 3, bias=0.5, seed=2)
+        assert self.assert_same_run(g.net, tol=1e-12, max_iter=4000, seed=2).converged
+
+    def test_open_grid(self):
+        g = random_grid((2, 3), 3, bias=0.5, seed=8, open_axes=OPEN2X3_AXES)
+        assert self.assert_same_run(g.net, tol=1e-12, max_iter=4000, seed=2).converged
+
+    def test_tree(self):
+        net = random_tree(9, np.random.default_rng(3))
+        assert self.assert_same_run(net, tol=1e-13, max_iter=500, damping=0.0).converged
+
+    def test_warm_start(self):
+        g = random_grid((3, 3), 3, bias=0.5, seed=2)
+        rng = np.random.default_rng(0)
+        start = run_bp(g.net, tol=1e-6, max_iter=4000, seed=2).messages
+        initial = {k: m + 1e-3 * rng.standard_normal(m.size) for k, m in start.items()}
+        state = self.assert_same_run(g.net, tol=1e-12, max_iter=4000, damping=0.1, initial=initial)
+        assert state.converged and state.iterations > 1
+
+    def test_attachment_index_built_once_per_run(self, monkeypatch):
+        calls = {"index": 0, "attachments": 0}
+        build = TensorNetwork.attachment_index
+        scan = TensorNetwork.attachments
+
+        def counted_index(net):
+            calls["index"] += 1
+            return build(net)
+
+        def counted_scan(net, nid):
+            calls["attachments"] += 1
+            return scan(net, nid)
+
+        g = random_grid((12, 12), 2, bias=1.0, seed=0)
+        monkeypatch.setattr(TensorNetwork, "attachment_index", counted_index)
+        monkeypatch.setattr(TensorNetwork, "attachments", counted_scan)
+        state = run_bp(g.net, tol=1e-10, max_iter=200)
+        assert state.iterations > 1
+        assert calls == {"index": 1, "attachments": 0}
+
+
+class TestRunBpArguments:
+    @pytest.mark.parametrize("damping", [1.0, -0.1, 1.5, float("nan")])
+    def test_damping_outside_unit_interval_rejected(self, damping):
+        # At damping 1.0 the start messages never move, and run_bp used to
+        # report convergence after one sweep.
+        g = random_grid((3, 3), 3, bias=1.0, seed=1)
+        with pytest.raises(BPError, match="damping"):
+            run_bp(g.net, damping=damping)
+
+    def warm_start(self):
+        g = random_grid((2, 3), 3, bias=0.5, seed=8, open_axes=OPEN2X3_AXES)
+        state = run_bp(g.net, tol=1e-8, max_iter=4000, seed=2)
+        assert state.converged
+        return g.net, dict(state.messages)
+
+    def test_warm_start_accepted(self):
+        net, initial = self.warm_start()
+        assert run_bp(net, tol=1e-8, max_iter=4000, initial=initial).converged
+
+    def test_missing_warm_start_message(self):
+        net, initial = self.warm_start()
+        del initial[(3, 1)]
+        with pytest.raises(BPError, match="edge 3 direction 1"):
+            run_bp(net, initial=initial)
+
+    @pytest.mark.parametrize("bad", ["short", "zero", "nan", "inf"])
+    def test_bad_warm_start_message(self, bad):
+        net, initial = self.warm_start()
+        m = initial[(3, 0)]
+        initial[(3, 0)] = {"short": m[:-1], "zero": 0.0 * m,
+                           "nan": np.full(m.size, np.nan), "inf": np.full(m.size, np.inf)}[bad]
+        with pytest.raises(BPError, match="edge 3 direction 0"):
+            run_bp(net, initial=initial)
+
+    def test_residual_history(self):
+        net, state = converged_instance(0)
+        assert len(state.residual_history) == state.iterations
+        assert state.residual_history[-1] == state.max_residual < state.tol
+        stopped = run_bp(net, tol=0.0, max_iter=7)
+        assert not stopped.converged
+        assert len(stopped.residual_history) == 7
+        assert stopped.residual_history[-1] == stopped.max_residual
 
 
 class TestBpScalar:

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from pne.belief import BPError
 from pne.cli import main
 from pne.expansion import evaluate
 from pne.io import ContainerError, save_network
@@ -55,3 +56,12 @@ def test_expand_needs_a_recorded_layout(tmp_path):
     save_network(path, finite_patch(ModelSpec(kind="random", patch=(3, 3), chi=2)).net)
     with pytest.raises(ContainerError):
         main(["expand", str(path), "--preset", "grid3x3-chi5", "--projector", "random"])
+
+
+@pytest.mark.parametrize("damping", ["1.0", "-0.2"])
+def test_bp_rejects_damping_outside_unit_interval(tmp_path, capsys, damping):
+    path = tmp_path / "g.pnec"
+    _model(path, "3x3", seed=1)
+    with pytest.raises(BPError, match="damping"):
+        main(["bp", str(path), "--damping", damping])
+    assert "converged" not in capsys.readouterr().out

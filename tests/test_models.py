@@ -230,6 +230,13 @@ class TestUniformBP:
             fails += not ubp.converged
         assert fails >= 2
 
+    @pytest.mark.parametrize("damping", [1.0, -0.1, 1.5, float("nan")])
+    def test_damping_outside_unit_interval_rejected(self, damping):
+        # At damping 1.0 the start messages never move and the iteration
+        # used to report convergence after one sweep.
+        with pytest.raises(ModelError, match="damping"):
+            uniform_fixed_point(ising_unit_tensor(2, 0.3), damping=damping)
+
 
 class TestFinitePatch:
     def test_bp_capped_3x3(self):
