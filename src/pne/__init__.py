@@ -20,8 +20,6 @@ from pne.network import (
     TensorNetwork,
     Identity,
     ProjectorP,
-    MessagePair,
-    Weight,
     DenseOp,
     EdgeInsertion,
     ContractionPlan,

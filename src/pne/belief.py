@@ -15,14 +15,12 @@ import numpy as np
 
 from pne.network import (
     Edge,
-    EdgeInsertion,
-    MessagePair,
     NetworkError,
     ProjectorP,
     TensorNetwork,
     absorb_matrix,
-    apply_insertions,
     contract,
+    subnetwork,
     validate,
 )
 from pne.tensor import asarray, basis_columns, orthogonal_complement
@@ -207,50 +205,44 @@ def run_bp(
 
 
 def bp_scalar(net: TensorNetwork, state: BPState) -> float:
-    """Fixed-point estimate of the closed-network scalar.
-
-    Equal to contracting the network with message pairs inserted on every
-    edge and dividing by the product of per-edge message overlaps.
-    """
-    if not state.converged:
-        raise BPError("bp_scalar requires a converged BP state")
+    """Fixed-point estimate of the closed-network scalar (see :func:`bp_approx`)."""
     if not net.is_closed:
         raise BPError("bp_scalar is defined for closed networks; use bp_approx for open ones")
-    value = 1.0
-    index = net.attachment_index()
-    for nid in sorted(net.nodes):
-        pairs = [(ax, state.messages[k_in]) for ax, k_in, _ in _wiring(net, index, nid)]
-        value *= float(_absorb_all(net.nodes[nid], pairs))
-    for eid, edge in sorted(net.edges.items()):
-        ov = float(state.messages[(eid, 0)] @ state.messages[(eid, 1)])
-        if abs(ov) < 1e-14:
-            raise GaugeError(f"message overlap on edge {eid} is {ov:.2e}; gauge is ill-conditioned")
-        value /= ov
-    return value
+    return float(bp_approx(net, state))
 
 
 def bp_approx(net: TensorNetwork, state: BPState) -> np.ndarray:
     """BP approximation of the network contraction (scalar or open tensor).
 
-    Every closed edge is cut by its message pair; open edges pass through, so
-    for open networks the result is the rank-1-environment estimate of the
-    open tensor in ascending open-edge order.
+    Every closed edge is cut by its message pair: each node absorbs its
+    incoming messages, the nodes are outer-multiplied in node-id order and
+    the product is divided by every closed edge's message overlap. Open
+    edges pass through, so for open networks the result is the
+    rank-1-environment estimate of the open tensor in ascending open-edge
+    order.
     """
     if not state.converged:
-        raise BPError("bp_approx requires a converged BP state")
-    insertions = []
-    scale = 1.0
+        raise BPError("the BP estimate requires a converged BP state")
+    overlaps = []
     for eid, edge in sorted(net.edges.items()):
         if edge.is_open:
             continue
-        ket = state.messages[(eid, 1)]
-        bra = state.messages[(eid, 0)]
-        ov = float(bra @ ket)
+        ov = float(state.messages[(eid, 0)] @ state.messages[(eid, 1)])
         if abs(ov) < 1e-14:
             raise GaugeError(f"message overlap on edge {eid} is {ov:.2e}; gauge is ill-conditioned")
-        insertions.append(EdgeInsertion(eid, MessagePair(ket=ket, bra=bra)))
-        scale /= ov
-    return contract(apply_insertions(net, insertions)) * scale
+        overlaps.append(ov)
+    index = net.attachment_index()
+    value = np.ones(())
+    open_ids: list[int] = []
+    for nid in sorted(net.nodes):
+        wires = _wiring(net, index, nid)
+        cut = [(ax, state.messages[k_in]) for ax, k_in, _ in wires if not net.edges[k_in[0]].is_open]
+        value = np.multiply.outer(value, _absorb_all(net.nodes[nid], cut))
+        # The open axes survive in ascending axis order.
+        open_ids += [k_in[0] for _, k_in, _ in reversed(wires) if net.edges[k_in[0]].is_open]
+    for ov in overlaps:
+        value = value / ov
+    return value.transpose(np.argsort(open_ids, kind="stable"))
 
 
 @dataclass
@@ -345,86 +337,44 @@ def projectors_from_bp(gauge: SymmetrizedGauge, edges) -> dict[int, ProjectorP]:
 def grouped_network(net: TensorNetwork, pair: tuple[int, int]) -> tuple[TensorNetwork, int]:
     """Derived network in which a pair of edges is merged into one edge.
 
-    The two tail endpoints are merged into one node (contracting any bonds
-    between them) and likewise the two head endpoints; the paired edges then
-    fuse into a single edge whose extent is the product of the pair's
-    extents (first edge major). Running ordinary message passing on the
-    derived network yields genuinely two-site messages whenever the merged
-    endpoints share a bond.
+    The two tail endpoints are contracted into one node (over any bonds
+    between them) and likewise the two head endpoints; each merged node
+    keeps the id of its first-edge endpoint, its other legs in edge-id order
+    and the pair last. The pair then fuses into a single edge whose extent
+    is the product of the pair's extents (first edge major). Running
+    ordinary message passing on the derived network yields genuinely
+    two-site messages whenever the merged endpoints share a bond.
     """
     e1, e2 = pair
-    for eid in (e1, e2):
+    for eid in pair:
         if net.edges[eid].is_open:
             raise BPError(f"edge {eid} is open; grouping needs closed edges")
-    out = net.copy()
-    (t1, _), (h1, _) = out.edges[e1].endpoints
-    (t2, _), (h2, _) = out.edges[e2].endpoints
+    (t1, _), (h1, _) = net.edges[e1].endpoints
+    (t2, _), (h2, _) = net.edges[e2].endpoints
     if {t1, t2} & {h1, h2}:
         raise BPError("tail and head groups of the paired edges overlap")
-    t_node = _merge_nodes(out, t1, t2, keep=(e1, e2))
-    h_node = _merge_nodes(out, h1, h2, keep=(e1, e2))
-    fused = out.next_edge_id()
-    _fuse_pair(out, e1, e2, t_node, h_node, fused)
-    return out, fused
-
-
-def _merge_nodes(net: TensorNetwork, a: int, b: int, keep: tuple[int, int]) -> int:
-    """Contract nodes a and b over all shared edges (in place); returns the id."""
-    if a == b:
-        return a
-    shared = [e for e in net.edges_between(a, b) if e not in keep]
-    ta, tb = net.nodes[a], net.nodes[b]
-    ax_a, ax_b = [], []
-    for eid in shared:
-        for n, ax in net.edges[eid].endpoints:
-            (ax_a if n == a else ax_b).append(ax)
-    merged = np.tensordot(ta, tb, axes=(ax_a, ax_b)) if shared else np.multiply.outer(ta, tb)
-    rem_a = [i for i in range(ta.ndim) if i not in ax_a]
-    rem_b = [i for i in range(tb.ndim) if i not in ax_b]
-    new_pos: dict[tuple[int, int], int] = {}
-    for k, i in enumerate(rem_a):
-        new_pos[(a, i)] = k
-    for k, i in enumerate(rem_b):
-        new_pos[(b, i)] = len(rem_a) + k
-    for eid in shared:
-        del net.edges[eid]
-    for eid, edge in list(net.edges.items()):
-        eps = tuple(
-            (a, new_pos[(n, ax)]) if n in (a, b) else (n, ax)
-            for n, ax in edge.endpoints
-        )
-        net.edges[eid] = Edge(endpoints=eps, dim=edge.dim)
-    net.nodes[a] = merged
-    del net.nodes[b]
-    return a
-
-
-def _fuse_pair(net: TensorNetwork, e1: int, e2: int, t_node: int, h_node: int, fused_eid: int) -> None:
-    d1, d2 = net.edges[e1].dim, net.edges[e2].dim
-    attach = {}
-    for nid in (t_node, h_node):
-        ax1 = [ax for n, ax in net.edges[e1].endpoints if n == nid][0]
-        ax2 = [ax for n, ax in net.edges[e2].endpoints if n == nid][0]
-        t = np.moveaxis(net.nodes[nid], (ax1, ax2), (-2, -1))
-        net.nodes[nid] = t.reshape(t.shape[:-2] + (d1 * d2,))
-        removed = sorted((ax1, ax2))
-        for eid, edge in list(net.edges.items()):
-            if eid in (e1, e2):
-                continue
-            eps = []
-            for n, ax in edge.endpoints:
-                if n == nid:
-                    shift = sum(1 for r in removed if ax > r)
-                    eps.append((n, ax - shift))
-                else:
-                    eps.append((n, ax))
-            net.edges[eid] = Edge(endpoints=tuple(eps), dim=edge.dim)
-        attach[nid] = net.nodes[nid].ndim - 1
-    del net.edges[e1]
-    del net.edges[e2]
-    net.edges[fused_eid] = Edge(
-        endpoints=((t_node, attach[t_node]), (h_node, attach[h_node])), dim=d1 * d2
-    )
+    nodes = dict(net.nodes)
+    moved: dict[tuple[int, int], tuple[int, int]] = {}
+    internal: set[int] = set()
+    fused_ends = []
+    for keep, other in ((t1, t2), (h1, h2)):
+        sub = subnetwork(net, {keep, other})
+        legs = sub.open_edge_ids()
+        internal.update(e for e in sub.edges if e not in legs)
+        order = [e for e in legs if e not in pair] + [e1, e2]
+        merged = contract(sub).transpose([legs.index(e) for e in order])
+        if other != keep:
+            del nodes[other]
+        nodes[keep] = merged.reshape(merged.shape[:-2] + (-1,))
+        for k, eid in enumerate(order[:-2]):
+            (ep,) = sub.edges[eid].endpoints
+            moved[ep] = (keep, k)
+        fused_ends.append((keep, len(order) - 2))
+    edges = {eid: Edge(endpoints=tuple(moved.get(ep, ep) for ep in edge.endpoints), dim=edge.dim)
+             for eid, edge in net.edges.items() if eid not in internal and eid not in pair}
+    fused = max(e for e in net.edges if e not in internal) + 1
+    edges[fused] = Edge(endpoints=tuple(fused_ends), dim=net.edges[e1].dim * net.edges[e2].dim)
+    return TensorNetwork(nodes=nodes, edges=edges), fused
 
 
 def joint_message_pair(state: BPState, fused_edge: int) -> tuple[np.ndarray, np.ndarray, float]:

@@ -174,6 +174,11 @@ def load_grid(path: str) -> GridNetwork:
     return _load(path, "network", _grid_from_header)
 
 
+def _history(header: dict) -> list[float]:
+    # Containers written before the history was stored load with an empty one.
+    return [float(r) for r in header.get("residual_history", [])]
+
+
 def save_bp_state(path: str, state: BPState) -> None:
     keys = sorted(state.messages)
     header = {
@@ -186,6 +191,7 @@ def save_bp_state(path: str, state: BPState) -> None:
         "converged": state.converged,
         "tol": state.tol,
         "residuals": [[e, d, state.residuals[(e, d)]] for e, d in keys],
+        "residual_history": state.residual_history,
     }
     with open(path, "wb") as fh:
         _write(fh, header, [state.messages[k] for k in keys])
@@ -204,6 +210,7 @@ def _bp_state_from_header(header: dict, buf) -> BPState:
         residuals=residuals,
         converged=bool(header["converged"]),
         tol=float(header["tol"]),
+        residual_history=_history(header),
     )
 
 
@@ -225,6 +232,7 @@ def save_weight_state(path: str, state: WeightState) -> None:
         "log_prefactor": state.log_prefactor,
         "tol": state.tol,
         "max_sweeps": state.max_sweeps,
+        "residual_history": state.residual_history,
     }
     with open(path, "wb") as fh:
         _write(fh, header, net_payload + [state.weights[e] for e in keys])
@@ -251,6 +259,7 @@ def _weight_state_from_header(header: dict, buf) -> WeightState:
         residual=float(header["residual"]),
         converged=bool(header["converged"]),
         log_prefactor=float(header["log_prefactor"]),
+        residual_history=_history(header),
         **settings,
     )
 

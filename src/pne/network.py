@@ -5,13 +5,19 @@ edges identify pairs of tensor axes that are summed over. Edges with a single
 attachment are *open*: their axes survive contraction and appear in the
 result in ascending edge-id order. Edge ids are stable integers assigned at
 construction; every canonical ordering in the package derives from them.
+
+:func:`apply_insertions` realizes the single-edge operators that expansions
+insert: :class:`Identity`, :class:`ProjectorP` (absorbed as its isometric
+factor, shrinking the edge) and :class:`DenseOp` (absorbed into one
+endpoint). The ``insert_joint_*`` functions insert an operator over the
+joint space of several edges.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -26,8 +32,6 @@ __all__ = [
     "TensorNetwork",
     "Identity",
     "ProjectorP",
-    "MessagePair",
-    "Weight",
     "DenseOp",
     "EdgeInsertion",
     "PlanStep",
@@ -154,15 +158,6 @@ class TensorNetwork:
     def is_closed(self) -> bool:
         return not any(e.is_open for e in self.edges.values())
 
-    def edges_between(self, a: int, b: int) -> list[int]:
-        out = []
-        for eid, e in self.edges.items():
-            if len(e.endpoints) == 2:
-                ns = {e.endpoints[0][0], e.endpoints[1][0]}
-                if ns == {a, b}:
-                    out.append(eid)
-        return sorted(out)
-
     def next_node_id(self) -> int:
         return max(self.nodes, default=-1) + 1
 
@@ -237,22 +232,6 @@ class ProjectorP:
 
 
 @dataclass(frozen=True)
-class MessagePair:
-    """Rank-1 cut: the tail absorbs ``ket`` and the head absorbs ``bra``,
-    removing the edge. The inserted operator is ``|ket><bra|``."""
-
-    ket: np.ndarray
-    bra: np.ndarray
-
-
-@dataclass(frozen=True)
-class Weight:
-    """Diagonal operator, multiplied onto the tail endpoint."""
-
-    diag: np.ndarray
-
-
-@dataclass(frozen=True)
 class DenseOp:
     """Square dense operator absorbed into one endpoint (extent unchanged).
 
@@ -266,7 +245,7 @@ class DenseOp:
     side: int | None = None
 
 
-Operator = Identity | ProjectorP | MessagePair | Weight | DenseOp
+Operator = Identity | ProjectorP | DenseOp
 
 
 @dataclass(frozen=True)
@@ -284,10 +263,6 @@ def absorb_matrix(t: np.ndarray, ax: int, m: np.ndarray, head_side: bool) -> np.
     contract_ax = 1 if head_side else 0
     out = np.tensordot(t, m, axes=([ax], [contract_ax]))
     return np.moveaxis(out, -1, ax)
-
-
-def _absorb_vector(t: np.ndarray, ax: int, v: np.ndarray) -> np.ndarray:
-    return np.tensordot(t, v, axes=([ax], [0]))
 
 
 def apply_insertions(
@@ -325,31 +300,6 @@ def apply_insertions(
             for n, ax in edge.endpoints:
                 out.nodes[n] = absorb_matrix(out.nodes[n], ax, u, head_side=False)
             out.edges[eid] = Edge(endpoints=edge.endpoints, dim=u.shape[1])
-        elif isinstance(op, MessagePair):
-            if edge.is_open:
-                raise InsertionError(f"edge {eid} is open; a message pair needs both sides")
-            ket = asarray(op.ket).reshape(-1)
-            bra = asarray(op.bra).reshape(-1)
-            if ket.size != edge.dim or bra.size != edge.dim:
-                raise InsertionError(
-                    f"edge {eid}: message lengths {ket.size}/{bra.size} != edge dim {edge.dim}"
-                )
-            (tn, tax), _ = edge.endpoints
-            out.nodes[tn] = _absorb_vector(out.nodes[tn], tax, ket)
-            _shift_axes(out, tn, tax)
-            # Read the head only now: on a self-loop the shift moved it.
-            _, (hn, hax) = out.edges[eid].endpoints
-            out.nodes[hn] = _absorb_vector(out.nodes[hn], hax, bra)
-            _shift_axes(out, hn, hax)
-            del out.edges[eid]
-        elif isinstance(op, Weight):
-            w = asarray(op.diag).reshape(-1)
-            if w.size != edge.dim:
-                raise InsertionError(f"edge {eid}: weight length {w.size} != edge dim {edge.dim}")
-            n, ax = edge.endpoints[0]
-            shape = [1] * out.nodes[n].ndim
-            shape[ax] = edge.dim
-            out.nodes[n] = out.nodes[n] * w.reshape(shape)
         elif isinstance(op, DenseOp):
             m = asarray(op.matrix)
             if m.shape != (edge.dim, edge.dim):
@@ -368,15 +318,6 @@ def apply_insertions(
         else:
             raise InsertionError(f"unknown operator {op!r}")
     return out
-
-
-def _shift_axes(net: TensorNetwork, nid: int, removed_axis: int) -> None:
-    """Re-index edge attachments of ``nid`` after one of its axes was removed."""
-    for eid, slot, ax in list(net.attachments(nid)):
-        if ax > removed_axis:
-            edge = net.edges[eid]
-            eps = edge.endpoints[:slot] + ((nid, ax - 1),) + edge.endpoints[slot + 1 :]
-            net.edges[eid] = Edge(endpoints=eps, dim=edge.dim)
 
 
 def _joint_dims(net: TensorNetwork, edge_ids: Sequence[int]) -> tuple[list[int], int]:
@@ -560,15 +501,15 @@ class _Planner:
                 entries = math.prod(d for _, d in self.incident[n]) or 1
                 self.record("trace", (n,), n, flops, entries)
 
-    def step_cost(self, a: int, b: int) -> tuple[int, int, int]:
+    def step_cost(self, a: int, b: int) -> tuple[int, int]:
         edges_a = {e for e, _ in self.incident[a]}
-        shared = sorted(e for e, _ in self.incident[b] if e in edges_a)
+        shared = {e for e, _ in self.incident[b] if e in edges_a}
         union: dict[int, int] = {}
         for e, d in self.incident[a] + self.incident[b]:
             union[e] = d
         flops = math.prod(union.values()) or 1
         entries = math.prod(d for e, d in union.items() if e not in shared) or 1
-        return flops, entries, (shared[0] if shared else -1)
+        return flops, entries
 
     def merge(self, a: int, b: int, kind: str, flops: int, entries: int):
         self.record(kind, (a, b), a, flops, entries)
@@ -606,11 +547,11 @@ def _plan_greedy(key: PlanKey, seed: int | None = None) -> ContractionPlan:
             for b in live[i + 1:]:
                 if not any(e in edges_a for e, _ in pl.incident[b]):
                     continue
-                flops, entries, _ = pl.step_cost(a, b)
+                flops, entries = pl.step_cost(a, b)
                 cands.append((entries, a, b, flops))
         if not cands:
             a, b = live[0], live[1]
-            flops, entries, _ = pl.step_cost(a, b)
+            flops, entries = pl.step_cost(a, b)
             pl.merge(a, b, "outer", flops, entries)
         else:
             lowest = min(c[0] for c in cands)
@@ -643,7 +584,7 @@ def _plan_sweep(key: PlanKey, reverse: bool = False) -> ContractionPlan:
             nxt = live[1]
             kind = "outer"
         a, b = min(acc, nxt), max(acc, nxt)
-        flops, entries, _ = pl.step_cost(a, b)
+        flops, entries = pl.step_cost(a, b)
         pl.merge(a, b, kind, flops, entries)
     return pl.plan()
 
@@ -712,7 +653,7 @@ def _plan_dp(key: PlanKey) -> ContractionPlan:
     _emit_merges((1 << n) - 1, split, nodes, merges)
     for a, b in merges:
         shared = {e for e, _ in pl.incident[a]} & {e for e, _ in pl.incident[b]}
-        flops, entries, _ = pl.step_cost(a, b)
+        flops, entries = pl.step_cost(a, b)
         pl.merge(a, b, "pair" if shared else "outer", flops, entries)
     return pl.plan()
 

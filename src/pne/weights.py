@@ -32,13 +32,10 @@ import numpy as np
 
 from pne.network import (
     Edge,
-    EdgeInsertion,
     NetworkError,
     ProjectorP,
     TensorNetwork,
-    Weight,
     absorb_matrix,
-    apply_insertions,
     validate,
 )
 from pne.tensor import basis_columns, svd
@@ -85,9 +82,16 @@ class WeightState:
     _rank_stage: WeightState | None = field(default=None, init=False, repr=False)
 
     def network_with_weights(self) -> TensorNetwork:
-        """Plain network with every edge weight absorbed into its tail node."""
-        ops = [EdgeInsertion(eid, Weight(w)) for eid, w in sorted(self.weights.items())]
-        return apply_insertions(self.net, ops)
+        """Plain network with every edge weight absorbed into its tail node
+        (in edge-id order)."""
+        tails: dict[int, list[tuple[int, np.ndarray]]] = {}
+        for eid, w in sorted(self.weights.items()):
+            nid, ax = self.net.edges[eid].endpoints[0]
+            tails.setdefault(nid, []).append((ax, w))
+        out = self.net.copy()
+        for nid, factors in tails.items():
+            out.nodes[nid] = _scale_axes(out.nodes[nid], factors)
+        return out
 
     def contract_value(self) -> float:
         from pne.network import contract
@@ -108,17 +112,21 @@ def _init_state(net: TensorNetwork, alpha: float) -> WeightState:
     return WeightState(net=net.copy(), weights=weights, alpha=alpha)
 
 
+def _scale_axes(t: np.ndarray, factors) -> np.ndarray:
+    """``t`` with each ``(axis, vector)`` of ``factors`` multiplied onto its
+    axis, in the given order."""
+    for ax, w in factors:
+        shape = [1] * t.ndim
+        shape[ax] = w.size
+        t = t * w.reshape(shape)
+    return t
+
+
 def _dressed(state: WeightState, index, nid: int, skip_edge: int) -> np.ndarray:
     """Node tensor with the weights of all other incident edges absorbed
     (``index`` is ``state.net.attachment_index()``)."""
-    t = state.net.nodes[nid]
-    for eid, _slot, ax in index[nid]:
-        if eid == skip_edge:
-            continue
-        shape = [1] * t.ndim
-        shape[ax] = state.weights[eid].size
-        t = t * state.weights[eid].reshape(shape)
-    return t
+    return _scale_axes(state.net.nodes[nid],
+                       [(ax, state.weights[eid]) for eid, _slot, ax in index[nid] if eid != skip_edge])
 
 
 def wp_update_edge(state: WeightState, eid: int) -> WeightState:

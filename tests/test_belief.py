@@ -14,7 +14,7 @@ from pne.belief import (
     symmetrize,
 )
 from pne.models import random_grid
-from pne.network import TensorNetwork, contract
+from pne.network import DenseOp, EdgeInsertion, TensorNetwork, apply_insertions, contract, validate
 from pne.presets import OPEN2X3_AXES
 from pne.tensor import asarray
 
@@ -71,6 +71,17 @@ def per_message_bp(net, tol, max_iter, damping=0.2, seed=0, initial=None):
         if residual < tol:
             break
     return messages, it
+
+
+def dense_cut(net, state):
+    """The BP estimate by another route: ``|ket><bra| / overlap`` inserted
+    as a dense operator on every closed edge, then contracted exactly."""
+    ops = []
+    for eid, edge in sorted(net.edges.items()):
+        if not edge.is_open:
+            ket, bra = state.messages[(eid, 1)], state.messages[(eid, 0)]
+            ops.append(EdgeInsertion(eid, DenseOp(np.outer(ket, bra) / (bra @ ket), side=0)))
+    return contract(apply_insertions(net, ops))
 
 
 def converged_instance(seed, shape=(2, 3), chi=4, bias=0.5):
@@ -235,7 +246,32 @@ class TestBpScalar:
 
     def test_equals_insertion_form(self):
         net, state = converged_instance(2)
-        np.testing.assert_allclose(bp_scalar(net, state), float(bp_approx(net, state)), rtol=1e-10)
+        assert net.is_closed
+        ref = float(dense_cut(net, state))
+        np.testing.assert_allclose(bp_scalar(net, state), ref, rtol=1e-10)
+        np.testing.assert_allclose(float(bp_approx(net, state)), ref, rtol=1e-10)
+
+    def test_open_equals_insertion_form(self):
+        g = random_grid((2, 3), 3, bias=0.5, seed=8, open_axes=OPEN2X3_AXES)
+        state = run_bp(g.net, tol=1e-12, max_iter=4000, seed=2)
+        assert state.converged
+        approx, ref = bp_approx(g.net, state), dense_cut(g.net, state)
+        assert approx.shape == ref.shape == (3,) * len(g.net.open_edge_ids())
+        np.testing.assert_allclose(approx, ref, rtol=1e-10, atol=1e-12 * np.abs(ref).max())
+
+    def test_open_axes_in_edge_id_order(self):
+        # Open edge ids run against node and axis order.
+        rng = np.random.default_rng(3)
+        net = TensorNetwork.build(
+            {0: rng.uniform(0.5, 1.5, (2, 3)), 1: rng.uniform(0.5, 1.5, (3, 2, 4, 2)),
+             2: rng.uniform(0.5, 1.5, (2, 3))},
+            {5: [(0, 0)], 2: [(0, 1), (1, 0)], 3: [(1, 1)], 1: [(1, 2)], 4: [(1, 3), (2, 0)], 0: [(2, 1)]},
+        )
+        state = run_bp(net, tol=1e-13, max_iter=500, damping=0.0)
+        assert state.converged
+        approx = bp_approx(net, state)
+        assert approx.shape == (3, 4, 2, 2)
+        np.testing.assert_allclose(approx, dense_cut(net, state), rtol=1e-10)
 
     def test_linear_in_single_tensor(self):
         net, state = converged_instance(3)
@@ -335,8 +371,39 @@ class TestGrouped:
         e1 = g.bond[(0, (0, 0, 0))]
         e2 = g.bond[(0, (0, 0, 1))]
         derived, fused = grouped_network(g.net, (e1, e2))
+        assert validate(derived) == []
         assert derived.edges[fused].dim == 4
         np.testing.assert_allclose(float(contract(derived)), float(contract(g.net)), rtol=1e-10)
+
+    def test_fusion_is_first_edge_major(self):
+        g = random_grid((2, 2, 2), 2, bias=0.3, seed=3)
+        e1 = g.bond[(0, (0, 0, 0))]
+        e2 = g.bond[(0, (0, 0, 1))]
+        rng = np.random.default_rng(0)
+        a, b = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
+        via_pair = contract(apply_insertions(g.net, [EdgeInsertion(e1, DenseOp(a)), EdgeInsertion(e2, DenseOp(b))]))
+        for pair, op in (((e1, e2), np.kron(a, b)), ((e2, e1), np.kron(b, a))):
+            derived, fused = grouped_network(g.net, pair)
+            via_fused = contract(apply_insertions(derived, [EdgeInsertion(fused, DenseOp(op))]))
+            np.testing.assert_allclose(float(via_fused), float(via_pair), rtol=1e-10)
+
+    def test_single_node_groups(self):
+        # Two nodes joined by two parallel edges: each group is one node.
+        rng = np.random.default_rng(5)
+        net = TensorNetwork.build(
+            {0: rng.normal(size=(3, 2, 4)), 1: rng.normal(size=(4, 2, 5))},
+            {0: [(0, 2), (1, 0)], 1: [(0, 1), (1, 1)], 2: [(0, 0)], 3: [(1, 2)]},
+        )
+        a, b = rng.normal(size=(4, 4)), rng.normal(size=(2, 2))
+        via_pair = contract(apply_insertions(net, [EdgeInsertion(0, DenseOp(a)), EdgeInsertion(1, DenseOp(b))]))
+        for pair, op in (((0, 1), np.kron(a, b)), ((1, 0), np.kron(b, a))):
+            derived, fused = grouped_network(net, pair)
+            assert validate(derived) == []
+            assert sorted(derived.nodes) == [0, 1] and sorted(derived.edges) == [2, 3, fused]
+            assert derived.edges[fused].dim == 8
+            np.testing.assert_allclose(contract(derived), contract(net), rtol=1e-12)
+            via_fused = contract(apply_insertions(derived, [EdgeInsertion(fused, DenseOp(op))]))
+            np.testing.assert_allclose(via_fused, via_pair, rtol=1e-12)
 
     def test_joint_pair_idempotent(self):
         g = random_grid((2, 2, 2), 2, bias=0.5, seed=4)

@@ -82,6 +82,8 @@ def test_bp_state_round_trip(tmp_path):
     assert loaded.converged == state.converged
     assert loaded.iterations == state.iterations
     assert loaded.tol == state.tol
+    assert len(state.residual_history) == state.iterations
+    assert loaded.residual_history == state.residual_history
     for k, m in state.messages.items():
         np.testing.assert_array_equal(loaded.messages[k], m)
         assert loaded.residuals[k] == state.residuals[k]
@@ -97,9 +99,42 @@ def test_weight_state_round_trip(tmp_path):
     assert loaded.converged == state.converged
     assert loaded.log_prefactor == state.log_prefactor
     assert (loaded.tol, loaded.max_sweeps) == (state.tol, state.max_sweeps)
+    assert len(state.residual_history) == state.sweeps
+    assert loaded.residual_history == state.residual_history
     for e, w in state.weights.items():
         np.testing.assert_array_equal(loaded.weights[e], w)
     np.testing.assert_allclose(loaded.contract_value(), state.contract_value(), rtol=1e-12)
+
+
+def _edit_header(path, edit):
+    """Rewrite the JSON header of a container in place with ``edit``."""
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack_from("<I", blob, 4)
+    header = json.loads(blob[8 : 8 + hlen])
+    edit(header)
+    edited = json.dumps(header).encode()
+    path.write_bytes(blob[:4] + struct.pack("<I", len(edited)) + edited + blob[8 + hlen :])
+
+
+def test_weight_state_infinite_residual_round_trip(tmp_path):
+    # The bond collapses to rank 1 in the first sweep, whose residual is inf.
+    net = TensorNetwork.build({0: np.array([3.0, 4.0]), 1: np.array([1.0, 2.0])}, {0: [(0, 0), (1, 0)]})
+    state = run_weight_passing(net, alpha=1.0, max_sweeps=3)
+    assert state.residual_history[0] == np.inf
+    path = tmp_path / "wp.pnec"
+    save_weight_state(path, state)
+    assert load_weight_state(path).residual_history == state.residual_history
+
+
+def test_states_without_stored_history_load_empty(tmp_path):
+    g = random_grid((2, 2), 3, bias=0.3, seed=2)
+    bp_path, wp_path = tmp_path / "bp.pnec", tmp_path / "wp.pnec"
+    save_bp_state(bp_path, run_bp(g.net, tol=1e-12, max_iter=2000, seed=1))
+    save_weight_state(wp_path, run_weight_passing(g.net, alpha=0.8, tol=1e-10, max_sweeps=20))
+    for path in (bp_path, wp_path):
+        _edit_header(path, lambda header: header.pop("residual_history"))
+    assert load_bp_state(bp_path).residual_history == []
+    assert load_weight_state(wp_path).residual_history == []
 
 
 def test_partitions_round_trip(tmp_path):
@@ -126,12 +161,7 @@ def test_unknown_partition_kind_rejected(tmp_path):
     parts = [Partition(id=0, edges=(0,), projector=JointKetBra(rng.normal(size=3), rng.normal(size=3)))]
     path = tmp_path / "parts.pnec"
     save_partitions(path, parts)
-    blob = path.read_bytes()
-    (hlen,) = struct.unpack_from("<I", blob, 4)
-    header = json.loads(blob[8 : 8 + hlen])
-    header["partitions"][0]["kind"] = "bogus"
-    edited = json.dumps(header).encode()
-    path.write_bytes(blob[:4] + struct.pack("<I", len(edited)) + edited + blob[8 + hlen :])
+    _edit_header(path, lambda header: header["partitions"][0].update(kind="bogus"))
     with pytest.raises(ContainerError, match="bogus"):
         load_partitions(path)
 

@@ -11,11 +11,9 @@ from pne.network import (
     Identity,
     InsertionError,
     MemoryBudgetError,
-    MessagePair,
     NetworkError,
     ProjectorP,
     TensorNetwork,
-    Weight,
     apply_insertions,
     contract,
     insert_joint_dense,
@@ -227,34 +225,6 @@ class TestInsertions:
         via_dense = contract(apply_insertions(g.net, [EdgeInsertion(eid, DenseOp(iso @ iso.T))]))
         np.testing.assert_allclose(float(via_absorb), float(via_dense), rtol=1e-12)
         assert apply_insertions(g.net, [EdgeInsertion(eid, ProjectorP(iso))]).edges[eid].dim == 1
-
-    def test_message_pair_topology(self):
-        g = random_grid((2, 3), 3, bias=0.2, seed=6)
-        eid = g.v_edge(0, 0)
-        ket = np.random.default_rng(0).normal(size=3)
-        bra = np.random.default_rng(1).normal(size=3)
-        cut = apply_insertions(g.net, [EdgeInsertion(eid, MessagePair(ket, bra))])
-        assert len(cut.edges) == len(g.net.edges) - 1
-        assert len(cut.nodes) == len(g.net.nodes)
-        dense = np.outer(ket, bra)
-        via_dense = apply_insertions(g.net, [EdgeInsertion(eid, DenseOp(dense))])
-        np.testing.assert_allclose(float(contract(cut)), float(contract(via_dense)), rtol=1e-10)
-
-    def test_message_pair_on_self_loop(self):
-        rng = np.random.default_rng(2)
-        t, v = rng.normal(size=(2, 3, 2)), rng.normal(size=3)
-        net = TensorNetwork.build({0: t, 1: v}, {0: [(0, 0), (0, 2)], 1: [(0, 1), (1, 0)]})
-        ket = bra = np.ones(2)
-        cut = apply_insertions(net, [EdgeInsertion(0, MessagePair(ket, bra))])
-        np.testing.assert_allclose(
-            float(contract(cut)), np.einsum("iaj,i,j,a->", t, ket, bra, v), rtol=1e-12
-        )
-
-    def test_weight_on_tail(self):
-        net = vec_net()
-        w = np.array([2.0, 10.0])
-        out = apply_insertions(net, [EdgeInsertion(0, Weight(w))])
-        assert float(contract(out)) == 1 * 2 * 3 + 2 * 10 * 4
 
     def test_duplicate_edge_rejected(self):
         net = vec_net()

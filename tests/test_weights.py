@@ -5,12 +5,13 @@ import pytest
 
 from pne.bench import make_instance
 from pne.models import random_grid
-from pne.network import EdgeInsertion, ProjectorP, TensorNetwork, apply_insertions, contract
+from pne.network import DenseOp, EdgeInsertion, ProjectorP, TensorNetwork, apply_insertions, contract
 from pne.tensor import basis_columns
 from pne.weights import (
     RANK_ALPHA,
     SINGULAR_FLOOR,
     WeightPassingError,
+    WeightState,
     projectors_from_weights,
     rank_stage,
     run_weight_passing,
@@ -54,6 +55,31 @@ class TestUpdate:
         for w in state.weights.values():
             assert np.all(w > 0)
             assert np.all(np.diff(w) <= 1e-12)
+
+
+class TestNetworkWithWeights:
+    def test_weight_on_tail_only(self):
+        net = TensorNetwork.build(
+            {0: np.array([1.0, 2.0]), 1: np.array([3.0, 4.0])}, {0: [(0, 0), (1, 0)]}
+        )
+        out = WeightState(net=net, weights={0: np.array([2.0, 10.0])}, alpha=0.8).network_with_weights()
+        np.testing.assert_array_equal(out.nodes[0], [2.0, 20.0])
+        assert out.nodes[1] is net.nodes[1]
+        assert out.edges == net.edges
+        assert float(contract(out)) == 1 * 2 * 3 + 2 * 10 * 4
+
+    def test_matches_diagonal_tail_operators_and_keeps_value(self):
+        g = random_grid((2, 3), 3, bias=0.2, seed=4)
+        state = run_weight_passing(g.net, alpha=0.8, tol=1e-10, max_sweeps=100)
+        weighted = state.network_with_weights()
+        via_dense = apply_insertions(
+            state.net, [EdgeInsertion(eid, DenseOp(np.diag(w), side=0)) for eid, w in state.weights.items()]
+        )
+        assert weighted.edges == state.net.edges
+        for nid, t in via_dense.nodes.items():
+            np.testing.assert_allclose(weighted.nodes[nid], t, rtol=1e-13, atol=0.0)
+        exact = float(contract(g.net))
+        assert abs(float(contract(weighted)) * np.exp(state.log_prefactor) - exact) < 1e-10 * abs(exact)
 
 
 class TestRun:
