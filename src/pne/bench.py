@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import io as _io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -189,10 +189,7 @@ class BenchRecord:
     converged: bool = True
 
 
-CSV_COLUMNS = [
-    "suite", "geometry", "model", "param", "seed", "method", "preset", "rank",
-    "metric", "value", "exact", "error", "flops", "converged",
-]
+CSV_COLUMNS = [f.name for f in fields(BenchRecord)]
 
 
 def records_to_csv(records) -> str:
@@ -264,9 +261,8 @@ def _aggregate(records: list[BenchRecord]) -> list[BenchRecord]:
         if len(rs) < 2:
             continue
         out.append(
-            BenchRecord(
-                suite=key[0], geometry=key[1], model=key[2], param=key[3], seed="median",
-                method=key[4], preset=key[5], rank=key[6], metric=key[7],
+            replace(
+                rs[0], seed="median",
                 value=float(np.median([r.value for r in rs])),
                 exact=float(np.median([r.exact for r in rs])),
                 error=float(np.median([r.error for r in rs])),
@@ -311,6 +307,14 @@ def _expansion_flops(exp) -> int:
     return int(sum(t.plan.total_flops for t in exp.terms))
 
 
+def _preset_record(suite, geometry, model, param, seed_tag, method, pre, rank, exact, workers):
+    """The row of one preset expansion: its scaled value against ``exact``
+    and the planned flops of its terms."""
+    val = float(evaluate(pre.expansion, workers=workers).value) * pre.scale
+    return BenchRecord(suite, geometry, model, param, seed_tag, method, pre.name, rank, "rel",
+                       val, exact, rel_error(exact, val), _expansion_flops(pre.expansion))
+
+
 def _scalar_records(suite, geometry, model, param, seed_tag, g, methods, workers):
     """Evaluate scalar methods against the exact contraction of ``g``."""
     exact = float(contract(g.net))
@@ -336,10 +340,8 @@ def _scalar_records(suite, geometry, model, param, seed_tag, g, methods, workers
             else:
                 pre = build_preset(preset, g, projectors=projectors, rank=rank,
                                    bp_state=bp_state if projectors == "bp" else None, **kwargs)
-                val = float(evaluate(pre.expansion, workers=workers).value) * pre.scale
-                out.append(BenchRecord(suite, geometry, model, param, seed_tag, method, preset, rank,
-                                       "rel", val, exact, rel_error(exact, val),
-                                       _expansion_flops(pre.expansion)))
+                out.append(_preset_record(suite, geometry, model, param, seed_tag, method, pre, rank,
+                                          exact, workers))
         except (NetworkError, BenchError) as exc:
             out.append(BenchRecord(suite, geometry, model, param, seed_tag, method, preset, rank,
                                    "rel", math.nan, exact, math.nan, 0, converged=False))
@@ -456,20 +458,14 @@ def _run_degenerate(trials, seed, workers):
                                        "bp", "-", 1, "rel", val, exact, rel_error(exact, val), 0))
             for preset in ("grid3x3-chi5", "grid3x3-chi4"):
                 pre = build_preset(preset, g, projectors="bp", bp_state=bp_state)
-                val = float(evaluate(pre.expansion, workers=workers).value)
-                records.append(BenchRecord("degenerate-ising", "12x12->3x3", "ising2d-open", param,
-                                           "-", f"pne-r1({preset[-4:]})", preset, 1, "rel",
-                                           val, exact, rel_error(exact, val),
-                                           _expansion_flops(pre.expansion)))
+                records.append(_preset_record("degenerate-ising", "12x12->3x3", "ising2d-open", param,
+                                              "-", f"pne-r1({preset[-4:]})", pre, 1, exact, workers))
         weight_state = run_weight_passing(g.net, **wp_kw)
         for preset in ("grid3x3-chi5", "grid3x3-chi4"):
             pre = build_preset(preset, g, projectors="weights", rank=2,
                                weight_state=weight_state)
-            val = float(evaluate(pre.expansion, workers=workers).value) * pre.scale
-            records.append(BenchRecord("degenerate-ising", "12x12->3x3", "ising2d-open", param,
-                                       "-", f"pne-r2({preset[-4:]})", preset, 2, "rel",
-                                       val, exact, rel_error(exact, val),
-                                       _expansion_flops(pre.expansion)))
+            records.append(_preset_record("degenerate-ising", "12x12->3x3", "ising2d-open", param,
+                                          "-", f"pne-r2({preset[-4:]})", pre, 2, exact, workers))
     return records
 
 
@@ -494,11 +490,8 @@ def _run_rank_sweep(trials, seed, workers):
                 for r in ranks:
                     pre = build_preset(preset, g, projectors="weights", rank=r,
                                        weight_state=weight_state)
-                    val = float(evaluate(pre.expansion, workers=workers).value) * pre.scale
-                    records.append(BenchRecord("rank-sweep", geom, "random", "bias=0.2",
-                                               str(seed + t), variant, preset, r, "rel", val, exact,
-                                               rel_error(exact, val),
-                                               _expansion_flops(pre.expansion)))
+                    records.append(_preset_record("rank-sweep", geom, "random", "bias=0.2",
+                                                  str(seed + t), variant, pre, r, exact, workers))
     return records
 
 

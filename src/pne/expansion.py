@@ -29,6 +29,7 @@ from pne.network import (
     ContractionPlan,
     DenseOp,
     EdgeInsertion,
+    MemoryBudgetError,
     NetworkError,
     ProjectorP,
     TensorNetwork,
@@ -146,13 +147,17 @@ def _ketbra_overlap(part: Partition) -> tuple[np.ndarray, np.ndarray, float]:
 
 
 def _pattern_network(
-    net: TensorNetwork, partitions: Sequence[Partition], pattern: Sequence[str]
+    net: TensorNetwork, partitions: Sequence[Partition], pattern: Sequence[str],
+    memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES,
 ) -> TensorNetwork:
     """The network of one pattern, built as the module docstring states.
 
     Complements of overlapping partitions compose as operators on the shared
     edges, tail to head. The factors go in as one batch in edge order, then
-    the joint projectors, which never share edges with anything.
+    the joint projectors, which never share edges with anything. A
+    multi-edge or joint complement is a dense D x D matrix over the merged
+    space; :class:`MemoryBudgetError` is raised before building one larger
+    than ``memory_cap_bytes``.
     """
     remap = {e: e for e in net.edges}
     work = net
@@ -170,6 +175,13 @@ def _pattern_network(
             q = np.eye(f.shape[0]) - f @ f.T
             work = apply_insertions(work, [EdgeInsertion(remap[part.edges[0]], DenseOp(q, side=0))])
         elif tag == "Q":
+            dim = math.prod(net.edges[e].dim for e in part.edges)
+            if dim * dim * 8 > memory_cap_bytes:
+                raise MemoryBudgetError(
+                    f"partition {part.id}: dense complement of {dim}x{dim} entries "
+                    f"({dim * dim * 8} bytes) exceeds the {memory_cap_bytes}-byte cap",
+                    shape=(dim, dim),
+                )
             p = part.dense_matrix()
             eids = [remap[e] for e in part.edges]
             work, continuation = insert_joint_dense(work, eids, np.eye(p.shape[0]) - p)
@@ -222,7 +234,9 @@ class Expansion:
 
 
 def _check_partitions(net: TensorNetwork, partitions: Sequence[Partition]) -> None:
-    seen: dict[int, np.ndarray ] = {}
+    if not partitions:
+        raise ExpansionError("an expansion needs at least one partition")
+    seen: dict[int, np.ndarray] = {}
     joint_edges: set[int] = set()
     for part in partitions:
         factorized = isinstance(part.projector, Factorized)
@@ -461,7 +475,8 @@ def evaluate_residue(
     """
     total = None
     for spec in exp.residues:
-        work = _pattern_network(spec.network, spec.partitions, ("Q",) * len(spec.partitions))
+        all_q = ("Q",) * len(spec.partitions)
+        work = _pattern_network(spec.network, spec.partitions, all_q, memory_cap_bytes)
         val = spec.coefficient * contract(work, memory_cap_bytes=memory_cap_bytes)
         total = val if total is None else total + val
     total = np.asarray(total)
@@ -561,25 +576,26 @@ def recursive_expand(
     projector_source: ProjectorSource,
     chi: float | None = None,
     depth_cap: int = 4,
-    form: str = "combinatorial",
 ) -> Expansion:
-    """Expand, then re-expand every term whose planned cost exceeds the cap.
+    """Expand combinatorially, then re-expand every term whose planned cost
+    exceeds the cap.
 
     ``projector_source(sub_network, depth)`` supplies finer partitions for an
     over-budget term; it may return the sub-network re-gauged (any rewriting
     that preserves the contracted value) together with partitions on it, or
     None when it cannot help. The flattened signed term list plus one residue
-    per expansion event reproduces the exact contraction.
+    per expansion event reproduces the exact contraction. A term that stays
+    over the cap raises :class:`ExpansionError` naming, per term, the depth
+    cap or the depth at which the source had no finer partitions.
     """
     if chi is None:
         chi = max(e.dim for e in net.edges.values())
-    builder = build_combinatorial if form == "combinatorial" else build_linear
 
     flat_terms: list[ExpansionTerm] = []
     residues: list[ResidueSpec] = []
 
     def expand(work: TensorNetwork, parts: Sequence[Partition], coeff: float, depth: int) -> None:
-        exp = builder(work, parts)
+        exp = build_combinatorial(work, parts)
         residues.append(ResidueSpec(coefficient=coeff, network=work, partitions=tuple(parts)))
         offenders = []
         for term in exp.terms:
@@ -594,19 +610,16 @@ def recursive_expand(
                 )
                 continue
             if depth + 1 > depth_cap:
-                offenders.append(term.pattern)
+                offenders.append(f"{term.pattern} (depth cap {depth_cap} reached)")
                 continue
             sourced = projector_source(term.network, depth + 1)
             if not sourced:
-                offenders.append(term.pattern)
+                offenders.append(f"{term.pattern} (no finer partitions at depth {depth + 1})")
                 continue
             sub_net, sub_parts = sourced
             expand(sub_net, sub_parts, coeff * term.coefficient, depth + 1)
         if offenders:
-            raise ExpansionError(
-                f"depth cap {depth_cap} reached with terms above cost exponent "
-                f"{cost_cap_exponent}: {offenders}"
-            )
+            raise ExpansionError(f"terms above cost exponent {cost_cap_exponent}: {'; '.join(offenders)}")
 
     try:
         expand(net, tuple(partitions), 1.0, 0)

@@ -121,9 +121,11 @@ def _grid_layout(shape: tuple[int, ...], open_axes: frozenset[tuple[Pos, AxisDir
     position), then open legs (by position). Returns ``(node_of, bond,
     open_leg, attachments)``, where ``attachments`` maps each edge id, in
     ascending order, to its ``(node, axis)`` endpoints, tail first. Raises
-    :class:`ModelError` for an ``open_axes`` entry that points into the
-    lattice or names a position outside it.
+    :class:`ModelError` for a non-positive extent, or for an ``open_axes``
+    entry that points into the lattice or names a position outside it.
     """
+    if any(n < 1 for n in shape):
+        raise ModelError(f"lattice extents {shape} must be positive")
     positions = _positions(shape)
     node_of = {pos: i for i, pos in enumerate(positions)}
     bond_keys = [(g, pos) for g in range(len(shape)) for pos in positions if pos[g] + 1 < shape[g]]
@@ -398,6 +400,8 @@ class BlockedUnit:
         self.factors = tuple(int(f) for f in factors)
         if self.unit.ndim != 2 * len(self.factors):
             raise ModelError("blocking factors must give one entry per grid axis")
+        if any(f < 1 for f in self.factors):
+            raise ModelError(f"blocking factors {self.factors} must be positive")
         self.ndim = len(self.factors)
         self._materialized: np.ndarray | None = None
 
@@ -478,6 +482,8 @@ def block(grid: GridNetwork, factors: tuple[int, ...]) -> GridNetwork:
     factors = tuple(int(f) for f in factors)
     if len(factors) != len(grid.shape):
         raise ModelError("one blocking factor per grid axis is required")
+    if any(f < 1 for f in factors):
+        raise ModelError(f"blocking factors {factors} must be positive")
     if any(n % f for n, f in zip(grid.shape, factors)):
         raise ModelError(f"shape {grid.shape} is not divisible by factors {factors}")
     new_shape = tuple(n // f for n, f in zip(grid.shape, factors))

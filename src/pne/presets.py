@@ -2,14 +2,14 @@
 turns a lattice network into a ready-to-evaluate expansion.
 
 Layouts are data: lists of edge coordinates on the generator grids. The
-projector payload comes from a fixed point of message passing (rank 1, via
-the symmetrizing gauge), from weight passing (any rank), or from seeded
-random isometries (verification).
+projector payload comes from :func:`source_projectors`, for any network: a
+fixed point of message passing (rank 1, via the symmetrizing gauge), weight
+passing (any rank), or seeded random isometries (verification).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -19,6 +19,7 @@ from pne.belief import (
     SymmetrizedGauge,
     grouped_network,
     joint_message_pair,
+    projectors_from_bp,
     run_bp,
     symmetrize,
 )
@@ -34,10 +35,10 @@ from pne.expansion import (
 )
 from pne.models import GridNetwork
 from pne.network import TensorNetwork
-from pne.tensor import basis_columns
 from pne.weights import WeightState, projectors_from_weights, rank_stage, run_weight_passing
 
-__all__ = ["PresetError", "LayoutSpec", "PresetExpansion", "PRESETS", "preset_names", "build_preset"]
+__all__ = ["PresetError", "LayoutSpec", "PresetExpansion", "PRESETS", "preset_names",
+           "source_projectors", "build_preset"]
 
 
 class PresetError(ExpansionError):
@@ -53,19 +54,21 @@ class LayoutSpec:
     recursion_cap: float | None = None
 
 
+def _cuts(*edges: int) -> LayoutSpec:
+    """The linear layout of one single-edge partition per edge, in order."""
+    return LayoutSpec(form="linear", edge_lists=tuple((e,) for e in edges))
+
+
 def _doubleloop_3v(g: GridNetwork) -> LayoutSpec:
-    return LayoutSpec(
-        form="linear",
-        edge_lists=tuple((g.v_edge(0, c),) for c in range(3)),
-    )
+    return _cuts(*(g.v_edge(0, c) for c in range(3)))
 
 
 def _doubleloop_cut1(g: GridNetwork) -> LayoutSpec:
-    return LayoutSpec(form="linear", edge_lists=((g.v_edge(0, 0),),))
+    return _cuts(g.v_edge(0, 0))
 
 
 def _doubleloop_single(g: GridNetwork) -> LayoutSpec:
-    return LayoutSpec(form="linear", edge_lists=((g.v_edge(0, 1),),))
+    return _cuts(g.v_edge(0, 1))
 
 
 def _doubleloop_2col(g: GridNetwork) -> LayoutSpec:
@@ -79,50 +82,35 @@ def _doubleloop_2col(g: GridNetwork) -> LayoutSpec:
 
 
 def _grid3x3_chi5(g: GridNetwork) -> LayoutSpec:
-    return LayoutSpec(
-        form="linear",
-        edge_lists=(
-            (g.v_edge(0, 0),),
-            (g.v_edge(0, 2),),
-            (g.v_edge(1, 0),),
-            (g.v_edge(1, 2),),
-        ),
-    )
+    return _cuts(g.v_edge(0, 0), g.v_edge(0, 2), g.v_edge(1, 0), g.v_edge(1, 2))
 
 
 def _grid3x3_single(g: GridNetwork) -> LayoutSpec:
-    return LayoutSpec(form="linear", edge_lists=((g.v_edge(0, 0),),))
+    return _cuts(g.v_edge(0, 0))
+
+
+def _six_lines(g: GridNetwork, r0: int) -> tuple[tuple[int, ...], ...]:
+    """Two column cuts, two row cuts and two corner-triangle diagonal cuts of
+    the 3x3 window whose top lattice row is ``r0``.
+
+    The six lines necessarily share edges; that is fine because every shared
+    edge carries the same factor.
+    """
+    h, v = g.h_edge, g.v_edge
+    cols = tuple(tuple(h(r, c) for r in range(r0, r0 + 3)) for c in range(2))
+    rows = tuple(tuple(v(r, c) for c in range(3)) for r in (r0, r0 + 1))
+    d_tl = (h(r0, 1), v(r0, 1), h(r0 + 1, 0), v(r0 + 1, 0))
+    d_br = (v(r0, 2), h(r0 + 1, 1), v(r0 + 1, 1), h(r0 + 2, 0))
+    return cols + rows + (d_tl, d_br)
 
 
 def _grid3x3_chi4(g: GridNetwork) -> LayoutSpec:
-    """Two column cuts, two row cuts and two corner-triangle diagonal cuts.
-
-    The six lines necessarily share edges; that is fine because every shared
-    edge carries the same rank-1 message factor.
-    """
-    v1 = tuple(g.h_edge(r, 0) for r in range(3))
-    v2 = tuple(g.h_edge(r, 1) for r in range(3))
-    h1 = tuple(g.v_edge(0, c) for c in range(3))
-    h2 = tuple(g.v_edge(1, c) for c in range(3))
-    d_tl = (g.h_edge(0, 1), g.v_edge(0, 1), g.h_edge(1, 0), g.v_edge(1, 0))
-    d_br = (g.v_edge(0, 2), g.h_edge(1, 1), g.v_edge(1, 1), g.h_edge(2, 0))
-    return LayoutSpec(
-        form="combinatorial",
-        edge_lists=(v1, v2, h1, h2, d_tl, d_br),
-    )
+    return LayoutSpec(form="combinatorial", edge_lists=_six_lines(g, 0))
 
 
 def _cube_chi5(g: GridNetwork) -> LayoutSpec:
-    return LayoutSpec(
-        form="linear",
-        edge_lists=(
-            (g.bond[(0, (0, 0, 0))],),
-            (g.bond[(0, (0, 0, 1))],),
-            (g.bond[(0, (0, 1, 0))],),
-            (g.bond[(1, (0, 0, 0))],),
-            (g.bond[(2, (0, 1, 0))],),
-        ),
-    )
+    keys = [(0, (0, 0, 0)), (0, (0, 0, 1)), (0, (0, 1, 0)), (1, (0, 0, 0)), (2, (0, 1, 0))]
+    return _cuts(*(g.bond[k] for k in keys))
 
 
 def _cube_chi4(g: GridNetwork) -> LayoutSpec:
@@ -151,16 +139,7 @@ OPEN2X3_AXES = frozenset({((1, c), (0, 1)) for c in range(3)})
 
 
 def _open2x3_chi5(g: GridNetwork) -> LayoutSpec:
-    return LayoutSpec(
-        form="linear",
-        edge_lists=(
-            (g.v_edge(0, 0),),
-            (g.v_edge(0, 1),),
-            (g.v_edge(0, 2),),
-            (g.h_edge(0, 0),),
-            (g.h_edge(0, 1),),
-        ),
-    )
+    return _cuts(g.v_edge(0, 0), g.v_edge(0, 1), g.v_edge(0, 2), g.h_edge(0, 0), g.h_edge(0, 1))
 
 
 def _open2x3_chi4(g: GridNetwork) -> LayoutSpec:
@@ -175,18 +154,8 @@ def _open2x3_chi4(g: GridNetwork) -> LayoutSpec:
 
 
 def _grid5x4_chi6(g: GridNetwork) -> LayoutSpec:
-    return LayoutSpec(
-        form="linear",
-        edge_lists=(
-            (g.v_edge(1, 0),),
-            (g.v_edge(1, 2),),
-            (g.v_edge(2, 1),),
-            (g.v_edge(2, 3),),
-            (g.h_edge(0, 1),),
-            (g.h_edge(2, 1),),
-            (g.h_edge(4, 1),),
-        ),
-    )
+    v, h = g.v_edge, g.h_edge
+    return _cuts(v(1, 0), v(1, 2), v(2, 1), v(2, 3), h(0, 1), h(2, 1), h(4, 1))
 
 
 def _grid4x3_recursive(g: GridNetwork) -> LayoutSpec:
@@ -235,9 +204,6 @@ class PresetExpansion:
     name: str
     net: TensorNetwork
     expansion: Expansion
-    projector_source: str
-    rank: int
-    bp_state: BPState | None = None
     gauge: SymmetrizedGauge | None = None
     weight_state: WeightState | None = None
     scale: float = 1.0            # multiply evaluated values by this (weight prefactor)
@@ -248,6 +214,67 @@ def _random_isometry(dim: int, rank: int, rng: np.random.Generator) -> np.ndarra
     return q[:, :rank]
 
 
+def source_projectors(
+    net: TensorNetwork,
+    projectors: str = "bp",
+    rank: int = 1,
+    seed: int = 0,
+    bp_kwargs: dict | None = None,
+    bp_state: BPState | None = None,
+    weight_state: WeightState | None = None,
+) -> tuple[TensorNetwork, Callable[[int], np.ndarray], dict]:
+    """Gauge any network for one projector source.
+
+    ``projectors`` selects the dominant-subspace source: ``"bp"`` runs
+    message passing and symmetrizes (rank must be 1), ``"weights"`` runs
+    weight passing (any rank, clipped to each edge's extent), ``"random"``
+    draws isometries from ``seed`` in the order their edges are asked for.
+    A precomputed ``bp_state`` or ``weight_state`` for ``net`` is reused.
+    Returns the network in the source's gauge (same value, up to the BP
+    gauge's open-leg rotations), ``factor_of(edge)``, the ``(dim, rank)``
+    isometry of one of its edges, and the :class:`PresetExpansion` fields
+    the source sets.
+
+    Weight factors come from ``projectors_from_weights``. At rank 1 they are
+    read from the weight state itself; the steeper its ``alpha``, the further
+    its trailing spectrum falls, and at 0.8 on random chi=16 patches the
+    directions after the first are not resolved. Above rank 1 they are read
+    from ``rank_stage`` of that state, the same gauge carried on to the
+    flatter ``RANK_ALPHA``, whose network and prefactor are returned.
+    """
+    if projectors == "bp":
+        if rank != 1:
+            raise PresetError("fixed-point message projectors are inherently rank 1; use weights")
+        if bp_state is None:
+            bp_state = run_bp(net, **(bp_kwargs or {}))
+        if not bp_state.converged:
+            raise PresetError(
+                f"message passing did not converge (residual {bp_state.max_residual:.2e}); "
+                "use projectors='weights'"
+            )
+        gauged, gauge = symmetrize(net, bp_state)
+        return gauged, lambda e: projectors_from_bp(gauge, [e])[e].isometry, {"gauge": gauge}
+    if projectors == "weights":
+        if weight_state is None:
+            weight_state = run_weight_passing(net)
+        state = rank_stage(weight_state) if rank > 1 and weight_state.converged else weight_state
+        if not state.converged:
+            raise PresetError(
+                f"weight passing did not converge at alpha {state.alpha:g} "
+                f"(residual {state.residual:.2e})"
+            )
+        weighted = state.network_with_weights()
+        factor_of = lambda e: projectors_from_weights(
+            state, [e], min(rank, weighted.edges[e].dim)
+        )[e].isometry
+        scale = float(np.exp(state.log_prefactor))
+        return weighted, factor_of, {"weight_state": weight_state, "scale": scale}
+    if projectors == "random":
+        rng = np.random.default_rng(seed)
+        return net, lambda e: _random_isometry(net.edges[e].dim, min(rank, net.edges[e].dim), rng), {}
+    raise PresetError(f"unknown projector source {projectors!r}")
+
+
 def build_preset(
     name: str,
     grid: GridNetwork,
@@ -255,25 +282,15 @@ def build_preset(
     rank: int = 1,
     seed: int = 0,
     bp_kwargs: dict | None = None,
-    wp_kwargs: dict | None = None,
     bp_state: BPState | None = None,
     weight_state: WeightState | None = None,
 ) -> PresetExpansion:
     """Instantiate a named partition layout on a generator lattice.
 
-    ``projectors`` selects the dominant-subspace source: ``"bp"`` runs
-    message passing and symmetrizes (rank must be 1), ``"weights"`` runs
-    weight passing (any rank, clipped to each edge's extent), ``"random"``
-    draws seeded isometries (for exactness verification). A precomputed
-    ``bp_state`` or ``weight_state`` for ``grid.net`` is reused instead of
-    iterating again (several presets or ranks on one instance).
-
-    Weight factors come from ``projectors_from_weights``. At rank 1 they are
-    read from the weight state itself; the steeper its ``alpha``, the further
-    its trailing spectrum falls, and at 0.8 on random chi=16 patches the
-    directions after the first are not resolved. Above rank 1 they are read from ``rank_stage`` of that
-    state, the same gauge carried on to the flatter ``RANK_ALPHA``, whose
-    network and prefactor the expansion then uses.
+    The network and factors come from :func:`source_projectors` on
+    ``grid.net``. The recursive preset cuts its over-budget terms with
+    random factors under ``projectors="random"`` and re-gauges them with BP
+    otherwise, ``"weights"`` included.
     """
     if name not in PRESETS:
         raise PresetError(f"unknown preset {name!r}; available: {', '.join(preset_names())}")
@@ -284,47 +301,11 @@ def build_preset(
     if rank > 1 and not layout.rank_capable:
         raise PresetError(f"preset {name} is a rank-1 construction")
 
-    gauge = None
-    scale = 1.0
-
-    if projectors == "bp":
-        if rank != 1:
-            raise PresetError("fixed-point message projectors are inherently rank 1; use weights")
-        if bp_state is None:
-            bp_state = run_bp(grid.net, **(bp_kwargs or {}))
-        if not bp_state.converged:
-            raise PresetError(
-                f"message passing did not converge (residual {bp_state.max_residual:.2e}); "
-                "use projectors='weights'"
-            )
-        net, gauge = symmetrize(grid.net, bp_state)
-        factor_of = lambda e: basis_columns(net.edges[e].dim, 1)
-    elif projectors == "weights":
-        if weight_state is None:
-            weight_state = run_weight_passing(grid.net, **(wp_kwargs or {}))
-        state = weight_state
-        if rank > 1 and state.converged:
-            state = rank_stage(state)
-        if not state.converged:
-            raise PresetError(
-                f"weight passing did not converge at alpha {state.alpha:g} "
-                f"(residual {state.residual:.2e})"
-            )
-        net = state.network_with_weights()
-        scale = float(np.exp(state.log_prefactor))
-        factor_of = lambda e: projectors_from_weights(
-            state, [e], min(rank, net.edges[e].dim)
-        )[e].isometry
-    elif projectors == "random":
-        rng = np.random.default_rng(seed)
-        net = grid.net
-        factor_of = lambda e: _random_isometry(net.edges[e].dim, min(rank, net.edges[e].dim), rng)
-    else:
-        raise PresetError(f"unknown projector source {projectors!r}")
-
+    net, factor_of, fields = source_projectors(
+        grid.net, projectors, rank, seed, bp_kwargs, bp_state, weight_state
+    )
     partitions = _factorized_partitions(layout.edge_lists, factor_of)
-    pid = len(partitions)
-    for pair in layout.joint_pairs:
+    for pid, pair in enumerate(layout.joint_pairs, len(partitions)):
         if projectors != "bp":
             raise PresetError("joint two-site partitions require fixed-point message projectors")
         derived, fused = grouped_network(net, pair)
@@ -333,7 +314,6 @@ def build_preset(
             raise PresetError(f"grouped message passing on pair {pair} did not converge")
         ket, bra, ov = joint_message_pair(sub_state, fused)
         partitions.append(Partition(id=pid, edges=tuple(pair), projector=JointKetBra(ket=ket, bra=bra)))
-        pid += 1
 
     if layout.form == "linear":
         expansion = build_linear(net, partitions)
@@ -341,17 +321,7 @@ def build_preset(
         expansion = build_combinatorial(net, partitions)
     else:
         expansion = _build_recursive(grid, net, partitions, layout, projectors, seed)
-    return PresetExpansion(
-        name=name,
-        net=net,
-        expansion=expansion,
-        projector_source=projectors,
-        rank=rank,
-        bp_state=bp_state,
-        gauge=gauge,
-        weight_state=weight_state,
-        scale=scale,
-    )
+    return PresetExpansion(name=name, net=net, expansion=expansion, **fields)
 
 
 def _factorized_partitions(edge_lists, factor_of: Callable[[int], np.ndarray]) -> list[Partition]:
@@ -369,65 +339,27 @@ def _factorized_partitions(edge_lists, factor_of: Callable[[int], np.ndarray]) -
     return partitions
 
 
-def _full_extent_edges(net: TensorNetwork, reference: TensorNetwork) -> set[int]:
-    return {
-        e for e, edge in net.edges.items()
-        if e in reference.edges and edge.dim == reference.edges[e].dim
-    }
-
-
 def _build_recursive(grid, net, partitions, layout, projectors, seed):
-    """Recursive preset: over-budget terms are re-gauged and re-partitioned
-    with the six-line scheme restricted to their surviving full-extent
-    cluster of ``grid``."""
+    """Recursive preset: an over-budget term is re-gauged and cut with the
+    six lines of the 3x3 window between its two full-extent bond rows.
+
+    The term networks keep the edge ids of ``net``; an edge a projector has
+    capped is narrower there, so the full-extent edges are the uncut ones.
+    """
+    kind = "random" if projectors == "random" else "bp"
 
     def source(sub_net: TensorNetwork, depth: int):
-        alive = _full_extent_edges(sub_net, net)
-        # Cluster lines: group surviving edges of each original line that
-        # still has all members alive; then cut the cluster with its own
-        # column/row/diagonal lines, mirroring the dense 3x3 scheme.
-        lines = [tuple(es) for es in _cluster_lines(grid, alive)]
-        if not lines:
+        def full(e: int) -> bool:
+            return e in sub_net.edges and sub_net.edges[e].dim == net.edges[e].dim
+
+        rows = [r for r in range(grid.shape[0] - 1) if all(full(grid.v_edge(r, c)) for c in range(3))]
+        if len(rows) != 2 or rows[1] != rows[0] + 1:
             return None
-        if projectors == "random":
-            rng = np.random.default_rng(seed + 7919 * depth)
-            return sub_net, _factorized_partitions(
-                lines, lambda e: _random_isometry(sub_net.edges[e].dim, 1, rng)
-            )
-        state = run_bp(sub_net)
-        if not state.converged:
+        lines = _six_lines(grid, rows[0])
+        if not all(full(e) for line in lines for e in line):
             return None
-        gauged, _ = symmetrize(sub_net, state)
-        return gauged, _factorized_partitions(lines, lambda e: basis_columns(gauged.edges[e].dim, 1))
+        gauged, factor_of, _ = source_projectors(sub_net, kind, 1, seed + 7919 * depth)
+        return gauged, _factorized_partitions(lines, factor_of)
 
-    return recursive_expand(
-        net,
-        partitions,
-        cost_cap_exponent=layout.recursion_cap,
-        projector_source=source,
-        depth_cap=4,
-    )
-
-
-def _cluster_lines(grid: GridNetwork, alive: set[int]):
-    """Partition lines for the full-extent cluster of a 4x3 recursion term.
-
-    The term networks keep the original edge ids, so the surviving 3x3
-    cluster can be cut with the same column/row/diagonal lines as the dense
-    3x3 preset, expressed through the original lattice coordinates.
-    """
-    v, h = grid.v_edge, grid.h_edge
-    rows_alive = [r for r in range(3) if all(v(r, c) in alive for c in range(3))]
-    if len(rows_alive) != 2 or rows_alive[1] != rows_alive[0] + 1:
-        return []
-    r0 = rows_alive[0]          # cluster spans grid rows r0 .. r0+2
-    rows = [r0, r0 + 1, r0 + 2]
-    gaps = rows_alive
-    col_lines = [tuple(h(r, c) for r in rows) for c in range(2)]
-    row_lines = [tuple(v(gp, c) for c in range(3)) for gp in gaps]
-    d_tl = (h(rows[0], 1), v(gaps[0], 1), h(rows[1], 0), v(gaps[1], 0))
-    d_br = (v(gaps[0], 2), h(rows[1], 1), v(gaps[1], 1), h(rows[2], 0))
-    lines = col_lines + row_lines + [d_tl, d_br]
-    if not all(all(e in alive for e in line) for line in lines):
-        return []
-    return lines
+    return recursive_expand(net, partitions, cost_cap_exponent=layout.recursion_cap,
+                            projector_source=source, depth_cap=4)

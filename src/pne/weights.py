@@ -25,6 +25,7 @@ which keeps the trailing merged spectrum many orders above the floor.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -154,10 +155,7 @@ def _update_edge(state: WeightState, index, eid: int) -> WeightState:
     s_a, vh_a = res_a.s, res_a.vh_matrix()
     u_b, s_b = res_b.u_matrix(), res_b.s
     if np.any(s_a < SINGULAR_FLOOR) or np.any(s_b < SINGULAR_FLOOR):
-        warnings.warn(
-            f"edge {eid}: singular values below {SINGULAR_FLOOR:g} floored during weight update",
-            stacklevel=2,
-        )
+        _warn(f"edge {eid}: singular values below {SINGULAR_FLOOR:g} floored during weight update")
     inv_a = 1.0 / np.maximum(s_a, SINGULAR_FLOOR)
     inv_b = 1.0 / np.maximum(s_b, SINGULAR_FLOOR)
 
@@ -307,13 +305,20 @@ def projectors_from_weights(
         if rank > dim:
             raise WeightPassingError(f"rank {rank} exceeds the extent {dim} of edge {eid}")
         if rank < dim and _unresolved_cutoff(w, rank, state.alpha):
-            warnings.warn(
+            _warn(
                 f"edge {eid}: weight spectrum is degenerate at the rank-{rank} cutoff "
-                f"(weights {w[rank - 1]:.2e}, {w[rank]:.2e})",
-                stacklevel=2,
+                f"(weights {w[rank - 1]:.2e}, {w[rank]:.2e})"
             )
         out[eid] = ProjectorP(isometry=basis_columns(dim, rank))
     return out
+
+
+def _warn(message: str) -> None:
+    """Warn at the first calling frame outside the ``pne`` package."""
+    frame, level = sys._getframe(), 1
+    while frame is not None and frame.f_globals.get("__name__", "").partition(".")[0] == "pne":
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
 
 
 def _unresolved_cutoff(w: np.ndarray, rank: int, alpha: float) -> bool:

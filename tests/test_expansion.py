@@ -25,6 +25,7 @@ from pne.network import (
     Edge,
     EdgeInsertion,
     InsertionError,
+    MemoryBudgetError,
     TensorNetwork,
     apply_insertions,
     contract,
@@ -107,6 +108,12 @@ class TestBuildLinear:
         parts = single_parts(g, [0, 0], [e0col(3), e0col(3)])
         with pytest.raises(ExpansionError, match="more than one"):
             build_linear(g.net, parts)
+
+    @pytest.mark.parametrize("builder", [build_linear, build_combinatorial])
+    def test_no_partitions_rejected(self, builder):
+        g = random_grid((2, 2), 3, bias=0.2, seed=4)
+        with pytest.raises(ExpansionError, match="at least one partition"):
+            builder(g.net, [])
 
 
 class TestBuildCombinatorial:
@@ -241,6 +248,21 @@ class TestResidue:
         )
         with pytest.raises(ExpansionError, match="subtraction"):
             evaluate_residue(exp)
+
+    def test_dense_complement_respects_memory_cap(self):
+        # Two 4x4 nodes joined by two chi=4 edges: the joint complement is a
+        # 16x16 matrix (2048 bytes), while every contraction step of the
+        # residue network stays at 16 entries (128 bytes).
+        rng = np.random.default_rng(16)
+        net = TensorNetwork.build(
+            {0: rng.normal(size=(4, 4)), 1: rng.normal(size=(4, 4))},
+            {0: ((0, 0), (1, 0)), 1: ((0, 1), (1, 1))},
+        )
+        part = Partition(id=0, edges=(0, 1), projector=Factorized((rand_iso(4, 1, rng), rand_iso(4, 1, rng))))
+        exp = build_combinatorial(net, [part])
+        with pytest.raises(MemoryBudgetError, match="dense complement"):
+            evaluate_residue(exp, cross_check=False, memory_cap_bytes=1024)
+        assert np.isfinite(float(evaluate_residue(exp, memory_cap_bytes=4096)))
 
 
 class TestPrune:
@@ -391,7 +413,7 @@ class TestRecursive:
         parts = single_parts(g, [g.v_edge(0, 1)], [rand_iso(3, 1, rng)])
         exp = recursive_expand(
             g.net, parts, cost_cap_exponent=10,
-            projector_source=lambda net, depth: None, form="linear",
+            projector_source=lambda net, depth: None,
         )
         assert len(exp.terms) == 1 and len(exp.residues) == 1
 
@@ -405,6 +427,17 @@ class TestRecursive:
         with pytest.raises(ExpansionError, match="depth cap"):
             recursive_expand(g.net, parts, cost_cap_exponent=4,
                              projector_source=lambda net, depth: None, depth_cap=0)
+
+    def test_offender_names_missing_partitions(self):
+        g = random_grid((4, 3), 3, bias=0.2, seed=26)
+        parts = [
+            Partition(id=k, edges=es, projector=Factorized(tuple(e0col(3) for _ in es)))
+            for k, es in enumerate(self._lines_4x3(g))
+        ]
+        with pytest.raises(ExpansionError, match="no finer partitions at depth 1") as info:
+            recursive_expand(g.net, parts, cost_cap_exponent=4,
+                             projector_source=lambda net, depth: None, depth_cap=4)
+        assert "depth cap" not in str(info.value)
 
     def test_recursive_exactness_and_cost(self):
         from pne.presets import build_preset

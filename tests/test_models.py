@@ -121,6 +121,13 @@ class TestRandom:
         t = random_tensor((6, 6), bias=0.2, seed=2)
         assert t.min() >= -0.8 and t.max() <= 1.2
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, -1)])
+    def test_non_positive_extent_rejected(self, shape):
+        with pytest.raises(ModelError, match="positive"):
+            random_grid(shape, 3)
+        with pytest.raises(ModelError, match="positive"):
+            ising_open_patch(2, 0.4, shape)
+
 
 class TestGridView:
     def test_recovers_generator_lookups(self):
@@ -201,6 +208,14 @@ class TestBlocking:
         got = lazy.apply_caps(caps)
         want = np.einsum("udlr,u,r->dl", dense, caps[(0, 0)], caps[(1, 1)])
         np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("factors", [(0, 1), (-1, 2)])
+    def test_non_positive_factors_rejected(self, factors):
+        g = random_grid((2, 2), 2, bias=0.2, seed=3)
+        with pytest.raises(ModelError, match="positive"):
+            block(g, factors)
+        with pytest.raises(ModelError, match="positive"):
+            block_unit(ising_unit_tensor(2, 0.4), factors)
 
 
 class TestUniformBP:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pne.belief import run_bp
 from pne.expansion import evaluate, evaluate_residue
 from pne.models import random_grid
 from pne.network import contract
@@ -97,6 +98,29 @@ def test_cube_chi4_joint_pairs():
     assert abs(float(val) + float(res) - float(exact)) / abs(float(exact)) < 1e-10
     principal = [t for t in pre.expansion.terms if sum(x == "P" for x in t.pattern) == 1]
     assert max(t.plan.cost_exponent(CHI) for t in principal) <= 4.0 + 1e-9
+
+
+def test_recursive_bp_exactness():
+    g = random_grid((4, 3), CHI, bias=0.5, seed=0)
+    pre = build_preset("grid4x3-recursive", g, projectors="bp")
+    val = evaluate(pre.expansion).value
+    res = evaluate_residue(pre.expansion, cross_check=False)
+    exact = float(contract(g.net))
+    assert abs(float(val) + float(res) - exact) / abs(exact) < 1e-10
+    assert len(pre.expansion.residues) == 3
+    assert pre.expansion.peak_cost_exponent(CHI) <= 4.0 + 1e-9
+
+
+def test_recursive_source_error_propagates(monkeypatch):
+    # BP converges on the lattice but not on the over-budget terms; the
+    # source's own error surfaces instead of a generic depth-cap report.
+    import pne.presets
+
+    g = random_grid((4, 3), CHI, bias=0.5, seed=0)
+    state = run_bp(g.net)
+    monkeypatch.setattr(pne.presets, "run_bp", lambda net, **kw: run_bp(net, max_iter=1))
+    with pytest.raises(PresetError, match="did not converge"):
+        build_preset("grid4x3-recursive", g, projectors="bp", bp_state=state)
 
 
 def test_unknown_preset():

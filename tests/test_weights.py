@@ -165,6 +165,35 @@ class TestRun:
             run_weight_passing(g.net)
 
 
+def rank_deficient_grid():
+    """A 2x3 grid whose corner node has one slice of its last axis zeroed,
+    so the weight updates meet singular values below the floor."""
+    g = random_grid((2, 3), 3, bias=0.2, seed=0)
+    g.net.nodes[0][..., -1] = 0.0
+    return g
+
+
+def floored_warnings(run):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run()
+    return [w for w in caught if "floored" in str(w.message)]
+
+
+class TestWarningAttribution:
+    def test_floor_warning_names_the_caller(self):
+        g = rank_deficient_grid()
+        caught = floored_warnings(lambda: run_weight_passing(g.net))
+        assert caught and all(w.filename == __file__ for w in caught)
+
+    def test_floor_warning_through_build_preset(self):
+        from pne.presets import build_preset
+
+        g = rank_deficient_grid()
+        caught = floored_warnings(lambda: build_preset("doubleloop-3v", g, projectors="weights"))
+        assert caught and all(w.filename == __file__ for w in caught)
+
+
 class TestProjectors:
     def test_rank_and_idempotence(self):
         g = random_grid((2, 3), 4, bias=0.2, seed=9)
