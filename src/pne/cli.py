@@ -9,6 +9,9 @@ command exits non-zero if the run's internal exactness identities fail.
 ``expand`` places the preset on the lattice layout that ``model`` records
 in the container file, and fails with a named error when there is none or
 when it is not the preset's lattice.
+
+A package error (a network, tensor or container error) ends any command
+with one ``pne: error: ...`` line on standard error and exit status 2.
 """
 
 from __future__ import annotations
@@ -17,6 +20,10 @@ import argparse
 import sys
 
 import numpy as np
+
+from pne.io import ContainerError
+from pne.network import NetworkError
+from pne.tensor import TensorError
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:
@@ -254,7 +261,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_bench)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (NetworkError, TensorError, ContainerError) as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

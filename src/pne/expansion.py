@@ -12,6 +12,15 @@ Every term and every residue is one *pattern*: partition k carries the
 identity ("I"), its projector ("P") or its complement ("Q"). A pattern's
 network takes the complements first, in partition order, then the
 projectors, with a factor shared by several partitions absorbed once.
+
+The terms of one build differ only in what sits on a few edges, so most of
+their dressed node tensors recur. A build therefore keeps a *node-variant
+table* while it runs: each node tensor with an ordered prefix of absorbed
+operators is computed once, from the next shorter prefix, and shared by
+every term that carries it. The order of absorption is the one stated
+above, so a term's bits are those of building it alone. Shared arrays are
+read-only, and the table is dropped when the build returns. Each factor is
+checked (shape and orthonormality) once per build, not once per term.
 """
 
 from __future__ import annotations
@@ -28,11 +37,13 @@ from pne.network import (
     DEFAULT_MEMORY_CAP_BYTES,
     ContractionPlan,
     DenseOp,
+    Edge,
     EdgeInsertion,
     MemoryBudgetError,
     NetworkError,
     ProjectorP,
     TensorNetwork,
+    absorb_matrix,
     apply_insertions,
     contract,
     insert_joint_dense,
@@ -146,51 +157,84 @@ def _ketbra_overlap(part: Partition) -> tuple[np.ndarray, np.ndarray, float]:
     return ket, bra, ov
 
 
+def _shared(table: dict, key: tuple, make: Callable[[], np.ndarray]) -> np.ndarray:
+    """``table[key]``, computed by ``make`` on first use and made read-only."""
+    arr = table.get(key)
+    if arr is None:
+        arr = table[key] = make()
+        arr.flags.writeable = False
+    return arr
+
+
 def _pattern_network(
-    net: TensorNetwork, partitions: Sequence[Partition], pattern: Sequence[str],
+    net: TensorNetwork, partitions: Sequence[Partition], pattern: Sequence[str], table: dict,
     memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES,
 ) -> TensorNetwork:
     """The network of one pattern, built as the module docstring states.
 
     Complements of overlapping partitions compose as operators on the shared
-    edges, tail to head. The factors go in as one batch in edge order, then
-    the joint projectors, which never share edges with anything. A
-    multi-edge or joint complement is a dense D x D matrix over the merged
-    space; :class:`MemoryBudgetError` is raised before building one larger
-    than ``memory_cap_bytes``.
+    edges, tail to head: a single-edge complement is absorbed at the tail of
+    its (possibly continued) edge. The factors go in as one batch in edge
+    order, each absorbed at both endpoints in endpoint order, then the joint
+    projectors, which never share edges with anything. A multi-edge or joint
+    complement is a dense D x D matrix over the merged space;
+    :class:`MemoryBudgetError` is raised before building one larger than
+    ``memory_cap_bytes``.
+
+    ``table`` is the node-variant table of one build. A node's key is its
+    root, ``("node", n)`` for node ``n`` of ``net`` or ``("dense", k)`` for
+    the complement node of partition ``k``, followed by the ops absorbed
+    into it so far, each ``(axis, operator)``. Every absorption is on the
+    tail side. The complement of partition ``k`` is the operator ``("Q",
+    k)`` and a factor is ``("P", id(factor))``, so a factor shared by
+    several partitions is one operator. Each key is absorbed once, from its
+    prefix, with the operands and order above, so a term's bits do not
+    depend on which terms were built before it. The stored arrays,
+    complement matrices included, are shared by all terms and read-only.
     """
+    work = net.copy()
     remap = {e: e for e in net.edges}
-    work = net
+    variant: dict[int, tuple] = {n: ("node", n) for n in net.nodes}
+
+    def absorb(n: int, ax: int, op: tuple, m: np.ndarray) -> None:
+        key = variant[n] + ((ax, op),)
+        work.nodes[n] = _shared(table, key, lambda: absorb_matrix(work.nodes[n], ax, m, head_side=False))
+        variant[n] = key
+
     factors: dict[int, np.ndarray] = {}
     joints: list[Partition] = []
-    for part, tag in zip(partitions, pattern):
+    for k, (part, tag) in enumerate(zip(partitions, pattern)):
         if tag == "P":
             if isinstance(part.projector, Factorized):
                 for e, f in zip(part.edges, part.projector.factors):
-                    factors.setdefault(e, asarray(f))
+                    factors.setdefault(e, f)
             else:
                 joints.append(part)
-        elif tag == "Q" and part.is_single_edge and isinstance(part.projector, Factorized):
-            f = asarray(part.projector.factors[0])
-            q = np.eye(f.shape[0]) - f @ f.T
-            work = apply_insertions(work, [EdgeInsertion(remap[part.edges[0]], DenseOp(q, side=0))])
         elif tag == "Q":
+            single = part.is_single_edge and isinstance(part.projector, Factorized)
             dim = math.prod(net.edges[e].dim for e in part.edges)
-            if dim * dim * 8 > memory_cap_bytes:
+            if not single and dim * dim * 8 > memory_cap_bytes:
                 raise MemoryBudgetError(
                     f"partition {part.id}: dense complement of {dim}x{dim} entries "
                     f"({dim * dim * 8} bytes) exceeds the {memory_cap_bytes}-byte cap",
                     shape=(dim, dim),
                 )
-            p = part.dense_matrix()
+            q = _shared(table, ("Q", k), lambda: _complement(part))
             eids = [remap[e] for e in part.edges]
-            work, continuation = insert_joint_dense(work, eids, np.eye(p.shape[0]) - p)
-            for orig, cur in zip(part.edges, eids):
-                remap[orig] = continuation[cur]
-    if factors:
-        work = apply_insertions(
-            work, [EdgeInsertion(remap[e], ProjectorP(f)) for e, f in sorted(factors.items())]
-        )
+            if single:
+                n, ax = work.edges[eids[0]].endpoints[0]
+                absorb(n, ax, ("Q", k), q)
+            else:
+                variant[work.next_node_id()] = ("dense", k)
+                work, continuation = insert_joint_dense(work, eids, q)
+                for orig, cur in zip(part.edges, eids):
+                    remap[orig] = continuation[cur]
+    for e, f in sorted(factors.items()):
+        u = asarray(f)
+        edge = work.edges[remap[e]]
+        for n, ax in edge.endpoints:
+            absorb(n, ax, ("P", id(f)), u)
+        work.edges[remap[e]] = Edge(endpoints=edge.endpoints, dim=u.shape[1])
     for part in joints:
         if isinstance(part.projector, JointIsometry):
             work = insert_joint_isometry(work, part.edges, part.projector.isometry)
@@ -198,6 +242,12 @@ def _pattern_network(
             ket, bra, ov = _ketbra_overlap(part)
             work = insert_joint_ketbra(work, part.edges, ket, bra, scale=1.0 / ov)
     return work
+
+
+def _complement(part: Partition) -> np.ndarray:
+    """``1 - P`` for partition ``part``, dense over its merged edge space."""
+    p = part.dense_matrix()
+    return np.eye(p.shape[0]) - p
 
 
 @dataclass(frozen=True)
@@ -233,10 +283,25 @@ class Expansion:
         return max(t.plan.cost_exponent(chi) for t in self.terms)
 
 
+def _checked_factor(part: Partition, e: int, dim: int, f) -> np.ndarray:
+    """``f`` as an array, if it is a (dim, r) isometry with 1 <= r <= dim."""
+    f = asarray(f)
+    if f.ndim != 2 or f.shape[0] != dim or not 1 <= f.shape[1] <= dim:
+        raise ExpansionError(
+            f"partition {part.id}: factor shape {f.shape} of edge {e} is incompatible with edge dim {dim}"
+        )
+    if not np.allclose(f.T @ f, np.eye(f.shape[1]), atol=1e-8):
+        raise ExpansionError(f"partition {part.id}: factor columns of edge {e} are not orthonormal")
+    return f
+
+
 def _check_partitions(net: TensorNetwork, partitions: Sequence[Partition]) -> None:
+    """Reject a partition list no expansion of ``net`` can carry. Each
+    distinct factor of an edge is checked here once, so the builder does not
+    check it per term."""
     if not partitions:
         raise ExpansionError("an expansion needs at least one partition")
-    seen: dict[int, np.ndarray] = {}
+    seen: dict[int, tuple] = {}     # edge -> its first factor, as given and as checked
     joint_edges: set[int] = set()
     for part in partitions:
         factorized = isinstance(part.projector, Factorized)
@@ -248,15 +313,17 @@ def _check_partitions(net: TensorNetwork, partitions: Sequence[Partition]) -> No
             if e in joint_edges or (e in seen and not factorized):
                 raise ExpansionError(f"edge {e} is shared with a joint partition")
             if factorized:
-                f = asarray(part.projector.factors[idx])
-                if e in seen:
-                    if seen[e].shape != f.shape or not np.allclose(seen[e], f, atol=1e-12):
-                        raise ExpansionError(
-                            f"edge {e} is shared between partitions with different factors; "
-                            "shared edges must carry identical projectors"
-                        )
-                else:
-                    seen[e] = f
+                f = part.projector.factors[idx]
+                if e in seen and seen[e][0] is f:
+                    continue                    # checked where the edge first carried it
+                arr = _checked_factor(part, e, net.edges[e].dim, f)
+                if e not in seen:
+                    seen[e] = (f, arr)
+                elif seen[e][1].shape != arr.shape or not np.allclose(seen[e][1], arr, atol=1e-12):
+                    raise ExpansionError(
+                        f"edge {e} is shared between partitions with different factors; "
+                        "shared edges must carry identical projectors"
+                    )
             else:
                 joint_edges.add(e)
 
@@ -267,10 +334,13 @@ def _expansion(
     partitions: tuple[Partition, ...],
     patterns: Sequence[tuple[tuple[str, ...], int]],
 ) -> Expansion:
-    """One term per (pattern, coefficient), plus the all-complement residue."""
+    """One term per (pattern, coefficient), plus the all-complement residue.
+
+    The terms share one node-variant table, dropped when the build returns."""
+    table: dict = {}
     terms = []
     for pattern, coefficient in patterns:
-        work = _pattern_network(net, partitions, pattern)
+        work = _pattern_network(net, partitions, pattern, table)
         terms.append(
             ExpansionTerm(pattern=pattern, coefficient=coefficient, network=work, plan=plan_order(work))
         )
@@ -476,7 +546,7 @@ def evaluate_residue(
     total = None
     for spec in exp.residues:
         all_q = ("Q",) * len(spec.partitions)
-        work = _pattern_network(spec.network, spec.partitions, all_q, memory_cap_bytes)
+        work = _pattern_network(spec.network, spec.partitions, all_q, {}, memory_cap_bytes)
         val = spec.coefficient * contract(work, memory_cap_bytes=memory_cap_bytes)
         total = val if total is None else total + val
     total = np.asarray(total)

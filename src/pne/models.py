@@ -474,16 +474,22 @@ def block_unit(unit: np.ndarray, factors: tuple[int, ...]) -> BlockedUnit:
     return BlockedUnit(unit, factors)
 
 
+def _block_factors(factors, ndim: int) -> tuple[int, ...]:
+    """``factors`` as ints, if they are one positive entry per grid axis."""
+    factors = tuple(int(f) for f in factors)
+    if len(factors) != ndim:
+        raise ModelError(f"blocking factors {factors} must give one entry per grid axis")
+    if any(f < 1 for f in factors):
+        raise ModelError(f"blocking factors {factors} must be positive")
+    return factors
+
+
 def block(grid: GridNetwork, factors: tuple[int, ...]) -> GridNetwork:
     """Exactly coarse-grain a finite lattice network by contracting blocks of
     ``factors`` nodes into single tensors with fused cross-block bonds."""
     if grid.open_leg:
         raise ModelError("blocking of grids with open legs is not supported")
-    factors = tuple(int(f) for f in factors)
-    if len(factors) != len(grid.shape):
-        raise ModelError("one blocking factor per grid axis is required")
-    if any(f < 1 for f in factors):
-        raise ModelError(f"blocking factors {factors} must be positive")
+    factors = _block_factors(factors, len(grid.shape))
     if any(n % f for n, f in zip(grid.shape, factors)):
         raise ModelError(f"shape {grid.shape} is not divisible by factors {factors}")
     new_shape = tuple(n // f for n, f in zip(grid.shape, factors))
@@ -556,6 +562,8 @@ def finite_patch(spec: ModelSpec) -> GridNetwork:
     fixed point of the patch is homogeneous by construction. With
     ``boundary="open"`` the finite-lattice model is built directly (then
     blocked), which only the Ising and AKLT generators support."""
+    if any(n < 1 for n in spec.patch):
+        raise ModelError(f"patch extents {spec.patch} must be positive")
     if spec.kind == "random":
         return random_grid(spec.patch, spec.chi, spec.bias, spec.seed, spec.open_axes)
     if spec.kind in ("ising2d", "ising3d"):
@@ -563,7 +571,7 @@ def finite_patch(spec: ModelSpec) -> GridNetwork:
         if spec.beta is None:
             raise ModelError("Ising models need beta")
         if spec.boundary == "open":
-            factors = spec.block_factors or (1,) * dimension
+            factors = _block_factors(spec.block_factors or (1,) * dimension, dimension)
             spins = tuple(p * f for p, f in zip(spec.patch, factors))
             patch = ising_open_patch(dimension, spec.beta, spins)
             if any(f != 1 for f in factors):
@@ -573,7 +581,7 @@ def finite_patch(spec: ModelSpec) -> GridNetwork:
     elif spec.kind == "aklt":
         unit = aklt_norm_tensor()
         if spec.boundary == "open":
-            factors = spec.block_factors or (1, 1)
+            factors = _block_factors(spec.block_factors or (1, 1), 2)
             cells = tuple(p * f for p, f in zip(spec.patch, factors))
             ident = np.eye(2).reshape(-1)
             caps = {(g, s): ident for g in range(2) for s in (0, 1)}

@@ -6,11 +6,13 @@ attachment are *open*: their axes survive contraction and appear in the
 result in ascending edge-id order. Edge ids are stable integers assigned at
 construction; every canonical ordering in the package derives from them.
 
-:func:`apply_insertions` realizes the single-edge operators that expansions
-insert: :class:`Identity`, :class:`ProjectorP` (absorbed as its isometric
-factor, shrinking the edge) and :class:`DenseOp` (absorbed into one
-endpoint). The ``insert_joint_*`` functions insert an operator over the
-joint space of several edges.
+:func:`apply_insertions` inserts single-edge operators into a network:
+:class:`Identity`, :class:`ProjectorP` (absorbed as its isometric factor,
+shrinking the edge) and :class:`DenseOp` (absorbed into one endpoint),
+each checked before use. The ``insert_joint_*`` functions insert an
+operator over the joint space of several edges. Expansion builders absorb
+their operators with :func:`absorb_matrix` directly, sharing the dressed
+tensors between terms (see :mod:`pne.expansion`).
 """
 
 from __future__ import annotations

@@ -4,12 +4,11 @@ import re
 
 import pytest
 
-from pne.belief import BPError
 from pne.cli import main
 from pne.expansion import evaluate
-from pne.io import ContainerError, save_network
+from pne.io import save_network
 from pne.models import ModelSpec, finite_patch
-from pne.presets import PresetError, build_preset
+from pne.presets import build_preset
 
 
 def _model(path, patch, chi=3, seed=0):
@@ -43,25 +42,47 @@ def test_model_contract_bp_expand_bench(tmp_path, capsys):
     assert "grid5x4" in capsys.readouterr().out.split()
 
 
+def _fails(capsys, argv, message):
+    """``main(argv)`` reports one ``pne: error:`` line naming ``message`` on
+    stderr, exits 2 and prints nothing on stdout."""
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(rf"pne: error: .*{message}.*\n", captured.err)
+
+
 def test_expand_rejects_a_lattice_the_preset_does_not_fit(tmp_path, capsys):
     path = tmp_path / "g.pnec"
     _model(path, "2x3")
-    with pytest.raises(PresetError, match=r"expects a \(3, 3\) lattice"):
-        main(["expand", str(path), "--preset", "grid3x3-chi5", "--projector", "random", "--exact"])
-    assert "value" not in capsys.readouterr().out
+    _fails(capsys, ["expand", str(path), "--preset", "grid3x3-chi5", "--projector", "random", "--exact"],
+           r"expects a \(3, 3\) lattice")
 
 
-def test_expand_needs_a_recorded_layout(tmp_path):
+def test_expand_needs_a_recorded_layout(tmp_path, capsys):
     path = tmp_path / "net.pnec"
     save_network(path, finite_patch(ModelSpec(kind="random", patch=(3, 3), chi=2)).net)
-    with pytest.raises(ContainerError):
-        main(["expand", str(path), "--preset", "grid3x3-chi5", "--projector", "random"])
+    _fails(capsys, ["expand", str(path), "--preset", "grid3x3-chi5", "--projector", "random"],
+           "layout")
 
 
 @pytest.mark.parametrize("damping", ["1.0", "-0.2"])
 def test_bp_rejects_damping_outside_unit_interval(tmp_path, capsys, damping):
     path = tmp_path / "g.pnec"
     _model(path, "3x3", seed=1)
-    with pytest.raises(BPError, match="damping"):
-        main(["bp", str(path), "--damping", damping])
-    assert "converged" not in capsys.readouterr().out
+    _fails(capsys, ["bp", str(path), "--damping", damping], "damping")
+
+
+def test_model_rejects_a_non_positive_patch(tmp_path, capsys):
+    out = tmp_path / "m.pnec"
+    _fails(capsys, ["model", "--model", "ising2d", "--beta", "0.4", "--patch", "0x3", "--out", str(out)],
+           r"patch extents \(0, 3\) must be positive")
+    assert not out.exists()
+
+
+def test_model_names_the_blocking_factor_it_rejects(tmp_path, capsys):
+    out = tmp_path / "m.pnec"
+    _fails(capsys, ["model", "--model", "ising2d", "--beta", "0.4", "--boundary", "open",
+                    "--patch", "2x3", "--block", "0x2", "--out", str(out)],
+           r"blocking factors \(0, 2\) must be positive")
+    assert not out.exists()

@@ -2,6 +2,8 @@ import gc
 import math
 import weakref
 
+import pne.expansion
+
 import numpy as np
 import pytest
 
@@ -26,11 +28,14 @@ from pne.network import (
     EdgeInsertion,
     InsertionError,
     MemoryBudgetError,
+    ProjectorP,
     TensorNetwork,
     apply_insertions,
     contract,
     insert_joint_dense,
+    insert_joint_isometry,
     insert_joint_ketbra,
+    plan_order,
 )
 
 
@@ -464,3 +469,152 @@ class TestRecursive:
             assert all(ref() is None for ref in refs)
         finally:
             gc.enable()
+
+
+def reference_network(net, partitions, pattern):
+    """One pattern's network built with the public inserters, in the order
+    the expansion module documents: complements in partition order (a
+    single-edge one absorbed at the tail of its edge, any other inserted
+    densely), then one batch of factors in edge order, then the joint
+    projectors."""
+    work, remap = net, {e: e for e in net.edges}
+    factors, joints = {}, []
+    for part, tag in zip(partitions, pattern):
+        if tag == "P" and isinstance(part.projector, Factorized):
+            for e, f in zip(part.edges, part.projector.factors):
+                factors.setdefault(e, np.asarray(f, dtype=float))
+        elif tag == "P":
+            joints.append(part)
+        elif tag == "Q" and len(part.edges) == 1 and isinstance(part.projector, Factorized):
+            f = np.ascontiguousarray(part.projector.factors[0], dtype=float)
+            q = np.eye(f.shape[0]) - f @ f.T
+            work = apply_insertions(work, [EdgeInsertion(remap[part.edges[0]], DenseOp(q, side=0))])
+        elif tag == "Q":
+            p = part.dense_matrix()
+            eids = [remap[e] for e in part.edges]
+            work, continuation = insert_joint_dense(work, eids, np.eye(p.shape[0]) - p)
+            remap.update({e: continuation[c] for e, c in zip(part.edges, eids)})
+    if factors:
+        work = apply_insertions(
+            work, [EdgeInsertion(remap[e], ProjectorP(f)) for e, f in sorted(factors.items())]
+        )
+    for part in joints:
+        if isinstance(part.projector, JointIsometry):
+            work = insert_joint_isometry(work, part.edges, part.projector.isometry)
+        else:
+            ket = np.asarray(part.projector.ket, dtype=float).reshape(-1)
+            bra = np.asarray(part.projector.bra, dtype=float).reshape(-1)
+            work = insert_joint_ketbra(work, part.edges, ket, bra, scale=1.0 / float(bra @ ket))
+    return work
+
+
+def assert_same_network(got, want):
+    assert list(got.nodes) == list(want.nodes)
+    for n, arr in want.nodes.items():
+        assert got.nodes[n].shape == arr.shape and np.array_equal(got.nodes[n], arr)
+    assert list(got.edges.items()) == list(want.edges.items())
+
+
+def _preset(name, projectors="random"):
+    from pne.presets import PRESETS, build_preset
+
+    shape = PRESETS[name][0]
+    bias = 0.5 if projectors == "bp" else 0.2
+    g = random_grid(shape, 3, bias=bias, seed=21)
+    return build_preset(name, g, projectors=projectors, seed=1, bp_kwargs=dict(max_iter=4000))
+
+
+class TestNodeVariantTable:
+    @pytest.mark.parametrize("name, projectors", [
+        ("doubleloop-3v", "random"),        # linear: chains of complements
+        ("grid3x3-chi4", "random"),         # partitions sharing edges
+        ("grid4x3-recursive", "random"),    # builds at every recursion depth
+        ("cube222-chi4", "bp"),             # joint ket-bra partitions
+    ])
+    def test_terms_equal_an_independent_construction(self, monkeypatch, name, projectors):
+        builds = []
+        real = pne.expansion._expansion
+        monkeypatch.setattr(pne.expansion, "_expansion", lambda *a: builds.append(real(*a)) or builds[-1])
+        exp = _preset(name, projectors).expansion
+        for build in builds:        # the top level, and each re-expanded term of a recursion
+            for term in build.terms:
+                want = reference_network(build.net, build.partitions, term.pattern)
+                assert_same_network(term.network, want)
+                assert term.plan == plan_order(want)
+        built = {id(term.network) for build in builds for term in build.terms}
+        assert all(id(term.network) in built for term in exp.terms)
+
+    def test_dense_residue_of_a_two_edge_partition(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        g = random_grid((2, 3), 3, bias=0.2, seed=31)
+        edges = (g.v_edge(0, 0), g.v_edge(0, 1))
+        parts = [
+            Partition(id=0, edges=edges, projector=Factorized((rand_iso(3, 1, rng), rand_iso(3, 2, rng)))),
+            Partition(id=1, edges=(g.v_edge(0, 2),), projector=Factorized((rand_iso(3, 1, rng),))),
+        ]
+        exp = build_combinatorial(g.net, parts)
+        seen = []
+        real = pne.expansion.contract
+        monkeypatch.setattr(pne.expansion, "contract", lambda net, **kw: seen.append(net) or real(net, **kw))
+        value = evaluate_residue(exp, cross_check=False)
+        (residue,) = seen
+        want = reference_network(g.net, parts, ("Q", "Q"))
+        assert_same_network(residue, want)
+        assert plan_order(residue) == plan_order(want)
+        assert np.array_equal(value, real(want))
+
+    @pytest.mark.parametrize("builder", [build_linear, build_combinatorial])
+    @pytest.mark.parametrize("bad, message", [
+        (np.array([[2.0], [0.0], [0.0]]), "not orthonormal"),
+        (np.eye(2)[:, :1], r"shape \(2, 1\)"),
+    ])
+    def test_bad_factor_rejected_before_any_term(self, monkeypatch, builder, bad, message):
+        g = random_grid((2, 3), 3, bias=0.2, seed=32)
+        edges = [g.v_edge(0, c) for c in range(3)]
+        parts = single_parts(g, edges, [e0col(3), bad, e0col(3)])
+
+        def no_terms(*args, **kwargs):
+            raise AssertionError("a term was built")
+
+        monkeypatch.setattr(pne.expansion, "_pattern_network", no_terms)
+        with pytest.raises(ExpansionError, match=rf"partition 1: .*{message}") as info:
+            builder(g.net, parts)
+        assert f"edge {edges[1]}" in str(info.value)
+
+    def test_each_factor_is_checked_once_per_build(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        g = random_grid((3, 3), 3, bias=0.2, seed=33)
+        line = [g.v_edge(0, c) for c in range(3)]
+        isos = {e: rand_iso(3, 1, rng) for e in line}
+        parts = [
+            Partition(id=0, edges=tuple(line[:2]), projector=Factorized(tuple(isos[e] for e in line[:2]))),
+            Partition(id=1, edges=tuple(line[1:]), projector=Factorized(tuple(isos[e] for e in line[1:]))),
+            Partition(id=2, edges=(g.h_edge(1, 1),), projector=Factorized((rand_iso(3, 2, rng),))),
+        ]
+        calls = []
+        real = np.allclose
+        monkeypatch.setattr(np, "allclose", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        exp = build_combinatorial(g.net, parts)
+        assert exp.term_count == 7
+        assert len(calls) == 4      # one per distinct factor, over 7 terms
+
+    def test_shared_arrays_are_read_only(self):
+        exp = _preset("grid3x3-chi4").expansion
+        dressed = [
+            arr for term in exp.terms for n, arr in term.network.nodes.items()
+            if arr is not exp.net.nodes.get(n)
+        ]
+        assert dressed and not any(arr.flags.writeable for arr in dressed)
+        with pytest.raises(ValueError, match="read-only"):
+            dressed[0][...] = 0.0
+        assert all(arr.flags.writeable for arr in exp.net.nodes.values())
+
+    @pytest.mark.parametrize("name, cap", [("grid3x3-chi4", 55), ("grid4x3-recursive", 194)])
+    def test_absorptions_per_build(self, monkeypatch, name, cap):
+        # One absorption per distinct (node, ordered ops) variant; absorbing
+        # per term and endpoint made 1,024 and 2,592.
+        calls = []
+        real = pne.expansion.absorb_matrix
+        monkeypatch.setattr(pne.expansion, "absorb_matrix", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        _preset(name)
+        assert 0 < len(calls) <= cap
