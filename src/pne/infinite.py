@@ -5,8 +5,10 @@ The lattice is partitioned into width-L strips along one or both axes.
 ``free_energy`` sums one inclusion-exclusion loop over activation patterns,
 the sets of active vertical and horizontal strips; each term reduces to a
 product of strip transfer-matrix eigenvalues (one axis active) or of finite
-capped patches (both axes active). The strip and cylinder transfer
-operators share one row kernel.
+capped patches (both axes active), both from the e0-capped strip row
+transfer operator T_k: eigenvalues by power iteration from the BP vacuum
+e0^{(x)k}, a k-column by p-row patch as the moment e0^{(x)k}' T_k^p e0^{(x)k}.
+The strip and cylinder transfer operators share one row kernel.
 All quantities are computed in the symmetrized uniform gauge, where every
 boundary cap is the first basis vector, and with the unit tensor normalized
 by its single-site capped scalar so the logarithms stay well conditioned.
@@ -20,15 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from pne.models import (
-    GridNetwork,
-    UniformBP,
-    capped_patch,
-    symmetrize_uniform,
-    uniform_fixed_point,
-)
-from pne.network import NetworkError, contract
-from pne.tensor import DominantEig, dominant_eig
+from pne.models import UniformBP, symmetrize_uniform, uniform_fixed_point
+from pne.network import NetworkError
+from pne.tensor import dominant_eig, near_uniform
 
 __all__ = [
     "InfiniteError",
@@ -46,6 +42,9 @@ class InfiniteError(NetworkError):
     pass
 
 
+VACUUM_START_MIX = 1e-6    # weight of near_uniform in transfer_eigs' start vectors
+
+
 @dataclass
 class StripContext:
     """Symmetrized, site-normalized unit tensor plus cached strip data.
@@ -60,8 +59,8 @@ class StripContext:
     gammas: dict[int, float] = field(default_factory=dict)    # axis-1 strip eigenvalues
     patches: dict[tuple[int, int], float] = field(default_factory=dict)
 
-    def e0(self) -> np.ndarray:
-        v = np.zeros(self.unit.shape[0])
+    def e0(self, k: int = 1) -> np.ndarray:    # e0^{(x)k}, flattened
+        v = np.zeros(self.unit.shape[0] ** k)
         v[0] = 1.0
         return v
 
@@ -110,6 +109,15 @@ def _strip_apply(unit: np.ndarray, k: int, v: np.ndarray) -> np.ndarray:
     return np.tensordot(carry, e0, axes=([carry.ndim - 1], [0])).reshape(-1)
 
 
+def _leading(apply, n: int, what: str, **eig_kwargs) -> float:
+    """Dominant eigenvalue of ``what``; a degenerate +/- pair raises, as
+    every strip and cylinder formula assumes a simple leading eigenvalue."""
+    res = dominant_eig(apply, n, **eig_kwargs)
+    if res.degenerate:
+        raise InfiniteError(f"{what} has a degenerate +/- leading pair (|lambda| = {res.value:.6g})")
+    return float(res.value)
+
+
 def transfer_eigs(
     ctx: StripContext,
     widths,
@@ -120,41 +128,45 @@ def transfer_eigs(
     """Leading eigenvalue of the width-k strip transfer operator for each k.
 
     ``axis=0`` advances along rows (vertical strips, one value per row of k
-    sites); ``axis=1`` along columns. A degenerate dominant pair aborts with
-    an error, as every strip formula assumes a simple leading eigenvalue.
+    sites); ``axis=1`` along columns. Power iteration starts from the BP
+    vacuum e0^{(x)k} plus VACUUM_START_MIX near_uniform (in case the vacuum is
+    orthogonal to the dominant vector); a degenerate leading pair raises.
     """
+    if axis not in (0, 1):
+        raise InfiniteError(f"strip axis must be 0 or 1, not {axis!r}")
+    ks = sorted({int(w) for w in widths})
+    if min(ks, default=1) < 1:
+        raise InfiniteError(f"strip widths must be at least 1, got {ks[0]}")
     unit = ctx.unit if axis == 0 else ctx.unit.transpose(2, 3, 0, 1)
     cache = ctx.lambdas if axis == 0 else ctx.gammas
-    chi = unit.shape[0]
-    out = {}
-    for k in sorted(set(int(w) for w in widths)):
+    for k in ks:
         if k not in cache:
-            res: DominantEig = dominant_eig(
-                lambda v, k=k: _strip_apply(unit, k, v), chi**k, tol=tol, max_iter=max_iter
-            )
-            if res.degenerate:
-                raise InfiniteError(
-                    f"width-{k} transfer operator has a degenerate +/- leading pair "
-                    f"(|lambda| = {res.value:.6g})"
-                )
-            cache[k] = float(res.value)
-        out[k] = cache[k]
-    return out
+            start = VACUUM_START_MIX * near_uniform(unit.shape[0] ** k)
+            start[0] += 1.0                # the BP vacuum e0^{(x)k}
+            cache[k] = _leading(lambda v, k=k: _strip_apply(unit, k, v), start.size,
+                                f"width-{k} transfer operator", tol=tol, max_iter=max_iter,
+                                start=start)
+    return {k: cache[k] for k in ks}
 
 
 def patch_scalar(ctx: StripContext, k: int, p: int) -> float:
-    """Scalar of the k-column by p-row capped patch of the normalized unit."""
-    key = (int(k), int(p))
-    if key not in ctx.patches:
-        caps = {(g, s): ctx.e0() for g in range(2) for s in (0, 1)}
-        grid: GridNetwork = capped_patch(ctx.unit, (key[1], key[0]), caps)
-        ctx.patches[key] = float(contract(grid.net))
-    return ctx.patches[key]
+    """Scalar of the k-column by p-row capped patch of the normalized unit:
+    the e0 moment e0^{(x)k}' T_k^p e0^{(x)k} of the axis-0 strip operator,
+    p rows applied to the BP vacuum, read at entry 0 (lower p cached too)."""
+    k, p = int(k), int(p)
+    if k < 1 or p < 1:
+        raise InfiniteError(f"a capped patch needs k, p >= 1, got ({k}, {p})")
+    if (k, p) not in ctx.patches:
+        v = ctx.e0(k)
+        for q in range(1, p + 1):
+            v = _strip_apply(ctx.unit, k, v)
+            ctx.patches[k, q] = float(v[0])
+    return ctx.patches[k, p]
 
 
-def _cyclic_gaps(offsets: tuple[int, ...], width: int) -> list[int]:
+def _cyclic_gaps(offsets: tuple[int, ...], width: int) -> tuple[int, ...]:
     s = sorted(offsets)
-    return [(s[(i + 1) % len(s)] - s[i]) % width or width for i in range(len(s))]
+    return tuple((s[(i + 1) % len(s)] - s[i]) % width or width for i in range(len(s)))
 
 
 @dataclass(frozen=True)
@@ -186,8 +198,9 @@ def free_energy(
     one axis active is a product of strip eigenvalues over the cyclic gaps
     of its offsets, each raised to the supercell height (``width`` for
     "vh", 1 for "v"); a pattern with both axes active is a product of capped
-    rectangular patches, one per pair of gaps. The density is -log of the
-    signed sum per supercell site.
+    rectangular patches, one per pair of gaps; each distinct pair of gap
+    sequences is multiplied out once. The density is -log of the signed sum
+    per supercell site.
     """
     width = int(width)
     if width < 1:
@@ -209,24 +222,24 @@ def free_energy(
     gaps = {s: _cyclic_gaps(s, width) for s in subsets}
     lams = transfer_eigs(ctx, {w for s in vsets for w in gaps[s]}, axis=0)
     gams = transfer_eigs(ctx, {w for s in hsets for w in gaps[s]}, axis=1)
+    pats = {(w, h): patch_scalar(ctx, w, h) for w in lams for h in sorted(gams, reverse=True)}
+    products: dict[tuple, float] = {}          # by (gaps of sv, gaps of sh)
     terms: list[tuple[str, int, float]] = []
     total = 0.0
+    vname, hname = {s: f"v{s}" for s in vsets}, {s: f"h{s}" for s in hsets}
     patterns = [(sv, sh) for sv in vsets for sh in hsets if sv or sh]
     for sv, sh in patterns:
-        val = 1.0
-        if not sh:
-            for w in gaps[sv]:
-                val *= lams[w] ** height
-            desc = f"v{sv}"
-        elif not sv:
-            for w in gaps[sh]:
-                val *= gams[w] ** width
-            desc = f"h{sh}"
-        else:
-            for w in gaps[sv]:
-                for hgt in gaps[sh]:
-                    val *= patch_scalar(ctx, w, hgt)
-            desc = f"v{sv} x h{sh}"
+        gv, gh = gaps[sv], gaps[sh]
+        val = products.get((gv, gh))
+        if val is None:
+            if not gh:
+                val = math.prod(lams[w] ** height for w in gv)
+            elif not gv:
+                val = math.prod(gams[w] ** width for w in gh)
+            else:
+                val = math.prod(pats[w, hgt] for w in gv for hgt in gh)
+            products[gv, gh] = val
+        desc = f"{vname[sv]} x {hname[sh]}" if sv and sh else (vname[sv] if sv else hname[sh])
         sign = 1 if (len(sv) + len(sh)) % 2 == 1 else -1
         terms.append((desc, sign, val))
         total += sign * val
@@ -264,12 +277,8 @@ def cylinder_baseline(
     length = int(circumference)
     if length < 1:
         raise InfiniteError("circumference must be at least 1")
-    chi = unit.shape[0]
-    res = dominant_eig(lambda v: _ring_apply(unit, length, v), chi**length, tol=tol, max_iter=max_iter)
-    if res.degenerate:
-        raise InfiniteError(
-            f"cylinder transfer operator has a degenerate +/- leading pair (|lambda| = {res.value:.6g})"
-        )
-    if res.value <= 0:
-        raise InfiniteError(f"cylinder leading eigenvalue {res.value:.6e} is not positive")
-    return -math.log(res.value) / length
+    value = _leading(lambda v: _ring_apply(unit, length, v), unit.shape[0] ** length,
+                     "cylinder transfer operator", tol=tol, max_iter=max_iter)
+    if value <= 0:
+        raise InfiniteError(f"cylinder leading eigenvalue {value:.6e} is not positive")
+    return -math.log(value) / length

@@ -8,6 +8,7 @@ to real doubles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -125,18 +126,16 @@ def svd(
     m = a.transpose(row_axes + col_axes)
     row_dims = m.shape[: len(row_axes)]
     col_dims = m.shape[len(row_axes):]
-    mat = m.reshape(int(np.prod(row_dims, dtype=np.int64)), -1)
+    mat = m.reshape(math.prod(row_dims), -1)
     try:
         u, s, vh = np.linalg.svd(mat, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise TensorError(f"SVD failed to converge for a {mat.shape} matrix") from exc
-    # Fix signs: largest-magnitude entry of each left singular vector positive.
-    for k in range(s.size):
-        col = u[:, k]
-        pivot = col[np.argmax(np.abs(col))]
-        if pivot < 0:
-            u[:, k] = -col
-            vh[k, :] = -vh[k, :]
+    # Fix signs: largest-magnitude entry (the first, on ties) of each left
+    # singular vector positive; negation is exact, as in a per-column loop.
+    flip = u[np.argmax(np.abs(u), axis=0), np.arange(s.size)] < 0
+    u[:, flip] = -u[:, flip]
+    vh[flip] = -vh[flip]
     return SvdResult(
         u=np.ascontiguousarray(u.reshape(row_dims + (s.size,))),
         s=s,
@@ -185,24 +184,33 @@ class DominantEig:
     degenerate: bool = False
 
 
+def near_uniform(n: int) -> np.ndarray:
+    """Ones, tilted at entries 0 and 1 so symmetric operators do not trap
+    power iteration in an orthogonal subspace: dominant_eig's default start."""
+    v = np.ones(n)
+    v[0] += 0.1
+    v[1:2] -= 0.05
+    return v
+
+
 def dominant_eig(
     apply: Callable[[np.ndarray], np.ndarray],
     n: int,
     tol: float = 1e-12,
     max_iter: int = 10000,
+    start: np.ndarray | None = None,
 ) -> DominantEig:
     """Largest-magnitude eigenvalue of a linear operator given as a mat-vec.
 
-    Plain power iteration with per-step normalization. The start vector is a
-    deterministic near-uniform vector, slightly tilted so symmetric operators
-    do not trap the iteration in an orthogonal subspace.
+    Plain power iteration with per-step normalization from :func:`near_uniform`
+    or a finite nonzero ``start`` of length ``n``; a start orthogonal to the
+    dominant vector converges to another eigenvalue.
     """
     if n < 1:
         raise TensorError("operator dimension must be at least 1")
-    v = np.ones(n)
-    v[0] += 0.1
-    if n > 1:
-        v[1] -= 0.05
+    v = near_uniform(n) if start is None else np.array(start, dtype=np.float64)
+    if v.shape != (n,) or not np.isfinite(v).all() or not v.any():
+        raise TensorError(f"start must be a finite nonzero vector of shape ({n},)")
     v /= np.linalg.norm(v)
     prev = None
     prev2 = None

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from pne.infinite import (
     InfiniteError,
+    StripContext,
     cylinder_baseline,
     free_energy,
     patch_scalar,
@@ -13,11 +15,15 @@ from pne.infinite import (
 )
 from pne.models import (
     BETA_C_2D,
+    aklt_norm_tensor,
     block_unit,
+    capped_patch,
     ising_free_energy_2d,
     ising_unit_tensor,
+    random_tensor,
     uniform_fixed_point,
 )
+from pne.network import contract
 
 
 def product_unit(p, q):
@@ -48,6 +54,30 @@ class TestTransferEigs:
         for k in (1, 2):
             np.testing.assert_allclose(lams[k], gams[k], rtol=1e-10)
 
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_vacuum_start_escapes_a_subdominant_vacuum(self, axis):
+        # T_1 = diag(0.5, 1.0) on both axes, and T_2 = T_1 (x) T_1: the BP
+        # vacuum e0^{(x)k} is an exact eigenvector with 0.5**k, the dominant
+        # value is 1. Power iteration from the bare vacuum would stop at 0.5**k.
+        unit = np.zeros((2, 2, 2, 2))
+        unit[0, 0, 0, 0] = 0.5
+        unit[1, 1, 0, 0] = 1.0
+        unit[0, 0, 1, 1] = 1.0
+        ctx = StripContext(unit=unit, log_site_scale=0.0)
+        for lam in transfer_eigs(ctx, [1, 2], axis=axis).values():
+            np.testing.assert_allclose(lam, 1.0, rtol=1e-12)
+
+    def test_dense_oracle_on_asymmetric_unit(self):
+        unit = random_tensor((3,) * 4, bias=0.5, seed=1)
+        ctx = prepare_strips(unit)
+        e0 = ctx.e0()
+        for axis in (0, 1):
+            u = ctx.unit if axis == 0 else ctx.unit.transpose(2, 3, 0, 1)
+            # width 2: (u0 u1) -> (d0 d1), the two units joined by one bond
+            mat = np.einsum("adxm,bemy,x,y->abde", u, u, e0, e0).reshape(9, 9)
+            dense = np.max(np.abs(np.linalg.eigvals(mat)))
+            np.testing.assert_allclose(transfer_eigs(ctx, [2], axis=axis)[2], dense, rtol=1e-10)
+
 
 class TestPatchScalar:
     def test_single_site_normalized(self):
@@ -59,16 +89,74 @@ class TestPatchScalar:
         np.testing.assert_allclose(patch_scalar(ctx, 2, 1), patch_scalar(ctx, 1, 2), rtol=1e-10)
 
     def test_cross_check_against_direct_contraction(self):
-        from pne.models import capped_patch
-        from pne.network import contract
-
         ctx = prepare_strips(ising_unit_tensor(2, 0.37))
         caps = {(g, s): ctx.e0() for g in range(2) for s in (0, 1)}
         direct = float(contract(capped_patch(ctx.unit, (2, 2), caps).net))
         np.testing.assert_allclose(patch_scalar(ctx, 2, 2), direct, rtol=1e-12)
+        # Every k-column by p-row patch up to 4x4, the non-square ones included,
+        # asked for in an order that both fills and reads the moment cache, on
+        # the blocked Ising unit around beta_c, the AKLT double layer and a
+        # random unit that is not symmetric under transposition.
+        blocked = [block_unit(ising_unit_tensor(2, f * BETA_C_2D), (2, 2)).materialize()
+                   for f in (0.7, 1.0, 1.2)]
+        asymmetric = random_tensor((3,) * 4, bias=0.5, seed=1)
+        for unit in [ising_unit_tensor(2, 0.37), *blocked, aklt_norm_tensor(), asymmetric]:
+            ctx = prepare_strips(unit)
+            caps = {(g, s): ctx.e0() for g in range(2) for s in (0, 1)}
+            for k, p in itertools.product(range(1, 5), [2, 4, 1, 3]):
+                direct = float(contract(capped_patch(ctx.unit, (p, k), caps).net))
+                np.testing.assert_allclose(patch_scalar(ctx, k, p), direct, rtol=1e-12)
+
+
+def naive_terms(ctx, width, axes, mode):
+    """Per-pattern oracle of free_energy's term loop: every product formed
+    again for every pattern, in the documented order."""
+    height = width if axes == "vh" else 1
+    subsets = [s for n in range(width + 1) for s in itertools.combinations(range(width), n)]
+    vsets = [(0,)] if mode == "single" else subsets
+    hsets = subsets if axes == "vh" else [()]
+
+    def gaps(s):
+        s = sorted(s)
+        return [(s[(i + 1) % len(s)] - s[i]) % width or width for i in range(len(s))]
+
+    terms, total = [], 0.0
+    for sv in vsets:
+        for sh in hsets:
+            if not (sv or sh):
+                continue
+            val = 1.0
+            if not sh:
+                for w in gaps(sv):
+                    val *= transfer_eigs(ctx, [w], axis=0)[w] ** height
+                desc = f"v{sv}"
+            elif not sv:
+                for w in gaps(sh):
+                    val *= transfer_eigs(ctx, [w], axis=1)[w] ** width
+                desc = f"h{sh}"
+            else:
+                for w in gaps(sv):
+                    for hgt in gaps(sh):
+                        val *= patch_scalar(ctx, w, hgt)
+                desc = f"v{sv} x h{sh}"
+            sign = 1 if (len(sv) + len(sh)) % 2 == 1 else -1
+            terms.append((desc, sign, val))
+            total += sign * val
+    return tuple(terms), total
 
 
 class TestFreeEnergy:
+    def test_terms_match_a_per_pattern_loop(self):
+        blocked = block_unit(ising_unit_tensor(2, 0.9 * BETA_C_2D), (2, 2)).materialize()
+        for unit in (blocked, random_tensor((3,) * 4, bias=0.5, seed=1)):
+            ctx = prepare_strips(unit)
+            for width, axes, mode in [(1, "vh", "all"), (2, "v", "single"), (3, "v", "all"),
+                                      (2, "vh", "all"), (3, "vh", "all"), (4, "vh", "all")]:
+                res = free_energy(unit, width, axes=axes, mode=mode, ctx=ctx)
+                terms, total = naive_terms(ctx, width, axes, mode)
+                assert res.terms == terms          # float entries compared exactly
+                assert res.argument == total
+
     def test_all_formulas_agree_on_product_unit(self):
         unit = product_unit(np.array([1.0, 0.3]), np.array([0.8, 0.25]))
         ctx = prepare_strips(unit)
@@ -177,6 +265,24 @@ class TestErrors:
         unit = ising_unit_tensor(2, 0.3)
         with pytest.raises(InfiniteError):
             free_energy(unit, 0)
+
+    @pytest.mark.parametrize("widths", [[0], [-1], [2, 0]])
+    def test_transfer_width_below_one_rejected(self, widths):
+        ctx = prepare_strips(ising_unit_tensor(2, 0.3))
+        with pytest.raises(InfiniteError, match="at least 1"):
+            transfer_eigs(ctx, widths)
+
+    @pytest.mark.parametrize("axis", [2, -1, "h"])
+    def test_transfer_axis_rejected(self, axis):
+        ctx = prepare_strips(ising_unit_tensor(2, 0.3))
+        with pytest.raises(InfiniteError, match="axis"):
+            transfer_eigs(ctx, [1], axis=axis)
+
+    @pytest.mark.parametrize("k, p", [(0, 1), (1, 0), (-1, 2), (2, -3)])
+    def test_patch_extent_below_one_rejected(self, k, p):
+        ctx = prepare_strips(ising_unit_tensor(2, 0.3))
+        with pytest.raises(InfiniteError, match="k, p >= 1"):
+            patch_scalar(ctx, k, p)
 
     def test_single_mode_on_both_axes_rejected(self):
         from pne.models import random_tensor

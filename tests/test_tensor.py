@@ -143,6 +143,60 @@ class TestSvd:
             assert col[np.argmax(np.abs(col))] > 0
 
 
+def loop_sign_fix(u, vh):
+    """Column-by-column sign fix: the first largest-magnitude entry of each
+    left singular vector made positive."""
+    u, vh = u.copy(), vh.copy()
+    for k in range(u.shape[1]):
+        col = u[:, k]
+        pivot = col[np.argmax(np.abs(col))]
+        if pivot < 0:
+            u[:, k] = -col
+            vh[k, :] = -vh[k, :]
+    return u, vh
+
+
+def assert_bitwise(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestSvdSignFix:
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 5), (7, 3), (3, 7), (1, 6), (6, 1)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_matrices_match_loop(self, shape, seed):
+        m = np.random.default_rng(seed).normal(size=shape)
+        u, _, vh = np.linalg.svd(m, full_matrices=False)
+        u_ref, vh_ref = loop_sign_fix(u, vh)
+        res = svd(m)
+        assert_bitwise(res.u_matrix(), u_ref)
+        assert_bitwise(res.vh_matrix(), vh_ref)
+
+    def test_ties_and_negative_pivots_match_loop(self, monkeypatch):
+        # Exact magnitude ties (the first one decides), negative and positive
+        # pivots, a signed zero and an all-zero column, fed through svd in
+        # place of LAPACK's factors.
+        u = np.array([
+            [-0.5, 0.5, 0.25, -0.0, 0.0],
+            [0.5, -0.5, -0.75, 0.0, 0.0],
+            [-0.5, 0.5, 0.5, 1.0, 0.0],
+            [0.5, -0.5, 0.5, -1.0, 0.0],
+        ])
+        s = np.array([4.0, 3.0, 2.0, 1.0, 0.0])
+        vh = np.random.default_rng(9).normal(size=(5, 6))
+        monkeypatch.setattr(np.linalg, "svd", lambda mat, full_matrices: (u.copy(), s, vh.copy()))
+        res = svd(np.zeros((4, 6)))
+        u_ref, vh_ref = loop_sign_fix(u, vh)
+        assert_bitwise(res.u_matrix(), u_ref)
+        assert_bitwise(res.vh_matrix(), vh_ref)
+        # tie led by -0.5 flipped, tie led by +0.5 kept, pivot -0.75 flipped
+        assert list(res.u_matrix()[:2, :3].ravel()) == [0.5, 0.5, -0.25, -0.5, -0.5, 0.75]
+        assert list(res.u_matrix()[2:, 3]) == [1.0, -1.0]
+
+    def test_no_columns(self):
+        res = svd(np.zeros((3, 0)))
+        assert res.u.shape == (3, 0) and res.s.shape == (0,) and res.vh.shape == (0, 0)
+
+
 class TestOrthogonalComplement:
     def test_basis_vector(self):
         r = orthogonal_complement(np.array([1.0, 0.0]))
@@ -193,6 +247,25 @@ class TestDominantEig:
         m = m @ m.T + 0.1 * np.eye(12)
         res = dominant_eig(lambda v: m @ v, 12, tol=1e-13)
         np.testing.assert_allclose(res.value, np.max(np.linalg.eigvalsh(m)), rtol=1e-9)
+
+    def test_start_vector(self):
+        m = np.diag([0.5, 1.0, 0.25])
+        res = dominant_eig(lambda v: m @ v, 3, start=np.array([1.0, 1e-6, 0.0]))
+        np.testing.assert_allclose(res.value, 1.0, atol=1e-10)
+        # A start orthogonal to the dominant vector finds another eigenvalue.
+        res = dominant_eig(lambda v: m @ v, 3, start=np.array([3.0, 0.0, 0.0]))
+        assert res.value == 0.5
+
+    @pytest.mark.parametrize(
+        "start",
+        [np.ones(2), np.ones((3, 1)), np.zeros(3), np.array([1.0, np.nan, 0.0]),
+         np.array([1.0, np.inf, 0.0]), np.array([-np.inf, 0.0, 0.0])],
+        ids=["short", "column", "zero", "nan", "inf", "-inf"],
+    )
+    def test_bad_start_rejected(self, start):
+        m = np.diag([0.5, 1.0, 0.25])
+        with pytest.raises(TensorError, match="start"):
+            dominant_eig(lambda v: m @ v, 3, start=start)
 
     def test_residual_contract(self):
         rng = np.random.default_rng(7)
