@@ -27,7 +27,14 @@ from pne.tensor import TensorError
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.lower().replace("x", " ").split())
+    """The argparse type of a shape flag: ``3x3`` -> (3, 3), '' -> ().
+
+    A malformed shape is a usage error naming the flag; whether the extents
+    suit the model is checked where they are used."""
+    try:
+        return tuple(int(x) for x in text.lower().replace("x", " ").split())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a shape such as 3x3 or 2x2x2") from None
 
 
 def cmd_model(args) -> int:
@@ -43,8 +50,8 @@ def cmd_model(args) -> int:
         beta=beta,
         bias=args.bias,
         seed=args.seed,
-        block_factors=_parse_shape(args.block) if args.block else None,
-        patch=_parse_shape(args.patch),
+        block_factors=args.block or None,
+        patch=args.patch,
         boundary=args.boundary,
         chi=args.chi,
     )
@@ -146,9 +153,8 @@ def cmd_infinite(args) -> int:
     else:
         unit = random_tensor((args.chi,) * 4, bias=args.bias, seed=args.seed)
     if args.block:
-        f = _parse_shape(args.block)
-        unit = block_unit(unit, f).materialize()
-        sites = int(np.prod(f))
+        unit = block_unit(unit, args.block).materialize()
+        sites = int(np.prod(args.block))
     else:
         sites = 1
     ctx = prepare_strips(unit)
@@ -209,8 +215,8 @@ def main(argv=None) -> int:
     p.add_argument("--bias", type=float, default=0.2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--chi", type=int, default=4, help="extent for random tensors")
-    p.add_argument("--block", default=None, help="blocking factors, e.g. 4x4 or 2x2x2")
-    p.add_argument("--patch", required=True, help="patch shape, e.g. 3x3 or 2x2x2")
+    p.add_argument("--block", type=_parse_shape, default=None, help="blocking factors, e.g. 4x4 or 2x2x2")
+    p.add_argument("--patch", type=_parse_shape, required=True, help="patch shape, e.g. 3x3 or 2x2x2")
     p.add_argument("--boundary", default="bp", choices=["bp", "open"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_model)
@@ -246,7 +252,7 @@ def main(argv=None) -> int:
     p.add_argument("--bias", type=float, default=0.2)
     p.add_argument("--chi", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--block", default="2x2", help="blocking factors ('' to disable)")
+    p.add_argument("--block", type=_parse_shape, default="2x2", help="blocking factors ('' to disable)")
     p.add_argument("--width", type=int, default=4, help="largest strip width L")
     p.add_argument("--axes", default="vh", choices=["v", "vh"])
     p.add_argument("--cylinder", action="store_true", help="also print the cylinder baseline")

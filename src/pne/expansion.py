@@ -45,6 +45,7 @@ from pne.network import (
     TensorNetwork,
     absorb_matrix,
     apply_insertions,
+    checked_isometry,
     contract,
     insert_joint_dense,
     insert_joint_isometry,
@@ -283,18 +284,6 @@ class Expansion:
         return max(t.plan.cost_exponent(chi) for t in self.terms)
 
 
-def _checked_factor(part: Partition, e: int, dim: int, f) -> np.ndarray:
-    """``f`` as an array, if it is a (dim, r) isometry with 1 <= r <= dim."""
-    f = asarray(f)
-    if f.ndim != 2 or f.shape[0] != dim or not 1 <= f.shape[1] <= dim:
-        raise ExpansionError(
-            f"partition {part.id}: factor shape {f.shape} of edge {e} is incompatible with edge dim {dim}"
-        )
-    if not np.allclose(f.T @ f, np.eye(f.shape[1]), atol=1e-8):
-        raise ExpansionError(f"partition {part.id}: factor columns of edge {e} are not orthonormal")
-    return f
-
-
 def _check_partitions(net: TensorNetwork, partitions: Sequence[Partition]) -> None:
     """Reject a partition list no expansion of ``net`` can carry. Each
     distinct factor of an edge is checked here once, so the builder does not
@@ -316,7 +305,9 @@ def _check_partitions(net: TensorNetwork, partitions: Sequence[Partition]) -> No
                 f = part.projector.factors[idx]
                 if e in seen and seen[e][0] is f:
                     continue                    # checked where the edge first carried it
-                arr = _checked_factor(part, e, net.edges[e].dim, f)
+                arr = checked_isometry(
+                    f, net.edges[e].dim, ExpansionError, f"partition {part.id}: factor of edge {e}"
+                )
                 if e not in seen:
                     seen[e] = (f, arr)
                 elif seen[e][1].shape != arr.shape or not np.allclose(seen[e][1], arr, atol=1e-12):
@@ -403,7 +394,6 @@ def build_combinatorial(
 class EvalResult:
     value: np.ndarray
     term_values: tuple[np.ndarray, ...]
-    pruned: tuple[int, ...] = ()
 
     def scalar(self) -> float:
         return float(self.value)
@@ -412,67 +402,30 @@ class EvalResult:
 def evaluate(
     exp: Expansion,
     workers: int = 1,
-    prune_dangling: bool = False,
     memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES,
 ) -> EvalResult:
     """Evaluate the expansion: sum of coefficient * contraction over terms.
 
-    The reduction always runs in term-index order, so the value is
-    bit-reproducible for any worker count. With ``prune_dangling`` (valid
-    only for symmetrized rank-1 message projectors on closed networks),
-    terms whose uncapped edges cannot host a dangling-free excitation are
-    not contracted: they all equal the message vacuum, which is computed
-    once and accounted for combinatorially.
+    Every term is contracted, whatever the projectors. The reduction always
+    runs in term-index order, so the value is bit-reproducible for any
+    worker count.
     """
-    pruned_idx: list[int] = []
-    vacuum = None
-    if prune_dangling:
-        if exp.form != "combinatorial":
-            raise ExpansionError("dangling-excitation pruning applies to the combinatorial form only")
-        pruned_idx = _prunable_terms(exp)
-        if pruned_idx:
-            vacuum = _message_vacuum(exp.net, memory_cap_bytes)
-    prune_set = set(pruned_idx)
 
-    def term_value(i: int) -> np.ndarray:
-        t = exp.terms[i]
-        if i in prune_set:
-            return vacuum
+    def term_value(t: ExpansionTerm) -> np.ndarray:
         try:
             return contract(t.network, plan=t.plan, memory_cap_bytes=memory_cap_bytes)
         except NetworkError as exc:
             raise ExpansionError(f"term {t.pattern} failed to contract: {exc}") from exc
-    n = len(exp.terms)
     if workers and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(term_value, range(n)))
+            values = list(pool.map(term_value, exp.terms))
     else:
-        values = [term_value(i) for i in range(n)]
+        values = [term_value(t) for t in exp.terms]
     total = None
     for t, v in zip(exp.terms, values):
         contrib = t.coefficient * v
         total = contrib if total is None else total + contrib
-    return EvalResult(value=np.asarray(total), term_values=tuple(values), pruned=tuple(pruned_idx))
-
-
-def _prunable_terms(exp: Expansion) -> list[int]:
-    if not exp.net.is_closed:
-        raise ExpansionError("dangling-excitation pruning is only valid for closed networks")
-    if any(not isinstance(part.projector, Factorized) for part in exp.partitions):
-        raise ExpansionError("pruning requires per-edge rank-1 message projectors")
-    if not _e0_columns(exp.partitions):
-        raise ExpansionError(
-            "pruning requires symmetrized fixed-point projectors (rank-1, e0 basis column)"
-        )
-    out = []
-    for i, term in enumerate(exp.terms):
-        capped: set[int] = set()
-        for k, tag in enumerate(term.pattern):
-            if tag != "I":
-                capped.update(exp.partitions[k].edges)
-        if not _has_loop_support(exp.net, capped):
-            out.append(i)
-    return out
+    return EvalResult(value=np.asarray(total), term_values=tuple(values))
 
 
 def _e0_columns(partitions: Sequence[Partition]) -> bool:
@@ -486,49 +439,6 @@ def _e0_columns(partitions: Sequence[Partition]) -> bool:
             if f.shape[1] != 1 or not np.allclose(f, basis_columns(f.shape[0], 1), atol=1e-10):
                 return False
     return True
-
-
-def _has_loop_support(net: TensorNetwork, capped: set[int]) -> bool:
-    """Whether the uncapped closed edges contain a subgraph of minimum degree 2.
-
-    Equivalent to a non-empty 2-core; only such subgraphs can carry an
-    excitation pattern with no dangling (degree-1) tensor.
-    """
-    degree: dict[int, int] = {}
-    incident: dict[int, list[tuple[int, int]]] = {}
-    live: set[int] = set()
-    for eid, edge in net.edges.items():
-        if edge.is_open or eid in capped:
-            continue
-        a = edge.endpoints[0][0]
-        b = edge.endpoints[1][0]
-        live.add(eid)
-        for n, other in ((a, b), (b, a)):
-            degree[n] = degree.get(n, 0) + 1
-            incident.setdefault(n, []).append((eid, other))
-    queue = [n for n, d in degree.items() if d <= 1]
-    while queue:
-        n = queue.pop()
-        if degree.get(n, 0) > 1:
-            continue
-        for eid, other in incident.get(n, []):
-            if eid in live:
-                live.discard(eid)
-                degree[n] -= 1
-                degree[other] -= 1
-                if degree[other] == 1:
-                    queue.append(other)
-    return bool(live)
-
-
-def _message_vacuum(net: TensorNetwork, memory_cap_bytes: int) -> np.ndarray:
-    """Contraction with the e0 rank-1 cap on every closed edge."""
-    ins = [
-        EdgeInsertion(eid, ProjectorP(basis_columns(edge.dim, 1)))
-        for eid, edge in sorted(net.edges.items())
-        if not edge.is_open
-    ]
-    return contract(apply_insertions(net, ins), memory_cap_bytes=memory_cap_bytes)
 
 
 def evaluate_residue(

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -98,15 +99,20 @@ def _row(first: np.ndarray, unit: np.ndarray, k: int, v: np.ndarray) -> np.ndarr
     return carry
 
 
-def _strip_apply(unit: np.ndarray, k: int, v: np.ndarray) -> np.ndarray:
-    """One row of a width-k strip applied to the state on k vertical bonds.
+def _strip_operator(unit: np.ndarray, k: int) -> Callable[[np.ndarray], np.ndarray]:
+    """One row of a width-k strip, as a map of the state on k vertical bonds.
 
     The transverse boundary bonds are capped with e0 on both sides (the
-    partition projectors in the symmetrized gauge)."""
+    partition projectors in the symmetrized gauge). The cap and the capped
+    first unit are built once per operator, not once per application."""
     e0 = np.zeros(unit.shape[2])
     e0[0] = 1.0
-    carry = _row(np.tensordot(unit, e0, axes=([2], [0])), unit, k, v)
-    return np.tensordot(carry, e0, axes=([carry.ndim - 1], [0])).reshape(-1)
+    first = np.tensordot(unit, e0, axes=([2], [0]))
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        carry = _row(first, unit, k, v)
+        return np.tensordot(carry, e0, axes=([carry.ndim - 1], [0])).reshape(-1)
+    return apply
 
 
 def _leading(apply, n: int, what: str, **eig_kwargs) -> float:
@@ -143,7 +149,7 @@ def transfer_eigs(
         if k not in cache:
             start = VACUUM_START_MIX * near_uniform(unit.shape[0] ** k)
             start[0] += 1.0                # the BP vacuum e0^{(x)k}
-            cache[k] = _leading(lambda v, k=k: _strip_apply(unit, k, v), start.size,
+            cache[k] = _leading(_strip_operator(unit, k), start.size,
                                 f"width-{k} transfer operator", tol=tol, max_iter=max_iter,
                                 start=start)
     return {k: cache[k] for k in ks}
@@ -157,9 +163,10 @@ def patch_scalar(ctx: StripContext, k: int, p: int) -> float:
     if k < 1 or p < 1:
         raise InfiniteError(f"a capped patch needs k, p >= 1, got ({k}, {p})")
     if (k, p) not in ctx.patches:
+        apply = _strip_operator(ctx.unit, k)
         v = ctx.e0(k)
         for q in range(1, p + 1):
-            v = _strip_apply(ctx.unit, k, v)
+            v = apply(v)
             ctx.patches[k, q] = float(v[0])
     return ctx.patches[k, p]
 

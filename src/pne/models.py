@@ -397,11 +397,8 @@ class BlockedUnit:
 
     def __init__(self, unit: np.ndarray, factors: tuple[int, ...]):
         self.unit = asarray(unit)
-        self.factors = tuple(int(f) for f in factors)
-        if self.unit.ndim != 2 * len(self.factors):
-            raise ModelError("blocking factors must give one entry per grid axis")
-        if any(f < 1 for f in self.factors):
-            raise ModelError(f"blocking factors {self.factors} must be positive")
+        # Two legs per grid axis; an odd-rank unit matches no factor count.
+        self.factors = _block_factors(factors, self.unit.ndim / 2)
         self.ndim = len(self.factors)
         self._materialized: np.ndarray | None = None
 
@@ -561,7 +558,10 @@ def finite_patch(spec: ModelSpec) -> GridNetwork:
     blocking) is capped with its self-consistent messages, so the interior
     fixed point of the patch is homogeneous by construction. With
     ``boundary="open"`` the finite-lattice model is built directly (then
-    blocked), which only the Ising and AKLT generators support."""
+    blocked), which only the Ising and AKLT generators support. Any other
+    ``boundary`` raises :class:`ModelError`."""
+    if spec.boundary not in ("bp", "open"):
+        raise ModelError(f"boundary must be 'bp' or 'open', not {spec.boundary!r}")
     if any(n < 1 for n in spec.patch):
         raise ModelError(f"patch extents {spec.patch} must be positive")
     if spec.kind == "random":

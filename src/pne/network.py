@@ -41,6 +41,7 @@ __all__ = [
     "validate",
     "subnetwork",
     "absorb_matrix",
+    "checked_isometry",
     "apply_insertions",
     "insert_joint_ketbra",
     "insert_joint_isometry",
@@ -267,6 +268,18 @@ def absorb_matrix(t: np.ndarray, ax: int, m: np.ndarray, head_side: bool) -> np.
     return np.moveaxis(out, -1, ax)
 
 
+def checked_isometry(u, dim: int, error: type[NetworkError], what: str) -> np.ndarray:
+    """``u`` as an array, if it is a (dim, r) isometry: 1 <= r <= dim and
+    orthonormal columns to atol 1e-8. Otherwise raises ``error``, its
+    message led by ``what``."""
+    u = asarray(u)
+    if u.ndim != 2 or u.shape[0] != dim or not 1 <= u.shape[1] <= dim:
+        raise error(f"{what}: shape {u.shape} is incompatible with dim {dim}")
+    if not np.allclose(u.T @ u, np.eye(u.shape[1]), atol=1e-8):
+        raise error(f"{what}: columns are not orthonormal")
+    return u
+
+
 def apply_insertions(
     net: TensorNetwork,
     insertions: Iterable[EdgeInsertion],
@@ -292,13 +305,7 @@ def apply_insertions(
         if isinstance(op, ProjectorP):
             if edge.is_open:
                 raise InsertionError(f"edge {eid} is open; projectors apply to closed edges")
-            u = asarray(op.isometry)
-            if u.ndim != 2 or u.shape[0] != edge.dim or not 1 <= u.shape[1] <= edge.dim:
-                raise InsertionError(
-                    f"edge {eid}: isometry shape {u.shape} incompatible with edge dim {edge.dim}"
-                )
-            if not np.allclose(u.T @ u, np.eye(u.shape[1]), atol=1e-8):
-                raise InsertionError(f"edge {eid}: projector factor columns are not orthonormal")
+            u = checked_isometry(op.isometry, edge.dim, InsertionError, f"edge {eid}: projector factor")
             for n, ax in edge.endpoints:
                 out.nodes[n] = absorb_matrix(out.nodes[n], ax, u, head_side=False)
             out.edges[eid] = Edge(endpoints=edge.endpoints, dim=u.shape[1])
@@ -401,11 +408,7 @@ def insert_joint_isometry(
     joined by a new rank-r edge.
     """
     dims, bigdim = _joint_dims(net, edge_ids)
-    w = asarray(isometry)
-    if w.ndim != 2 or w.shape[0] != bigdim or not 1 <= w.shape[1] <= bigdim:
-        raise InsertionError(f"joint isometry shape {w.shape} incompatible with merged dim {bigdim}")
-    if not np.allclose(w.T @ w, np.eye(w.shape[1]), atol=1e-8):
-        raise InsertionError("joint projector factor columns are not orthonormal")
+    w = checked_isometry(isometry, bigdim, InsertionError, "joint projector factor over the merged edges")
     r = w.shape[1]
     k = len(dims)
     tail_node = net.next_node_id()

@@ -86,3 +86,21 @@ def test_model_names_the_blocking_factor_it_rejects(tmp_path, capsys):
                     "--patch", "2x3", "--block", "0x2", "--out", str(out)],
            r"blocking factors \(0, 2\) must be positive")
     assert not out.exists()
+
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["model", "--model", "ising2d", "--beta", "0.4", "--patch", "3xa"], "--patch"),
+    (["model", "--model", "ising2d", "--beta", "0.4", "--patch", "2x2", "--block", "twoxtwo"], "--block"),
+    (["infinite", "--block", "2x2.5"], "--block"),
+])
+def test_malformed_shape_is_a_usage_error_naming_the_flag(tmp_path, capsys, argv, flag):
+    out = tmp_path / "m.pnec"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + (["--out", str(out)] if argv[0] == "model" else []))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {flag}: " in captured.err
+    assert "Traceback" not in captured.err
+    assert not out.exists()

@@ -270,46 +270,6 @@ class TestResidue:
         assert np.isfinite(float(evaluate_residue(exp, memory_cap_bytes=4096)))
 
 
-class TestPrune:
-    def _symmetrized_instance(self, seed):
-        from pne.belief import run_bp, symmetrize
-
-        for attempt in range(5):
-            g = random_grid((3, 3), 3, bias=0.5, seed=seed + 1000 * attempt)
-            state = run_bp(g.net, tol=1e-13, max_iter=4000, seed=seed)
-            if state.converged:
-                net2, _ = symmetrize(g.net, state)
-                return net2
-        raise AssertionError("no convergent instance")
-
-    def test_prune_matches_unpruned(self):
-        net2 = self._symmetrized_instance(16)
-        from pne.models import GridNetwork  # grid lookups not needed; use edge ids
-
-        v1 = tuple(sorted(net2.edges))[0:5:2]
-        lines = [
-            (0, 1, 2),      # a column-ish line of edge ids
-            (9, 10, 11),
-        ]
-        parts = [
-            Partition(id=k, edges=tuple(es), projector=Factorized(tuple(e0col(3) for _ in es)))
-            for k, es in enumerate(lines)
-        ]
-        exp = build_combinatorial(net2, parts)
-        plain = evaluate(exp)
-        pruned = evaluate(exp, prune_dangling=True)
-        assert pruned.pruned        # something was actually skipped
-        np.testing.assert_allclose(float(pruned.value), float(plain.value), rtol=1e-10)
-
-    def test_prune_requires_message_projectors(self):
-        rng = np.random.default_rng(17)
-        g = random_grid((2, 2), 3, bias=0.2, seed=17)
-        parts = single_parts(g, [0], [rand_iso(3, 1, rng)])
-        exp = build_combinatorial(g.net, parts)
-        with pytest.raises(ExpansionError):
-            evaluate(exp, prune_dangling=True)
-
-
 class TestResidueDegrees:
     def test_double_loop_three_partitions(self):
         g = random_grid((2, 3), 2, seed=18)

@@ -281,6 +281,13 @@ class TestFinitePatch:
         assert g.shape == (3, 3)
         assert all(e.dim == 16 for e in g.net.edges.values())
 
+    @pytest.mark.parametrize("kind", ["ising2d", "aklt", "random"])
+    def test_unknown_boundary_rejected(self, kind):
+        # A misspelt "open" used to build a BP-capped patch without a word.
+        spec = ModelSpec(kind=kind, beta=0.4, patch=(2, 2), boundary="opne")
+        with pytest.raises(ModelError, match="boundary must be 'bp' or 'open', not 'opne'"):
+            finite_patch(spec)
+
     def test_random_patch(self):
         spec = ModelSpec(kind="random", patch=(2, 3), chi=5, seed=3)
         g = finite_patch(spec)
