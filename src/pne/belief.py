@@ -113,7 +113,7 @@ def _outgoing(t: np.ndarray, pairs) -> list[np.ndarray]:
 def _start_message(initial, eid: int, d: int, dim: int) -> np.ndarray:
     if (eid, d) not in initial:
         raise BPError(f"initial messages have no entry for edge {eid} direction {d}")
-    m = asarray(initial[(eid, d)]).copy()
+    m = asarray(initial[(eid, d)])
     if m.shape != (dim,):
         raise BPError(f"initial message on edge {eid} direction {d} has shape {m.shape}, not ({dim},)")
     nrm = np.linalg.norm(m)
@@ -121,6 +121,48 @@ def _start_message(initial, eid: int, d: int, dim: int) -> np.ndarray:
         raise BPError(f"initial message on edge {eid} direction {d} has norm {nrm}; "
                       "it must be finite and nonzero")
     return m
+
+
+def _iterate_messages(dims, emit, tol, max_iter, damping, seed, error, initial=None):
+    """Synchronous damped message passing, the loop of :func:`run_bp` and
+    :func:`pne.models.uniform_fixed_point`; failures raise ``error``.
+
+    ``dims`` maps each message key to its extent. The start is ``initial``
+    (finite nonzero vectors) or ones plus 1e-3 noise drawn in key order, an
+    order every returned dict keeps. ``emit(messages)`` returns the raw
+    update of every key; each sweep normalizes it, keeps fraction
+    ``damping`` of the previous message and fixes the sign, and stops once
+    the largest 2-norm change is below ``tol``. Returns ``(messages,
+    iterations, residuals, residual_history, converged)``.
+    """
+    if not 0.0 <= damping < 1.0:
+        raise error(f"damping {damping} is outside [0, 1)")
+    rng = np.random.default_rng(seed)
+    messages: dict = {}
+    for k, dim in dims.items():
+        m = initial[k] if initial is not None else np.ones(dim) + 1e-3 * rng.standard_normal(dim)
+        messages[k] = _sign_fix(m / np.linalg.norm(m))
+    residuals = {k: np.inf for k in messages}
+    history: list[float] = []
+    it = 0
+    for it in range(1, max_iter + 1):
+        raw = emit(messages)
+        new = {}
+        for k in dims:
+            nrm = np.linalg.norm(raw[k])
+            if nrm == 0.0:
+                raise error(f"zero outgoing message {k}")
+            m = raw[k] / nrm
+            if damping:
+                m = (1.0 - damping) * m + damping * messages[k]
+                m /= np.linalg.norm(m)
+            new[k] = _sign_fix(m)
+        residuals = {k: float(np.linalg.norm(new[k] - messages[k])) for k in new}
+        messages = new
+        history.append(max(residuals.values(), default=0.0))
+        if history[-1] < tol:
+            return messages, it, residuals, history, True
+    return messages, it, residuals, history, False
 
 
 def run_bp(
@@ -143,8 +185,6 @@ def run_bp(
     Each sweep visits every node once and contracts all of its outgoing
     messages from shared absorption prefixes, so it costs O(E).
     """
-    if not 0.0 <= damping < 1.0:
-        raise BPError(f"damping {damping} is outside [0, 1)")
     problems = validate(net)
     if problems:
         raise BPError("cannot run BP on an invalid network: " + "; ".join(problems))
@@ -152,55 +192,24 @@ def run_bp(
         if len(edge.endpoints) == 2 and edge.endpoints[0][0] == edge.endpoints[1][0]:
             raise BPError(f"edge {eid} is a self-loop; BP updates are not defined for it")
 
-    rng = np.random.default_rng(seed)
-    edges = sorted(net.edges.items())
-    messages: dict[tuple[int, int], np.ndarray] = {}
-    for eid, edge in edges:
-        ndir = 1 if edge.is_open else 2
-        for d in range(ndir):
-            if initial is not None:
-                m = _start_message(initial, eid, d, edge.dim)
-            else:
-                m = np.ones(edge.dim) + 1e-3 * rng.standard_normal(edge.dim)
-            m /= np.linalg.norm(m)
-            messages[(eid, d)] = _sign_fix(m)
-        if edge.is_open:
-            messages[(eid, 1)] = messages[(eid, 0)]
-
+    # An open edge carries one message, stored under both directions.
+    source = {(eid, d): (eid, 0 if edge.is_open else d) for eid, edge in sorted(net.edges.items()) for d in (0, 1)}
+    dims = {k: net.edges[k[0]].dim for k in source.values()}
+    start = None if initial is None else {k: _start_message(initial, *k, dim) for k, dim in dims.items()}
     index = net.attachment_index()
     wiring = {nid: _wiring(net, index, nid) for nid in net.nodes}
-    residuals = {k: np.inf for k in messages}
-    history: list[float] = []
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        raw: dict[tuple[int, int], np.ndarray] = {}
+
+    def emit(messages):
+        raw = {}
         for nid, wires in wiring.items():
             outs = _outgoing(net.nodes[nid], [(ax, messages[k_in]) for ax, k_in, _ in wires])
-            for (_, _, k_out), t in zip(wires, outs):
-                raw[k_out] = t
-        new: dict[tuple[int, int], np.ndarray] = {}
-        for eid, edge in edges:
-            ndir = 1 if edge.is_open else 2
-            for d in range(ndir):
-                t = raw[(eid, d)]
-                nrm = np.linalg.norm(t)
-                if nrm == 0.0:
-                    raise BPError(f"zero outgoing message on edge {eid}")
-                m = t / nrm
-                if damping:
-                    m = (1.0 - damping) * m + damping * messages[(eid, d)]
-                    m /= np.linalg.norm(m)
-                new[(eid, d)] = _sign_fix(m)
-            if edge.is_open:
-                new[(eid, 1)] = new[(eid, 0)]
-        residuals = {k: float(np.linalg.norm(new[k] - messages[k])) for k in new}
-        messages = new
-        history.append(max(residuals.values(), default=0.0))
-        if history[-1] < tol:
-            converged = True
-            break
-    return BPState(messages=messages, iterations=it, residuals=residuals, converged=converged, tol=tol,
+            raw.update((k_out, t) for (_, _, k_out), t in zip(wires, outs))
+        return raw
+
+    messages, it, residuals, history, converged = _iterate_messages(
+        dims, emit, tol, max_iter, damping, seed, BPError, start)
+    return BPState(messages={k: messages[src] for k, src in source.items()}, iterations=it,
+                   residuals={k: residuals[src] for k, src in source.items()}, converged=converged, tol=tol,
                    residual_history=history)
 
 
@@ -270,15 +279,18 @@ class SymmetrizedGauge:
         return out
 
 
-def _message_gauge(fwd: np.ndarray, rev: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauge matrix ``x`` and its inverse for a message pair of overlap
-    ``c = fwd @ rev`` (checked nonzero by the caller).
+def _message_gauge(fwd: np.ndarray, rev: np.ndarray, error: type[NetworkError],
+                   what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Gauge matrix ``x`` and its inverse for the message pair on ``what``.
 
-    ``x`` stacks the pair-normalized forward message on top of an
+    Raises ``error`` when the overlap ``fwd @ rev`` is below 1e-12. ``x`` stacks the pair-normalized forward message on top of an
     orthonormal basis of the normalized reverse message's orthogonal
     complement, so absorbing ``x_inv`` on the tail side and ``x`` on the
     head side turns both messages into e0.
     """
+    c = float(fwd @ rev)
+    if abs(c) < 1e-12:
+        raise error(f"message overlap {c:.2e} on {what} is too small to fix a gauge")
     s = np.sqrt(abs(c))
     x = np.vstack([(fwd * (np.sign(c) / s))[None, :], orthogonal_complement(rev / s)])
     return x, np.linalg.solve(x, np.eye(x.shape[0]))
@@ -296,12 +308,9 @@ def symmetrize(net: TensorNetwork, state: BPState) -> tuple[TensorNetwork, Symme
     out = net.copy()
     gauge = SymmetrizedGauge()
     for eid, edge in sorted(net.edges.items()):
-        fwd = state.messages[(eid, 0)]   # tail -> head
-        rev = state.messages[(eid, 1)]   # head -> tail
-        c = float(fwd @ rev)
-        if abs(c) < 1e-12:
-            raise GaugeError(f"message overlap {c:.2e} on edge {eid} is too small to symmetrize")
-        x, x_inv = _message_gauge(fwd, rev, c)
+        # Forward is tail -> head, reverse head -> tail.
+        x, x_inv = _message_gauge(state.messages[(eid, 0)], state.messages[(eid, 1)], GaugeError,
+                                  f"edge {eid}")
         gauge.x[eid] = x
         gauge.x_inv[eid] = x_inv
         gauge.dims[eid] = edge.dim

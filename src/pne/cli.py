@@ -217,7 +217,8 @@ def main(argv=None) -> int:
     p.add_argument("--chi", type=int, default=4, help="extent for random tensors")
     p.add_argument("--block", type=_parse_shape, default=None, help="blocking factors, e.g. 4x4 or 2x2x2")
     p.add_argument("--patch", type=_parse_shape, required=True, help="patch shape, e.g. 3x3 or 2x2x2")
-    p.add_argument("--boundary", default="bp", choices=["bp", "open"])
+    p.add_argument("--boundary", default="bp", choices=["bp", "open"],
+                   help="cap the patch with uniform BP messages or leave it open (random grids have no caps)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_model)
 

@@ -74,7 +74,8 @@ def prepare_strips(unit: np.ndarray, ubp: UniformBP | None = None, **bp_kwargs) 
     if ubp is None:
         ubp = uniform_fixed_point(unit, **bp_kwargs)
     if not ubp.converged:
-        raise InfiniteError("uniform message passing did not converge on this unit")
+        raise InfiniteError(f"uniform message passing did not converge on this unit in {ubp.iterations} "
+                            f"sweeps (last residual {ubp.residual:.2e})")
     gauged, _ = symmetrize_uniform(unit, ubp)
     site = float(gauged[0, 0, 0, 0])
     if site <= 0:

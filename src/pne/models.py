@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 
-from pne.belief import _absorb_all, _message_gauge, _sign_fix
+from pne.belief import _absorb_all, _iterate_messages, _message_gauge, _outgoing
 from pne.network import NetworkError, TensorNetwork, absorb_matrix, contract, subnetwork
 from pne.tensor import asarray
 
@@ -296,6 +296,12 @@ class _UnitOps:
     def apply_caps(self, caps: dict[AxisDir, np.ndarray | None]) -> np.ndarray:
         return _absorb_all(self.unit, [(2 * g + s, vec) for (g, s), vec in caps.items() if vec is not None])
 
+    def outgoing(self, caps: dict[AxisDir, np.ndarray]) -> dict[AxisDir, np.ndarray]:
+        """The message emitted from each face when every other face absorbs
+        its cap, from ``_outgoing``'s shared absorption prefixes."""
+        faces = sorted(caps, reverse=True)     # descending axis 2 * g + s
+        return dict(zip(faces, _outgoing(self.unit, [(2 * g + s, caps[(g, s)]) for g, s in faces])))
+
 
 @dataclass
 class UniformBP:
@@ -309,6 +315,7 @@ class UniformBP:
     iterations: int
     residual: float
     converged: bool
+    residual_history: list[float] = field(default_factory=list)
 
     def cap(self, g: int, s: int) -> np.ndarray:
         return self.out_messages[(g, 1 - s)]
@@ -325,39 +332,17 @@ def uniform_fixed_point(
     seed: int = 0,
 ) -> UniformBP:
     """Damped synchronous iteration of the single-tensor self-consistency
-    equations (all nodes share one message per axis direction).
-    ``damping`` keeps that fraction of the previous message and must lie in
-    [0, 1)."""
-    if not 0.0 <= damping < 1.0:
-        raise ModelError(f"damping {damping} is outside [0, 1)")
+    equations (all nodes share one message per axis direction), through the
+    loop :func:`pne.belief.run_bp` uses. ``damping`` keeps that fraction of
+    the previous message and must lie in [0, 1)."""
     ops = unit if isinstance(unit, BlockedUnit) else _UnitOps(unit)
-    rng = np.random.default_rng(seed)
-    dirs = [(g, s) for g in range(ops.ndim) for s in (0, 1)]
-    out: dict[AxisDir, np.ndarray] = {}
-    for g, s in dirs:
-        m = np.ones(ops.face_dim(g, s)) + 1e-3 * rng.standard_normal(ops.face_dim(g, s))
-        out[(g, s)] = _sign_fix(m / np.linalg.norm(m))
-    residual = np.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        new = {}
-        for g, s in dirs:
-            caps = {(h, t): out[(h, 1 - t)] for h, t in dirs if (h, t) != (g, s)}
-            caps[(g, s)] = None
-            vec = np.asarray(ops.apply_caps(caps)).reshape(-1)
-            nrm = np.linalg.norm(vec)
-            if nrm == 0.0:
-                raise ModelError(f"zero uniform message along axis {(g, s)}")
-            m = vec / nrm
-            if damping:
-                m = (1.0 - damping) * m + damping * out[(g, s)]
-                m /= np.linalg.norm(m)
-            new[(g, s)] = _sign_fix(m)
-        residual = max(float(np.linalg.norm(new[d] - out[d])) for d in dirs)
-        out = new
-        if residual < tol:
-            return UniformBP(out_messages=out, iterations=it, residual=residual, converged=True)
-    return UniformBP(out_messages=out, iterations=it, residual=residual, converged=False)
+    dims = {(g, s): ops.face_dim(g, s) for g in range(ops.ndim) for s in (0, 1)}
+    # The cap on face (g, s) is the message a neighbor emits from (g, 1 - s).
+    out, it, _, history, converged = _iterate_messages(
+        dims, lambda msgs: ops.outgoing({(g, s): msgs[(g, 1 - s)] for g, s in dims}),
+        tol, max_iter, damping, seed, ModelError)
+    return UniformBP(out_messages=out, iterations=it, residual=history[-1] if history else np.inf,
+                     converged=converged, residual_history=history)
 
 
 def symmetrize_uniform(unit: np.ndarray, ubp: UniformBP) -> tuple[np.ndarray, dict[int, np.ndarray]]:
@@ -371,12 +356,9 @@ def symmetrize_uniform(unit: np.ndarray, ubp: UniformBP) -> tuple[np.ndarray, di
     gauges: dict[int, np.ndarray] = {}
     out = unit
     for g in range(ndim):
-        fwd = ubp.out_messages[(g, 1)]     # tail -> head (+g direction)
-        rev = ubp.out_messages[(g, 0)]     # head -> tail
-        c = float(fwd @ rev)
-        if abs(c) < 1e-12:
-            raise ModelError(f"uniform message overlap {c:.2e} on axis {g} is too small")
-        x, x_inv = _message_gauge(fwd, rev, c)
+        # Forward is tail -> head (the +g direction), reverse head -> tail.
+        x, x_inv = _message_gauge(ubp.out_messages[(g, 1)], ubp.out_messages[(g, 0)], ModelError,
+                                  f"uniform axis {g}")
         out = absorb_matrix(out, 2 * g + 1, x_inv, head_side=False)
         out = absorb_matrix(out, 2 * g, x, head_side=True)
         gauges[g] = x
@@ -451,6 +433,12 @@ class BlockedUnit:
         for g, s in open_faces:
             shape.append(self.unit.shape[2 * g + s] ** len(self.face_cells(g, s)))
         return res.reshape(tuple(shape))
+
+    def outgoing(self, caps: dict[AxisDir, np.ndarray]) -> dict[AxisDir, np.ndarray]:
+        """:meth:`_UnitOps.outgoing` of the blocked tensor, one open face at a time."""
+        if self._materialized is not None:
+            return _UnitOps(self._materialized).outgoing(caps)
+        return {face: self.apply_caps({**caps, face: None}) for face in caps}
 
     def materialize(self) -> np.ndarray:
         if self._materialized is None:
@@ -538,7 +526,8 @@ def capped_patch(
 
 @dataclass
 class ModelSpec:
-    """Parameters selecting one benchmark network."""
+    """Parameters selecting one benchmark network. A random grid has no
+    boundary caps, so ``boundary`` does not apply to it."""
 
     kind: str                                   # ising2d | ising3d | aklt | random
     beta: float | None = None
@@ -551,6 +540,14 @@ class ModelSpec:
     open_axes: frozenset[tuple[Pos, AxisDir]] = frozenset()
 
 
+def _blocked_patch(build, patch: tuple[int, ...], block_factors) -> GridNetwork:
+    """``build(shape)`` on a lattice of ``patch`` times ``block_factors``
+    cells, then blocked back to ``patch``."""
+    factors = _block_factors(block_factors or (1,) * len(patch), len(patch))
+    grid = build(tuple(p * f for p, f in zip(patch, factors)))
+    return block(grid, factors) if any(f != 1 for f in factors) else grid
+
+
 def finite_patch(spec: ModelSpec) -> GridNetwork:
     """Build the benchmark network described by ``spec``.
 
@@ -558,37 +555,31 @@ def finite_patch(spec: ModelSpec) -> GridNetwork:
     blocking) is capped with its self-consistent messages, so the interior
     fixed point of the patch is homogeneous by construction. With
     ``boundary="open"`` the finite-lattice model is built directly (then
-    blocked), which only the Ising and AKLT generators support. Any other
-    ``boundary`` raises :class:`ModelError`."""
+    blocked), which only the Ising and AKLT generators support. A random
+    grid has no boundary caps: it is drawn on the fine lattice and blocked
+    whatever the ``boundary``. Any ``boundary`` other than "bp" or "open"
+    raises :class:`ModelError`."""
     if spec.boundary not in ("bp", "open"):
         raise ModelError(f"boundary must be 'bp' or 'open', not {spec.boundary!r}")
     if any(n < 1 for n in spec.patch):
         raise ModelError(f"patch extents {spec.patch} must be positive")
     if spec.kind == "random":
-        return random_grid(spec.patch, spec.chi, spec.bias, spec.seed, spec.open_axes)
+        return _blocked_patch(lambda shape: random_grid(shape, spec.chi, spec.bias, spec.seed, spec.open_axes),
+                              spec.patch, spec.block_factors)
     if spec.kind in ("ising2d", "ising3d"):
         dimension = 2 if spec.kind == "ising2d" else 3
         if spec.beta is None:
             raise ModelError("Ising models need beta")
         if spec.boundary == "open":
-            factors = _block_factors(spec.block_factors or (1,) * dimension, dimension)
-            spins = tuple(p * f for p, f in zip(spec.patch, factors))
-            patch = ising_open_patch(dimension, spec.beta, spins)
-            if any(f != 1 for f in factors):
-                patch = block(patch, factors)
-            return patch
+            return _blocked_patch(lambda shape: ising_open_patch(dimension, spec.beta, shape),
+                                  spec.patch, spec.block_factors)
         unit = ising_unit_tensor(dimension, spec.beta)
     elif spec.kind == "aklt":
         unit = aklt_norm_tensor()
         if spec.boundary == "open":
-            factors = _block_factors(spec.block_factors or (1, 1), 2)
-            cells = tuple(p * f for p, f in zip(spec.patch, factors))
             ident = np.eye(2).reshape(-1)
             caps = {(g, s): ident for g in range(2) for s in (0, 1)}
-            patch = capped_patch(unit, cells, caps)
-            if any(f != 1 for f in factors):
-                patch = block(patch, factors)
-            return patch
+            return _blocked_patch(lambda shape: capped_patch(unit, shape, caps), spec.patch, spec.block_factors)
     else:
         raise ModelError(f"unknown model kind {spec.kind!r}")
     work = unit
@@ -596,9 +587,8 @@ def finite_patch(spec: ModelSpec) -> GridNetwork:
         work = block_unit(unit, spec.block_factors).maybe_materialize()
     ubp = uniform_fixed_point(work)
     if not ubp.converged:
-        raise ModelError(
-            "uniform message passing did not converge; try boundary='open' instead"
-        )
+        raise ModelError(f"uniform message passing did not converge in {ubp.iterations} sweeps "
+                         f"(last residual {ubp.residual:.2e}); try boundary='open' instead")
     return capped_patch(work, spec.patch, ubp.caps(), spec.open_axes)
 
 

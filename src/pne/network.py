@@ -100,25 +100,15 @@ class TensorNetwork:
     ) -> "TensorNetwork":
         """Construct a network from tensors and per-edge attachment lists.
 
-        Edge dims are inferred from the attached tensor axes and checked for
-        consistency.
+        Each edge's dim is the extent of its first valid endpoint axis;
+        :func:`validate` then reports every structural violation at once.
         """
         nodes = {int(n): asarray(t) for n, t in tensors.items()}
         edges: dict[int, Edge] = {}
         for eid, eps in attachments.items():
             eps = tuple((int(n), int(ax)) for n, ax in eps)
-            if not 1 <= len(eps) <= 2:
-                raise NetworkError(f"edge {eid} must have one or two endpoints, got {len(eps)}")
-            dims = []
-            for n, ax in eps:
-                if n not in nodes:
-                    raise NetworkError(f"edge {eid} references unknown node {n}")
-                if not 0 <= ax < nodes[n].ndim:
-                    raise NetworkError(f"edge {eid} references axis {ax} of node {n} (rank {nodes[n].ndim})")
-                dims.append(nodes[n].shape[ax])
-            if len(set(dims)) > 1:
-                raise NetworkError(f"edge {eid} joins axes of unequal extents {dims}")
-            edges[int(eid)] = Edge(endpoints=eps, dim=dims[0])
+            dims = [nodes[n].shape[ax] for n, ax in eps if n in nodes and 0 <= ax < nodes[n].ndim]
+            edges[int(eid)] = Edge(endpoints=eps, dim=dims[0] if dims else 0)
         net = cls(nodes=nodes, edges=edges)
         problems = validate(net)
         if problems:

@@ -226,6 +226,13 @@ class TestRunBpArguments:
         with pytest.raises(BPError, match="edge 3 direction 0"):
             run_bp(net, initial=initial)
 
+    def test_zero_network_raises(self):
+        g = random_grid((2, 2), 2, seed=0)
+        zero = g.net.copy()
+        zero.nodes = {nid: 0.0 * t for nid, t in zero.nodes.items()}
+        with pytest.raises(BPError, match="zero"):
+            run_bp(zero)
+
     def test_residual_history(self):
         net, state = converged_instance(0)
         assert len(state.residual_history) == state.iterations

@@ -258,7 +258,7 @@ class TestErrors:
         from pne.models import random_tensor
 
         unit = random_tensor((3,) * 4, bias=0.0, seed=6)
-        with pytest.raises(InfiniteError, match="converge"):
+        with pytest.raises(InfiniteError, match=r"converge on this unit in 200 sweeps \(last residual \d"):
             prepare_strips(unit, max_iter=200)
 
     def test_width_zero_rejected(self):

@@ -4,13 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from pne.belief import run_bp
+from pne import models
+from pne.belief import _sign_fix, run_bp
 from pne.models import (
     BETA_C_2D,
     BETA_C_3D,
     BlockedUnit,
     ModelError,
     ModelSpec,
+    _UnitOps,
     aklt_norm_tensor,
     aklt_peps_tensor,
     block,
@@ -27,6 +29,55 @@ from pne.models import (
     uniform_fixed_point,
 )
 from pne.network import contract
+
+
+def per_direction_uniform_bp(unit, tol=1e-12, max_iter=4000, damping=0.2, seed=0):
+    """The loop uniform_fixed_point had before it shared run_bp's: every
+    direction's message absorbs the other faces' caps from scratch."""
+    ops = unit if isinstance(unit, BlockedUnit) else _UnitOps(unit)
+    rng = np.random.default_rng(seed)
+    dirs = [(g, s) for g in range(ops.ndim) for s in (0, 1)]
+    out = {}
+    for g, s in dirs:
+        m = np.ones(ops.face_dim(g, s)) + 1e-3 * rng.standard_normal(ops.face_dim(g, s))
+        out[(g, s)] = _sign_fix(m / np.linalg.norm(m))
+    residual = np.inf
+    it = 0
+    for it in range(1, max_iter + 1):
+        new = {}
+        for g, s in dirs:
+            caps = {(h, t): out[(h, 1 - t)] for h, t in dirs if (h, t) != (g, s)}
+            caps[(g, s)] = None
+            vec = np.asarray(ops.apply_caps(caps)).reshape(-1)
+            m = vec / np.linalg.norm(vec)
+            if damping:
+                m = (1.0 - damping) * m + damping * out[(g, s)]
+                m /= np.linalg.norm(m)
+            new[(g, s)] = _sign_fix(m)
+        residual = max(float(np.linalg.norm(new[d] - out[d])) for d in dirs)
+        out = new
+        if residual < tol:
+            return out, it, residual, True
+    return out, it, residual, False
+
+
+def materialized(unit, factors):
+    bu = block_unit(unit, factors)
+    bu.materialize()
+    return bu
+
+
+UNIFORM_UNITS = {
+    "ising2d": lambda: ising_unit_tensor(2, 0.35),
+    "ising3d": lambda: ising_unit_tensor(3, 0.18),
+    "block2x2": lambda: block_unit(ising_unit_tensor(2, 0.35), (2, 2)).materialize(),
+    "block4x4": lambda: block_unit(ising_unit_tensor(2, 0.6), (4, 4)).materialize(),
+    "lazy2x2x2": lambda: BlockedUnit(ising_unit_tensor(3, 0.18), (2, 2, 2)),
+    "materialized2x2": lambda: materialized(ising_unit_tensor(2, 0.35), (2, 2)),
+    "aklt": aklt_norm_tensor,
+    "random-bias0.3": lambda: random_tensor((3,) * 4, bias=0.3, seed=2),
+    "random-bias0": lambda: random_tensor((3,) * 4, bias=0.0, seed=0),
+}
 
 
 class TestIsing:
@@ -252,6 +303,26 @@ class TestUniformBP:
         with pytest.raises(ModelError, match="damping"):
             uniform_fixed_point(ising_unit_tensor(2, 0.3), damping=damping)
 
+    @pytest.mark.parametrize("damping", [0.0, 0.2])
+    @pytest.mark.parametrize("kind", sorted(UNIFORM_UNITS))
+    def test_matches_per_direction_loop(self, kind, damping):
+        # The shared node-centric sweep performs the reference's tensordots
+        # in the same order, so the runs agree bit for bit.
+        unit = UNIFORM_UNITS[kind]()
+        max_iter = 40 if kind == "lazy2x2x2" else 300
+        ubp = uniform_fixed_point(unit, max_iter=max_iter, damping=damping, seed=1)
+        out, it, residual, converged = per_direction_uniform_bp(unit, max_iter=max_iter, damping=damping, seed=1)
+        assert list(ubp.out_messages) == list(out)
+        for d, m in out.items():
+            assert ubp.out_messages[d].tobytes() == m.tobytes()
+        assert (ubp.iterations, ubp.residual, ubp.converged) == (it, residual, converged)
+        assert len(ubp.residual_history) == ubp.iterations
+        assert ubp.residual_history[-1] == ubp.residual
+
+    def test_zero_unit_raises(self):
+        with pytest.raises(ModelError, match="zero"):
+            uniform_fixed_point(np.zeros((2, 2, 2, 2)))
+
 
 class TestFinitePatch:
     def test_bp_capped_3x3(self):
@@ -293,6 +364,26 @@ class TestFinitePatch:
         g = finite_patch(spec)
         assert g.shape == (2, 3)
         assert all(e.dim == 5 for e in g.net.edges.values())
+
+    @pytest.mark.parametrize("factors", [(2, 2), (1, 2)])
+    def test_random_patch_blocked(self, factors):
+        # The blocking factors used to be ignored for random grids.
+        spec = ModelSpec(kind="random", patch=(2, 2), chi=2, bias=0.3, seed=5, block_factors=factors)
+        g = finite_patch(spec)
+        assert g.shape == (2, 2)
+        for g_ax, f in enumerate(factors):
+            assert all(g.net.edges[e].dim == 2 ** factors[1 - g_ax] for e in g.axis_bonds(g_ax))
+        fine = random_grid((2 * factors[0], 2 * factors[1]), 2, bias=0.3, seed=5)
+        np.testing.assert_allclose(float(contract(g.net)), float(contract(fine.net)), rtol=1e-12)
+
+    def test_stall_names_sweeps_and_residual(self, monkeypatch):
+        # Three sweeps leave the Ising messages short of the tolerance.
+        short = models.uniform_fixed_point(ising_unit_tensor(2, 0.3), max_iter=3)
+        assert not short.converged
+        monkeypatch.setattr(models, "uniform_fixed_point", lambda unit: short)
+        spec = ModelSpec(kind="ising2d", beta=0.3, patch=(2, 2))
+        with pytest.raises(ModelError, match=rf"in 3 sweeps \(last residual {short.residual:.2e}\)"):
+            finite_patch(spec)
 
 
 class TestOnsager:

@@ -71,6 +71,21 @@ class TestValidate:
         net = TensorNetwork(nodes={0: np.zeros((2, 2))}, edges={})
         assert any("not covered" in p for p in validate(net))
 
+    @pytest.mark.parametrize("attachments, problem", [
+        ({0: [(0, 0), (1, 0)], 1: []}, "edge 1: has 0 endpoints"),
+        ({0: [(0, 0), (1, 0), (1, 0)]}, "edge 0: has 3 endpoints"),
+        ({0: [(0, 0), (5, 0)]}, "edge 0: unknown node 5"),
+        ({0: [(0, 0), (1, 2)]}, "edge 0: node 1 has no axis 2"),
+        ({0: [(0, 0), (2, 0)], 1: [(1, 0)]}, "edge 0: extent 3 of node 2 axis 0 != edge dim 2"),
+    ])
+    def test_build_rejects_malformed_structure(self, attachments, problem):
+        with pytest.raises(NetworkError, match=problem):
+            TensorNetwork.build({0: np.ones(2), 1: np.ones(2), 2: np.ones(3)}, attachments)
+
+    def test_build_reports_every_violation(self):
+        with pytest.raises(NetworkError, match="unknown node 5.*has no axis 1"):
+            TensorNetwork.build({0: np.ones(2), 1: np.ones(2)}, {0: [(0, 0), (5, 0)], 1: [(1, 1)]})
+
 
 class TestContract:
     def test_two_vectors(self):
