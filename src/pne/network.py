@@ -160,7 +160,7 @@ class TensorNetwork:
 
 def validate(net: TensorNetwork) -> list[str]:
     """Return a list of structural violations (empty when the network is ok)."""
-    problems: list[str] = []
+    problems: list[str] = [] if net.nodes else ["network has no nodes"]
     seen: dict[tuple[int, int], int] = {}
     for eid, edge in net.edges.items():
         if not 1 <= len(edge.endpoints) <= 2:
@@ -465,61 +465,58 @@ def _plan_key(net: TensorNetwork) -> PlanKey:
 
 
 class _Planner:
-    """Shared stepping machinery for the deterministic plan heuristics."""
+    """The bookkeeping every plan strategy shares: the strategies choose the
+    pairs, and :meth:`merge` records each step's cost and kind.
+
+    Each live node keeps its legs as an ``{edge id: dim}`` dict in key edge
+    order. Self-loops are traced when the planner is built, in (node, edge
+    id) order; a trace step's flops count every loop not yet traced twice.
+    """
 
     def __init__(self, key: PlanKey):
         node_ids, edges = key
-        # node id -> list of (edge id, dim); self-loops appear twice.
-        self.incident: dict[int, list[tuple[int, int]]] = {n: [] for n in node_ids}
-        for eid, ends, dim in edges:
-            for n in ends:
-                self.incident[n].append((eid, dim))
+        self.legs: dict[int, dict[int, int]] = {n: {} for n in node_ids}
         self.steps: list[PlanStep] = []
-        self.total = 0
-        self.peak_flops = 0
-        self.peak_entries = 0
+        loops = []
+        for eid, ends, dim in edges:
+            if len(ends) == 2 and ends[0] == ends[1]:
+                self.legs[ends[0]][eid] = dim * dim   # both of its axes, until traced
+                loops.append((ends[0], eid))
+            else:
+                for n in ends:
+                    self.legs[n][eid] = dim
+        for n, eid in sorted(loops):
+            legs = self.legs[n]
+            flops = math.prod(legs.values()) or 1
+            del legs[eid]
+            self.steps.append(PlanStep("trace", (n,), n, flops, math.prod(legs.values()) or 1))
 
-    def record(self, kind, nodes, result, flops, entries):
-        self.steps.append(PlanStep(kind, nodes, result, flops, entries))
-        self.total += flops
-        self.peak_flops = max(self.peak_flops, flops)
-        self.peak_entries = max(self.peak_entries, entries)
+    def adjacent(self, a: int, b: int) -> bool:
+        return not self.legs[a].keys().isdisjoint(self.legs[b])
 
-    def trace_loops(self):
-        for n in sorted(self.incident):
-            counts: dict[int, int] = {}
-            for eid, _ in self.incident[n]:
-                counts[eid] = counts.get(eid, 0) + 1
-            for eid in sorted(e for e, c in counts.items() if c == 2):
-                flops = math.prod(d for _, d in self.incident[n]) or 1
-                self.incident[n] = [(e, d) for e, d in self.incident[n] if e != eid]
-                entries = math.prod(d for _, d in self.incident[n]) or 1
-                self.record("trace", (n,), n, flops, entries)
+    def entries(self, a: int, b: int) -> int:
+        """Entries of the tensor that merging ``a`` and ``b`` would make."""
+        la, lb = self.legs[a], self.legs[b]
+        return math.prod(d for e, d in (la | lb).items() if e not in la or e not in lb) or 1
 
-    def step_cost(self, a: int, b: int) -> tuple[int, int]:
-        edges_a = {e for e, _ in self.incident[a]}
-        shared = {e for e, _ in self.incident[b] if e in edges_a}
-        union: dict[int, int] = {}
-        for e, d in self.incident[a] + self.incident[b]:
-            union[e] = d
+    def merge(self, a: int, b: int):
+        """Contract node ``b`` into node ``a``: an ``"outer"`` step when they
+        share no edge, else a ``"pair"`` step. ``a`` keeps its unshared legs
+        followed by ``b``'s."""
+        la, lb = self.legs[a], self.legs.pop(b)
+        union = la | lb
+        kept = {e: d for e, d in union.items() if e not in la or e not in lb}
+        self.legs[a] = kept
+        kind = "pair" if len(kept) < len(union) else "outer"
         flops = math.prod(union.values()) or 1
-        entries = math.prod(d for e, d in union.items() if e not in shared) or 1
-        return flops, entries
-
-    def merge(self, a: int, b: int, kind: str, flops: int, entries: int):
-        self.record(kind, (a, b), a, flops, entries)
-        shared = {e for e, _ in self.incident[a]} & {e for e, _ in self.incident[b]}
-        merged = [(e, d) for e, d in self.incident[a] if e not in shared]
-        merged += [(e, d) for e, d in self.incident[b] if e not in shared]
-        self.incident[a] = merged
-        del self.incident[b]
+        self.steps.append(PlanStep(kind, (a, b), a, flops, math.prod(kept.values()) or 1))
 
     def plan(self) -> ContractionPlan:
         return ContractionPlan(
             steps=tuple(self.steps),
-            total_flops=self.total,
-            peak_step_flops=self.peak_flops,
-            peak_result_entries=self.peak_entries,
+            total_flops=sum(s.flops for s in self.steps),
+            peak_step_flops=max((s.flops for s in self.steps), default=0),
+            peak_result_entries=max((s.result_entries for s in self.steps), default=0),
         )
 
 
@@ -531,30 +528,17 @@ def _plan_greedy(key: PlanKey, seed: int | None = None) -> ContractionPlan:
     the bias of any fixed tie order."""
     rng = np.random.default_rng(seed) if seed is not None else None
     pl = _Planner(key)
-    pl.trace_loops()
-    live = sorted(pl.incident)
-    while len(live) > 1:
-        cands = []
-        for i, a in enumerate(live):
-            edges_a = {e for e, _ in pl.incident[a]}
-            if not edges_a:
-                continue
-            for b in live[i + 1:]:
-                if not any(e in edges_a for e, _ in pl.incident[b]):
-                    continue
-                flops, entries = pl.step_cost(a, b)
-                cands.append((entries, a, b, flops))
+    while len(pl.legs) > 1:
+        live = sorted(pl.legs)
+        cands = [(pl.entries(a, b), a, b)
+                 for i, a in enumerate(live) for b in live[i + 1:] if pl.adjacent(a, b)]
         if not cands:
-            a, b = live[0], live[1]
-            flops, entries = pl.step_cost(a, b)
-            pl.merge(a, b, "outer", flops, entries)
-        else:
-            lowest = min(c[0] for c in cands)
-            pool = [c for c in cands if c[0] == lowest]
-            pick = pool[0] if rng is None else pool[int(rng.integers(len(pool)))]
-            entries, a, b, flops = pick
-            pl.merge(a, b, "pair", flops, entries)
-        live = sorted(pl.incident)
+            pl.merge(live[0], live[1])
+            continue
+        lowest = min(c[0] for c in cands)
+        pool = [c for c in cands if c[0] == lowest]
+        _, a, b = pool[0] if rng is None else pool[int(rng.integers(len(pool)))]
+        pl.merge(a, b)
     return pl.plan()
 
 
@@ -564,23 +548,10 @@ def _plan_sweep(key: PlanKey, reverse: bool = False) -> ContractionPlan:
     order, so this reproduces the boundary sweep whose frontier is one
     lattice cross-section (``reverse`` sweeps from the other end)."""
     pl = _Planner(key)
-    pl.trace_loops()
-    while len(pl.incident) > 1:
-        live = sorted(pl.incident, reverse=reverse)
-        acc = live[0]
-        acc_edges = {e for e, _ in pl.incident[acc]}
-        nxt = None
-        for b in live[1:]:
-            if any(e in acc_edges for e, _ in pl.incident[b]):
-                nxt = b
-                break
-        kind = "pair"
-        if nxt is None:
-            nxt = live[1]
-            kind = "outer"
-        a, b = min(acc, nxt), max(acc, nxt)
-        flops, entries = pl.step_cost(a, b)
-        pl.merge(a, b, kind, flops, entries)
+    while len(pl.legs) > 1:
+        acc, *rest = sorted(pl.legs, reverse=reverse)
+        nxt = next((b for b in rest if pl.adjacent(acc, b)), rest[0])
+        pl.merge(min(acc, nxt), max(acc, nxt))
     return pl.plan()
 
 
@@ -589,50 +560,42 @@ GREEDY_RESTARTS = 8
 
 
 def _plan_dp(key: PlanKey) -> ContractionPlan:
-    """Exact subset dynamic program minimizing (peak step flops, total flops).
+    """Subset dynamic program over binary contraction trees (the sequence
+    search of Pfeifer, Haegeman & Verstraete, PRE 90, 033315 (2014)): the
+    least peak step flops, exactly.
 
-    Exponential in the node count; only used below :data:`DP_NODE_CAP`.
+    Among the splits of a subset that tie on the peak it keeps the one with
+    the least total flops within that subset (then the lower subset mask),
+    which need not give the least total over the whole tree. Exponential in
+    the node count; only used below :data:`DP_NODE_CAP`.
     """
     pl = _Planner(key)
-    pl.trace_loops()
-    nodes = sorted(pl.incident)
+    nodes = sorted(pl.legs)
     n = len(nodes)
     pos = {nid: i for i, nid in enumerate(nodes)}
-    edge_members: dict[int, list[int]] = {}
-    edge_dim: dict[int, int] = {}
-    for nid in nodes:
-        for eid, d in pl.incident[nid]:
-            edge_members.setdefault(eid, []).append(pos[nid])
-            edge_dim[eid] = d
+    # Each edge as (mask of its end nodes, dim). An open edge also holds bit
+    # n, which no subset holds, so a subset that touches it always keeps it;
+    # a subset never keeps a (traced) self-loop.
+    edges = [(sum(1 << pos[x] for x in set(ends)) | (len(ends) == 1) << n, dim)
+             for _, ends, dim in key[1]]
+    # size[mask]: product of the dims of the legs the subset keeps.
+    size = [math.prod(d for m, d in edges if 0 != mask & m != m) for mask in range(1 << n)]
 
-    legs: list[dict[int, int]] = [dict() for _ in range(1 << n)]
-    for mask in range(1, 1 << n):
-        out = {}
-        for eid, members in edge_members.items():
-            inside = sum(1 for m in members if mask >> m & 1)
-            if inside and (inside < len(members) or len(members) == 1):
-                out[eid] = edge_dim[eid]
-        legs[mask] = out
-
-    best: list[tuple[int, int] | None] = [None] * (1 << n)
+    best: list[tuple[int, int]] = [(0, 0)] * (1 << n)
     split: list[int] = [0] * (1 << n)
-    for i in range(n):
-        best[1 << i] = (0, 0)
     for mask in range(1, 1 << n):
-        if best[mask] is not None:
-            continue
         lowest = mask & -mask
         rest = mask ^ lowest
+        if not rest:
+            continue
         sub = (rest - 1) & rest
         choice = None
         while True:
             a = sub | lowest
             b = mask ^ a
-            union = dict(legs[a])
-            union.update(legs[b])
-            flops = 1
-            for d in union.values():
-                flops *= d
+            # legs(a) + legs(b) = legs(a | b) + 2 x (the a-b bonds), and a
+            # step's flops are the product over legs(a | b) and the bonds.
+            flops = math.isqrt(size[a] * size[b] * size[mask])
             pa, ta = best[a]
             pb, tb = best[b]
             cand = (max(pa, pb, flops), ta + tb + flops)
@@ -641,28 +604,22 @@ def _plan_dp(key: PlanKey) -> ContractionPlan:
             if sub == 0:
                 break
             sub = (sub - 1) & rest
-        best[mask] = choice[0]
-        split[mask] = choice[1]
+        best[mask], split[mask] = choice
 
-    merges: list[tuple[int, int]] = []
-    _emit_merges((1 << n) - 1, split, nodes, merges)
-    for a, b in merges:
-        shared = {e for e, _ in pl.incident[a]} & {e for e, _ in pl.incident[b]}
-        flops, entries = pl.step_cost(a, b)
-        pl.merge(a, b, "pair" if shared else "outer", flops, entries)
+    _emit_merges((1 << n) - 1, split, nodes, pl)
     return pl.plan()
 
 
-def _emit_merges(mask: int, split: list[int], nodes: list[int], merges: list[tuple[int, int]]) -> int:
-    """Append the merges of the DP split tree under ``mask`` to ``merges`` in
-    post-order; return the node id that survives them."""
+def _emit_merges(mask: int, split: list[int], nodes: list[int], pl: _Planner) -> int:
+    """Merge the DP split tree under ``mask`` in post-order; return the node
+    id that survives."""
     if mask & (mask - 1) == 0:
         return nodes[mask.bit_length() - 1]
     a = split[mask]
-    ra = _emit_merges(a, split, nodes, merges)
-    rb = _emit_merges(mask ^ a, split, nodes, merges)
+    ra = _emit_merges(a, split, nodes, pl)
+    rb = _emit_merges(mask ^ a, split, nodes, pl)
     lo, hi = min(ra, rb), max(ra, rb)
-    merges.append((lo, hi))
+    pl.merge(lo, hi)
     return lo
 
 
@@ -673,6 +630,10 @@ PLAN_CACHE_SIZE = 4096
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _plan_for(key: PlanKey) -> ContractionPlan:
+    # The heuristics still run under DP_NODE_CAP. On 454 DP-eligible preset
+    # structures none beat the DP strictly, but in 245 a heuristic ties it
+    # with a different plan and wins by list order: dropping them would
+    # contract those networks in another order and move value bits.
     candidates = [_plan_sweep(key), _plan_sweep(key, reverse=True), _plan_greedy(key)]
     candidates += [_plan_greedy(key, seed=k) for k in range(GREEDY_RESTARTS)]
     if len(key[0]) <= DP_NODE_CAP:
@@ -683,10 +644,11 @@ def _plan_for(key: PlanKey) -> ContractionPlan:
 def plan_order(net: TensorNetwork) -> ContractionPlan:
     """Deterministic pairwise contraction plan.
 
-    Evaluates the greedy heuristic and the id-order sweep, plus an optimal
-    subset DP on small networks, and keeps the plan with the lowest
-    peak step cost (plain greedy misjudges wide lattices, where the sweep's
-    cross-section frontier is the right shape). Disconnected components end
+    Evaluates the greedy heuristic and the id-order sweep, plus on small
+    networks a subset DP whose peak step cost is the least possible, and
+    keeps the plan with the lowest peak step cost, then total flops (plain
+    greedy misjudges wide lattices, where the sweep's cross-section
+    frontier is the right shape). Disconnected components end
     in outer products between the smallest surviving node ids.
 
     Plans are memoized for the whole process by structure: node ids and each

@@ -8,6 +8,7 @@ from pne.cli import main
 from pne.expansion import evaluate
 from pne.io import save_network
 from pne.models import ModelSpec, finite_patch
+from pne.network import TensorNetwork
 from pne.presets import build_preset
 
 
@@ -71,6 +72,12 @@ def test_bp_rejects_damping_outside_unit_interval(tmp_path, capsys, damping):
     path = tmp_path / "g.pnec"
     _model(path, "3x3", seed=1)
     _fails(capsys, ["bp", str(path), "--damping", damping], "damping")
+
+
+def test_contract_rejects_an_empty_network(tmp_path, capsys):
+    path = tmp_path / "empty.pnec"
+    save_network(path, TensorNetwork(nodes={}, edges={}))
+    _fails(capsys, ["contract", str(path)], "network has no nodes")
 
 
 def test_model_rejects_a_non_positive_patch(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -174,6 +175,10 @@ class TestPlanOrder:
         plan = plan_order(net)
         assert any(s.kind == "outer" for s in plan.steps)
 
+    def test_empty_network_is_named(self):
+        with pytest.raises(NetworkError, match="network has no nodes"):
+            plan_order(TensorNetwork(nodes={}, edges={}))
+
     def test_costs_beyond_int64(self):
         # Zero-copy views: the cap check must stop contract before numpy allocates.
         big = np.broadcast_to(np.zeros(1), (2**16,) * 3)
@@ -183,6 +188,77 @@ class TestPlanOrder:
         assert (plan.peak_step_flops, plan.peak_result_entries) == (2**80, 2**64)
         with pytest.raises(MemoryBudgetError):
             contract(net)
+
+
+def _brute_force_peak(key):
+    """Least peak step flops over every binary contraction tree of ``key``'s
+    nodes, after tracing each node's self-loops, counted step by step from
+    explicit leg sets."""
+    node_ids, edges = key
+    peak = 0
+    for n in node_ids:
+        axes = [d for _, ends, d in edges for x in ends if x == n]
+        for _, ends, d in sorted((eid, ends, d) for eid, ends, d in edges if ends == (n, n)):
+            peak = max(peak, math.prod(axes))
+            axes.remove(d)
+            axes.remove(d)
+    dims = {eid: d for eid, _, d in edges}
+
+    def legs(group):
+        inside = [(eid, [x in group for x in ends]) for eid, ends, _ in edges]
+        return frozenset(eid for eid, ins in inside if any(ins) and (len(ins) == 1 or not all(ins)))
+
+    def tree_peaks(group):
+        if len(group) == 1:
+            return [0]
+        first, *rest = sorted(group)
+        peaks = []
+        for k in range(len(rest)):
+            for others in itertools.combinations(rest, k):
+                a, b = frozenset((first, *others)), group - {first, *others}
+                step = math.prod(dims[e] for e in legs(a) | legs(b))
+                peaks += [max(pa, pb, step) for pa in tree_peaks(a) for pb in tree_peaks(b)]
+        return peaks
+
+    return max(peak, min(tree_peaks(frozenset(node_ids))))
+
+
+def _random_key(rng):
+    """A random plan key of 1-6 nodes with open edges, multi-edges, self-loops
+    and, often, more than one connected part."""
+    node_ids = [int(x) for x in rng.choice(20, size=int(rng.integers(1, 7)), replace=False)]
+    edges = []
+    for eid in rng.permutation(int(rng.integers(0, 10))):
+        r = rng.random()
+        if r < 0.2:
+            ends = (int(rng.choice(node_ids)),)
+        elif r < 0.35:
+            ends = (int(rng.choice(node_ids)),) * 2
+        else:
+            ends = tuple(int(x) for x in rng.choice(node_ids, size=2, replace=len(node_ids) == 1))
+        edges.append((int(eid), ends, int(rng.integers(1, 5))))
+    return tuple(node_ids), tuple(edges)
+
+
+class TestPlanStrategies:
+    def test_dp_peak_is_least_over_all_trees(self):
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            key = _random_key(rng)
+            plan = _plan_dp(key)
+            assert plan.peak_step_flops == _brute_force_peak(key), key
+            flops = [s.flops for s in plan.steps]
+            assert plan.total_flops == sum(flops)
+            assert plan.peak_step_flops == max(flops, default=0)
+            assert plan.peak_result_entries == max((s.result_entries for s in plan.steps), default=0)
+
+    def test_trace_steps_count_untraced_loops_twice(self):
+        t = np.random.default_rng(2).normal(size=(2, 2, 3, 3, 5))
+        net = TensorNetwork.build({0: t}, {0: [(0, 0), (0, 1)], 1: [(0, 2), (0, 3)], 2: [(0, 4)]})
+        plan = plan_order(net)
+        steps = [(s.kind, s.flops, s.result_entries) for s in plan.steps]
+        assert steps == [("trace", 180, 45), ("trace", 45, 5)]
+        np.testing.assert_allclose(contract(net), np.einsum("aabbc->c", t), rtol=1e-12)
 
 
 class TestPlanCache:
