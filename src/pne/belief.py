@@ -48,11 +48,21 @@ class GaugeError(BPError):
     """Message overlap too small to fix a gauge."""
 
 
-def _sign_fix(v: np.ndarray) -> np.ndarray:
-    """Canonical sign: first component of magnitude > 1e-12 is positive."""
-    idx = np.flatnonzero(np.abs(v) > 1e-12)
-    pivot = v[idx[0]] if idx.size else v[np.argmax(np.abs(v))]
-    return -v if pivot < 0 else v
+def _sign_fix(x: np.ndarray) -> np.ndarray:
+    """Canonical sign of every row of a ``(K, dim)`` stack: the first entry
+    of magnitude > 1e-12 is made positive, or the entry of largest
+    magnitude when there is none."""
+    mag = np.abs(x)
+    big = mag > 1e-12
+    col = np.where(big.any(axis=1), big.argmax(axis=1), mag.argmax(axis=1))
+    flip = x[np.arange(len(x)), col] < 0
+    return np.where(flip[:, None], -x, x)
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """2-norm of every row of a ``(K, dim)`` stack, from the ddot that
+    ``np.linalg.norm`` uses on one vector, so each row's bits match it."""
+    return np.sqrt(np.vecdot(x, x))
 
 
 @dataclass
@@ -91,9 +101,21 @@ def _wiring(net: TensorNetwork, index, nid: int) -> list[tuple[int, tuple[int, i
     return sorted(wires, key=lambda w: -w[0])
 
 
+def _absorb(t: np.ndarray, ax: int, vec: np.ndarray) -> np.ndarray:
+    """``np.tensordot(t, vec, axes=([ax], [0]))`` without its argument
+    handling: the same transpose (none when ``ax`` is last), reshape and
+    ``np.dot`` against a ``(d, 1)`` column, so the same bits."""
+    rest = t.shape[:ax] + t.shape[ax + 1:]
+    if ax != t.ndim - 1:
+        t = t.transpose(*range(ax), *range(ax + 1, t.ndim), ax)
+    return np.dot(t.reshape(-1, vec.shape[0]), vec.reshape(-1, 1)).reshape(rest)
+
+
 def _absorb_all(t: np.ndarray, pairs) -> np.ndarray:
+    """Absorb ``(axis, vector)`` pairs in descending-axis order, so every
+    axis still has its own number when its turn comes."""
     for ax, vec in sorted(pairs, key=lambda p: -p[0]):
-        t = np.tensordot(t, vec, axes=([ax], [0]))
+        t = _absorb(t, ax, vec)
     return t
 
 
@@ -104,9 +126,12 @@ def _outgoing(t: np.ndarray, pairs) -> list[np.ndarray]:
     prefix is contracted once."""
     out = []
     for j, (ax, vec) in enumerate(pairs):
-        out.append(_absorb_all(t, pairs[j + 1:]))
+        rest = t
+        for ax_r, vec_r in pairs[j + 1:]:
+            rest = _absorb(rest, ax_r, vec_r)
+        out.append(rest)
         if j + 1 < len(pairs):
-            t = np.tensordot(t, vec, axes=([ax], [0]))
+            t = _absorb(t, ax, vec)
     return out
 
 
@@ -132,37 +157,59 @@ def _iterate_messages(dims, emit, tol, max_iter, damping, seed, error, initial=N
     order every returned dict keeps. ``emit(messages)`` returns the raw
     update of every key; each sweep normalizes it, keeps fraction
     ``damping`` of the previous message and fixes the sign, and stops once
-    the largest 2-norm change is below ``tol``. Returns ``(messages,
-    iterations, residuals, residual_history, converged)``.
+    the largest 2-norm change is below ``tol``. A sweep with a zero or
+    non-finite update raises, naming the first such key in key order.
+    Returns ``(messages, iterations, residuals, residual_history,
+    converged)``.
+
+    Keys of one extent are updated together, as rows of one ``(K, dim)``
+    stack. Every step is elementwise or a row norm with ``np.linalg.norm``'s
+    own ddot (:func:`_norms`), so the stacked sweep has the bits of
+    updating one message at a time.
     """
     if not 0.0 <= damping < 1.0:
         raise error(f"damping {damping} is outside [0, 1)")
-    rng = np.random.default_rng(seed)
-    messages: dict = {}
+    groups: dict[int, list] = {}
+    place = {}
     for k, dim in dims.items():
-        m = initial[k] if initial is not None else np.ones(dim) + 1e-3 * rng.standard_normal(dim)
-        messages[k] = _sign_fix(m / np.linalg.norm(m))
-    residuals = {k: np.inf for k in messages}
+        place[k] = (dim, len(groups.setdefault(dim, [])))
+        groups[dim].append(k)
+
+    def by_key(rows):
+        rows = {dim: list(r) for dim, r in rows.items()}
+        return {k: rows[dim][i] for k, (dim, i) in place.items()}
+
+    rng = np.random.default_rng(seed)
+    start = {k: initial[k] if initial is not None else np.ones(dim) + 1e-3 * rng.standard_normal(dim)
+             for k, dim in dims.items()}
+    stacks = {}
+    for dim, keys in groups.items():
+        x = np.stack([start[k] for k in keys])
+        stacks[dim] = _sign_fix(x / _norms(x)[:, None])
+    residuals = dict.fromkeys(dims, np.inf)
     history: list[float] = []
     it = 0
     for it in range(1, max_iter + 1):
-        raw = emit(messages)
-        new = {}
-        for k in dims:
-            nrm = np.linalg.norm(raw[k])
-            if nrm == 0.0:
-                raise error(f"zero outgoing message {k}")
-            m = raw[k] / nrm
+        raw = emit(by_key(stacks))
+        xs = {dim: np.stack([raw[k] for k in keys]) for dim, keys in groups.items()}
+        nrms = {dim: _norms(x) for dim, x in xs.items()}
+        if not all(n.all() and np.isfinite(n).all() for n in nrms.values()):
+            k, n = next((k, n) for k, n in by_key(nrms).items() if n == 0.0 or not np.isfinite(n))
+            raise error(f"{'zero' if n == 0.0 else 'non-finite'} outgoing message {k}")
+        new, res = {}, {}
+        for dim, x in xs.items():
+            m = x / nrms[dim][:, None]
             if damping:
-                m = (1.0 - damping) * m + damping * messages[k]
-                m /= np.linalg.norm(m)
-            new[k] = _sign_fix(m)
-        residuals = {k: float(np.linalg.norm(new[k] - messages[k])) for k in new}
-        messages = new
+                m = (1.0 - damping) * m + damping * stacks[dim]
+                m /= _norms(m)[:, None]
+            new[dim] = m = _sign_fix(m)
+            res[dim] = _norms(m - stacks[dim]).tolist()
+        stacks = new
+        residuals = by_key(res)
         history.append(max(residuals.values(), default=0.0))
         if history[-1] < tol:
-            return messages, it, residuals, history, True
-    return messages, it, residuals, history, False
+            return by_key(stacks), it, residuals, history, True
+    return by_key(stacks), it, residuals, history, False
 
 
 def run_bp(
@@ -183,7 +230,10 @@ def run_bp(
     that fraction of the previous message and must lie in [0, 1).
 
     Each sweep visits every node once and contracts all of its outgoing
-    messages from shared absorption prefixes, so it costs O(E).
+    messages from shared absorption prefixes, so it costs O(E). The
+    per-message work is array operations on one stack per extent, and each
+    absorption is one ``np.dot`` (:func:`_absorb`), so small extents cost
+    little Python per message.
     """
     problems = validate(net)
     if problems:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from pne import belief
 from pne.belief import (
     BPError,
-    _absorb_all,
+    _absorb,
+    _norms,
     _sign_fix,
     bp_approx,
     bp_scalar,
@@ -38,9 +40,19 @@ def random_tree(n_nodes, rng, max_dim=5):
     return TensorNetwork.build(tensors, attach)
 
 
+def sign_fix_row(v):
+    """The sign rule one vector at a time: the first entry of magnitude
+    > 1e-12 is made positive, else the entry of largest magnitude."""
+    idx = np.flatnonzero(np.abs(v) > 1e-12)
+    pivot = v[idx[0]] if idx.size else v[np.argmax(np.abs(v))]
+    return -v if pivot < 0 else v
+
+
 def per_message_bp(net, tol, max_iter, damping=0.2, seed=0, initial=None):
     """The sweep run_bp had before it went node by node: every directed
-    message absorbs its node's other incoming messages from scratch."""
+    message absorbs its node's other incoming messages from scratch, with
+    plain ``np.tensordot`` in descending axis order, and is normalized,
+    damped and sign-fixed on its own."""
     rng = np.random.default_rng(seed)
     edges = sorted(net.edges.items())
     messages = {}
@@ -48,7 +60,7 @@ def per_message_bp(net, tol, max_iter, damping=0.2, seed=0, initial=None):
         for d in range(1 if edge.is_open else 2):
             m = (asarray(initial[(eid, d)]).copy() if initial is not None
                  else np.ones(edge.dim) + 1e-3 * rng.standard_normal(edge.dim))
-            messages[(eid, d)] = _sign_fix(m / np.linalg.norm(m))
+            messages[(eid, d)] = sign_fix_row(m / np.linalg.norm(m))
         if edge.is_open:
             messages[(eid, 1)] = messages[(eid, 0)]
     for it in range(1, max_iter + 1):
@@ -58,12 +70,14 @@ def per_message_bp(net, tol, max_iter, damping=0.2, seed=0, initial=None):
                 nid, ax = edge.endpoints[d]
                 pairs = [(a, messages[(e, 0) if net.edges[e].is_open else (e, 1 - s)])
                          for e, s, a in net.attachments(nid) if (e, a) != (eid, ax)]
-                t = _absorb_all(net.nodes[nid], pairs)
+                t = net.nodes[nid]
+                for a, vec in sorted(pairs, key=lambda p: -p[0]):
+                    t = np.tensordot(t, vec, axes=([a], [0]))
                 m = t / np.linalg.norm(t)
                 if damping:
                     m = (1.0 - damping) * m + damping * messages[(eid, d)]
                     m /= np.linalg.norm(m)
-                new[(eid, d)] = _sign_fix(m)
+                new[(eid, d)] = sign_fix_row(m)
             if edge.is_open:
                 new[(eid, 1)] = new[(eid, 0)]
         residual = max(float(np.linalg.norm(new[k] - messages[k])) for k in new)
@@ -71,6 +85,29 @@ def per_message_bp(net, tol, max_iter, damping=0.2, seed=0, initial=None):
         if residual < tol:
             break
     return messages, it
+
+
+def mixed_extent_network(rng, shape=(3, 3), n_open=4):
+    """A grid whose bonds and ``n_open`` open legs (on random sites) have
+    random extents from 1 to 16, both of those among them, with positive
+    random entries."""
+    rows, cols = shape
+    site = {(r, c): r * cols + c for r in range(rows) for c in range(cols)}
+    bonds = [((r, c), (r, c + 1)) for r in range(rows) for c in range(cols - 1)]
+    bonds += [((r, c), (r + 1, c)) for r in range(rows - 1) for c in range(cols)]
+    legs = {nid: [] for nid in site.values()}
+    dims = [1, 16] + [int(d) for d in rng.integers(1, 17, size=len(bonds) + n_open - 2)]
+    attach = {}
+    for eid, (a, b) in enumerate(bonds):
+        attach[eid] = [(site[p], len(legs[site[p]])) for p in (a, b)]
+        for p in (a, b):
+            legs[site[p]].append(dims[eid])
+    for k in range(n_open):
+        nid = int(rng.integers(len(site)))
+        attach[len(bonds) + k] = [(nid, len(legs[nid]))]
+        legs[nid].append(dims[len(bonds) + k])
+    tensors = {nid: rng.random(tuple(ds)) for nid, ds in legs.items()}
+    return TensorNetwork.build(tensors, attach)
 
 
 def dense_cut(net, state):
@@ -171,6 +208,12 @@ class TestNodeSweep:
         state = self.assert_same_run(g.net, tol=1e-12, max_iter=4000, damping=0.1, initial=initial)
         assert state.converged and state.iterations > 1
 
+    def test_mixed_extents_and_open_edges(self):
+        net = mixed_extent_network(np.random.default_rng(4))
+        assert {e.dim for e in net.edges.values()} >= {1, 16}
+        assert any(e.is_open for e in net.edges.values())
+        assert self.assert_same_run(net, tol=1e-12, max_iter=4000, seed=5).converged
+
     def test_attachment_index_built_once_per_run(self, monkeypatch):
         calls = {"index": 0, "attachments": 0}
         build = TensorNetwork.attachment_index
@@ -190,6 +233,56 @@ class TestNodeSweep:
         state = run_bp(g.net, tol=1e-10, max_iter=200)
         assert state.iterations > 1
         assert calls == {"index": 1, "attachments": 0}
+
+
+class TestKernels:
+    """The stacked sweep is bit-exact only while ``_absorb`` and ``_norms``
+    reproduce numpy's own ``tensordot`` and ``linalg.norm``; these pin both."""
+
+    def test_absorb_matches_tensordot_bytes(self):
+        rng = np.random.default_rng(0)
+        for trial in range(200):
+            shape = tuple(int(d) for d in rng.integers(1, 7, size=int(rng.integers(1, 5))))
+            t = rng.standard_normal(shape)
+            if trial % 3 == 1:      # a transposed view
+                t = t.transpose(rng.permutation(t.ndim))
+            elif trial % 3 == 2:    # a strided view
+                t = rng.standard_normal(tuple(2 * d for d in shape))[tuple(slice(None, None, 2) for _ in shape)]
+            ax = int(rng.integers(t.ndim))
+            vec = rng.standard_normal(2 * t.shape[ax])[::2] if trial % 2 else rng.standard_normal(t.shape[ax])
+            want = np.tensordot(t, vec, axes=([ax], [0]))
+            got = _absorb(t, ax, vec)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (shape, ax, trial)
+
+    def test_absorb_all_takes_pairs_in_any_order(self):
+        # Equal extents on every leg: absorbing in ascending order would
+        # contract the wrong axes without a shape error.
+        rng = np.random.default_rng(3)
+        t = rng.standard_normal((3, 3, 3, 3))
+        pairs = [(ax, rng.standard_normal(3)) for ax in (0, 2, 3)]
+        want = np.tensordot(np.tensordot(np.tensordot(t, pairs[2][1], axes=([3], [0])),
+                                         pairs[1][1], axes=([2], [0])), pairs[0][1], axes=([0], [0]))
+        for order in (pairs, pairs[::-1], [pairs[1], pairs[0], pairs[2]]):
+            assert belief._absorb_all(t, order).tobytes() == want.tobytes()
+
+    def test_norms_match_linalg_norm_bytes(self):
+        rng = np.random.default_rng(1)
+        for dim in [1, 2, 3, 4, 7, 16, 17, 64, 100, 255, 1000]:
+            x = rng.standard_normal((12, dim)) * 10.0 ** rng.integers(-8, 8, size=(12, 1))
+            got = _norms(x)
+            for row, nrm in zip(x, got):
+                assert np.linalg.norm(row).tobytes() == nrm.tobytes(), dim
+
+    def test_sign_fix_matches_row_loop(self):
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((40, 6))
+        x[:10, :2] = 1e-13 * rng.standard_normal((10, 2))     # leading sub-1e-12 entries
+        x[10:20] = 1e-13 * rng.standard_normal((10, 6))       # every entry sub-1e-12
+        x[20:30, 0] = -np.abs(x[20:30, 0]) - 0.1              # negative pivots
+        x[30, :] = 0.0
+        got = _sign_fix(x)
+        for row, g in zip(x, got):
+            assert g.tobytes() == sign_fix_row(row).tobytes()
 
 
 class TestRunBpArguments:
@@ -230,8 +323,34 @@ class TestRunBpArguments:
         g = random_grid((2, 2), 2, seed=0)
         zero = g.net.copy()
         zero.nodes = {nid: 0.0 * t for nid, t in zero.nodes.items()}
-        with pytest.raises(BPError, match="zero"):
+        with pytest.raises(BPError, match=r"zero outgoing message \(0, 0\)"):
             run_bp(zero)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_outgoing_message_raises_on_first_sweep(self, bad, monkeypatch):
+        g = random_grid((2, 2), 2, bias=1.0, seed=0)
+        net = g.net.copy()
+        net.nodes[3] = net.nodes[3].copy()
+        net.nodes[3].flat[0] = bad
+        sweeps = []
+        outgoing = belief._outgoing
+        monkeypatch.setattr(belief, "_outgoing", lambda t, pairs: sweeps.append(1) or outgoing(t, pairs))
+        with pytest.raises(BPError, match=r"non-finite outgoing message \(\d+, [01]\)"):
+            run_bp(net)
+        assert len(sweeps) == len(net.nodes)
+
+    @pytest.mark.parametrize("bad_b, bad_c", [(np.nan, 0.0), (0.0, np.inf)])
+    def test_bad_message_named_in_key_order(self, bad_b, bad_c):
+        # "a" and "c" share an extent and are stacked together; "b" comes
+        # between them in key order and is the one named.
+        dims = {"a": 3, "b": 2, "c": 3}
+
+        def emit(messages):
+            return {"a": np.ones(3), "b": np.full(2, bad_b), "c": np.full(3, bad_c)}
+
+        what = "zero" if bad_b == 0.0 else "non-finite"
+        with pytest.raises(BPError, match=f"^{what} outgoing message b$"):
+            belief._iterate_messages(dims, emit, 1e-10, 10, 0.0, 0, BPError)
 
     def test_residual_history(self):
         net, state = converged_instance(0)

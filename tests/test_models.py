@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pne import models
-from pne.belief import _sign_fix, run_bp
+from pne.belief import run_bp
 from pne.models import (
     BETA_C_2D,
     BETA_C_3D,
@@ -31,29 +31,45 @@ from pne.models import (
 from pne.network import contract
 
 
+def sign_fix_row(v):
+    """The sign rule one vector at a time: the first entry of magnitude
+    > 1e-12 is made positive, else the entry of largest magnitude."""
+    idx = np.flatnonzero(np.abs(v) > 1e-12)
+    pivot = v[idx[0]] if idx.size else v[np.argmax(np.abs(v))]
+    return -v if pivot < 0 else v
+
+
 def per_direction_uniform_bp(unit, tol=1e-12, max_iter=4000, damping=0.2, seed=0):
     """The loop uniform_fixed_point had before it shared run_bp's: every
-    direction's message absorbs the other faces' caps from scratch."""
+    direction's message absorbs the other faces' caps from scratch, with
+    plain ``np.tensordot`` in descending axis order on a dense unit (a lazy
+    blocked unit contracts its cluster network), and is normalized, damped
+    and sign-fixed on its own."""
     ops = unit if isinstance(unit, BlockedUnit) else _UnitOps(unit)
+    dense = unit._materialized if isinstance(unit, BlockedUnit) else ops.unit
     rng = np.random.default_rng(seed)
     dirs = [(g, s) for g in range(ops.ndim) for s in (0, 1)]
     out = {}
     for g, s in dirs:
         m = np.ones(ops.face_dim(g, s)) + 1e-3 * rng.standard_normal(ops.face_dim(g, s))
-        out[(g, s)] = _sign_fix(m / np.linalg.norm(m))
+        out[(g, s)] = sign_fix_row(m / np.linalg.norm(m))
     residual = np.inf
     it = 0
     for it in range(1, max_iter + 1):
         new = {}
         for g, s in dirs:
             caps = {(h, t): out[(h, 1 - t)] for h, t in dirs if (h, t) != (g, s)}
-            caps[(g, s)] = None
-            vec = np.asarray(ops.apply_caps(caps)).reshape(-1)
+            if dense is None:
+                vec = np.asarray(ops.apply_caps(caps)).reshape(-1)
+            else:
+                vec = dense
+                for (h, t), cap in sorted(caps.items(), reverse=True):
+                    vec = np.tensordot(vec, cap, axes=([2 * h + t], [0]))
             m = vec / np.linalg.norm(vec)
             if damping:
                 m = (1.0 - damping) * m + damping * out[(g, s)]
                 m /= np.linalg.norm(m)
-            new[(g, s)] = _sign_fix(m)
+            new[(g, s)] = sign_fix_row(m)
         residual = max(float(np.linalg.norm(new[d] - out[d])) for d in dirs)
         out = new
         if residual < tol:
@@ -320,8 +336,19 @@ class TestUniformBP:
         assert ubp.residual_history[-1] == ubp.residual
 
     def test_zero_unit_raises(self):
-        with pytest.raises(ModelError, match="zero"):
+        with pytest.raises(ModelError, match=r"zero outgoing message \(0, 0\)"):
             uniform_fixed_point(np.zeros((2, 2, 2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_unit_raises_on_first_sweep(self, bad, monkeypatch):
+        unit = ising_unit_tensor(2, 0.3).copy()
+        unit[0, 1, 0, 1] = bad
+        sweeps = []
+        outgoing = _UnitOps.outgoing
+        monkeypatch.setattr(_UnitOps, "outgoing", lambda self, caps: sweeps.append(1) or outgoing(self, caps))
+        with pytest.raises(ModelError, match=r"non-finite outgoing message \([01], [01]\)"):
+            uniform_fixed_point(unit)
+        assert len(sweeps) == 1
 
 
 class TestFinitePatch:
