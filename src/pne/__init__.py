@@ -32,6 +32,7 @@ from pne.belief import (
     BPState,
     SymmetrizedGauge,
     run_bp,
+    fixed_point_residual,
     bp_scalar,
     bp_approx,
     symmetrize,

@@ -5,6 +5,15 @@ boundary reflection: the incoming message on an open index is the outgoing
 message on that index. After convergence the message pairs can be gauged so
 both directions equal the first basis vector ``e0``, which makes the rank-1
 dominant-subspace factor on every edge a plain basis column.
+
+A sweep works on stacks. Messages of one extent are the rows of one
+``(K, dim)`` array, and nodes of one shape are absorbed together as one
+``(N, *shape)`` stack (small nodes copied once per run into stacks of at
+most :data:`STACK_BYTES`, a large node as a view of its own array). The
+kernel :func:`_outgoing` absorbs each node's incoming messages from its
+first axis upward and from its last axis downward, so no node tensor is
+transposed or copied; its docstring states that order. Absorbing a set of
+caps into one tensor (:func:`_absorb_all`) keeps descending axis order.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ __all__ = [
     "BPState",
     "SymmetrizedGauge",
     "run_bp",
+    "fixed_point_residual",
     "bp_scalar",
     "bp_approx",
     "symmetrize",
@@ -88,8 +98,7 @@ class BPState:
 
 def _wiring(net: TensorNetwork, index, nid: int) -> list[tuple[int, tuple[int, int], tuple[int, int]]]:
     """``(axis, incoming key, outgoing key)`` of every attachment of ``nid``
-    (``index`` is ``net.attachment_index()``), in the descending-axis order
-    that ``_absorb_all`` absorbs messages in."""
+    (``index`` is ``net.attachment_index()``), in ascending axis order."""
     wires = []
     for eid, slot, ax in index[nid]:
         if net.edges[eid].is_open:
@@ -98,7 +107,7 @@ def _wiring(net: TensorNetwork, index, nid: int) -> list[tuple[int, tuple[int, i
         else:
             # Incoming at the tail is the head-emitted message and vice versa.
             wires.append((ax, (eid, 1 - slot), (eid, slot)))
-    return sorted(wires, key=lambda w: -w[0])
+    return sorted(wires)
 
 
 def _absorb(t: np.ndarray, ax: int, vec: np.ndarray) -> np.ndarray:
@@ -119,20 +128,110 @@ def _absorb_all(t: np.ndarray, pairs) -> np.ndarray:
     return t
 
 
-def _outgoing(t: np.ndarray, pairs) -> list[np.ndarray]:
-    """Every outgoing message of a node with incoming ``(axis, message)``
-    ``pairs`` in descending-axis order: entry ``j`` is ``_absorb_all`` of
-    all pairs but the ``j``-th. The chains share their prefixes, so each
-    prefix is contracted once."""
+# Same-shape nodes of at most half this many bytes are copied into shared
+# stacks of at most this size; a larger node is absorbed from its own array.
+STACK_BYTES = 256 * 1024
+
+
+def _absorb_front(s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Absorb the ``(N, d)`` rows ``v`` into axis 1 of the stack ``s``: per
+    item ``np.tensordot(t, v, axes=([0], [0]))`` and its bits. On a
+    contiguous stack the transposed view is never copied: each item is one
+    column-major matrix-vector product."""
+    n, d = v.shape
+    m = s.transpose(0, *range(2, s.ndim), 1).reshape(n, -1, d)
+    return (m @ v[:, :, None]).reshape((n,) + s.shape[2:])
+
+
+def _absorb_back(s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Absorb the ``(N, d)`` rows ``v`` into the last axis of the stack
+    ``s``: per item ``np.tensordot(t, v, axes=([t.ndim - 1], [0]))`` and its
+    bits, one row-major matrix-vector product."""
+    n, d = v.shape
+    return (s.reshape(n, -1, d) @ v[:, :, None]).reshape(s.shape[:-1])
+
+
+def _outgoing(stack: np.ndarray, vecs: list[np.ndarray]) -> list[np.ndarray]:
+    """Every outgoing message of a stack of same-shape nodes ``(N, *shape)``
+    whose incoming messages on axis ``a`` are the rows of ``vecs[a]``.
+
+    The order rule of message passing lives here. The message leaving axis
+    ``j`` absorbs axes ``0 .. j-1`` from the front, in ascending order, and
+    then axes ``n-1 .. j+1`` from the back, in descending order. Every
+    absorb is a matrix-vector product on the axis that is first or last at
+    its turn, so no node tensor is transposed or copied, and the front
+    prefixes are shared, so each node is read twice per sweep. Items that
+    are axis permutations of contiguous arrays get, byte for byte, the
+    ``np.tensordot`` chain in the same order."""
     out = []
-    for j, (ax, vec) in enumerate(pairs):
-        rest = t
-        for ax_r, vec_r in pairs[j + 1:]:
-            rest = _absorb(rest, ax_r, vec_r)
-        out.append(rest)
-        if j + 1 < len(pairs):
-            t = _absorb(t, ax, vec)
+    prefix = stack
+    for j in range(len(vecs)):
+        t = prefix
+        for v in reversed(vecs[j + 1:]):
+            t = _absorb_back(t, v)
+        out.append(t)
+        if j + 1 < len(vecs):
+            prefix = _absorb_front(prefix, vecs[j])
     return out
+
+
+def _layout(dims):
+    """Where each message key lives while messages are iterated: keys of one
+    extent, in key order, are the rows of one ``(K, dim)`` stack. Returns
+    ``{dim: keys}`` and ``{key: (dim, row)}``."""
+    groups: dict[int, list] = {}
+    place = {}
+    for k, dim in dims.items():
+        place[k] = (dim, len(groups.setdefault(dim, [])))
+        groups[dim].append(k)
+    return groups, place
+
+
+def _rows(place, keys) -> tuple[int, np.ndarray]:
+    """Extent and stack rows of ``keys``, which share one extent."""
+    return place[keys[0]][0], np.array([place[k][1] for k in keys], dtype=np.intp)
+
+
+def _stack_emit(chunks):
+    """``emit`` for :func:`_iterate_messages` from node stacks. Each chunk is
+    ``(stack, inputs, outputs)``: per axis, the ``(dim, rows)`` of the
+    incoming and of the outgoing messages of the stacked nodes. Every key
+    must be the output of exactly one chunk axis and item."""
+    def emit(stacks):
+        raw = {dim: np.empty_like(x) for dim, x in stacks.items()}
+        for stack, inputs, outputs in chunks:
+            outs = _outgoing(stack, [stacks[dim][rows] for dim, rows in inputs])
+            for (dim, rows), m in zip(outputs, outs):
+                raw[dim][rows] = m
+        return raw
+    return emit
+
+
+def _node_chunks(net: TensorNetwork, place) -> list:
+    """:func:`_stack_emit` chunks of every node with legs, grouped by shape
+    in node order. Nodes of at most half :data:`STACK_BYTES` are copied
+    into stacks of at most that many bytes; a larger node is a chunk of its
+    own, a view of its array (contiguous, as ``TensorNetwork.build`` makes
+    it), so no large tensor is ever copied."""
+    index = net.attachment_index()
+    by_shape: dict[tuple[int, ...], list[int]] = {}
+    for nid, t in net.nodes.items():
+        if t.ndim:
+            by_shape.setdefault(t.shape, []).append(nid)
+    chunks = []
+    for shape, nids in by_shape.items():
+        per = STACK_BYTES // max(net.nodes[nids[0]].nbytes, 1)
+        if per < 2:
+            parts = [([nid], np.ascontiguousarray(net.nodes[nid])[None]) for nid in nids]
+        else:
+            parts = [(nids[i:i + per], np.stack([net.nodes[nid] for nid in nids[i:i + per]]))
+                     for i in range(0, len(nids), per)]
+        for part, stack in parts:
+            wires = [_wiring(net, index, nid) for nid in part]
+            inputs = [_rows(place, [w[a][1] for w in wires]) for a in range(len(shape))]
+            outputs = [_rows(place, [w[a][2] for w in wires]) for a in range(len(shape))]
+            chunks.append((stack, inputs, outputs))
+    return chunks
 
 
 def _start_message(initial, eid: int, d: int, dim: int) -> np.ndarray:
@@ -152,28 +251,25 @@ def _iterate_messages(dims, emit, tol, max_iter, damping, seed, error, initial=N
     """Synchronous damped message passing, the loop of :func:`run_bp` and
     :func:`pne.models.uniform_fixed_point`; failures raise ``error``.
 
-    ``dims`` maps each message key to its extent. The start is ``initial``
-    (finite nonzero vectors) or ones plus 1e-3 noise drawn in key order, an
-    order every returned dict keeps. ``emit(messages)`` returns the raw
-    update of every key; each sweep normalizes it, keeps fraction
-    ``damping`` of the previous message and fixes the sign, and stops once
-    the largest 2-norm change is below ``tol``. A sweep with a zero or
-    non-finite update raises, naming the first such key in key order.
-    Returns ``(messages, iterations, residuals, residual_history,
-    converged)``.
+    ``dims`` maps each message key to its extent. Messages live in one
+    ``(K, dim)`` stack per extent, laid out by :func:`_layout`.
+    ``emit(stacks)`` returns the raw update of every message in the same
+    layout. The start is ``initial`` (finite nonzero vectors) or ones plus
+    1e-3 noise drawn in key order. Each sweep normalizes the update, keeps
+    fraction ``damping`` of the previous message and fixes the sign, and
+    stops once the largest 2-norm change is below ``tol``. A sweep with a
+    zero or non-finite update raises, naming the first such key in key
+    order. Returns ``(messages, iterations, residuals, residual_history,
+    converged)``, the dicts in key order; they are the only per-key dicts
+    the loop makes.
 
-    Keys of one extent are updated together, as rows of one ``(K, dim)``
-    stack. Every step is elementwise or a row norm with ``np.linalg.norm``'s
-    own ddot (:func:`_norms`), so the stacked sweep has the bits of
+    Every step of a sweep is elementwise or a row norm with
+    ``np.linalg.norm``'s own ddot (:func:`_norms`), so it has the bits of
     updating one message at a time.
     """
     if not 0.0 <= damping < 1.0:
         raise error(f"damping {damping} is outside [0, 1)")
-    groups: dict[int, list] = {}
-    place = {}
-    for k, dim in dims.items():
-        place[k] = (dim, len(groups.setdefault(dim, [])))
-        groups[dim].append(k)
+    groups, place = _layout(dims)
 
     def by_key(rows):
         rows = {dim: list(r) for dim, r in rows.items()}
@@ -186,30 +282,29 @@ def _iterate_messages(dims, emit, tol, max_iter, damping, seed, error, initial=N
     for dim, keys in groups.items():
         x = np.stack([start[k] for k in keys])
         stacks[dim] = _sign_fix(x / _norms(x)[:, None])
-    residuals = dict.fromkeys(dims, np.inf)
+    res = {dim: [np.inf] * len(keys) for dim, keys in groups.items()}
     history: list[float] = []
     it = 0
     for it in range(1, max_iter + 1):
-        raw = emit(by_key(stacks))
-        xs = {dim: np.stack([raw[k] for k in keys]) for dim, keys in groups.items()}
+        xs = emit(stacks)
         nrms = {dim: _norms(x) for dim, x in xs.items()}
         if not all(n.all() and np.isfinite(n).all() for n in nrms.values()):
             k, n = next((k, n) for k, n in by_key(nrms).items() if n == 0.0 or not np.isfinite(n))
             raise error(f"{'zero' if n == 0.0 else 'non-finite'} outgoing message {k}")
-        new, res = {}, {}
+        new = {}
         for dim, x in xs.items():
             m = x / nrms[dim][:, None]
             if damping:
                 m = (1.0 - damping) * m + damping * stacks[dim]
                 m /= _norms(m)[:, None]
             new[dim] = m = _sign_fix(m)
-            res[dim] = _norms(m - stacks[dim]).tolist()
+            res[dim] = _norms(m - stacks[dim])
         stacks = new
-        residuals = by_key(res)
-        history.append(max(residuals.values(), default=0.0))
+        history.append(max((float(r.max()) for r in res.values()), default=0.0))
         if history[-1] < tol:
-            return by_key(stacks), it, residuals, history, True
-    return by_key(stacks), it, residuals, history, False
+            break
+    return (by_key(stacks), it, {k: float(r) for k, r in by_key(res).items()}, history,
+            bool(history) and history[-1] < tol)
 
 
 def run_bp(
@@ -229,11 +324,15 @@ def run_bp(
     be there, of its edge's extent, finite and nonzero. ``damping`` keeps
     that fraction of the previous message and must lie in [0, 1).
 
-    Each sweep visits every node once and contracts all of its outgoing
-    messages from shared absorption prefixes, so it costs O(E). The
-    per-message work is array operations on one stack per extent, and each
-    absorption is one ``np.dot`` (:func:`_absorb`), so small extents cost
-    little Python per message.
+    Nodes are grouped by shape once per run. Nodes of at most half
+    :data:`STACK_BYTES` are copied into stacks of at most that size, and a
+    larger node runs alone from its own array, so a run's extra memory is at
+    most the bytes of its small nodes. Each sweep runs :func:`_outgoing` once
+    per stack: every outgoing message of every node, from shared front
+    prefixes and without transposing or copying a node, in the absorption
+    order that function states. Messages stay in per-extent stacks
+    throughout; index arrays built once per run gather each stack's
+    incoming rows and scatter its outgoing ones.
     """
     problems = validate(net)
     if problems:
@@ -246,21 +345,21 @@ def run_bp(
     source = {(eid, d): (eid, 0 if edge.is_open else d) for eid, edge in sorted(net.edges.items()) for d in (0, 1)}
     dims = {k: net.edges[k[0]].dim for k in source.values()}
     start = None if initial is None else {k: _start_message(initial, *k, dim) for k, dim in dims.items()}
-    index = net.attachment_index()
-    wiring = {nid: _wiring(net, index, nid) for nid in net.nodes}
-
-    def emit(messages):
-        raw = {}
-        for nid, wires in wiring.items():
-            outs = _outgoing(net.nodes[nid], [(ax, messages[k_in]) for ax, k_in, _ in wires])
-            raw.update((k_out, t) for (_, _, k_out), t in zip(wires, outs))
-        return raw
-
+    emit = _stack_emit(_node_chunks(net, _layout(dims)[1]))
     messages, it, residuals, history, converged = _iterate_messages(
         dims, emit, tol, max_iter, damping, seed, BPError, start)
     return BPState(messages={k: messages[src] for k, src in source.items()}, iterations=it,
                    residuals={k: residuals[src] for k, src in source.items()}, converged=converged, tol=tol,
                    residual_history=history)
+
+
+def fixed_point_residual(net: TensorNetwork, state: BPState) -> float:
+    """Largest 2-norm change of any message in one undamped sweep from
+    ``state.messages`` (each normalized and sign-fixed first), which is near
+    zero at a fixed point of ``net``. Raises :class:`BPError` naming the key
+    when ``state`` lacks a message of ``net`` or has one of the wrong
+    extent."""
+    return run_bp(net, tol=0.0, max_iter=1, damping=0.0, initial=state.messages).residual_history[0]
 
 
 def bp_scalar(net: TensorNetwork, state: BPState) -> float:
@@ -298,7 +397,7 @@ def bp_approx(net: TensorNetwork, state: BPState) -> np.ndarray:
         cut = [(ax, state.messages[k_in]) for ax, k_in, _ in wires if not net.edges[k_in[0]].is_open]
         value = np.multiply.outer(value, _absorb_all(net.nodes[nid], cut))
         # The open axes survive in ascending axis order.
-        open_ids += [k_in[0] for _, k_in, _ in reversed(wires) if net.edges[k_in[0]].is_open]
+        open_ids += [k_in[0] for _, k_in, _ in wires if net.edges[k_in[0]].is_open]
     for ov in overlaps:
         value = value / ov
     return value.transpose(np.argsort(open_ids, kind="stable"))

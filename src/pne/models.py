@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 
-from pne.belief import _absorb_all, _iterate_messages, _message_gauge, _outgoing
+from pne.belief import _absorb_all, _iterate_messages, _layout, _message_gauge, _rows, _stack_emit
 from pne.network import NetworkError, TensorNetwork, absorb_matrix, contract, subnetwork
 from pne.tensor import asarray
 
@@ -296,12 +296,6 @@ class _UnitOps:
     def apply_caps(self, caps: dict[AxisDir, np.ndarray | None]) -> np.ndarray:
         return _absorb_all(self.unit, [(2 * g + s, vec) for (g, s), vec in caps.items() if vec is not None])
 
-    def outgoing(self, caps: dict[AxisDir, np.ndarray]) -> dict[AxisDir, np.ndarray]:
-        """The message emitted from each face when every other face absorbs
-        its cap, from ``_outgoing``'s shared absorption prefixes."""
-        faces = sorted(caps, reverse=True)     # descending axis 2 * g + s
-        return dict(zip(faces, _outgoing(self.unit, [(2 * g + s, caps[(g, s)]) for g, s in faces])))
-
 
 @dataclass
 class UniformBP:
@@ -334,13 +328,27 @@ def uniform_fixed_point(
     """Damped synchronous iteration of the single-tensor self-consistency
     equations (all nodes share one message per axis direction), through the
     loop :func:`pne.belief.run_bp` uses. ``damping`` keeps that fraction of
-    the previous message and must lie in [0, 1)."""
+    the previous message and must lie in [0, 1).
+
+    A dense unit (or a materialized :class:`BlockedUnit`) is a stack of one
+    node for :func:`pne.belief._outgoing`, which emits every face from
+    shared prefixes in its stated absorption order without copying the
+    unit. A lazy blocked unit contracts its cluster once per face."""
     ops = unit if isinstance(unit, BlockedUnit) else _UnitOps(unit)
     dims = {(g, s): ops.face_dim(g, s) for g in range(ops.ndim) for s in (0, 1)}
-    # The cap on face (g, s) is the message a neighbor emits from (g, 1 - s).
-    out, it, _, history, converged = _iterate_messages(
-        dims, lambda msgs: ops.outgoing({(g, s): msgs[(g, 1 - s)] for g, s in dims}),
-        tol, max_iter, damping, seed, ModelError)
+    groups, place = _layout(dims)
+    dense = ops._materialized if isinstance(ops, BlockedUnit) else ops.unit
+    # The cap on face (g, s) is the message a neighbor emits from (g, 1 - s);
+    # face (g, s) is axis 2 * g + s, so dims lists the faces in axis order.
+    if dense is not None:
+        emit = _stack_emit([(dense[None], [_rows(place, [(g, 1 - s)]) for g, s in dims],
+                             [_rows(place, [face]) for face in dims])])
+    else:
+        def emit(stacks):
+            msgs = {k: stacks[dim][row] for k, (dim, row) in place.items()}
+            out = ops.outgoing({(g, s): msgs[(g, 1 - s)] for g, s in dims})
+            return {dim: np.stack([out[k] for k in keys]) for dim, keys in groups.items()}
+    out, it, _, history, converged = _iterate_messages(dims, emit, tol, max_iter, damping, seed, ModelError)
     return UniformBP(out_messages=out, iterations=it, residual=history[-1] if history else np.inf,
                      converged=converged, residual_history=history)
 
@@ -435,9 +443,8 @@ class BlockedUnit:
         return res.reshape(tuple(shape))
 
     def outgoing(self, caps: dict[AxisDir, np.ndarray]) -> dict[AxisDir, np.ndarray]:
-        """:meth:`_UnitOps.outgoing` of the blocked tensor, one open face at a time."""
-        if self._materialized is not None:
-            return _UnitOps(self._materialized).outgoing(caps)
+        """The message emitted from each face when every other face absorbs
+        its cap, one open face at a time."""
         return {face: self.apply_caps({**caps, face: None}) for face in caps}
 
     def materialize(self) -> np.ndarray:

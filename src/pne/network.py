@@ -524,21 +524,29 @@ def _plan_greedy(key: PlanKey, seed: int | None = None) -> ContractionPlan:
     """Greedy: contract the adjacent pair with the smallest merged tensor.
 
     With ``seed=None`` ties break on node ids; otherwise among the tied
-    pairs a seeded choice is made, which lets a handful of restarts escape
-    the bias of any fixed tie order."""
+    pairs, in node-id order, a seeded choice is made, which lets a handful
+    of restarts escape the bias of any fixed tie order. A merge changes the
+    score of the pairs that touch the merged node only, so only those are
+    scored again."""
     rng = np.random.default_rng(seed) if seed is not None else None
     pl = _Planner(key)
+    ends: dict[int, list[int]] = {}
+    for n in sorted(pl.legs):
+        for eid in pl.legs[n]:
+            ends.setdefault(eid, []).append(n)
+    scores = {(a, b): pl.entries(a, b) for a, b in {tuple(ns) for ns in ends.values() if len(ns) == 2}}
     while len(pl.legs) > 1:
-        live = sorted(pl.legs)
-        cands = [(pl.entries(a, b), a, b)
-                 for i, a in enumerate(live) for b in live[i + 1:] if pl.adjacent(a, b)]
-        if not cands:
-            pl.merge(live[0], live[1])
-            continue
-        lowest = min(c[0] for c in cands)
-        pool = [c for c in cands if c[0] == lowest]
-        _, a, b = pool[0] if rng is None else pool[int(rng.integers(len(pool)))]
+        if not scores:
+            a, b = sorted(pl.legs)[:2]
+        else:
+            lowest = min(scores.values())
+            pool = sorted(p for p, score in scores.items() if score == lowest)
+            a, b = pool[0] if rng is None else pool[int(rng.integers(len(pool)))]
         pl.merge(a, b)
+        scores = {p: score for p, score in scores.items() if a not in p and b not in p}
+        for c in pl.legs:
+            if c != a and pl.adjacent(a, c):
+                scores[min(a, c), max(a, c)] = pl.entries(a, c)
     return pl.plan()
 
 

@@ -222,8 +222,10 @@ def dominant_eig(
             return DominantEig(value=0.0, vector=v, iterations=it, residual=0.0)
         w = w / nrm
         if prev2 is not None:
-            if np.linalg.norm(w - prev2) < tol and np.linalg.norm(w - prev) > np.sqrt(tol):
-                # Period-2 cycle: degenerate +/- pair; nrm estimates |lambda|.
+            far = min(np.linalg.norm(w - prev), np.linalg.norm(w + prev)) > np.sqrt(tol)
+            if np.linalg.norm(w - prev2) < tol and far:
+                # Period-2 cycle that is no sign flip: degenerate +/- pair;
+                # nrm estimates |lambda|.
                 return DominantEig(
                     value=nrm, vector=w, iterations=it, residual=np.linalg.norm(w - prev),
                     degenerate=True,

@@ -3,12 +3,16 @@ import pytest
 
 from pne import belief
 from pne.belief import (
+    STACK_BYTES,
     BPError,
     _absorb,
+    _absorb_back,
+    _absorb_front,
     _norms,
     _sign_fix,
     bp_approx,
     bp_scalar,
+    fixed_point_residual,
     grouped_network,
     joint_message_pair,
     projectors_from_bp,
@@ -48,11 +52,15 @@ def sign_fix_row(v):
     return -v if pivot < 0 else v
 
 
-def per_message_bp(net, tol, max_iter, damping=0.2, seed=0, initial=None):
+def per_message_bp(net, tol, max_iter, damping=0.2, seed=0, initial=None, descending=False):
     """The sweep run_bp had before it went node by node: every directed
     message absorbs its node's other incoming messages from scratch, with
-    plain ``np.tensordot`` in descending axis order, and is normalized,
-    damped and sign-fixed on its own."""
+    plain ``np.tensordot``, and is normalized, damped and sign-fixed on its
+    own. The absorption order is the one ``belief._outgoing`` states: the
+    axes before the message's own from the front in ascending order, then
+    the axes after it from the back in descending order. ``descending=True``
+    absorbs in descending axis order instead, the order run_bp used before
+    it stacked nodes."""
     rng = np.random.default_rng(seed)
     edges = sorted(net.edges.items())
     messages = {}
@@ -71,8 +79,16 @@ def per_message_bp(net, tol, max_iter, damping=0.2, seed=0, initial=None):
                 pairs = [(a, messages[(e, 0) if net.edges[e].is_open else (e, 1 - s)])
                          for e, s, a in net.attachments(nid) if (e, a) != (eid, ax)]
                 t = net.nodes[nid]
-                for a, vec in sorted(pairs, key=lambda p: -p[0]):
-                    t = np.tensordot(t, vec, axes=([a], [0]))
+                if descending:
+                    for a, vec in sorted(pairs, key=lambda p: -p[0]):
+                        t = np.tensordot(t, vec, axes=([a], [0]))
+                else:
+                    for a, vec in sorted(pairs, key=lambda p: p[0]):
+                        if a < ax:
+                            t = np.tensordot(t, vec, axes=([0], [0]))
+                    for a, vec in sorted(pairs, key=lambda p: -p[0]):
+                        if a > ax:
+                            t = np.tensordot(t, vec, axes=([t.ndim - 1], [0]))
                 m = t / np.linalg.norm(t)
                 if damping:
                     m = (1.0 - damping) * m + damping * messages[(eid, d)]
@@ -214,6 +230,64 @@ class TestNodeSweep:
         assert any(e.is_open for e in net.edges.values())
         assert self.assert_same_run(net, tol=1e-12, max_iter=4000, seed=5).converged
 
+    @pytest.mark.parametrize("case", ["closed", "open", "tree", "warm", "mixed", "grid12x12-chi16"])
+    def test_within_rounding_of_descending_order(self, case):
+        # The absorption order moved from descending axes to front/back;
+        # that moves message bits by rounding only, and no sweep count.
+        kwargs = {"tol": 1e-12, "max_iter": 4000, "seed": 2}
+        if case == "closed":
+            net = random_grid((3, 3), 3, bias=0.5, seed=2).net
+        elif case == "open":
+            net = random_grid((2, 3), 3, bias=0.5, seed=8, open_axes=OPEN2X3_AXES).net
+        elif case == "tree":
+            net = random_tree(9, np.random.default_rng(3))
+            kwargs = {"tol": 1e-13, "max_iter": 500, "damping": 0.0}
+        elif case == "warm":
+            net = random_grid((3, 3), 3, bias=0.5, seed=2).net
+            rng = np.random.default_rng(0)
+            start = run_bp(net, tol=1e-6, max_iter=4000, seed=2).messages
+            kwargs = {"tol": 1e-12, "max_iter": 4000, "damping": 0.1,
+                      "initial": {k: m + 1e-3 * rng.standard_normal(m.size) for k, m in start.items()}}
+        elif case == "mixed":
+            net = mixed_extent_network(np.random.default_rng(4))
+            kwargs["seed"] = 5
+        else:
+            net = random_grid((12, 12), 16, bias=1.0, seed=1).net
+            kwargs = {"tol": 1e-10, "max_iter": 200, "seed": 1}
+        state = run_bp(net, **kwargs)
+        messages, iterations = per_message_bp(net, descending=True, **kwargs)
+        assert state.converged and state.iterations == iterations
+        assert list(state.messages) == list(messages)
+        assert max(np.abs(state.messages[k] - m).max() for k, m in messages.items()) < 1e-13
+
+    def test_large_nodes_absorbed_in_place(self, monkeypatch):
+        # A 4-leg chi=16 node (512 KiB) is above the stack bound; the 3-leg
+        # and 2-leg ones are stacked.
+        net = random_grid((3, 4), 16, bias=1.0, seed=0).net
+        big = [t for t in net.nodes.values() if t.nbytes > STACK_BYTES]
+        assert len(big) == 2
+        stacks = []
+        outgoing = belief._outgoing
+        monkeypatch.setattr(belief, "_outgoing", lambda stack, vecs: stacks.append(stack) or outgoing(stack, vecs))
+        assert run_bp(net, tol=1e-10, max_iter=1).iterations == 1
+        assert len(stacks) == 2 + 2     # the big nodes, one stack of 3-leg and one of 2-leg nodes
+        for t in big:
+            assert any(np.shares_memory(stack, t) for stack in stacks)
+        copied = [stack for stack in stacks if not any(np.shares_memory(stack, t) for t in net.nodes.values())]
+        assert sorted(stack.shape[0] for stack in copied) == [4, 6]
+        assert all(stack.nbytes <= STACK_BYTES for stack in copied)
+
+    def test_stacks_hold_at_most_the_byte_bound(self, monkeypatch):
+        # 100 interior nodes of 32 KiB: 8 to a stack, so 13 stacks.
+        net = random_grid((12, 12), 8, bias=1.0, seed=0).net
+        stacks = []
+        outgoing = belief._outgoing
+        monkeypatch.setattr(belief, "_outgoing", lambda stack, vecs: stacks.append(stack) or outgoing(stack, vecs))
+        run_bp(net, tol=1e-10, max_iter=1)
+        interior = [stack for stack in stacks if stack.shape[1:] == (8,) * 4]
+        assert [stack.shape[0] for stack in interior] == [8] * 12 + [4]
+        assert all(stack.nbytes <= STACK_BYTES for stack in stacks)
+
     def test_attachment_index_built_once_per_run(self, monkeypatch):
         calls = {"index": 0, "attachments": 0}
         build = TensorNetwork.attachment_index
@@ -264,6 +338,32 @@ class TestKernels:
                                          pairs[1][1], axes=([2], [0])), pairs[0][1], axes=([0], [0]))
         for order in (pairs, pairs[::-1], [pairs[1], pairs[0], pairs[2]]):
             assert belief._absorb_all(t, order).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_front_back_absorb_match_tensordot_bytes(self, n):
+        rng = np.random.default_rng(n)
+        for trial in range(300):
+            shape = tuple(int(d) for d in rng.integers(1, 7, size=int(rng.integers(1, 5))))
+            if trial % 5 == 0:
+                shape = shape[:-1] + (1,)                  # a dim-1 last leg
+            elif trial % 5 == 1:
+                shape = (1,) + shape[1:]                   # a dim-1 first leg
+            if trial % 3 == 1:      # transposed items: a permuted view of a contiguous stack
+                perm = rng.permutation(len(shape))
+                s = rng.standard_normal((n,) + tuple(shape[p] for p in np.argsort(perm)))
+                s = s.transpose(0, *(1 + perm))
+            else:
+                s = rng.standard_normal((n,) + shape)
+            # Strided message rows on odd trials.
+            v = rng.standard_normal((n, 2 * shape[0]))[:, ::2] if trial % 2 else rng.standard_normal((n, shape[0]))
+            w = rng.standard_normal((n, 2 * shape[-1]))[:, ::2] if trial % 2 else rng.standard_normal((n, shape[-1]))
+            front, back = _absorb_front(s, v), _absorb_back(s, w)
+            assert front.shape == (n,) + shape[1:] and back.shape == (n,) + shape[:-1]
+            for i in range(n):
+                want = np.tensordot(s[i], v[i], axes=([0], [0]))
+                assert front[i].tobytes() == want.tobytes(), (shape, trial)
+                want = np.tensordot(s[i], w[i], axes=([len(shape) - 1], [0]))
+                assert back[i].tobytes() == want.tobytes(), (shape, trial)
 
     def test_norms_match_linalg_norm_bytes(self):
         rng = np.random.default_rng(1)
@@ -332,12 +432,14 @@ class TestRunBpArguments:
         net = g.net.copy()
         net.nodes[3] = net.nodes[3].copy()
         net.nodes[3].flat[0] = bad
+        # All four corners have shape (2, 2): one stack, one kernel call a sweep.
+        assert {t.shape for t in net.nodes.values()} == {(2, 2)}
         sweeps = []
         outgoing = belief._outgoing
-        monkeypatch.setattr(belief, "_outgoing", lambda t, pairs: sweeps.append(1) or outgoing(t, pairs))
+        monkeypatch.setattr(belief, "_outgoing", lambda stack, vecs: sweeps.append(1) or outgoing(stack, vecs))
         with pytest.raises(BPError, match=r"non-finite outgoing message \(\d+, [01]\)"):
             run_bp(net)
-        assert len(sweeps) == len(net.nodes)
+        assert len(sweeps) == 1
 
     @pytest.mark.parametrize("bad_b, bad_c", [(np.nan, 0.0), (0.0, np.inf)])
     def test_bad_message_named_in_key_order(self, bad_b, bad_c):
@@ -345,8 +447,10 @@ class TestRunBpArguments:
         # between them in key order and is the one named.
         dims = {"a": 3, "b": 2, "c": 3}
 
-        def emit(messages):
-            return {"a": np.ones(3), "b": np.full(2, bad_b), "c": np.full(3, bad_c)}
+        def emit(stacks):
+            # Rows of the extent-3 stack are a, c; of the extent-2 stack, b.
+            assert [x.shape for x in stacks.values()] == [(2, 3), (1, 2)]
+            return {3: np.stack([np.ones(3), np.full(3, bad_c)]), 2: np.full((1, 2), bad_b)}
 
         what = "zero" if bad_b == 0.0 else "non-finite"
         with pytest.raises(BPError, match=f"^{what} outgoing message b$"):
@@ -360,6 +464,33 @@ class TestRunBpArguments:
         assert not stopped.converged
         assert len(stopped.residual_history) == 7
         assert stopped.residual_history[-1] == stopped.max_residual
+
+
+class TestFixedPointResidual:
+    def test_converged_state_reads_small(self):
+        net, state = converged_instance(0)
+        assert fixed_point_residual(net, state) < 10 * state.tol
+
+    def test_perturbed_state_reads_large(self):
+        net, state = converged_instance(0)
+        rng = np.random.default_rng(1)
+        state.messages = {k: m + 1e-3 * rng.standard_normal(m.size) for k, m in state.messages.items()}
+        assert fixed_point_residual(net, state) > 1e-5
+
+    def test_open_edges(self):
+        g = random_grid((2, 3), 3, bias=0.5, seed=8, open_axes=OPEN2X3_AXES)
+        state = run_bp(g.net, tol=1e-12, max_iter=4000, seed=2)
+        assert state.converged
+        assert fixed_point_residual(g.net, state) < 10 * state.tol
+
+    def test_state_of_another_network_raises(self):
+        _, state = converged_instance(0)                   # a 2x3 grid, chi 4
+        bigger = random_grid((3, 3), 4, bias=0.5, seed=0).net
+        with pytest.raises(BPError, match=r"no entry for edge \d+ direction [01]"):
+            fixed_point_residual(bigger, state)
+        other_extent = random_grid((2, 3), 3, bias=0.5, seed=0).net
+        with pytest.raises(BPError, match=r"edge 0 direction 0 has shape \(4,\), not \(3,\)"):
+            fixed_point_residual(other_extent, state)
 
 
 class TestBpScalar:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pne import models
+from pne import belief, models
 from pne.belief import run_bp
 from pne.models import (
     BETA_C_2D,
@@ -41,10 +41,12 @@ def sign_fix_row(v):
 
 def per_direction_uniform_bp(unit, tol=1e-12, max_iter=4000, damping=0.2, seed=0):
     """The loop uniform_fixed_point had before it shared run_bp's: every
-    direction's message absorbs the other faces' caps from scratch, with
-    plain ``np.tensordot`` in descending axis order on a dense unit (a lazy
-    blocked unit contracts its cluster network), and is normalized, damped
-    and sign-fixed on its own."""
+    direction's message absorbs the other faces' caps from scratch and is
+    normalized, damped and sign-fixed on its own. On a dense unit the caps
+    go in with plain ``np.tensordot`` in the order ``belief._outgoing``
+    states (axes below the face's own from the front, ascending, then the
+    axes above it from the back, descending); a lazy blocked unit contracts
+    its cluster network."""
     ops = unit if isinstance(unit, BlockedUnit) else _UnitOps(unit)
     dense = unit._materialized if isinstance(unit, BlockedUnit) else ops.unit
     rng = np.random.default_rng(seed)
@@ -63,8 +65,12 @@ def per_direction_uniform_bp(unit, tol=1e-12, max_iter=4000, damping=0.2, seed=0
                 vec = np.asarray(ops.apply_caps(caps)).reshape(-1)
             else:
                 vec = dense
+                for (h, t), cap in sorted(caps.items()):
+                    if 2 * h + t < 2 * g + s:
+                        vec = np.tensordot(vec, cap, axes=([0], [0]))
                 for (h, t), cap in sorted(caps.items(), reverse=True):
-                    vec = np.tensordot(vec, cap, axes=([2 * h + t], [0]))
+                    if 2 * h + t > 2 * g + s:
+                        vec = np.tensordot(vec, cap, axes=([vec.ndim - 1], [0]))
             m = vec / np.linalg.norm(vec)
             if damping:
                 m = (1.0 - damping) * m + damping * out[(g, s)]
@@ -343,9 +349,10 @@ class TestUniformBP:
     def test_non_finite_unit_raises_on_first_sweep(self, bad, monkeypatch):
         unit = ising_unit_tensor(2, 0.3).copy()
         unit[0, 1, 0, 1] = bad
+        # The unit is a stack of one node: one kernel call a sweep.
         sweeps = []
-        outgoing = _UnitOps.outgoing
-        monkeypatch.setattr(_UnitOps, "outgoing", lambda self, caps: sweeps.append(1) or outgoing(self, caps))
+        outgoing = belief._outgoing
+        monkeypatch.setattr(belief, "_outgoing", lambda stack, vecs: sweeps.append(1) or outgoing(stack, vecs))
         with pytest.raises(ModelError, match=r"non-finite outgoing message \([01], [01]\)"):
             uniform_fixed_point(unit)
         assert len(sweeps) == 1

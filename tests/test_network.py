@@ -20,6 +20,7 @@ from pne.network import (
     insert_joint_dense,
     insert_joint_isometry,
     insert_joint_ketbra,
+    _Planner,
     _plan_dp,
     _plan_for,
     _plan_greedy,
@@ -251,6 +252,32 @@ class TestPlanStrategies:
             assert plan.total_flops == sum(flops)
             assert plan.peak_step_flops == max(flops, default=0)
             assert plan.peak_result_entries == max((s.result_entries for s in plan.steps), default=0)
+
+    def test_greedy_matches_rescoring_every_pair(self):
+        # The greedy planner rescores only the pairs a merge touches; it
+        # must pick what scoring every live pair after each merge picks.
+        def rescore_all(key, seed):
+            rng = np.random.default_rng(seed) if seed is not None else None
+            pl = _Planner(key)
+            while len(pl.legs) > 1:
+                live = sorted(pl.legs)
+                cands = [(pl.entries(a, b), a, b)
+                         for i, a in enumerate(live) for b in live[i + 1:] if pl.adjacent(a, b)]
+                if not cands:
+                    pl.merge(live[0], live[1])
+                    continue
+                lowest = min(c[0] for c in cands)
+                pool = [c for c in cands if c[0] == lowest]
+                _, a, b = pool[0] if rng is None else pool[int(rng.integers(len(pool)))]
+                pl.merge(a, b)
+            return pl.plan()
+
+        rng = np.random.default_rng(11)
+        keys = [_random_key(rng) for _ in range(150)]
+        keys += [_plan_key(random_grid(shape, 2, seed=0).net) for shape in ((3, 3), (4, 5), (2, 2, 2))]
+        for key in keys:
+            for seed in (None, 0, 3, 7):
+                assert _plan_greedy(key, seed) == rescore_all(key, seed), (key, seed)
 
     def test_trace_steps_count_untraced_loops_twice(self):
         t = np.random.default_rng(2).normal(size=(2, 2, 3, 3, 5))

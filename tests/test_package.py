@@ -38,6 +38,7 @@ def test_public_surface_is_pinned():
         "dominant_eig",
         "evaluate",
         "evaluate_residue",
+        "fixed_point_residual",
         "grouped_network",
         "joint_message_pair",
         "orthogonal_complement",

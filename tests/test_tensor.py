@@ -241,6 +241,20 @@ class TestDominantEig:
         assert res.degenerate
         np.testing.assert_allclose(res.value, 1.0, atol=1e-8)
 
+    def test_negative_leading_eigenvalue(self):
+        # The iterate flips sign every step; that is convergence, not a pair.
+        m = np.diag([-2.0, 1.0, 0.5])
+        res = dominant_eig(lambda v: m @ v, 3)
+        assert not res.degenerate
+        np.testing.assert_allclose(res.value, -2.0, atol=1e-10)
+        assert res.residual < 1e-12
+
+    def test_plus_minus_pair_with_a_smaller_eigenvalue(self):
+        m = np.diag([1.0, -1.0, 0.5])
+        res = dominant_eig(lambda v: m @ v, 3)
+        assert res.degenerate
+        np.testing.assert_allclose(res.value, 1.0, atol=1e-8)
+
     def test_dense_oracle(self):
         rng = np.random.default_rng(6)
         m = rng.normal(size=(12, 12))
