@@ -346,7 +346,8 @@ def uniform_fixed_point(
     else:
         def emit(stacks):
             msgs = {k: stacks[dim][row] for k, (dim, row) in place.items()}
-            out = ops.outgoing({(g, s): msgs[(g, 1 - s)] for g, s in dims})
+            caps = {(g, s): msgs[(g, 1 - s)] for g, s in dims}
+            out = {face: ops.apply_caps({**caps, face: None}) for face in dims}
             return {dim: np.stack([out[k] for k in keys]) for dim, keys in groups.items()}
     out, it, _, history, converged = _iterate_messages(dims, emit, tol, max_iter, damping, seed, ModelError)
     return UniformBP(out_messages=out, iterations=it, residual=history[-1] if history else np.inf,
@@ -441,11 +442,6 @@ class BlockedUnit:
         for g, s in open_faces:
             shape.append(self.unit.shape[2 * g + s] ** len(self.face_cells(g, s)))
         return res.reshape(tuple(shape))
-
-    def outgoing(self, caps: dict[AxisDir, np.ndarray]) -> dict[AxisDir, np.ndarray]:
-        """The message emitted from each face when every other face absorbs
-        its cap, one open face at a time."""
-        return {face: self.apply_caps({**caps, face: None}) for face in caps}
 
     def materialize(self) -> np.ndarray:
         if self._materialized is None:
