@@ -252,10 +252,15 @@ def absorb_matrix(t: np.ndarray, ax: int, m: np.ndarray, head_side: bool) -> np.
 
     Tail side: new_axis_j = sum_i t[..i..] m[i, j]. Head side:
     new_axis_j = sum_k m[j, k] t[..k..].
+
+    Runs ``np.tensordot(t, m, axes=([ax], [1 if head_side else 0]))``'s
+    own transpose, reshape and ``np.dot``, without its argument handling, so
+    the result has its bits.
     """
-    contract_ax = 1 if head_side else 0
-    out = np.tensordot(t, m, axes=([ax], [contract_ax]))
-    return np.moveaxis(out, -1, ax)
+    rest = t.shape[:ax] + t.shape[ax + 1:]
+    at = t.transpose(*range(ax), *range(ax + 1, t.ndim), ax).reshape(math.prod(rest), t.shape[ax])
+    out = np.dot(at, m.T if head_side else m)
+    return out.reshape(rest + out.shape[1:]).transpose(*range(ax), t.ndim - 1, *range(ax, t.ndim - 1))
 
 
 def checked_isometry(u, dim: int, error: type[NetworkError], what: str) -> np.ndarray:

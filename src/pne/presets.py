@@ -297,6 +297,8 @@ def build_preset(
     shape, layout_of = PRESETS[name]
     if grid.shape != shape:
         raise PresetError(f"preset {name} expects a {shape} lattice, got {grid.shape}")
+    if rank < 1:
+        raise PresetError(f"rank {rank} must be at least 1")
     layout = layout_of(grid)
     if rank > 1 and not layout.rank_capable:
         raise PresetError(f"preset {name} is a rank-1 construction")

@@ -22,6 +22,7 @@ __all__ = [
     "DominantEig",
     "contract_pair",
     "svd",
+    "svd_stack",
     "basis_columns",
     "orthogonal_complement",
     "dominant_eig",
@@ -127,20 +128,30 @@ def svd(
     row_dims = m.shape[: len(row_axes)]
     col_dims = m.shape[len(row_axes):]
     mat = m.reshape(math.prod(row_dims), -1)
+    u, s, vh = svd_stack(mat[None])
+    k = s.shape[-1]
+    return SvdResult(u=u.reshape(row_dims + (k,)), s=s.reshape(k), vh=vh.reshape((k,) + col_dims))
+
+
+def svd_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVDs ``u, s, vh`` of a stack of matrices ``(N, M, K)``.
+
+    NumPy runs one LAPACK ``gesdd`` per matrix, so each item has the bits of
+    its own ``np.linalg.svd`` call. Every left singular vector is then
+    sign-fixed: its largest-magnitude entry (the first, on ties) is made
+    positive, and the matching row of ``vh`` is negated with it; negation is
+    exact, as in a per-column loop.
+    """
     try:
-        u, s, vh = np.linalg.svd(mat, full_matrices=False)
+        u, s, vh = np.linalg.svd(mats, full_matrices=False)
     except np.linalg.LinAlgError as exc:
-        raise TensorError(f"SVD failed to converge for a {mat.shape} matrix") from exc
-    # Fix signs: largest-magnitude entry (the first, on ties) of each left
-    # singular vector positive; negation is exact, as in a per-column loop.
-    flip = u[np.argmax(np.abs(u), axis=0), np.arange(s.size)] < 0
-    u[:, flip] = -u[:, flip]
-    vh[flip] = -vh[flip]
-    return SvdResult(
-        u=np.ascontiguousarray(u.reshape(row_dims + (s.size,))),
-        s=s,
-        vh=np.ascontiguousarray(vh.reshape((s.size,) + col_dims)),
-    )
+        raise TensorError(f"SVD failed to converge for a {mats.shape[-2:]} matrix") from exc
+    n, (m, k) = math.prod(u.shape[:-2]), u.shape[-2:]
+    cols, rows = u.reshape(n, m, k), vh.reshape(n, k, vh.shape[-1])
+    flip = cols[np.arange(n)[:, None], np.abs(cols).argmax(axis=1), np.arange(k)] < 0
+    np.negative(cols, out=cols, where=flip[:, None, :])
+    np.negative(rows, out=rows, where=flip[:, :, None])
+    return cols.reshape(u.shape), s, rows.reshape(vh.shape)
 
 
 def basis_columns(dim: int, rank: int) -> np.ndarray:

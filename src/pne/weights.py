@@ -21,6 +21,20 @@ the first sits near 1e-10 and the order of those directions is numerical
 noise. Directions beyond the first are therefore read from a flatter stage
 of the same value-exact gauge (``rank_stage``, alpha = ``RANK_ALPHA``),
 which keeps the trailing merged spectrum many orders above the floor.
+
+A sweep updates every edge once, in ascending edge id, and runs as a
+sequence of commuting layers (:func:`_layers`, computed once per stage). An
+update reads and writes only its two endpoint tensors and its own weight,
+and reads the weights of the other edges at those endpoints, so updates of
+edges that share no node commute exactly. An edge's layer is one more than
+the largest layer of any lower-id edge it shares a node with, so every pair
+that does share a node keeps its order, and each edge meets the same
+inputs, and performs the same floating-point operations, as in the plain
+sweep. Within a layer the SVDs and small products run as one stacked call
+per equal-shape group, each item with the bits of its own call, and the
+stripped log-norms are added to ``log_prefactor`` in ascending edge id at
+the end of the sweep: the layered sweep is the ascending-id sweep bit for
+bit, and one edge alone (:func:`wp_update_edge`) is a one-edge layer.
 """
 
 from __future__ import annotations
@@ -31,6 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from pne.belief import _norms
 from pne.network import (
     Edge,
     NetworkError,
@@ -39,7 +54,7 @@ from pne.network import (
     absorb_matrix,
     validate,
 )
-from pne.tensor import basis_columns, svd
+from pne.tensor import basis_columns, svd_stack
 
 __all__ = [
     "WeightState",
@@ -136,56 +151,146 @@ def wp_update_edge(state: WeightState, eid: int) -> WeightState:
     Singular values below ``1e-13`` are floored before inversion (with a
     warning); directions that small carry no weight anyway.
     """
-    return _update_edge(state, state.net.attachment_index(), eid)
-
-
-def _update_edge(state: WeightState, index, eid: int) -> WeightState:
-    # An update changes the edge's dim, never its endpoints, so one
-    # attachment index serves a whole stage.
-    edge = state.net.edges[eid]
-    (an, aax), (bn, bax) = edge.endpoints
-    a_dressed = _dressed(state, index, an, skip_edge=eid)
-    b_dressed = _dressed(state, index, bn, skip_edge=eid)
-
-    other_a = [i for i in range(a_dressed.ndim) if i != aax]
-    res_a = svd(a_dressed, row_axes=other_a, col_axes=[aax])
-    other_b = [i for i in range(b_dressed.ndim) if i != bax]
-    res_b = svd(b_dressed, row_axes=[bax], col_axes=other_b)
-
-    s_a, vh_a = res_a.s, res_a.vh_matrix()
-    u_b, s_b = res_b.u_matrix(), res_b.s
-    if np.any(s_a < SINGULAR_FLOOR) or np.any(s_b < SINGULAR_FLOOR):
-        _warn(f"edge {eid}: singular values below {SINGULAR_FLOOR:g} floored during weight update")
-    inv_a = 1.0 / np.maximum(s_a, SINGULAR_FLOOR)
-    inv_b = 1.0 / np.maximum(s_b, SINGULAR_FLOOR)
-
-    mid = (s_a[:, None] * vh_a) @ (state.weights[eid][:, None] * u_b * s_b[None, :])
-    res_c = svd(mid)
-    s_c = res_c.s
-    u_c = res_c.u_matrix()
-    vh_c = res_c.vh_matrix()
-
-    half = np.power(s_c, (1.0 - state.alpha) / 2.0)
-    new_w = np.power(s_c, state.alpha)
-    nrm = float(np.linalg.norm(new_w))
-    if nrm == 0.0:
-        raise WeightPassingError(f"edge {eid}: weight spectrum collapsed to zero")
-    state.log_prefactor += float(np.log(nrm))
-
-    g_a = (res_a.vh_matrix().T * inv_a[None, :]) @ (u_c * half[None, :])
-    g_b = (half[:, None] * vh_c) @ (inv_b[:, None] * u_b.T)
-
-    state.net.nodes[an] = absorb_matrix(state.net.nodes[an], aax, g_a, head_side=False)
-    state.net.nodes[bn] = absorb_matrix(state.net.nodes[bn], bax, g_b, head_side=True)
-    new_dim = s_c.size
-    if new_dim != edge.dim:
-        state.net.edges[eid] = Edge(endpoints=edge.endpoints, dim=new_dim)
-    state.weights[eid] = new_w / nrm
+    state.log_prefactor += _update_layer(state, state.net.attachment_index(), [eid])[eid]
     return state
+
+
+def _layers(net: TensorNetwork) -> list[list[int]]:
+    """The ascending-id sweep as commuting layers: an edge's layer is one
+    more than the largest layer of any lower-id edge sharing a node with it.
+
+    Updates of edges that share no node commute exactly, and each pair that
+    does share one keeps its ascending-id order, so running the layers in
+    order performs every edge's floating-point operations on the same
+    inputs as the plain sweep."""
+    last: dict[int, int] = {}
+    layers: list[list[int]] = []
+    for eid in sorted(net.edges):
+        nodes = [n for n, _ax in net.edges[eid].endpoints]
+        k = 1 + max(last.get(n, -1) for n in nodes)
+        for n in nodes:
+            last[n] = k
+        if k == len(layers):
+            layers.append([])
+        layers[k].append(eid)
+    return layers
+
+
+def _groups(keys) -> list[list[int]]:
+    """Positions of ``keys`` grouped by equal key, in first-seen order."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+def _stacked_svds(mats: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, bool]]:
+    """Sign-fixed ``(u, s, vh)`` of every matrix, one stacked SVD call per
+    shape, and whether any of its singular values is below the floor."""
+    out: list = [None] * len(mats)
+    for idx in _groups(m.shape for m in mats):
+        u, s, vh = svd_stack(np.stack([mats[i] for i in idx]))
+        low = (s < SINGULAR_FLOOR).any(axis=1)
+        for j, i in enumerate(idx):
+            out[i] = (u[j], s[j], vh[j], low[j])
+    return out
+
+
+def _update_layer(state: WeightState, index, layer: list[int]) -> dict[int, float]:
+    """Update the edges of one commuting layer, each exactly as a lone
+    update would (``index`` is ``state.net.attachment_index()``).
+
+    The endpoint tensors are dressed with the weights of their other edges,
+    decomposed against the shared index (a-side: the tail, with that index
+    as columns; b-side: the head, with it as rows), the merged spectrum
+    ``diag(s_a) vh_a diag(w) u_b diag(s_b)`` is decomposed again, and its
+    ``alpha`` power becomes the new weight while ``g_a``, ``g_b`` push the
+    remainder into the endpoints. SVDs and products run stacked over the
+    edges of equal shapes. Returns the ``log`` of each edge's stripped norm,
+    for the caller to add to ``log_prefactor`` in edge order.
+    """
+    edges = state.net.edges
+    a_mats, b_mats = [], []
+    for eid in layer:
+        # An update changes the edge's dim, never its endpoints, so one
+        # attachment index serves a whole stage.
+        (an, aax), (bn, bax) = edges[eid].endpoints
+        a = _dressed(state, index, an, skip_edge=eid)
+        b = _dressed(state, index, bn, skip_edge=eid)
+        a_mats.append(a.transpose(*range(aax), *range(aax + 1, a.ndim), aax).reshape(-1, a.shape[aax]))
+        b_mats.append(b.transpose(bax, *range(bax), *range(bax + 1, b.ndim)).reshape(b.shape[bax], -1))
+    svd_a = _stacked_svds(a_mats)
+    svd_b = _stacked_svds(b_mats)
+    for eid, (*_, low_a), (*_, low_b) in zip(layer, svd_a, svd_b):
+        if low_a or low_b:
+            _warn(f"edge {eid}: singular values below {SINGULAR_FLOOR:g} floored during weight update")
+
+    alpha = state.alpha
+    updates: list = [None] * len(layer)
+    for idx in _groups((svd_a[i][2].shape, svd_b[i][0].shape) for i in range(len(layer))):
+        s_a = np.stack([svd_a[i][1] for i in idx])
+        vh_a = np.stack([svd_a[i][2] for i in idx])
+        u_b = np.stack([svd_b[i][0] for i in idx])
+        s_b = np.stack([svd_b[i][1] for i in idx])
+        w = np.stack([state.weights[layer[i]] for i in idx])
+        inv_a = 1.0 / np.maximum(s_a, SINGULAR_FLOOR)
+        inv_b = 1.0 / np.maximum(s_b, SINGULAR_FLOOR)
+
+        mid = (s_a[:, :, None] * vh_a) @ (w[:, :, None] * u_b * s_b[:, None, :])
+        u_c, s_c, vh_c = svd_stack(mid)
+        half = np.power(s_c, (1.0 - alpha) / 2.0)
+        new_w = np.power(s_c, alpha)
+        nrm = _norms(new_w)
+        g_a = (np.swapaxes(vh_a, 1, 2) * inv_a[:, None, :]) @ (u_c * half[:, None, :])
+        g_b = (half[:, :, None] * vh_c) @ (inv_b[:, :, None] * np.swapaxes(u_b, 1, 2))
+        for j, i in enumerate(idx):
+            updates[i] = (float(nrm[j]), new_w[j], g_a[j], g_b[j])
+
+    nodes = state.net.nodes
+    logs = {}
+    for eid, (nrm, new_w, g_a, g_b) in zip(layer, updates):
+        if nrm == 0.0:
+            raise WeightPassingError(f"edge {eid}: weight spectrum collapsed to zero")
+        logs[eid] = float(np.log(nrm))
+        edge = edges[eid]
+        (an, aax), (bn, bax) = edge.endpoints
+        nodes[an] = absorb_matrix(nodes[an], aax, g_a, head_side=False)
+        nodes[bn] = absorb_matrix(nodes[bn], bax, g_b, head_side=True)
+        if new_w.size != edge.dim:
+            edges[eid] = Edge(endpoints=edge.endpoints, dim=new_w.size)
+        state.weights[eid] = new_w / nrm
+    return logs
+
+
+def _residual(previous: dict[int, np.ndarray], weights: dict[int, np.ndarray], rel_tol: float,
+              resolved_ratio: float) -> float:
+    """The larger, over all edges, of the 2-norm of the weight change and
+    ``rel_tol`` times the largest relative change of a weight at least
+    ``resolved_ratio`` times its edge's leading one; ``inf`` if an edge
+    changed its extent. Computed on one stack per extent, with the ddot of
+    ``np.linalg.norm`` (:func:`pne.belief._norms`) and exact maxima, so it
+    has the bits of a per-edge loop."""
+    if any(previous[eid].size != w.size for eid, w in weights.items()):
+        return np.inf
+    news, olds = list(weights.values()), [previous[eid] for eid in weights]
+    residual = 0.0
+    for idx in _groups(w.size for w in news):
+        w = np.stack([news[i] for i in idx])
+        change = np.abs(w - np.stack([olds[i] for i in idx]))
+        resolved = w >= w[:, :1] * resolved_ratio
+        relative = np.divide(change, w, out=np.zeros_like(w), where=resolved)
+        residual = max(residual, float(_norms(change).max()),
+                       float((rel_tol * relative.max(axis=1)).max()))
+    return residual
 
 
 def _run_stage(state: WeightState, alpha: float) -> None:
     """Sweep edge updates (ascending edge id) at ``alpha`` until converged.
+
+    Each sweep runs the commuting layers of :func:`_layers`, computed once
+    per stage, and adds the stripped log-norms to ``log_prefactor`` in
+    ascending edge id at its end, so the sweep, its float sums included,
+    is bit for bit the one-edge-at-a-time sweep.
 
     The residual of a sweep is, over all edges, the larger of the 2-norm of
     the weight change and ``sqrt(tol)`` times the largest relative change of
@@ -202,21 +307,16 @@ def _run_stage(state: WeightState, alpha: float) -> None:
     rel_tol = float(np.sqrt(state.tol))
     resolved_ratio = SINGULAR_FLOOR**alpha
     index = state.net.attachment_index()
+    layers = _layers(state.net)
     for _ in range(state.max_sweeps):
-        previous = {eid: w.copy() for eid, w in state.weights.items()}
-        for eid in sorted(state.net.edges):
-            _update_edge(state, index, eid)
+        previous = dict(state.weights)
+        logs: dict[int, float] = {}
+        for layer in layers:
+            logs.update(_update_layer(state, index, layer))
+        for eid in sorted(logs):
+            state.log_prefactor += logs[eid]
         state.sweeps += 1
-        residual = 0.0
-        for eid, w in state.weights.items():
-            old = previous[eid]
-            if old.size != w.size:
-                residual = np.inf
-                break
-            change = np.abs(w - old)
-            resolved = w >= w[0] * resolved_ratio
-            relative = np.divide(change, w, out=np.zeros_like(w), where=resolved)
-            residual = max(residual, float(np.linalg.norm(change)), rel_tol * float(relative.max()))
+        residual = _residual(previous, state.weights, rel_tol, resolved_ratio)
         state.residual = residual
         state.residual_history.append(residual)
         if residual < state.tol:
@@ -233,6 +333,11 @@ def run_weight_passing(
 ) -> WeightState:
     """Sweep edge updates (ascending edge id) until the weights converge.
 
+    Each sweep runs in commuting layers of edges that share no node, with
+    stacked SVDs per layer; it is bit for bit the one-edge-at-a-time sweep
+    (see the module docstring). ``alpha`` and every ``ramp`` stage must lie
+    in [0, 1] and ``tol`` must be positive, else ``WeightPassingError``.
+
     With ``ramp`` the stages run in order, each to convergence, carrying the
     gauge forward; annealing from flatter spectra helps difficult networks.
     A non-convergent run returns ``converged=False`` with the residual
@@ -245,6 +350,11 @@ def run_weight_passing(
     below the leading one. Rank-r projectors take their first direction
     from this state and the directions beyond it from ``rank_stage``.
     """
+    for stage_alpha in [*(ramp or []), alpha]:
+        if not 0.0 <= stage_alpha <= 1.0:
+            raise WeightPassingError(f"alpha {stage_alpha} is outside [0, 1]")
+    if not tol > 0.0:
+        raise WeightPassingError(f"tol {tol} must be positive")
     state = _init_state(net, alpha)
     state.tol = tol
     state.max_sweeps = max_sweeps
@@ -296,6 +406,8 @@ def projectors_from_weights(
     of each other, as in the collapsed tail of a sharp stage. For rank > 1
     pass ``rank_stage(state)``, whose trailing spectrum is resolved.
     """
+    if rank < 1:
+        raise WeightPassingError(f"rank {rank} must be at least 1")
     out = {}
     for eid in sorted(edges):
         if eid not in state.weights:

@@ -67,6 +67,14 @@ def test_expand_needs_a_recorded_layout(tmp_path, capsys):
            "layout")
 
 
+@pytest.mark.parametrize("projector", ["weights", "random"])
+def test_expand_rejects_rank_below_one(tmp_path, capsys, projector):
+    path = tmp_path / "g.pnec"
+    _model(path, "3x3")
+    _fails(capsys, ["expand", str(path), "--preset", "grid3x3-chi4", "--projector", projector,
+                    "--rank", "0"], "rank 0 must be at least 1")
+
+
 @pytest.mark.parametrize("damping", ["1.0", "-0.2"])
 def test_bp_rejects_damping_outside_unit_interval(tmp_path, capsys, damping):
     path = tmp_path / "g.pnec"

@@ -15,6 +15,7 @@ from pne.network import (
     NetworkError,
     ProjectorP,
     TensorNetwork,
+    absorb_matrix,
     apply_insertions,
     contract,
     insert_joint_dense,
@@ -353,6 +354,28 @@ class TestInsertions:
         net = vec_net()
         with pytest.raises(InsertionError, match="orthonormal"):
             apply_insertions(net, [EdgeInsertion(0, ProjectorP(np.array([[2.0], [0.0]])))])
+
+
+class TestAbsorbMatrix:
+    @pytest.mark.parametrize("head_side", [False, True])
+    def test_matches_tensordot_bytes(self, head_side):
+        # Contiguous tensors and permuted views, matrices and their
+        # transposed views, square and rectangular, dim-1 axes included.
+        rng = np.random.default_rng(0)
+        for _ in range(60):
+            shape = tuple(int(d) for d in rng.integers(1, 5, size=int(rng.integers(1, 5))))
+            t = rng.normal(size=shape)
+            if rng.random() < 0.5:
+                t = t.transpose(rng.permutation(t.ndim))
+            ax = int(rng.integers(t.ndim))
+            k = int(rng.integers(1, 5))
+            m = rng.normal(size=(k, t.shape[ax]) if head_side else (t.shape[ax], k))
+            if rng.random() < 0.5:
+                m = np.ascontiguousarray(m.T).T
+            want = np.moveaxis(np.tensordot(t, m, axes=([ax], [1 if head_side else 0])), -1, ax)
+            got = absorb_matrix(t, ax, m, head_side=head_side)
+            assert got.shape == want.shape
+            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 class TestSubnetwork:

@@ -141,6 +141,20 @@ def test_bp_rank_restriction():
         build_preset("doubleloop-3v", g, projectors="bp", rank=2)
 
 
+@pytest.mark.parametrize("projectors", ["bp", "weights", "random"])
+@pytest.mark.parametrize("rank", [0, -1])
+def test_rank_below_one_rejected_before_any_source_runs(monkeypatch, projectors, rank):
+    import pne.presets
+
+    def no_source(*args, **kwargs):
+        raise AssertionError("a projector source ran")
+
+    monkeypatch.setattr(pne.presets, "source_projectors", no_source)
+    g = random_grid((3, 3), CHI, seed=0)
+    with pytest.raises(PresetError, match=f"rank {rank} must be at least 1"):
+        build_preset("grid3x3-chi4", g, projectors=projectors, rank=rank)
+
+
 def test_weights_rank2():
     g = random_grid((2, 3), 4, bias=0.2, seed=2)
     pre = build_preset("doubleloop-3v", g, projectors="weights", rank=2)

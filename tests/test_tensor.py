@@ -12,6 +12,7 @@ from pne.tensor import (
     dominant_eig,
     orthogonal_complement,
     svd,
+    svd_stack,
 )
 
 
@@ -191,6 +192,43 @@ class TestSvdSignFix:
         # tie led by -0.5 flipped, tie led by +0.5 kept, pivot -0.75 flipped
         assert list(res.u_matrix()[:2, :3].ravel()) == [0.5, 0.5, -0.25, -0.5, -0.5, 0.75]
         assert list(res.u_matrix()[2:, 3]) == [1.0, -1.0]
+
+    @pytest.mark.parametrize("shape", [(4, 4), (16, 4), (64, 4), (4, 64), (16, 16), (1, 3), (3, 1)])
+    def test_stack_matches_single_svds(self, shape):
+        # Each item of a stacked call has the bits of np.linalg.svd on that
+        # matrix alone plus the sign rule; tensor.svd is the one-item stack.
+        mats = np.random.default_rng(shape[0] * 100 + shape[1]).normal(size=(5,) + shape)
+        u, s, vh = svd_stack(mats)
+        for i, m in enumerate(mats):
+            u_ref, s_ref, vh_ref = np.linalg.svd(m, full_matrices=False)
+            u_ref, vh_ref = loop_sign_fix(u_ref, vh_ref)
+            for got, want in [(u[i], u_ref), (s[i], s_ref), (vh[i], vh_ref)]:
+                assert_bitwise(np.ascontiguousarray(got), want)
+            res = svd(m)
+            assert_bitwise(res.u_matrix(), u_ref)
+            assert_bitwise(res.s, s_ref)
+            assert_bitwise(res.vh_matrix(), vh_ref)
+
+    def test_stack_ties_match_loop(self, monkeypatch):
+        # Two items with magnitude ties led by either sign, fed through
+        # svd_stack in place of LAPACK's factors.
+        u = np.array([
+            [[-0.5, 0.5, 0.0], [0.5, -0.5, 1.0], [0.25, 0.5, -1.0]],
+            [[0.5, -0.75, 0.5], [-0.5, 0.75, 0.5], [0.5, 0.0, -0.5]],
+        ])
+        s = np.array([[3.0, 2.0, 1.0], [3.0, 2.0, 1.0]])
+        vh = np.random.default_rng(4).normal(size=(2, 3, 4))
+        monkeypatch.setattr(np.linalg, "svd", lambda mats, full_matrices: (u.copy(), s, vh.copy()))
+        got_u, _, got_vh = svd_stack(np.zeros((2, 3, 4)))
+        for i in range(2):
+            u_ref, vh_ref = loop_sign_fix(u[i], vh[i])
+            assert_bitwise(got_u[i], u_ref)
+            assert_bitwise(got_vh[i], vh_ref)
+        # tie led by -0.5 flipped, tie led by +0.5 kept, -0.75 flipped
+        assert list(got_u[0][:, 0]) == [0.5, -0.5, -0.25]
+        assert list(got_u[1][:, 0]) == [0.5, -0.5, 0.5]
+        assert list(got_u[0][:, 2]) == [0.0, 1.0, -1.0]
+        assert list(got_u[1][:, 1]) == [0.75, -0.75, -0.0]
 
     def test_no_columns(self):
         res = svd(np.zeros((3, 0)))

@@ -5,13 +5,26 @@ import pytest
 
 from pne.bench import make_instance
 from pne.models import random_grid
-from pne.network import DenseOp, EdgeInsertion, ProjectorP, TensorNetwork, apply_insertions, contract
-from pne.tensor import basis_columns
+from pne.network import (
+    DenseOp,
+    Edge,
+    EdgeInsertion,
+    ProjectorP,
+    TensorNetwork,
+    absorb_matrix,
+    apply_insertions,
+    contract,
+)
+from pne.tensor import basis_columns, svd
 from pne.weights import (
     RANK_ALPHA,
     SINGULAR_FLOOR,
     WeightPassingError,
     WeightState,
+    _dressed,
+    _init_state,
+    _layers,
+    _warn,
     projectors_from_weights,
     rank_stage,
     run_weight_passing,
@@ -276,3 +289,273 @@ class TestProjectors:
             assert w[0] / np.linalg.norm(w) > 0.99
             bp_ratio = cut_ratio(net2, eid)
             assert abs(cut_ratio(weighted, eid) - bp_ratio) < 1e-8 * abs(bp_ratio)
+
+
+# ---------------------------------------------------------------------------
+# The one-edge-at-a-time sweep, kept as the oracle of the layered kernel
+# ---------------------------------------------------------------------------
+
+def oracle_update_edge(state, index, eid):
+    edge = state.net.edges[eid]
+    (an, aax), (bn, bax) = edge.endpoints
+    a_dressed = _dressed(state, index, an, skip_edge=eid)
+    b_dressed = _dressed(state, index, bn, skip_edge=eid)
+
+    other_a = [i for i in range(a_dressed.ndim) if i != aax]
+    res_a = svd(a_dressed, row_axes=other_a, col_axes=[aax])
+    other_b = [i for i in range(b_dressed.ndim) if i != bax]
+    res_b = svd(b_dressed, row_axes=[bax], col_axes=other_b)
+
+    s_a, vh_a = res_a.s, res_a.vh_matrix()
+    u_b, s_b = res_b.u_matrix(), res_b.s
+    if np.any(s_a < SINGULAR_FLOOR) or np.any(s_b < SINGULAR_FLOOR):
+        _warn(f"edge {eid}: singular values below {SINGULAR_FLOOR:g} floored during weight update")
+    inv_a = 1.0 / np.maximum(s_a, SINGULAR_FLOOR)
+    inv_b = 1.0 / np.maximum(s_b, SINGULAR_FLOOR)
+
+    mid = (s_a[:, None] * vh_a) @ (state.weights[eid][:, None] * u_b * s_b[None, :])
+    res_c = svd(mid)
+    s_c = res_c.s
+    u_c = res_c.u_matrix()
+    vh_c = res_c.vh_matrix()
+
+    half = np.power(s_c, (1.0 - state.alpha) / 2.0)
+    new_w = np.power(s_c, state.alpha)
+    nrm = float(np.linalg.norm(new_w))
+    if nrm == 0.0:
+        raise WeightPassingError(f"edge {eid}: weight spectrum collapsed to zero")
+    state.log_prefactor += float(np.log(nrm))
+
+    g_a = (res_a.vh_matrix().T * inv_a[None, :]) @ (u_c * half[None, :])
+    g_b = (half[:, None] * vh_c) @ (inv_b[:, None] * u_b.T)
+
+    state.net.nodes[an] = absorb_matrix(state.net.nodes[an], aax, g_a, head_side=False)
+    state.net.nodes[bn] = absorb_matrix(state.net.nodes[bn], bax, g_b, head_side=True)
+    new_dim = s_c.size
+    if new_dim != edge.dim:
+        state.net.edges[eid] = Edge(endpoints=edge.endpoints, dim=new_dim)
+    state.weights[eid] = new_w / nrm
+    return state
+
+
+def oracle_run_stage(state, alpha):
+    state.alpha = alpha
+    state.converged = False
+    rel_tol = float(np.sqrt(state.tol))
+    resolved_ratio = SINGULAR_FLOOR**alpha
+    index = state.net.attachment_index()
+    for _ in range(state.max_sweeps):
+        previous = {eid: w.copy() for eid, w in state.weights.items()}
+        for eid in sorted(state.net.edges):
+            oracle_update_edge(state, index, eid)
+        state.sweeps += 1
+        residual = 0.0
+        for eid, w in state.weights.items():
+            old = previous[eid]
+            if old.size != w.size:
+                residual = np.inf
+                break
+            change = np.abs(w - old)
+            resolved = w >= w[0] * resolved_ratio
+            relative = np.divide(change, w, out=np.zeros_like(w), where=resolved)
+            residual = max(residual, float(np.linalg.norm(change)), rel_tol * float(relative.max()))
+        state.residual = residual
+        state.residual_history.append(residual)
+        if residual < state.tol:
+            state.converged = True
+            return
+
+
+def oracle_run(net, alpha=0.8, tol=1e-10, max_sweeps=500, ramp=None):
+    state = _init_state(net, alpha)
+    state.tol = tol
+    state.max_sweeps = max_sweeps
+    for stage_alpha in [*(ramp or []), alpha]:
+        oracle_run_stage(state, stage_alpha)
+    return state
+
+
+def oracle_rank_stage(state):
+    flat = WeightState(
+        net=state.net.copy(),
+        weights={eid: w.copy() for eid, w in state.weights.items()},
+        alpha=RANK_ALPHA,
+        sweeps=state.sweeps,
+        log_prefactor=state.log_prefactor,
+        residual_history=list(state.residual_history),
+        tol=state.tol,
+        max_sweeps=state.max_sweeps,
+    )
+    oracle_run_stage(flat, RANK_ALPHA)
+    return flat
+
+
+def assert_bits(got, want):
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def assert_same_state(got, want):
+    assert got.net.edges == want.net.edges
+    assert got.weights.keys() == want.weights.keys()
+    for eid, w in want.weights.items():
+        assert_bits(got.weights[eid], w)
+    assert got.net.nodes.keys() == want.net.nodes.keys()
+    for nid, t in want.net.nodes.items():
+        assert_bits(got.net.nodes[nid], t)
+    assert got.log_prefactor == want.log_prefactor
+    assert (got.alpha, got.sweeps, got.converged) == (want.alpha, want.sweeps, want.converged)
+    assert got.residual == want.residual
+    assert got.residual_history == want.residual_history
+
+
+def two_vector_bond():
+    return TensorNetwork.build({0: np.array([3.0, 4.0]), 1: np.array([1.0, 2.0])}, {0: [(0, 0), (1, 0)]})
+
+
+def double_bond(seed=0):
+    rng = np.random.default_rng(seed)
+    return TensorNetwork.build(
+        {0: rng.normal(size=(3, 4)) + 0.5, 1: rng.normal(size=(3, 4)) + 0.5},
+        {0: [(0, 0), (1, 0)], 1: [(0, 1), (1, 1)]},
+    )
+
+
+class TestLayeredKernel:
+    """The layered sweep reproduces the one-edge-at-a-time sweep bit for
+    bit: weights, node tensors, edge dims, prefactor, sweep counts and
+    residual history."""
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_gauge_sweep_grids(self, seed):
+        net = random_grid((4, 4), 4, bias=0.2, seed=seed).net
+        got = run_weight_passing(net, alpha=0.8, tol=1e-10, max_sweeps=400)
+        assert got.sweeps > 5
+        assert_same_state(got, oracle_run(net, alpha=0.8, tol=1e-10, max_sweeps=400))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_first_sweeps(self, seed):
+        # The prefactor is a float sum whose order shows most from the start.
+        for shape, chi in [((4, 4), 4), ((3, 3), 3)]:
+            net = random_grid(shape, chi, bias=0.2, seed=seed).net
+            for sweeps in (1, 2):
+                assert_same_state(run_weight_passing(net, max_sweeps=sweeps), oracle_run(net, max_sweeps=sweeps))
+
+    def test_capped_chi16_patch_and_rank_stage(self):
+        net = make_instance("random", (2, 3), seed=20240801).net
+        got = run_weight_passing(net, alpha=0.8, tol=1e-10, max_sweeps=300)
+        want = oracle_run(net, alpha=0.8, tol=1e-10, max_sweeps=300)
+        assert_same_state(got, want)
+        assert_same_state(rank_stage(got), oracle_rank_stage(want))
+
+    def test_bond_that_collapses_to_dim_one(self):
+        got = run_weight_passing(two_vector_bond(), alpha=1.0, max_sweeps=3)
+        assert got.net.edges[0].dim == 1
+        assert_same_state(got, oracle_run(two_vector_bond(), alpha=1.0, max_sweeps=3))
+
+    def test_two_nodes_joined_by_two_edges(self):
+        got = run_weight_passing(double_bond(), alpha=0.8, tol=1e-11, max_sweeps=200)
+        assert [len(layer) for layer in _layers(got.net)] == [1, 1]
+        assert_same_state(got, oracle_run(double_bond(), alpha=0.8, tol=1e-11, max_sweeps=200))
+
+    def test_ramp(self):
+        net = random_grid((3, 3), 3, bias=0.3, seed=8).net
+        got = run_weight_passing(net, alpha=0.8, tol=1e-10, max_sweeps=200, ramp=[0.3, 0.5])
+        assert_same_state(got, oracle_run(net, alpha=0.8, tol=1e-10, max_sweeps=200, ramp=[0.3, 0.5]))
+
+    def test_single_edge_updates(self):
+        net = random_grid((2, 3), 3, bias=0.2, seed=3).net
+        got = run_weight_passing(net, alpha=0.7, max_sweeps=0)
+        want = run_weight_passing(net, alpha=0.7, max_sweeps=0)
+        index = want.net.attachment_index()
+        for eid in np.random.default_rng(3).choice(sorted(net.edges), size=12):
+            wp_update_edge(got, int(eid))
+            oracle_update_edge(want, index, int(eid))
+        assert_same_state(got, want)
+
+
+class TestLayers:
+    @pytest.mark.parametrize("shape, edges, layers", [((4, 4), 24, 6), ((12, 12), 264, 22), ((3, 3), 12, 4)])
+    def test_grid_counts(self, shape, edges, layers):
+        schedule = _layers(random_grid(shape, 2, seed=0).net)
+        assert sum(map(len, schedule)) == edges and len(schedule) == layers
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_layers_commute_and_keep_shared_node_order(self, seed):
+        rng = np.random.default_rng(seed)
+        n_nodes = int(rng.integers(2, 9))
+        pairs = [tuple(rng.choice(n_nodes, size=2, replace=False)) for _ in range(int(rng.integers(1, 25)))]
+        legs = {n: [] for n in range(n_nodes)}
+        edges = {}
+        for eid, (a, b) in zip(rng.permutation(100)[: len(pairs)], pairs):
+            edges[int(eid)] = [(int(a), len(legs[a])), (int(b), len(legs[b]))]
+            legs[a].append(eid)
+            legs[b].append(eid)
+        nodes = {n: np.ones((2,) * len(ax)) for n, ax in legs.items() if ax}
+        net = TensorNetwork.build(nodes, edges)
+        schedule = _layers(net)
+        assert sorted(e for layer in schedule for e in layer) == sorted(edges)
+        position = {e: k for k, layer in enumerate(schedule) for e in layer}
+        for layer in schedule:
+            assert layer == sorted(layer)
+            touched = [n for e in layer for n, _ in edges[e]]
+            assert len(touched) == len(set(touched))
+        for e in edges:
+            for f in edges:
+                if e < f and {n for n, _ in edges[e]} & {n for n, _ in edges[f]}:
+                    assert position[e] < position[f]
+
+
+def floored_edges(run):
+    return sorted(int(str(w.message).split(":")[0].split()[1]) for w in floored_warnings(run))
+
+
+class TestLayeredWarnings:
+    def test_floor_warning_once_per_edge_as_oracle(self):
+        g = rank_deficient_grid()
+        for sweeps in (1, 2, 3):
+            got = floored_edges(lambda: run_weight_passing(g.net, max_sweeps=sweeps))
+            want = floored_edges(lambda: oracle_run(g.net, max_sweeps=sweeps))
+            assert got and got == want
+
+    def chain(self, zero_nodes):
+        # Edges 0 (nodes 0-1) and 1 (nodes 2-3) form layer 0, edge 2 layer 1.
+        nodes = {0: np.array([1.0, 2.0]), 1: np.ones((2, 2)), 2: np.ones((2, 2)) + np.eye(2),
+                 3: np.array([2.0, 1.0])}
+        for n in zero_nodes:
+            nodes[n] = np.zeros_like(nodes[n])
+        return TensorNetwork.build(nodes, {0: [(0, 0), (1, 0)], 1: [(2, 1), (3, 0)], 2: [(1, 1), (2, 0)]})
+
+    @pytest.mark.parametrize("zero_nodes, eid", [((3,), 1), ((0, 3), 0)])
+    def test_collapse_names_lowest_edge_of_its_layer(self, zero_nodes, eid):
+        assert _layers(self.chain(zero_nodes)) == [[0, 1], [2]]
+        for run in (run_weight_passing, oracle_run):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                with pytest.raises(WeightPassingError, match=rf"^edge {eid}: weight spectrum collapsed"):
+                    run(self.chain(zero_nodes), max_sweeps=2)
+
+
+class TestArguments:
+    @pytest.mark.parametrize("alpha", [-0.5, 1.5, float("nan"), float("inf")])
+    def test_alpha_outside_unit_interval(self, alpha):
+        g = random_grid((2, 2), 3, seed=1)
+        with pytest.raises(WeightPassingError, match="alpha"):
+            run_weight_passing(g.net, alpha=alpha)
+        with pytest.raises(WeightPassingError, match="alpha"):
+            run_weight_passing(g.net, alpha=0.8, ramp=[0.3, alpha])
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan")])
+    def test_tol_not_positive(self, tol):
+        g = random_grid((2, 2), 3, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(WeightPassingError, match="tol"):
+                run_weight_passing(g.net, tol=tol)
+
+    @pytest.mark.parametrize("rank", [0, -1])
+    def test_rank_below_one(self, rank):
+        g = random_grid((2, 2), 3, bias=0.2, seed=11)
+        state = run_weight_passing(g.net, alpha=0.8, max_sweeps=20)
+        with pytest.raises(WeightPassingError, match=f"rank {rank}"):
+            projectors_from_weights(state, [0], rank=rank)
