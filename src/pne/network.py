@@ -13,6 +13,16 @@ each checked before use. The ``insert_joint_*`` functions insert an
 operator over the joint space of several edges. Expansion builders absorb
 their operators with :func:`absorb_matrix` directly, sharing the dressed
 tensors between terms (see :mod:`pne.expansion`).
+
+:func:`contract` runs a *compiled* plan. A plan is compiled once per network
+layout (node ids, each edge's id, endpoints with their axes, and dim) into
+a program of steps over slots of the node list. A pair step stores the
+permutations, the ``(m, k)`` and ``(k, n)`` matrix shapes and the output
+shape that ``np.tensordot`` would derive from the step's axis lists on
+every call, and runs the same transpose, reshape, ``np.dot`` and reshape,
+so every value has ``np.tensordot``'s bits. Trace and outer steps store
+their operands and axes, and the program ends with the permutation that
+puts the open edges in ascending edge-id order.
 """
 
 from __future__ import annotations
@@ -459,14 +469,27 @@ class ContractionPlan:
         return math.log(self.peak_step_flops) / math.log(chi)
 
 
-# What a planner reads of a network: its node ids and, in edge-dict order,
-# each edge's (edge id, endpoint node ids, dim).
+# A network's layout: its node ids and, in edge-dict order, each edge's
+# (edge id, (node, axis) endpoints, dim). It keys the cache of plans and
+# compiled programs.
+Layout = tuple[tuple[int, ...], tuple[tuple[int, tuple[tuple[int, int], ...], int], ...]]
+
+# What a planner reads of a layout: its node ids and each edge's (edge id,
+# endpoint node ids, dim).
 PlanKey = tuple[tuple[int, ...], tuple[tuple[int, tuple[int, ...], int], ...]]
 
 
+def _layout(net: TensorNetwork) -> Layout:
+    return tuple(net.nodes), tuple([(eid, e.endpoints, e.dim) for eid, e in net.edges.items()])
+
+
+def _planner_key(layout: Layout) -> PlanKey:
+    node_ids, edges = layout
+    return node_ids, tuple((eid, tuple(n for n, _ in ends), int(dim)) for eid, ends, dim in edges)
+
+
 def _plan_key(net: TensorNetwork) -> PlanKey:
-    edges = tuple((eid, tuple(n for n, _ in e.endpoints), int(e.dim)) for eid, e in net.edges.items())
-    return tuple(net.nodes), edges
+    return _planner_key(_layout(net))
 
 
 class _Planner:
@@ -642,37 +665,126 @@ PLAN_CACHE_SIZE = 4096
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _plan_for(key: PlanKey) -> ContractionPlan:
+def _plan_for(layout: Layout) -> tuple[ContractionPlan, _Program]:
     # The heuristics still run under DP_NODE_CAP. On 454 DP-eligible preset
     # structures none beat the DP strictly, but in 245 a heuristic ties it
     # with a different plan and wins by list order: dropping them would
     # contract those networks in another order and move value bits.
+    key = _planner_key(layout)
     candidates = [_plan_sweep(key), _plan_sweep(key, reverse=True), _plan_greedy(key)]
     candidates += [_plan_greedy(key, seed=k) for k in range(GREEDY_RESTARTS)]
     if len(key[0]) <= DP_NODE_CAP:
         candidates.append(_plan_dp(key))
-    return min(candidates, key=lambda p: (p.peak_step_flops, p.total_flops))
+    plan = min(candidates, key=lambda p: (p.peak_step_flops, p.total_flops))
+    return plan, _compile(plan, layout)
 
 
 def plan_order(net: TensorNetwork) -> ContractionPlan:
     """Deterministic pairwise contraction plan.
 
-    Evaluates the greedy heuristic and the id-order sweep, plus on small
-    networks a subset DP whose peak step cost is the least possible, and
-    keeps the plan with the lowest peak step cost, then total flops (plain
-    greedy misjudges wide lattices, where the sweep's cross-section
-    frontier is the right shape). Disconnected components end
-    in outer products between the smallest surviving node ids.
+    Evaluates the id-order sweep, the reversed sweep, the greedy heuristic,
+    :data:`GREEDY_RESTARTS` greedy restarts with seeded tie-breaks and, on
+    networks of at most :data:`DP_NODE_CAP` nodes, a subset DP whose peak
+    step cost is the least possible. It keeps the plan with the lowest peak
+    step cost, then total flops, the earlier candidate on ties (plain greedy
+    misjudges wide lattices, where the sweep's cross-section frontier is the
+    right shape). Disconnected components end in outer products between the
+    smallest surviving node ids.
 
-    Plans are memoized for the whole process by structure: node ids and each
-    edge's id, endpoint nodes and dim, never tensor values, so networks that
-    share a structure share one plan object while it stays cached. The
-    network is still validated on every call.
+    Plans are memoized for the whole process by layout: node ids and each
+    edge's id, endpoints (node and axis) and dim, never tensor values. The
+    strategies read only node ids and dims, so layouts that differ only in
+    axes get equal plans; the key holds the axes because the same entry
+    holds the plan compiled for :func:`contract`. Networks that share a
+    layout share one plan object while it stays cached. The network is
+    still validated on every call.
     """
     problems = validate(net)
     if problems:
         raise NetworkError("cannot plan an invalid network: " + "; ".join(problems))
-    return _plan_for(_plan_key(net))
+    return _plan_for(_layout(net))[0]
+
+
+_TRACE, _PAIR, _OUTER = range(3)
+
+
+@dataclass(frozen=True)
+class _Program:
+    """A plan compiled for one layout (see :func:`_compile`)."""
+
+    # (kind, slot a, slot b, result slot, arguments): a pair's arguments are
+    # (perm_a, (m, k), perm_b, (k, n), output shape), a trace's its two axes.
+    steps: tuple[tuple, ...]
+    last: int                          # slot that holds the result
+    final: tuple[int, ...] | None      # open axes to ascending edge ids
+
+
+def _compile(plan: ContractionPlan, layout: Layout) -> _Program:
+    """Compile ``plan`` for ``layout``.
+
+    Tracks each live node's axis edge ids through the steps the way an
+    uncompiled contraction would: a trace removes the node's smallest
+    self-loop; a pair contracts the shared edges in ascending id order,
+    keeping ``a``'s other axes and then ``b``'s; nodes that share no edge
+    take an outer product. A plan made for another wiring of the same nodes
+    therefore still contracts this network correctly. Raises
+    :class:`NetworkError` when the plan does not fit the network's nodes.
+    """
+    node_ids, edges = layout
+    planned = {n for s in plan.steps for n in s.nodes}
+    if planned != set(node_ids) and (planned or len(node_ids) > 1):
+        raise NetworkError(
+            f"plan is for nodes {sorted(planned)}, but the network has nodes {sorted(node_ids)}"
+        )
+    slot = {n: i for i, n in enumerate(node_ids)}
+    dims = {eid: int(dim) for eid, _, dim in edges}
+    live: dict[int, list[int]] = {n: [] for n in node_ids}
+    for eid, ends, _ in edges:
+        for n, ax in ends:
+            legs = live[n]
+            legs.extend([-1] * (ax + 1 - len(legs)))
+            legs[ax] = eid
+
+    steps = []
+    for k, step in enumerate(plan.steps):
+        gone = [n for n in step.nodes if n not in live]
+        if gone or step.result not in step.nodes:
+            raise NetworkError(f"plan step {k} ({step.kind} of nodes {step.nodes}, keeping "
+                               f"{step.result}) uses nodes that are merged or not its own")
+        if step.kind == "trace":
+            (n,) = step.nodes
+            legs = live[n]
+            loops = [e for e in set(legs) if legs.count(e) == 2]
+            if not loops:
+                raise NetworkError(f"plan step {k} traces node {n}, which has no self-loop")
+            eid = min(loops)
+            i, j = (i for i, e in enumerate(legs) if e == eid)
+            steps.append((_TRACE, slot[n], slot[n], slot[n], (i, j)))
+            live[n] = [e for e in legs if e != eid]
+            continue
+        a, b = step.nodes
+        la, lb = live.pop(a), live.pop(b)
+        shared = sorted(set(la) & set(lb))
+        if shared:
+            ax_a = [la.index(e) for e in shared]
+            ax_b = [lb.index(e) for e in shared]
+            rest_a = [i for i in range(len(la)) if i not in ax_a]
+            rest_b = [i for i in range(len(lb)) if i not in ax_b]
+            kept_a = [dims[la[i]] for i in rest_a]
+            kept_b = [dims[lb[i]] for i in rest_b]
+            inner = math.prod(dims[e] for e in shared)
+            steps.append((_PAIR, slot[a], slot[b], slot[step.result], (
+                tuple(rest_a + ax_a), (math.prod(kept_a), inner),
+                tuple(ax_b + rest_b), (inner, math.prod(kept_b)), tuple(kept_a + kept_b))))
+        else:
+            steps.append((_OUTER, slot[a], slot[b], slot[step.result], ()))
+        live[step.result] = [e for e in la if e not in shared] + [e for e in lb if e not in shared]
+
+    if len(live) != 1:
+        raise NetworkError(f"plan leaves nodes {sorted(live)} uncontracted")
+    ((last, open_ids),) = live.items()
+    final = tuple(sorted(range(len(open_ids)), key=open_ids.__getitem__)) if open_ids else None
+    return _Program(steps=tuple(steps), last=slot[last], final=final)
 
 
 def contract(
@@ -685,6 +797,11 @@ def contract(
     Closed networks yield a rank-0 array; open edges become result axes in
     ascending edge-id order. Raises :class:`MemoryBudgetError` before
     materializing an intermediate larger than ``memory_cap_bytes``.
+
+    Runs the program compiled with the cached plan of the network's layout
+    (planning the layout if it is not cached). An explicit ``plan`` that is
+    not that cached plan is compiled for this network on each call; one
+    that does not fit its nodes raises :class:`NetworkError`.
     """
     if plan is None:
         plan = plan_order(net)
@@ -695,45 +812,22 @@ def contract(
             f"({big.result_entries * 8} bytes) exceeds the {memory_cap_bytes}-byte cap",
             shape=(big.result_entries,),
         )
+    layout = _layout(net)
+    cached, program = _plan_for(layout)
+    if plan is not cached:
+        program = _compile(plan, layout)
 
-    tensors = {n: net.nodes[n] for n in net.nodes}
-    axes: dict[int, list[int]] = {}
-    for n in net.nodes:
-        axes[n] = [-1] * net.nodes[n].ndim
-    for eid, edge in net.edges.items():
-        for nd, ax in edge.endpoints:
-            axes[nd][ax] = eid
-
-    for step in plan.steps:
-        if step.kind == "trace":
-            (n,) = step.nodes
-            eid_counts: dict[int, int] = {}
-            for e in axes[n]:
-                eid_counts[e] = eid_counts.get(e, 0) + 1
-            eid = min(e for e, c in eid_counts.items() if c == 2)
-            positions = [i for i, e in enumerate(axes[n]) if e == eid]
-            tensors[n] = np.trace(tensors[n], axis1=positions[0], axis2=positions[1])
-            axes[n] = [e for i, e in enumerate(axes[n]) if i not in positions]
+    tensors = list(net.nodes.values())
+    for kind, a, b, out, args in program.steps:
+        if kind == _PAIR:
+            perm_a, shape_a, perm_b, shape_b, shape = args
+            res = np.dot(tensors[a].transpose(perm_a).reshape(shape_a),
+                         tensors[b].transpose(perm_b).reshape(shape_b)).reshape(shape)
+        elif kind == _OUTER:
+            res = np.multiply.outer(tensors[a], tensors[b])
         else:
-            a, b = step.nodes
-            shared = sorted(set(axes[a]) & set(axes[b]))
-            ax_a = [axes[a].index(e) for e in shared]
-            ax_b = [axes[b].index(e) for e in shared]
-            if shared:
-                res = np.tensordot(tensors[a], tensors[b], axes=(ax_a, ax_b))
-            else:
-                res = np.multiply.outer(tensors[a], tensors[b])
-            new_axes = [e for e in axes[a] if e not in shared] + [e for e in axes[b] if e not in shared]
-            tensors[step.result] = res
-            axes[step.result] = new_axes
-            other = b if step.result == a else a
-            del tensors[other]
-            del axes[other]
-
-    (last,) = tensors
-    result = tensors[last]
-    open_ids = axes[last]
-    if open_ids:
-        order = np.argsort(open_ids, kind="stable")
-        result = result.transpose(tuple(int(i) for i in order))
-    return result
+            res = np.trace(tensors[a], axis1=args[0], axis2=args[1])
+        tensors[a] = tensors[b] = None     # let consumed operands be freed
+        tensors[out] = res
+    result = tensors[program.last]
+    return result if program.final is None else result.transpose(program.final)

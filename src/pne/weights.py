@@ -149,8 +149,11 @@ def wp_update_edge(state: WeightState, eid: int) -> WeightState:
     """One gauge update of a single edge (mutates and returns ``state``).
 
     Singular values below ``1e-13`` are floored before inversion (with a
-    warning); directions that small carry no weight anyway.
+    warning); directions that small carry no weight anyway. Raises
+    :class:`WeightPassingError` for an edge the network does not have.
     """
+    if eid not in state.weights:
+        raise WeightPassingError(f"edge {eid} is not an edge of the network")
     state.log_prefactor += _update_layer(state, state.net.attachment_index(), [eid])[eid]
     return state
 

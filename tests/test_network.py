@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from pne.expansion import evaluate
 from pne.models import random_grid
 from pne.network import (
+    DEFAULT_MEMORY_CAP_BYTES,
+    PLAN_CACHE_SIZE,
     DenseOp,
     Edge,
     EdgeInsertion,
@@ -22,6 +25,7 @@ from pne.network import (
     insert_joint_isometry,
     insert_joint_ketbra,
     _Planner,
+    _layout,
     _plan_dp,
     _plan_for,
     _plan_greedy,
@@ -426,3 +430,200 @@ class TestJointInsertions:
         via_kb = insert_joint_ketbra(g.net, edges, ket, bra, scale=0.7)
         via_dense, _ = insert_joint_dense(g.net, edges, 0.7 * np.outer(ket, bra))
         np.testing.assert_allclose(float(contract(via_kb)), float(contract(via_dense)), rtol=1e-10)
+
+
+def oracle_contract(net, memory_cap_bytes=DEFAULT_MEMORY_CAP_BYTES, plan=None):
+    """The per-call contraction loop that compiled programs replaced, verbatim."""
+    if plan is None:
+        plan = plan_order(net)
+    if plan.peak_result_entries * 8 > memory_cap_bytes:
+        big = max(plan.steps, key=lambda s: s.result_entries)
+        raise MemoryBudgetError(
+            f"planned intermediate of {big.result_entries} entries "
+            f"({big.result_entries * 8} bytes) exceeds the {memory_cap_bytes}-byte cap",
+            shape=(big.result_entries,),
+        )
+
+    tensors = {n: net.nodes[n] for n in net.nodes}
+    axes: dict[int, list[int]] = {}
+    for n in net.nodes:
+        axes[n] = [-1] * net.nodes[n].ndim
+    for eid, edge in net.edges.items():
+        for nd, ax in edge.endpoints:
+            axes[nd][ax] = eid
+
+    for step in plan.steps:
+        if step.kind == "trace":
+            (n,) = step.nodes
+            eid_counts: dict[int, int] = {}
+            for e in axes[n]:
+                eid_counts[e] = eid_counts.get(e, 0) + 1
+            eid = min(e for e, c in eid_counts.items() if c == 2)
+            positions = [i for i, e in enumerate(axes[n]) if e == eid]
+            tensors[n] = np.trace(tensors[n], axis1=positions[0], axis2=positions[1])
+            axes[n] = [e for i, e in enumerate(axes[n]) if i not in positions]
+        else:
+            a, b = step.nodes
+            shared = sorted(set(axes[a]) & set(axes[b]))
+            ax_a = [axes[a].index(e) for e in shared]
+            ax_b = [axes[b].index(e) for e in shared]
+            if shared:
+                res = np.tensordot(tensors[a], tensors[b], axes=(ax_a, ax_b))
+            else:
+                res = np.multiply.outer(tensors[a], tensors[b])
+            new_axes = [e for e in axes[a] if e not in shared] + [e for e in axes[b] if e not in shared]
+            tensors[step.result] = res
+            axes[step.result] = new_axes
+            other = b if step.result == a else a
+            del tensors[other]
+            del axes[other]
+
+    (last,) = tensors
+    result = tensors[last]
+    open_ids = axes[last]
+    if open_ids:
+        order = np.argsort(open_ids, kind="stable")
+        result = result.transpose(tuple(int(i) for i in order))
+    return result
+
+
+def _random_network(rng):
+    """A random valid network on 1-6 nodes with self-loops, multi-edges,
+    open edges, often several connected parts, dim-1 and dim-0 edges, and
+    node arrays that are permuted, strided or read-only views."""
+    node_ids = [int(x) for x in rng.choice(30, size=int(rng.integers(1, 7)), replace=False)]
+    axes_of = {n: [] for n in node_ids}      # per node, the (edge id, slot) of each axis
+    attach, dims = {}, {}
+    for eid in rng.permutation(30)[:int(rng.integers(0, 10))]:
+        eid = int(eid)
+        r = rng.random()
+        if r < 0.2:
+            nodes = [int(rng.choice(node_ids))]
+        elif r < 0.35:
+            nodes = [int(rng.choice(node_ids))] * 2
+        else:
+            nodes = [int(x) for x in rng.choice(node_ids, size=2, replace=len(node_ids) == 1)]
+        dims[eid] = int(rng.choice([0, 1, 2, 3, 4], p=[0.03, 0.17, 0.4, 0.3, 0.1]))
+        attach[eid] = [None] * len(nodes)
+        for slot, n in enumerate(nodes):
+            axes_of[n].append((eid, slot))
+    tensors = {}
+    for n in node_ids:
+        legs = axes_of[n]
+        order = rng.permutation(len(legs))
+        legs = [legs[i] for i in order]
+        shape = tuple(dims[e] for e, _ in legs)
+        kind = rng.integers(4)
+        if kind == 1 and len(shape) > 1:     # a permuted view
+            perm = rng.permutation(len(shape))
+            t = np.ascontiguousarray(rng.normal(size=shape).transpose(perm)).transpose(np.argsort(perm))
+        elif kind == 2 and shape:             # a strided view
+            t = rng.normal(size=shape[:-1] + (2 * shape[-1],))[..., ::2]
+        else:
+            t = rng.normal(size=shape)
+        if kind == 3:
+            t.flags.writeable = False
+        tensors[n] = t
+        for ax, (eid, slot) in enumerate(legs):
+            attach[eid][slot] = (n, ax)
+    return TensorNetwork.build(tensors, attach)
+
+
+def _same_bytes(got, want):
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+class TestCompiledContract:
+    def test_bytes_equal_oracle_on_random_networks(self):
+        rng = np.random.default_rng(19)
+        kinds = set()
+        for _ in range(300):
+            net = _random_network(rng)
+            key = _plan_key(net)
+            plans = [plan_order(net), _plan_sweep(key, reverse=True), _plan_greedy(key, seed=2)]
+            for plan in plans:
+                _same_bytes(contract(net, plan=plan), oracle_contract(net, plan=plan))
+                kinds.update(s.kind for s in plan.steps)
+            _same_bytes(contract(net), oracle_contract(net))
+        assert kinds == {"trace", "pair", "outer"}
+
+    def test_bytes_equal_oracle_on_preset_terms(self):
+        g = random_grid((3, 3), 4, bias=0.2, seed=3)
+        terms = build_preset("grid3x3-chi4", g, projectors="random", seed=2).expansion.terms
+        assert any(not t.flags.writeable for term in terms for t in term.network.nodes.values())
+        for term in terms:
+            _same_bytes(contract(term.network, plan=term.plan), oracle_contract(term.network, plan=term.plan))
+
+    def test_open_edges_in_ascending_id_order(self):
+        rng = np.random.default_rng(4)
+        t0, t1 = rng.normal(size=(2, 3, 4)), rng.normal(size=(5, 4))
+        net = TensorNetwork.build({0: t0, 1: t1}, {9: [(0, 0)], 1: [(0, 2), (1, 1)], 3: [(1, 0)], 7: [(0, 1)]})
+        got = contract(net)
+        assert got.shape == (5, 3, 2)     # edges 3, 7, 9
+        np.testing.assert_allclose(got, np.einsum("abk,ck->cba", t0, t1), rtol=1e-12)
+        _same_bytes(got, oracle_contract(net))
+
+    def test_layouts_differing_only_in_axes(self):
+        # Equal node ids, edge ids and dims; node 1's axes are swapped. The
+        # plans are equal, but each network must run its own program.
+        rng = np.random.default_rng(5)
+        t0, t1, t2 = rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+        a = TensorNetwork.build({0: t0, 1: t1, 2: t2}, {0: [(0, 0), (1, 0)], 1: [(1, 1), (2, 0)], 2: [(2, 1), (0, 1)]})
+        b = TensorNetwork.build({0: t0, 1: t1, 2: t2}, {0: [(0, 0), (1, 1)], 1: [(1, 0), (2, 0)], 2: [(2, 1), (0, 1)]})
+        assert _plan_key(a) == _plan_key(b) and _layout(a) != _layout(b)
+        assert plan_order(a) == plan_order(b)
+        for _ in range(2):
+            np.testing.assert_allclose(float(contract(a)), np.trace(t0.T @ t1 @ t2), rtol=1e-12)
+            np.testing.assert_allclose(float(contract(b)), np.trace(t0.T @ t1.T @ t2), rtol=1e-12)
+            np.testing.assert_allclose(float(contract(b, plan=plan_order(a))), np.trace(t0.T @ t1.T @ t2), rtol=1e-12)
+
+    def test_plan_of_another_wiring_of_the_same_nodes(self):
+        wide, tall = random_grid((2, 3), 3, bias=0.2, seed=6), random_grid((3, 2), 3, bias=0.2, seed=6)
+        assert sorted(wide.net.nodes) == sorted(tall.net.nodes)
+        foreign = plan_order(tall.net)
+        got = contract(wide.net, plan=foreign)
+        _same_bytes(got, oracle_contract(wide.net, plan=foreign))
+        np.testing.assert_allclose(float(got), float(contract(wide.net)), rtol=1e-10)
+        # Two pairs 0-1 and 2-3 end in an outer step; rewired as 0-2 and 1-3,
+        # that step contracts both edges and the pair steps become outer ones.
+        rng = np.random.default_rng(6)
+        ts = {n: rng.normal(size=3) for n in range(4)}
+        pairs = TensorNetwork.build(ts, {0: [(0, 0), (1, 0)], 1: [(2, 0), (3, 0)]})
+        rewired = TensorNetwork.build(ts, {0: [(0, 0), (2, 0)], 1: [(1, 0), (3, 0)]})
+        plan = plan_order(pairs)
+        assert [s.kind for s in plan.steps] == ["pair", "pair", "outer"]
+        got = contract(rewired, plan=plan)
+        _same_bytes(got, oracle_contract(rewired, plan=plan))
+        np.testing.assert_allclose(float(got), (ts[0] @ ts[2]) * (ts[1] @ ts[3]), rtol=1e-12)
+
+    def test_plan_of_other_nodes_is_named(self):
+        small, big = random_grid((2, 2), 3, seed=0), random_grid((2, 3), 3, seed=0)
+        with pytest.raises(NetworkError, match=r"plan is for nodes \[0, 1, 2, 3, 4, 5\].*\[0, 1, 2, 3\]"):
+            contract(small.net, plan=plan_order(big.net))
+        with pytest.raises(NetworkError, match="plan is for nodes"):
+            contract(big.net, plan=plan_order(small.net))
+
+    def test_cache_stays_bounded(self):
+        _plan_for.cache_clear()
+        try:
+            x = np.arange(1.0, 3.0)
+            for eid in range(PLAN_CACHE_SIZE + 5):
+                net = TensorNetwork.build({0: x, 1: x}, {eid: [(0, 0), (1, 0)]})
+                assert float(contract(net)) == 5.0
+            info = _plan_for.cache_info()
+            assert info.currsize == info.maxsize == PLAN_CACHE_SIZE
+            # A plan that is not the cached one is compiled for the call only.
+            contract(net, plan=_plan_greedy(_plan_key(net), seed=1))
+            assert _plan_for.cache_info().currsize == PLAN_CACHE_SIZE
+        finally:
+            _plan_for.cache_clear()
+
+    def test_evaluate_threads_bit_equal(self):
+        g = random_grid((3, 3), 4, bias=0.2, seed=8)
+        exp = build_preset("grid3x3-chi4", g, projectors="random", seed=3).expansion
+        one, two = evaluate(exp, workers=1), evaluate(exp, workers=2)
+        _same_bytes(two.value, one.value)
+        for v2, v1 in zip(two.term_values, one.term_values):
+            _same_bytes(v2, v1)

@@ -559,3 +559,10 @@ class TestArguments:
         state = run_weight_passing(g.net, alpha=0.8, max_sweeps=20)
         with pytest.raises(WeightPassingError, match=f"rank {rank}"):
             projectors_from_weights(state, [0], rank=rank)
+
+    def test_update_of_unknown_edge_is_named(self):
+        state = run_weight_passing(random_grid((2, 2), 3, seed=1).net, alpha=0.8, max_sweeps=0)
+        before = dict(state.weights), state.log_prefactor
+        with pytest.raises(WeightPassingError, match="edge 99 is not an edge of the network"):
+            wp_update_edge(state, 99)
+        assert (dict(state.weights), state.log_prefactor) == before
