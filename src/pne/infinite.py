@@ -8,7 +8,10 @@ product of strip transfer-matrix eigenvalues (one axis active) or of finite
 capped patches (both axes active), both from the e0-capped strip row
 transfer operator T_k: eigenvalues by power iteration from the BP vacuum
 e0^{(x)k}, a k-column by p-row patch as the moment e0^{(x)k}' T_k^p e0^{(x)k}.
-The strip and cylinder transfer operators share one row kernel.
+The strip and cylinder transfer operators share one row kernel, compiled
+once per unit and width into a program of transpose, reshape and ``np.dot``
+steps that has the bits of a ``np.tensordot`` loop; a :class:`StripContext`
+caches its compiled strip operators by axis and width.
 All quantities are computed in the symmetrized uniform gauge, where every
 boundary cap is the first basis vector, and with the unit tensor normalized
 by its single-site capped scalar so the logarithms stay well conditioned.
@@ -59,6 +62,8 @@ class StripContext:
     lambdas: dict[int, float] = field(default_factory=dict)   # axis-0 strip eigenvalues
     gammas: dict[int, float] = field(default_factory=dict)    # axis-1 strip eigenvalues
     patches: dict[tuple[int, int], float] = field(default_factory=dict)
+    # compiled strip operators by (axis, k), shared by transfer_eigs and patch_scalar
+    operators: dict[tuple[int, int], Callable] = field(default_factory=dict, repr=False)
 
     def e0(self, k: int = 1) -> np.ndarray:    # e0^{(x)k}, flattened
         v = np.zeros(self.unit.shape[0] ** k)
@@ -83,36 +88,69 @@ def prepare_strips(unit: np.ndarray, ubp: UniformBP | None = None, **bp_kwargs) 
     return StripContext(unit=gauged / site, log_site_scale=math.log(site))
 
 
-def _row(first: np.ndarray, unit: np.ndarray, k: int, v: np.ndarray) -> np.ndarray:
-    """One row of k units, ``first`` leading, applied to the state on k
-    vertical bonds.
+def _row_program(first: np.ndarray, unit: np.ndarray, k: int) -> tuple[list[tuple], tuple]:
+    """Compile one row of k units, ``first`` leading, applied to the state on
+    k vertical bonds.
 
     Unit axes are (up, down, left, right); ``first`` is a unit with or
-    without its left leg. Returns the row with axes (down_0 .. down_{k-1},
-    open left leg of ``first`` if any, right leg of the last unit)."""
-    chi = unit.shape[0]
-    carry = np.tensordot(v.reshape((chi,) * k), first, axes=([0], [0]))   # (s_1.., d, [l], r)
-    carry = np.moveaxis(carry, k - 1, 0)
+    without its left leg. Bond j of the state and the running right leg are
+    contracted with unit j's up and left legs, one unit at a time. Each step
+    is ``(shape, perm, matrix, right)``: the previous ``np.dot`` output (at
+    the first step, the state) is viewed with ``shape``, transposed by
+    ``perm``, reshaped to ``matrix`` and multiplied by ``right``. These are ``np.tensordot``'s
+    own operations, with its transpose composed with the ``np.moveaxis``
+    that put the new down leg in place, so the arrays, shapes and strides
+    that reach ``np.dot`` are those of a tensordot loop and every value has
+    its bits. Also returns the ``(shape, perm)`` view of the last output
+    with axes (down_0 .. down_{k-1}, open left leg of ``first`` if any,
+    right leg of the last unit)."""
+    dims = {"s": unit.shape[0], "d": unit.shape[1], "l": unit.shape[2], "h": unit.shape[3]}
+    extra = [("l", 0)] if first.ndim == 4 else []
+
+    def view(raw, order):     # raw: (kind, index) leg labels of a dot output, in memory order
+        return tuple(dims[x] for x, _ in raw), tuple(raw.index(leg) for leg in order)
+
+    state = [("s", i) for i in range(k)]
+    steps = [(*view(state, state[1:] + state[:1]), (dims["s"] ** (k - 1), dims["s"]),
+              first.reshape(dims["s"], -1))]
+    raw = state[1:] + [("d", 0)] + extra + [("h", 0)]
+    bond = unit.transpose(0, 2, 1, 3).reshape(dims["s"] * dims["l"], -1)   # (u, l) x (d, r)
     for j in range(1, k):
-        # carry axes: (d_0..d_{j-1}, s_j.., [l], h); contract (s_j, h) with (u, l)
-        carry = np.tensordot(carry, unit, axes=([j, carry.ndim - 1], [0, 2]))
-        carry = np.moveaxis(carry, -2, j)
-    return carry
+        # the row so far, axes (d_0 .. d_{j-1}, s_j .., [l], h): contract (s_j, h) with (u, l)
+        rows = [("d", i) for i in range(j)] + state[j + 1:] + extra
+        steps.append((*view(raw, rows + [("s", j), ("h", 0)]),
+                      (math.prod(dims[x] for x, _ in rows), dims["s"] * dims["h"]), bond))
+        raw = rows + [("d", j), ("h", 0)]
+    return steps, view(raw, [("d", i) for i in range(k)] + extra + [("h", 0)])
+
+
+def _run(steps: list[tuple], v: np.ndarray) -> np.ndarray:
+    for shape, perm, matrix, right in steps:
+        v = np.dot(v.reshape(shape).transpose(perm).reshape(matrix), right)
+    return v
 
 
 def _strip_operator(unit: np.ndarray, k: int) -> Callable[[np.ndarray], np.ndarray]:
     """One row of a width-k strip, as a map of the state on k vertical bonds.
 
     The transverse boundary bonds are capped with e0 on both sides (the
-    partition projectors in the symmetrized gauge). The cap and the capped
-    first unit are built once per operator, not once per application."""
+    partition projectors in the symmetrized gauge): the left cap is folded
+    into the first unit, and the right cap is one more program step, the
+    ``np.dot`` a tensordot with e0 would run."""
     e0 = np.zeros(unit.shape[2])
     e0[0] = 1.0
     first = np.tensordot(unit, e0, axes=([2], [0]))
+    steps, (shape, perm) = _row_program(first, unit, k)
+    steps.append((shape, perm, (math.prod(shape) // e0.size, e0.size), e0.reshape(-1, 1)))
+    return lambda v: _run(steps, v).reshape(-1)
 
-    def apply(v: np.ndarray) -> np.ndarray:
-        carry = _row(first, unit, k, v)
-        return np.tensordot(carry, e0, axes=([carry.ndim - 1], [0])).reshape(-1)
+
+def _operator(ctx: StripContext, axis: int, k: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The width-k strip operator along ``axis``, compiled once per context."""
+    apply = ctx.operators.get((axis, k))
+    if apply is None:
+        unit = ctx.unit if axis == 0 else ctx.unit.transpose(2, 3, 0, 1)
+        apply = ctx.operators[axis, k] = _strip_operator(unit, k)
     return apply
 
 
@@ -144,13 +182,13 @@ def transfer_eigs(
     ks = sorted({int(w) for w in widths})
     if min(ks, default=1) < 1:
         raise InfiniteError(f"strip widths must be at least 1, got {ks[0]}")
-    unit = ctx.unit if axis == 0 else ctx.unit.transpose(2, 3, 0, 1)
     cache = ctx.lambdas if axis == 0 else ctx.gammas
     for k in ks:
         if k not in cache:
-            start = VACUUM_START_MIX * near_uniform(unit.shape[0] ** k)
+            # the state lives on k up legs (axis 0) or k left legs (axis 1)
+            start = VACUUM_START_MIX * near_uniform(ctx.unit.shape[2 * axis] ** k)
             start[0] += 1.0                # the BP vacuum e0^{(x)k}
-            cache[k] = _leading(_strip_operator(unit, k), start.size,
+            cache[k] = _leading(_operator(ctx, axis, k), start.size,
                                 f"width-{k} transfer operator", tol=tol, max_iter=max_iter,
                                 start=start)
     return {k: cache[k] for k in ks}
@@ -164,7 +202,7 @@ def patch_scalar(ctx: StripContext, k: int, p: int) -> float:
     if k < 1 or p < 1:
         raise InfiniteError(f"a capped patch needs k, p >= 1, got ({k}, {p})")
     if (k, p) not in ctx.patches:
-        apply = _strip_operator(ctx.unit, k)
+        apply = _operator(ctx, 0, k)
         v = ctx.e0(k)
         for q in range(1, p + 1):
             v = apply(v)
@@ -261,11 +299,13 @@ def free_energy(
     )
 
 
-def _ring_apply(unit: np.ndarray, length: int, v: np.ndarray) -> np.ndarray:
-    """Transfer operator of a circumference-``length`` cylinder row."""
-    carry = _row(unit, unit, length, v)
-    # close the ring: trace the left bond of site 0 with the right of site L-1
-    return np.trace(carry, axis1=length, axis2=length + 1).reshape(-1)
+def _ring_operator(unit: np.ndarray, length: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Transfer operator of a circumference-``length`` cylinder row: the
+    strip's row program with the first unit's left leg left open, then
+    traced with the right leg of the last unit to close the ring."""
+    steps, (shape, perm) = _row_program(unit, unit, length)
+    return lambda v: np.trace(_run(steps, v).reshape(shape).transpose(perm),
+                              axis1=length, axis2=length + 1).reshape(-1)
 
 
 def cylinder_baseline(
@@ -285,7 +325,7 @@ def cylinder_baseline(
     length = int(circumference)
     if length < 1:
         raise InfiniteError("circumference must be at least 1")
-    value = _leading(lambda v: _ring_apply(unit, length, v), unit.shape[0] ** length,
+    value = _leading(_ring_operator(unit, length), unit.shape[0] ** length,
                      "cylinder transfer operator", tol=tol, max_iter=max_iter)
     if value <= 0:
         raise InfiniteError(f"cylinder leading eigenvalue {value:.6e} is not positive")

@@ -717,6 +717,7 @@ class _Program:
     steps: tuple[tuple, ...]
     last: int                          # slot that holds the result
     final: tuple[int, ...] | None      # open axes to ascending edge ids
+    peak_entries: int                  # entries of the largest step result
 
 
 def _compile(plan: ContractionPlan, layout: Layout) -> _Program:
@@ -727,8 +728,11 @@ def _compile(plan: ContractionPlan, layout: Layout) -> _Program:
     self-loop; a pair contracts the shared edges in ascending id order,
     keeping ``a``'s other axes and then ``b``'s; nodes that share no edge
     take an outer product. A plan made for another wiring of the same nodes
-    therefore still contracts this network correctly. Raises
-    :class:`NetworkError` when the plan does not fit the network's nodes.
+    therefore still contracts this network correctly, and the program's
+    ``peak_entries`` is the largest result it makes on this network (equal to
+    the plan's ``peak_result_entries`` when the plan was made for this
+    layout). Raises :class:`NetworkError` when the plan does not fit the
+    network's nodes.
     """
     node_ids, edges = layout
     planned = {n for s in plan.steps for n in s.nodes}
@@ -746,6 +750,7 @@ def _compile(plan: ContractionPlan, layout: Layout) -> _Program:
             legs[ax] = eid
 
     steps = []
+    peak = 0
     for k, step in enumerate(plan.steps):
         gone = [n for n in step.nodes if n not in live]
         if gone or step.result not in step.nodes:
@@ -761,6 +766,7 @@ def _compile(plan: ContractionPlan, layout: Layout) -> _Program:
             i, j = (i for i, e in enumerate(legs) if e == eid)
             steps.append((_TRACE, slot[n], slot[n], slot[n], (i, j)))
             live[n] = [e for e in legs if e != eid]
+            peak = max(peak, math.prod(dims[e] for e in live[n]) or 1)
             continue
         a, b = step.nodes
         la, lb = live.pop(a), live.pop(b)
@@ -779,12 +785,13 @@ def _compile(plan: ContractionPlan, layout: Layout) -> _Program:
         else:
             steps.append((_OUTER, slot[a], slot[b], slot[step.result], ()))
         live[step.result] = [e for e in la if e not in shared] + [e for e in lb if e not in shared]
+        peak = max(peak, math.prod(dims[e] for e in live[step.result]) or 1)
 
     if len(live) != 1:
         raise NetworkError(f"plan leaves nodes {sorted(live)} uncontracted")
     ((last, open_ids),) = live.items()
     final = tuple(sorted(range(len(open_ids)), key=open_ids.__getitem__)) if open_ids else None
-    return _Program(steps=tuple(steps), last=slot[last], final=final)
+    return _Program(steps=tuple(steps), last=slot[last], final=final, peak_entries=peak)
 
 
 def contract(
@@ -796,7 +803,8 @@ def contract(
 
     Closed networks yield a rank-0 array; open edges become result axes in
     ascending edge-id order. Raises :class:`MemoryBudgetError` before
-    materializing an intermediate larger than ``memory_cap_bytes``.
+    materializing an intermediate larger than ``memory_cap_bytes``, sized
+    from the steps the program runs on this network.
 
     Runs the program compiled with the cached plan of the network's layout
     (planning the layout if it is not cached). An explicit ``plan`` that is
@@ -805,17 +813,17 @@ def contract(
     """
     if plan is None:
         plan = plan_order(net)
-    if plan.peak_result_entries * 8 > memory_cap_bytes:
-        big = max(plan.steps, key=lambda s: s.result_entries)
-        raise MemoryBudgetError(
-            f"planned intermediate of {big.result_entries} entries "
-            f"({big.result_entries * 8} bytes) exceeds the {memory_cap_bytes}-byte cap",
-            shape=(big.result_entries,),
-        )
     layout = _layout(net)
     cached, program = _plan_for(layout)
     if plan is not cached:
         program = _compile(plan, layout)
+    big = program.peak_entries
+    if big * 8 > memory_cap_bytes:
+        raise MemoryBudgetError(
+            f"planned intermediate of {big} entries ({big * 8} bytes) "
+            f"exceeds the {memory_cap_bytes}-byte cap",
+            shape=(big,),
+        )
 
     tensors = list(net.nodes.values())
     for kind, a, b, out, args in program.steps:

@@ -215,14 +215,22 @@ def dominant_eig(
 
     Plain power iteration with per-step normalization from :func:`near_uniform`
     or a finite nonzero ``start`` of length ``n``; a start orthogonal to the
-    dominant vector converges to another eigenvalue.
+    dominant vector converges to another eigenvalue. Each step takes the
+    norms of ``w - prev`` and ``w + prev`` once, for both the degenerate-pair
+    test and the residual. An ``apply`` output with a non-finite norm raises
+    :class:`EigenConvergenceError` at once, naming the iteration.
     """
     if n < 1:
         raise TensorError("operator dimension must be at least 1")
+    if not tol > 0:
+        raise TensorError(f"tol must be positive, not {tol!r}")
+    if max_iter < 1:
+        raise TensorError(f"max_iter must be at least 1, not {max_iter!r}")
     v = near_uniform(n) if start is None else np.array(start, dtype=np.float64)
     if v.shape != (n,) or not np.isfinite(v).all() or not v.any():
         raise TensorError(f"start must be a finite nonzero vector of shape ({n},)")
     v /= np.linalg.norm(v)
+    sqrt_tol = np.sqrt(tol)
     prev = None
     prev2 = None
     residual = np.inf
@@ -231,18 +239,20 @@ def dominant_eig(
         nrm = np.linalg.norm(w)
         if nrm == 0.0:
             return DominantEig(value=0.0, vector=v, iterations=it, residual=0.0)
+        if not math.isfinite(nrm):
+            raise EigenConvergenceError(
+                f"power iteration produced a vector of norm {nrm} at iteration {it}",
+                residual=float(residual),
+                iterations=it,
+            )
         w = w / nrm
-        if prev2 is not None:
-            far = min(np.linalg.norm(w - prev), np.linalg.norm(w + prev)) > np.sqrt(tol)
-            if np.linalg.norm(w - prev2) < tol and far:
+        if prev is not None:
+            minus = np.linalg.norm(w - prev)
+            residual = min(minus, np.linalg.norm(w + prev))
+            if prev2 is not None and residual > sqrt_tol and np.linalg.norm(w - prev2) < tol:
                 # Period-2 cycle that is no sign flip: degenerate +/- pair;
                 # nrm estimates |lambda|.
-                return DominantEig(
-                    value=nrm, vector=w, iterations=it, residual=np.linalg.norm(w - prev),
-                    degenerate=True,
-                )
-        if prev is not None:
-            residual = min(np.linalg.norm(w - prev), np.linalg.norm(w + prev))
+                return DominantEig(value=nrm, vector=w, iterations=it, residual=minus, degenerate=True)
             if residual < tol:
                 lam = float(w @ apply(w))
                 return DominantEig(value=lam, vector=w, iterations=it, residual=residual)

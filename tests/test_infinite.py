@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import pne.infinite as infinite
 from pne.infinite import (
     InfiniteError,
     StripContext,
@@ -24,6 +25,7 @@ from pne.models import (
     uniform_fixed_point,
 )
 from pne.network import contract
+from test_tensor import oracle_dominant_eig
 
 
 def product_unit(p, q):
@@ -238,12 +240,12 @@ class TestCylinder:
         length = 4
         dim = 2**length
         mat = np.zeros((dim, dim))
-        from pne.infinite import _ring_apply
+        from pne.infinite import _ring_operator
 
         for j in range(dim):
             v = np.zeros(dim)
             v[j] = 1.0
-            mat[:, j] = _ring_apply(unit, length, v)
+            mat[:, j] = _ring_operator(unit, length)(v)
         dense = np.max(np.real(np.linalg.eigvals(mat)))
         np.testing.assert_allclose(cylinder_baseline(unit, 4), -math.log(dense) / 4, rtol=1e-10)
 
@@ -292,3 +294,121 @@ class TestErrors:
         unit = random_tensor((3,) * 4, bias=0.0, seed=6)
         with pytest.raises(InfiniteError, match="single"):
             free_energy(unit, 3, axes="vh", mode="single", max_iter=200)
+
+
+def oracle_row(first, unit, k, v):
+    """The tensordot row loop that the compiled row program replaced, verbatim."""
+    chi = unit.shape[0]
+    carry = np.tensordot(v.reshape((chi,) * k), first, axes=([0], [0]))   # (s_1.., d, [l], r)
+    carry = np.moveaxis(carry, k - 1, 0)
+    for j in range(1, k):
+        # carry axes: (d_0..d_{j-1}, s_j.., [l], h); contract (s_j, h) with (u, l)
+        carry = np.tensordot(carry, unit, axes=([j, carry.ndim - 1], [0, 2]))
+        carry = np.moveaxis(carry, -2, j)
+    return carry
+
+
+def oracle_strip_operator(unit, k):
+    e0 = np.zeros(unit.shape[2])
+    e0[0] = 1.0
+    first = np.tensordot(unit, e0, axes=([2], [0]))
+
+    def apply(v):
+        carry = oracle_row(first, unit, k, v)
+        return np.tensordot(carry, e0, axes=([carry.ndim - 1], [0])).reshape(-1)
+    return apply
+
+
+def oracle_ring_apply(unit, length, v):
+    carry = oracle_row(unit, unit, length, v)
+    return np.trace(carry, axis1=length, axis2=length + 1).reshape(-1)
+
+
+def _same_bytes(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _row_units():
+    """The blocked Ising unit, gauged, and random units that are not
+    symmetric under transposition, at chi = 2 and chi = 3."""
+    blocked = block_unit(ising_unit_tensor(2, 0.9 * BETA_C_2D), (2, 2)).materialize()
+    return {"blocked ising": prepare_strips(blocked).unit,
+            "random chi=2": random_tensor((2,) * 4, bias=0.5, seed=4),
+            "random chi=3": random_tensor((3,) * 4, bias=0.5, seed=1)}
+
+
+class TestCompiledRow:
+    @pytest.mark.parametrize("name", list(_row_units()))
+    def test_strip_operators_bit_equal_to_tensordot_loop(self, name):
+        unit = _row_units()[name]
+        if name != "blocked ising":
+            assert not np.allclose(unit, unit.transpose(2, 3, 0, 1))
+        ctx = StripContext(unit=unit, log_site_scale=0.0)
+        rng = np.random.default_rng(2)
+        for axis in (0, 1):
+            oriented = unit if axis == 0 else unit.transpose(2, 3, 0, 1)
+            for k in range(1, 7):
+                apply, oracle = infinite._operator(ctx, axis, k), oracle_strip_operator(oriented, k)
+                # the vacuum, a random state, and each applied once more (as
+                # patch_scalar and power iteration feed outputs back in)
+                for v in (ctx.e0(k), rng.normal(size=oriented.shape[0] ** k)):
+                    got, want = apply(v), oracle(v)
+                    _same_bytes(got, want)
+                    _same_bytes(apply(got), oracle(want))
+
+    @pytest.mark.parametrize("name", list(_row_units()))
+    def test_ring_bit_equal_to_tensordot_loop(self, name):
+        unit = _row_units()[name]
+        rng = np.random.default_rng(3)
+        for length in range(1, 5):
+            apply = infinite._ring_operator(unit, length)
+            v = rng.normal(size=unit.shape[0] ** length)
+            _same_bytes(apply(v), oracle_ring_apply(unit, length, v))
+
+    def test_operators_compiled_once_per_context(self):
+        blocked = block_unit(ising_unit_tensor(2, 0.9 * BETA_C_2D), (2, 2)).materialize()
+        ctx = prepare_strips(blocked)
+        free_energy(blocked, 3, axes="vh", mode="all", ctx=ctx)
+        assert sorted(ctx.operators) == [(axis, k) for axis in (0, 1) for k in (1, 2, 3)]
+        ops = dict(ctx.operators)
+        patch_scalar(ctx, 3, 5)
+        transfer_eigs(ctx, [1, 2, 3], axis=1)
+        assert ctx.operators == ops and infinite._operator(ctx, 0, 2) is ops[0, 2]
+
+    def test_free_energy_bit_equal_to_tensordot_loop(self, monkeypatch):
+        blocked = block_unit(ising_unit_tensor(2, 0.9 * BETA_C_2D), (2, 2)).materialize()
+        ubp = uniform_fixed_point(blocked)
+        got = {w: free_energy(blocked, w, ctx=prepare_strips(blocked, ubp)) for w in range(1, 6)}
+        monkeypatch.setattr(infinite, "_strip_operator", oracle_strip_operator)
+        monkeypatch.setattr(infinite, "dominant_eig", oracle_dominant_eig)
+        for w in range(1, 6):
+            want = free_energy(blocked, w, ctx=prepare_strips(blocked, ubp))
+            assert got[w] == want      # value, terms and argument, floats compared exactly
+
+    def test_cylinder_bit_equal_to_tensordot_loop(self, monkeypatch):
+        unit = ising_unit_tensor(2, 0.3)
+        got = [cylinder_baseline(unit, length) for length in range(1, 5)]
+        monkeypatch.setattr(infinite, "_ring_operator",
+                            lambda unit, length: lambda v: oracle_ring_apply(unit, length, v))
+        monkeypatch.setattr(infinite, "dominant_eig", oracle_dominant_eig)
+        assert got == [cylinder_baseline(unit, length) for length in range(1, 5)]
+
+    def test_free_energy_calls_the_traced_names(self, monkeypatch):
+        # perfbench times power iteration and patches by wrapping these two
+        # module-level names; a path around them would read as zero time.
+        calls = {"dominant_eig": 0, "patch_scalar": 0}
+
+        def counted(name):
+            fn = getattr(infinite, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(infinite, name, counted(name))
+        blocked = block_unit(ising_unit_tensor(2, 0.9 * BETA_C_2D), (2, 2)).materialize()
+        free_energy(blocked, 3, axes="vh", mode="all")
+        # widths 1, 2 and 3 on both axes; one patch per pair of widths
+        assert calls == {"dominant_eig": 6, "patch_scalar": 9}

@@ -605,6 +605,27 @@ class TestCompiledContract:
         with pytest.raises(NetworkError, match="plan is for nodes"):
             contract(big.net, plan=plan_order(small.net))
 
+    def test_memory_cap_sizes_the_steps_run_on_this_network(self):
+        # The plan of pairs 0-1 and 2-3 makes nothing larger than one entry;
+        # on the rewiring 0-2, 1-3 its pair steps become 64 x 64 outer products.
+        rng = np.random.default_rng(7)
+        ts = {n: rng.normal(size=64) for n in range(4)}
+        pairs = TensorNetwork.build(ts, {0: [(0, 0), (1, 0)], 1: [(2, 0), (3, 0)]})
+        rewired = TensorNetwork.build(ts, {0: [(0, 0), (2, 0)], 1: [(1, 0), (3, 0)]})
+        plan = plan_order(pairs)
+        assert plan.peak_result_entries == 1
+        with pytest.raises(MemoryBudgetError, match="4096 entries") as info:
+            contract(rewired, plan=plan, memory_cap_bytes=64)
+        assert info.value.shape == (4096,)
+        np.testing.assert_allclose(float(contract(pairs, plan=plan, memory_cap_bytes=64)),
+                                   (ts[0] @ ts[1]) * (ts[2] @ ts[3]), rtol=1e-12)
+
+    def test_cached_program_peak_is_the_plans(self):
+        rng = np.random.default_rng(20)
+        for _ in range(300):
+            plan, program = _plan_for(_layout(_random_network(rng)))
+            assert program.peak_entries == plan.peak_result_entries
+
     def test_cache_stays_bounded(self):
         _plan_for.cache_clear()
         try:

@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 
 from pne.tensor import (
     AxisMismatchError,
+    DominantEig,
+    EigenConvergenceError,
     TensorError,
     contract_pair,
     dominant_eig,
+    near_uniform,
     orthogonal_complement,
     svd,
     svd_stack,
@@ -325,3 +328,127 @@ class TestDominantEig:
         m = m + m.T + 4 * np.eye(6)
         res = dominant_eig(lambda v: m @ v, 6, tol=1e-12)
         assert np.linalg.norm(m @ res.vector - res.value * res.vector) / abs(res.value) < 1e-10
+
+
+def oracle_dominant_eig(apply, n, tol=1e-12, max_iter=10000, start=None):
+    """The power-iteration loop with six norms per step that the four-norm
+    loop replaced, verbatim."""
+    if n < 1:
+        raise TensorError("operator dimension must be at least 1")
+    v = near_uniform(n) if start is None else np.array(start, dtype=np.float64)
+    if v.shape != (n,) or not np.isfinite(v).all() or not v.any():
+        raise TensorError(f"start must be a finite nonzero vector of shape ({n},)")
+    v /= np.linalg.norm(v)
+    prev = None
+    prev2 = None
+    residual = np.inf
+    for it in range(1, max_iter + 1):
+        w = apply(v)
+        nrm = np.linalg.norm(w)
+        if nrm == 0.0:
+            return DominantEig(value=0.0, vector=v, iterations=it, residual=0.0)
+        w = w / nrm
+        if prev2 is not None:
+            far = min(np.linalg.norm(w - prev), np.linalg.norm(w + prev)) > np.sqrt(tol)
+            if np.linalg.norm(w - prev2) < tol and far:
+                return DominantEig(
+                    value=nrm, vector=w, iterations=it, residual=np.linalg.norm(w - prev),
+                    degenerate=True,
+                )
+        if prev is not None:
+            residual = min(np.linalg.norm(w - prev), np.linalg.norm(w + prev))
+            if residual < tol:
+                lam = float(w @ apply(w))
+                return DominantEig(value=lam, vector=w, iterations=it, residual=residual)
+        prev2 = prev
+        prev = w
+        v = w
+    raise EigenConvergenceError(
+        f"power iteration did not converge in {max_iter} iterations "
+        f"(last residual {residual:.3e})",
+        residual=float(residual),
+        iterations=max_iter,
+    )
+
+
+def same_eig(got, want):
+    """Every field equal, floats bit for bit and of the same type."""
+    for name in ("value", "residual"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert type(a) is type(b) and np.float64(a).tobytes() == np.float64(b).tobytes(), name
+    assert got.vector.shape == want.vector.shape and got.vector.tobytes() == want.vector.tobytes()
+    assert (got.iterations, got.degenerate) == (want.iterations, want.degenerate)
+
+
+def _spd(seed, n, shift):
+    m = np.random.default_rng(seed).normal(size=(n, n))
+    return m @ m.T + shift * np.eye(n)
+
+
+def _sym(seed, n, shift):
+    m = np.random.default_rng(seed).normal(size=(n, n))
+    return m + m.T + shift * np.eye(n)
+
+
+# The operators of TestDominantEig, with their arguments.
+EIG_CASES = {
+    "diagonal": (np.diag([2.0, -1.0, 0.5]), {}),
+    "degenerate pair": (np.array([[0.0, 1.0], [1.0, 0.0]]), {}),
+    "negative leading": (np.diag([-2.0, 1.0, 0.5]), {}),
+    "pair and a smaller": (np.diag([1.0, -1.0, 0.5]), {}),
+    "dense": (_spd(6, 12, 0.1), {"tol": 1e-13}),
+    "start": (np.diag([0.5, 1.0, 0.25]), {"start": np.array([1.0, 1e-6, 0.0])}),
+    "orthogonal start": (np.diag([0.5, 1.0, 0.25]), {"start": np.array([3.0, 0.0, 0.0])}),
+    "residual": (_sym(7, 6, 4.0), {"tol": 1e-12}),
+}
+
+
+class TestDominantEigOracle:
+    @pytest.mark.parametrize("case", list(EIG_CASES))
+    def test_bit_equal_to_six_norm_loop(self, case):
+        m, kwargs = EIG_CASES[case]
+        same_eig(dominant_eig(lambda v: m @ v, m.shape[0], **kwargs),
+                 oracle_dominant_eig(lambda v: m @ v, m.shape[0], **kwargs))
+
+    def test_same_failure_as_six_norm_loop(self):
+        rot = np.array([[0.6, -0.8], [0.8, 0.6]])     # eigenvalues 0.6 +/- 0.8i
+        errors = []
+        for solver in (dominant_eig, oracle_dominant_eig):
+            with pytest.raises(EigenConvergenceError) as info:
+                solver(lambda v: rot @ v, 2, max_iter=50)
+            errors.append(info.value)
+        got, want = errors
+        assert str(got) == str(want)
+        assert (got.residual, got.iterations) == (want.residual, want.iterations)
+
+
+class TestDominantEigArguments:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_output_fails_at_once(self, bad):
+        m = np.diag([0.5, 1.0, 0.25])
+        calls = []
+
+        def apply(v):
+            calls.append(len(calls) + 1)
+            w = m @ v
+            if len(calls) == 3:
+                w[1] = bad
+            return w
+
+        with pytest.raises(EigenConvergenceError, match="at iteration 3") as info:
+            dominant_eig(apply, 3, max_iter=20000)
+        assert calls == [1, 2, 3] and info.value.iterations == 3
+
+    def test_non_finite_first_output(self):
+        with pytest.raises(EigenConvergenceError, match="at iteration 1"):
+            dominant_eig(lambda v: np.full_like(v, np.nan), 3)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, np.nan, -np.inf], ids=["zero", "negative", "nan", "-inf"])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(TensorError, match="tol must be positive"):
+            dominant_eig(lambda v: v, 3, tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [0, -5])
+    def test_bad_max_iter_rejected(self, max_iter):
+        with pytest.raises(TensorError, match="max_iter must be at least 1"):
+            dominant_eig(lambda v: v, 3, max_iter=max_iter)
