@@ -21,6 +21,9 @@ every term that carries it. The order of absorption is the one stated
 above, so a term's bits are those of building it alone. Shared arrays are
 read-only, and the table is dropped when the build returns. Each factor is
 checked (shape and orthonormality) once per build, not once per term.
+The input network is validated once per build, and no term is: a term is
+the input with checked operators absorbed on, or cut into, covered axes, so
+its plan is read from the plan cache by layout without validating it.
 """
 
 from __future__ import annotations
@@ -50,7 +53,9 @@ from pne.network import (
     insert_joint_dense,
     insert_joint_isometry,
     insert_joint_ketbra,
-    plan_order,
+    validate,
+    _layout,
+    _plan_for,
 )
 from pne.tensor import asarray, basis_columns
 
@@ -327,14 +332,18 @@ def _expansion(
 ) -> Expansion:
     """One term per (pattern, coefficient), plus the all-complement residue.
 
-    The terms share one node-variant table, dropped when the build returns."""
+    Only ``net`` is validated (see the module docstring), raising what
+    :func:`plan_order` would. The terms share one node-variant table,
+    dropped when the build returns."""
+    problems = validate(net)
+    if problems:
+        raise NetworkError("cannot plan an invalid network: " + "; ".join(problems))
     table: dict = {}
     terms = []
     for pattern, coefficient in patterns:
         work = _pattern_network(net, partitions, pattern, table)
-        terms.append(
-            ExpansionTerm(pattern=pattern, coefficient=coefficient, network=work, plan=plan_order(work))
-        )
+        terms.append(ExpansionTerm(pattern=pattern, coefficient=coefficient, network=work,
+                                   plan=_plan_for(_layout(work))[0]))
     residue = ResidueSpec(coefficient=1.0, network=net, partitions=partitions)
     return Expansion(form=form, net=net, partitions=partitions, terms=terms, residues=[residue])
 
@@ -567,6 +576,7 @@ def recursive_expand(
     per expansion event reproduces the exact contraction. A term that stays
     over the cap raises :class:`ExpansionError` naming, per term, the depth
     cap or the depth at which the source had no finer partitions.
+    Each expansion event is one build, which validates its input once.
     """
     if chi is None:
         chi = max(e.dim for e in net.edges.values())

@@ -59,8 +59,8 @@ class StripContext:
 
     unit: np.ndarray                   # gauged and normalized, axes (u-, u+, l-, l+)
     log_site_scale: float
-    lambdas: dict[int, float] = field(default_factory=dict)   # axis-0 strip eigenvalues
-    gammas: dict[int, float] = field(default_factory=dict)    # axis-1 strip eigenvalues
+    lambdas: dict[tuple, float] = field(default_factory=dict)   # axis-0 strip eigenvalues
+    gammas: dict[tuple, float] = field(default_factory=dict)    # axis-1 strip eigenvalues
     patches: dict[tuple[int, int], float] = field(default_factory=dict)
     # compiled strip operators by (axis, k), shared by transfer_eigs and patch_scalar
     operators: dict[tuple[int, int], Callable] = field(default_factory=dict, repr=False)
@@ -176,6 +176,7 @@ def transfer_eigs(
     sites); ``axis=1`` along columns. Power iteration starts from the BP
     vacuum e0^{(x)k} plus VACUUM_START_MIX near_uniform (in case the vacuum is
     orthogonal to the dominant vector); a degenerate leading pair raises.
+    ``ctx`` caches the values by width, ``tol`` and ``max_iter``.
     """
     if axis not in (0, 1):
         raise InfiniteError(f"strip axis must be 0 or 1, not {axis!r}")
@@ -184,14 +185,14 @@ def transfer_eigs(
         raise InfiniteError(f"strip widths must be at least 1, got {ks[0]}")
     cache = ctx.lambdas if axis == 0 else ctx.gammas
     for k in ks:
-        if k not in cache:
+        if (k, tol, max_iter) not in cache:
             # the state lives on k up legs (axis 0) or k left legs (axis 1)
             start = VACUUM_START_MIX * near_uniform(ctx.unit.shape[2 * axis] ** k)
             start[0] += 1.0                # the BP vacuum e0^{(x)k}
-            cache[k] = _leading(_operator(ctx, axis, k), start.size,
-                                f"width-{k} transfer operator", tol=tol, max_iter=max_iter,
-                                start=start)
-    return {k: cache[k] for k in ks}
+            cache[k, tol, max_iter] = _leading(_operator(ctx, axis, k), start.size,
+                                               f"width-{k} transfer operator", tol=tol,
+                                               max_iter=max_iter, start=start)
+    return {k: cache[k, tol, max_iter] for k in ks}
 
 
 def patch_scalar(ctx: StripContext, k: int, p: int) -> float:

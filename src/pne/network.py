@@ -697,7 +697,8 @@ def plan_order(net: TensorNetwork) -> ContractionPlan:
     axes get equal plans; the key holds the axes because the same entry
     holds the plan compiled for :func:`contract`. Networks that share a
     layout share one plan object while it stays cached. The network is
-    still validated on every call.
+    still validated on every call; expansion builds skip that for their
+    terms (see :mod:`pne.expansion`).
     """
     problems = validate(net)
     if problems:

@@ -290,7 +290,8 @@ def build_preset(
     The network and factors come from :func:`source_projectors` on
     ``grid.net``. The recursive preset cuts its over-budget terms with
     random factors under ``projectors="random"`` and re-gauges them with BP
-    otherwise, ``"weights"`` included.
+    otherwise, ``"weights"`` included, starting that BP at the parent's
+    fixed point (see :func:`_build_recursive`).
     """
     if name not in PRESETS:
         raise PresetError(f"unknown preset {name!r}; available: {', '.join(preset_names())}")
@@ -347,6 +348,11 @@ def _build_recursive(grid, net, partitions, layout, projectors, seed):
 
     The term networks keep the edge ids of ``net``; an edge a projector has
     capped is narrower there, so the full-extent edges are the uncut ones.
+
+    A term's BP starts at e0 on every edge. In the parent's symmetrized gauge
+    every message is e0, and a term only projects edges onto e0 (to extent 1,
+    where e0 is ``[1.0]``), so e0 is the term's fixed point and one sweep
+    confirms it (Tindall & Fishman, SciPost Phys. 15, 222 (2023)).
     """
     kind = "random" if projectors == "random" else "bp"
 
@@ -360,7 +366,8 @@ def _build_recursive(grid, net, partitions, layout, projectors, seed):
         lines = _six_lines(grid, rows[0])
         if not all(full(e) for line in lines for e in line):
             return None
-        gauged, factor_of, _ = source_projectors(sub_net, kind, 1, seed + 7919 * depth)
+        e0 = {(e, d): np.eye(edge.dim)[0] for e, edge in sub_net.edges.items() for d in (0, 1)}
+        gauged, factor_of, _ = source_projectors(sub_net, kind, 1, seed + 7919 * depth, {"initial": e0})
         return gauged, _factorized_partitions(lines, factor_of)
 
     return recursive_expand(net, partitions, cost_cap_exponent=layout.recursion_cap,

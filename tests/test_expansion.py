@@ -28,6 +28,7 @@ from pne.network import (
     EdgeInsertion,
     InsertionError,
     MemoryBudgetError,
+    NetworkError,
     ProjectorP,
     TensorNetwork,
     apply_insertions,
@@ -36,6 +37,7 @@ from pne.network import (
     insert_joint_isometry,
     insert_joint_ketbra,
     plan_order,
+    validate,
 )
 
 
@@ -578,3 +580,75 @@ class TestNodeVariantTable:
         monkeypatch.setattr(pne.expansion, "absorb_matrix", lambda *a, **kw: calls.append(1) or real(*a, **kw))
         _preset(name)
         assert 0 < len(calls) <= cap
+
+
+def _case_grid(name, chi, bias=0.2, seed=0):
+    from pne.presets import OPEN2X3_AXES, PRESETS
+
+    open_axes = OPEN2X3_AXES if name.startswith("open2x3") else frozenset()
+    return random_grid(PRESETS[name][0], chi, bias=bias, seed=seed, open_axes=open_axes)
+
+
+def _source_cases():
+    """Every preset with every source it accepts: bp, weights at rank 1 and,
+    where the layout allows it, rank 2, and random."""
+    from pne.presets import PRESETS, preset_names
+
+    for name in preset_names():
+        g = _case_grid(name, 2)
+        layout = PRESETS[name][1](g)
+        yield name, "bp", 1
+        if layout.joint_pairs:
+            continue            # joint partitions take fixed-point messages only
+        if g.net.is_closed:     # weight passing is defined on closed networks
+            yield name, "weights", 1
+            if layout.rank_capable:
+                yield name, "weights", 2
+        yield name, "random", 1
+
+
+class TestValidateOnce:
+    @pytest.mark.parametrize("name, projectors, rank", list(_source_cases()))
+    def test_terms_are_valid_and_planned_from_the_cache(self, monkeypatch, name, projectors, rank):
+        from pne.presets import build_preset
+
+        builds = []
+        real = pne.expansion._expansion
+        monkeypatch.setattr(pne.expansion, "_expansion", lambda *a: builds.append(real(*a)) or builds[-1])
+        g = _case_grid(name, 3, bias=0.5 if projectors == "bp" else 0.2, seed=21)
+        pre = build_preset(name, g, projectors=projectors, rank=rank, seed=1,
+                           bp_kwargs=dict(max_iter=4000))
+        assert len(builds) == len(pre.expansion.residues)
+        for build in builds:        # the top level, and each re-expanded term of a recursion
+            for term in build.terms:
+                assert validate(term.network) == []
+                assert term.plan == plan_order(term.network)
+
+    @pytest.mark.parametrize("builder", [build_linear, build_combinatorial])
+    def test_uncovered_axis_rejected_before_any_term(self, monkeypatch, builder):
+        g = random_grid((2, 3), 3, bias=0.2, seed=34)
+        net = g.net.copy()
+        net.nodes[0] = net.nodes[0][..., None]
+        axis = net.nodes[0].ndim - 1
+        parts = single_parts(g, [g.v_edge(0, c) for c in range(3)], [e0col(3)] * 3)
+
+        def no_terms(*args, **kwargs):
+            raise AssertionError("a term was built")
+
+        monkeypatch.setattr(pne.expansion, "_pattern_network", no_terms)
+        with pytest.raises(NetworkError, match=f"cannot plan an invalid network: axis {axis} of node 0 "
+                                               "is not covered by any edge"):
+            builder(net, parts)
+
+    @pytest.mark.parametrize("name, projectors", [
+        ("doubleloop-3v", "random"),
+        ("grid3x3-chi4", "random"),
+        ("grid4x3-recursive", "random"),    # three builds: the top level and two sub-terms
+        ("grid4x3-recursive", "bp"),
+    ])
+    def test_one_validation_per_build(self, monkeypatch, name, projectors):
+        calls = []
+        real = pne.expansion.validate
+        monkeypatch.setattr(pne.expansion, "validate", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        exp = _preset(name, projectors).expansion
+        assert len(calls) == len(exp.residues) == (3 if exp.form == "recursive" else 1)

@@ -25,6 +25,7 @@ from pne.models import (
     uniform_fixed_point,
 )
 from pne.network import contract
+from pne.tensor import EigenConvergenceError
 from test_tensor import oracle_dominant_eig
 
 
@@ -68,6 +69,22 @@ class TestTransferEigs:
         ctx = StripContext(unit=unit, log_site_scale=0.0)
         for lam in transfer_eigs(ctx, [1, 2], axis=axis).values():
             np.testing.assert_allclose(lam, 1.0, rtol=1e-12)
+
+    def test_cache_keys_tol_and_max_iter(self):
+        # A looser call must not answer a later tighter one from the cache.
+        blocked = block_unit(ising_unit_tensor(2, 0.9 * BETA_C_2D), (2, 2)).materialize()
+        ubp = uniform_fixed_point(blocked)
+        ctx = prepare_strips(blocked, ubp)
+        loose = transfer_eigs(ctx, [3], tol=1e-3)[3]
+        tight = transfer_eigs(ctx, [3], tol=1e-14)[3]
+        assert tight == transfer_eigs(prepare_strips(blocked, ubp), [3], tol=1e-14)[3]
+        assert tight == pytest.approx(1.0431360084262555, rel=1e-14)
+        assert abs(loose - tight) > 1e-9
+        # a cap too small for this tol fails as it would in a fresh context
+        with pytest.raises(EigenConvergenceError):
+            transfer_eigs(ctx, [3], tol=1e-14, max_iter=2)
+        # default calls keep their bits, whatever came before
+        assert transfer_eigs(ctx, [3])[3] == transfer_eigs(prepare_strips(blocked, ubp), [3])[3]
 
     def test_dense_oracle_on_asymmetric_unit(self):
         unit = random_tensor((3,) * 4, bias=0.5, seed=1)

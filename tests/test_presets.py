@@ -3,7 +3,7 @@ import pytest
 
 from pne.belief import run_bp
 from pne.expansion import evaluate, evaluate_residue
-from pne.models import random_grid
+from pne.models import BETA_C_2D, ModelSpec, finite_patch, random_grid
 from pne.network import contract
 from pne.presets import OPEN2X3_AXES, PresetError, build_preset, preset_names
 from pne.weights import rank_stage
@@ -118,9 +118,45 @@ def test_recursive_source_error_propagates(monkeypatch):
 
     g = random_grid((4, 3), CHI, bias=0.5, seed=0)
     state = run_bp(g.net)
-    monkeypatch.setattr(pne.presets, "run_bp", lambda net, **kw: run_bp(net, max_iter=1))
+    # A warm start converges in one sweep, so the fake keeps it and asks
+    # for a residual no sweep can reach.
+    monkeypatch.setattr(pne.presets, "run_bp",
+                        lambda net, **kw: run_bp(net, max_iter=1, tol=0.0, initial=kw["initial"]))
     with pytest.raises(PresetError, match="did not converge"):
         build_preset("grid4x3-recursive", g, projectors="bp", bp_state=state)
+
+
+def _recursive_grid(kind, param):
+    if kind == "random":
+        return random_grid((4, 3), CHI, bias=0.5, seed=param)
+    spec = ModelSpec(kind=kind, beta=param * BETA_C_2D, block_factors=(2, 2), patch=(4, 3))
+    return finite_patch(spec)
+
+
+@pytest.mark.parametrize("kind, param", [("random", s) for s in range(5)]
+                         + [("ising2d", 0.7), ("ising2d", 1.2)])
+def test_recursive_sub_term_bp_starts_at_its_fixed_point(monkeypatch, kind, param):
+    # In the parent's symmetrized gauge every message is e0, and e0 is still
+    # a fixed point of each term: each sub-term run stops within 2 sweeps
+    # and lands where a cold start does.
+    import pne.presets
+
+    g = _recursive_grid(kind, param)
+    state = run_bp(g.net)
+
+    def build(start):
+        runs = []
+        monkeypatch.setattr(pne.presets, "run_bp",
+                            lambda net, **kw: runs.append(run_bp(net, **start(kw))) or runs[-1])
+        pre = build_preset("grid4x3-recursive", g, projectors="bp", bp_state=state)
+        return float(evaluate(pre.expansion).value), runs
+
+    warm, warm_runs = build(lambda kw: kw)
+    cold, cold_runs = build(lambda kw: {k: v for k, v in kw.items() if k != "initial"})
+    assert len(warm_runs) == len(cold_runs) == 2
+    assert all(r.converged and r.iterations <= 2 for r in warm_runs)
+    assert all(r.converged and r.iterations > 2 for r in cold_runs)
+    assert abs(warm - cold) <= 1e-12 * abs(cold)
 
 
 def test_unknown_preset():
