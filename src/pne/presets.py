@@ -352,7 +352,8 @@ def _build_recursive(grid, net, partitions, layout, projectors, seed):
     A term's BP starts at e0 on every edge. In the parent's symmetrized gauge
     every message is e0, and a term only projects edges onto e0 (to extent 1,
     where e0 is ``[1.0]``), so e0 is the term's fixed point and one sweep
-    confirms it (Tindall & Fishman, SciPost Phys. 15, 222 (2023)).
+    confirms it (Tindall & Fishman, SciPost Phys. 15, 222 (2023)). Under
+    weight projectors it is only a start.
     """
     kind = "random" if projectors == "random" else "bp"
 
