@@ -10,7 +10,6 @@ from arbitrary user-supplied isometries.
 from pne.tensor import (
     SvdResult,
     DominantEig,
-    contract_pair,
     svd,
     orthogonal_complement,
     dominant_eig,

@@ -25,7 +25,6 @@ import numpy as np
 from pne.network import (
     Edge,
     NetworkError,
-    ProjectorP,
     TensorNetwork,
     absorb_matrix,
     contract,
@@ -110,21 +109,14 @@ def _wiring(net: TensorNetwork, index, nid: int) -> list[tuple[int, tuple[int, i
     return sorted(wires)
 
 
-def _absorb(t: np.ndarray, ax: int, vec: np.ndarray) -> np.ndarray:
-    """``np.tensordot(t, vec, axes=([ax], [0]))`` without its argument
-    handling: the same transpose (none when ``ax`` is last), reshape and
-    ``np.dot`` against a ``(d, 1)`` column, so the same bits."""
-    rest = t.shape[:ax] + t.shape[ax + 1:]
-    if ax != t.ndim - 1:
-        t = t.transpose(*range(ax), *range(ax + 1, t.ndim), ax)
-    return np.dot(t.reshape(-1, vec.shape[0]), vec.reshape(-1, 1)).reshape(rest)
-
-
 def _absorb_all(t: np.ndarray, pairs) -> np.ndarray:
     """Absorb ``(axis, vector)`` pairs in descending-axis order, so every
-    axis still has its own number when its turn comes."""
+    axis still has its own number when its turn comes. Each vector goes in
+    as a ``(d, 1)`` column through :func:`absorb_matrix`, its unit axis
+    reshaped away: ``np.tensordot(t, vec, axes=([ax], [0]))`` and its bits."""
     for ax, vec in sorted(pairs, key=lambda p: -p[0]):
-        t = _absorb(t, ax, vec)
+        rest = t.shape[:ax] + t.shape[ax + 1:]
+        t = absorb_matrix(t, ax, vec.reshape(-1, 1), head_side=False).reshape(rest)
     return t
 
 
@@ -474,8 +466,9 @@ def symmetrize(net: TensorNetwork, state: BPState) -> tuple[TensorNetwork, Symme
     return out, gauge
 
 
-def projectors_from_bp(gauge: SymmetrizedGauge, edges) -> dict[int, ProjectorP]:
-    """Rank-1 dominant-subspace factors on symmetrized edges.
+def projectors_from_bp(gauge: SymmetrizedGauge, edges) -> dict[int, np.ndarray]:
+    """Rank-1 dominant-subspace factors on symmetrized edges, as
+    ``{edge: (dim, 1) isometry}``.
 
     In the symmetrized gauge the fixed-point message is e0, so the factor on
     every edge is the single basis column.
@@ -484,7 +477,7 @@ def projectors_from_bp(gauge: SymmetrizedGauge, edges) -> dict[int, ProjectorP]:
     for eid in edges:
         if eid not in gauge.dims:
             raise GaugeError(f"edge {eid} is not part of the gauge")
-        out[eid] = ProjectorP(isometry=basis_columns(gauge.dims[eid], 1))
+        out[eid] = basis_columns(gauge.dims[eid], 1)
     return out
 
 

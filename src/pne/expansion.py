@@ -39,15 +39,11 @@ import numpy as np
 from pne.network import (
     DEFAULT_MEMORY_CAP_BYTES,
     ContractionPlan,
-    DenseOp,
     Edge,
-    EdgeInsertion,
     MemoryBudgetError,
     NetworkError,
-    ProjectorP,
     TensorNetwork,
     absorb_matrix,
-    apply_insertions,
     checked_isometry,
     contract,
     insert_joint_dense,
@@ -490,7 +486,11 @@ def residue_pattern_sum(
     """Residue of factorized partitions as the explicit sum over per-edge
     complement patterns (at least one complement within every partition).
 
-    Exponential in the total edge count; verification oracle only.
+    Each pattern's network is built by :func:`_pattern_network` on the
+    partitions split into single-edge :class:`Factorized` ones, every edge
+    carrying its factor ("P") or its complement ("Q"), with one node-variant
+    table for the whole sum. Exponential in the total edge count;
+    verification oracle only.
     """
     seen_edges = set()
     for part in partitions:
@@ -499,22 +499,15 @@ def residue_pattern_sum(
         if seen_edges & set(part.edges):
             raise ExpansionError("pattern-sum residue needs edge-disjoint partitions")
         seen_edges.update(part.edges)
-    choices = []
-    for part in partitions:
-        k = len(part.edges)
-        pats = [p for p in itertools.product("PQ", repeat=k) if "Q" in p]
-        choices.append(pats)
+    edge_factors = [(e, f) for part in partitions for e, f in zip(part.edges, part.projector.factors)]
+    singles = [Partition(id=k, edges=(e,), projector=Factorized((f,))) for k, (e, f) in enumerate(edge_factors)]
+    _check_partitions(net, singles)
+    choices = [[p for p in itertools.product("PQ", repeat=len(part.edges)) if "Q" in p] for part in partitions]
+    table: dict = {}
     total = None
     for combo in itertools.product(*choices):
-        work = net
-        for part, pat in zip(partitions, combo):
-            for e, f, tag in zip(part.edges, part.projector.factors, pat):
-                f = asarray(f)
-                if tag == "P":
-                    work = apply_insertions(work, [EdgeInsertion(e, ProjectorP(f))])
-                else:
-                    q = np.eye(f.shape[0]) - f @ f.T
-                    work = apply_insertions(work, [EdgeInsertion(e, DenseOp(q))])
+        pattern = tuple(itertools.chain.from_iterable(combo))
+        work = _pattern_network(net, singles, pattern, table, memory_cap_bytes)
         val = contract(work, memory_cap_bytes=memory_cap_bytes)
         total = val if total is None else total + val
     return np.asarray(total)

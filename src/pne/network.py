@@ -6,13 +6,18 @@ attachment are *open*: their axes survive contraction and appear in the
 result in ascending edge-id order. Edge ids are stable integers assigned at
 construction; every canonical ordering in the package derives from them.
 
-:func:`apply_insertions` inserts single-edge operators into a network:
+The ``insert_joint_*`` functions insert an operator over the joint space
+of several edges. Expansion builders absorb their single-edge operators
+with :func:`absorb_matrix` directly, sharing the dressed tensors between
+terms (see :mod:`pne.expansion`).
+
+:func:`apply_insertions` is the public single-edge API: it inserts
 :class:`Identity`, :class:`ProjectorP` (absorbed as its isometric factor,
 shrinking the edge) and :class:`DenseOp` (absorbed into one endpoint),
-each checked before use. The ``insert_joint_*`` functions insert an
-operator over the joint space of several edges. Expansion builders absorb
-their operators with :func:`absorb_matrix` directly, sharing the dressed
-tensors between terms (see :mod:`pne.expansion`).
+each checked before use. No code inside the package calls it. It stays
+because the benchmark tracer (``perfbench/tracing.py``) wraps it by name
+as its ``insert`` layer, and fails to start without it; it can go once
+that layer is pointed elsewhere.
 
 :func:`contract` runs a *compiled* plan. A plan is compiled once per network
 layout (node ids, each edge's id, endpoints with their axes, and dim) into
@@ -486,10 +491,6 @@ def _layout(net: TensorNetwork) -> Layout:
 def _planner_key(layout: Layout) -> PlanKey:
     node_ids, edges = layout
     return node_ids, tuple((eid, tuple(n for n, _ in ends), int(dim)) for eid, ends, dim in edges)
-
-
-def _plan_key(net: TensorNetwork) -> PlanKey:
-    return _planner_key(_layout(net))
 
 
 class _Planner:

@@ -253,7 +253,7 @@ def source_projectors(
                 "use projectors='weights'"
             )
         gauged, gauge = symmetrize(net, bp_state)
-        return gauged, lambda e: projectors_from_bp(gauge, [e])[e].isometry, {"gauge": gauge}
+        return gauged, lambda e: projectors_from_bp(gauge, [e])[e], {"gauge": gauge}
     if projectors == "weights":
         if weight_state is None:
             weight_state = run_weight_passing(net)
@@ -264,9 +264,7 @@ def source_projectors(
                 f"(residual {state.residual:.2e})"
             )
         weighted = state.network_with_weights()
-        factor_of = lambda e: projectors_from_weights(
-            state, [e], min(rank, weighted.edges[e].dim)
-        )[e].isometry
+        factor_of = lambda e: projectors_from_weights(state, [e], min(rank, weighted.edges[e].dim))[e]
         scale = float(np.exp(state.log_prefactor))
         return weighted, factor_of, {"weight_state": weight_state, "scale": scale}
     if projectors == "random":

@@ -1,5 +1,5 @@
-"""Dense real tensor primitives: pairwise contraction, bipartitioned SVD,
-basis columns, orthogonal complements and dominant-eigenvalue solving.
+"""Dense real tensor primitives: bipartitioned SVD, basis columns,
+orthogonal complements and dominant-eigenvalue solving.
 
 All tensors are plain ``numpy.ndarray`` objects of dtype float64 in row-major
 layout. Complex arithmetic is out of scope; every routine coerces its input
@@ -16,11 +16,9 @@ import numpy as np
 
 __all__ = [
     "TensorError",
-    "AxisMismatchError",
     "EigenConvergenceError",
     "SvdResult",
     "DominantEig",
-    "contract_pair",
     "svd",
     "svd_stack",
     "basis_columns",
@@ -31,10 +29,6 @@ __all__ = [
 
 class TensorError(ValueError):
     """Base error for tensor-level failures."""
-
-
-class AxisMismatchError(TensorError):
-    """Paired axes have incompatible extents."""
 
 
 class EigenConvergenceError(TensorError):
@@ -52,34 +46,6 @@ def asarray(a) -> np.ndarray:
     if arr.ndim == 0:
         return arr
     return np.ascontiguousarray(arr)
-
-
-def contract_pair(
-    a: np.ndarray,
-    b: np.ndarray,
-    pairs: Sequence[tuple[int, int]],
-) -> np.ndarray:
-    """Contract tensors ``a`` and ``b`` over the given ``(axis_of_a, axis_of_b)``
-    pairs.
-
-    The result carries the unpaired axes of ``a`` first (in their original
-    order) followed by the unpaired axes of ``b``.
-    """
-    a = asarray(a)
-    b = asarray(b)
-    ax_a = [p[0] for p in pairs]
-    ax_b = [p[1] for p in pairs]
-    if len(set(ax_a)) != len(ax_a) or len(set(ax_b)) != len(ax_b):
-        raise AxisMismatchError(f"repeated axis in contraction pairs {list(pairs)}")
-    for i, j in pairs:
-        if a.shape[i] != b.shape[j]:
-            raise AxisMismatchError(
-                f"axis {i} of a (extent {a.shape[i]}) cannot be paired with "
-                f"axis {j} of b (extent {b.shape[j]})"
-            )
-    if not pairs:
-        return np.multiply.outer(a, b)
-    return np.tensordot(a, b, axes=(ax_a, ax_b))
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,6 @@ from pne.belief import _norms
 from pne.network import (
     Edge,
     NetworkError,
-    ProjectorP,
     TensorNetwork,
     absorb_matrix,
     validate,
@@ -398,8 +397,9 @@ def projectors_from_weights(
     state: WeightState,
     edges,
     rank: int,
-) -> dict[int, ProjectorP]:
-    """Rank-r factors spanning the leading weight directions.
+) -> dict[int, np.ndarray]:
+    """Rank-r factors spanning the leading weight directions, as
+    ``{edge: (dim, r) isometry}``.
 
     In the weight gauge the spectra are axis-aligned, so the factor on each
     edge is simply the first r basis columns of ``state.net``. A cutoff the
@@ -424,7 +424,7 @@ def projectors_from_weights(
                 f"edge {eid}: weight spectrum is degenerate at the rank-{rank} cutoff "
                 f"(weights {w[rank - 1]:.2e}, {w[rank]:.2e})"
             )
-        out[eid] = ProjectorP(isometry=basis_columns(dim, rank))
+        out[eid] = basis_columns(dim, rank)
     return out
 
 

@@ -5,7 +5,6 @@ from pne import belief
 from pne.belief import (
     STACK_BYTES,
     BPError,
-    _absorb,
     _absorb_back,
     _absorb_front,
     _norms,
@@ -310,7 +309,7 @@ class TestNodeSweep:
 
 
 class TestKernels:
-    """The stacked sweep is bit-exact only while ``_absorb`` and ``_norms``
+    """The stacked sweep is bit-exact only while ``_absorb_all`` and ``_norms``
     reproduce numpy's own ``tensordot`` and ``linalg.norm``; these pin both."""
 
     def test_absorb_matches_tensordot_bytes(self):
@@ -325,7 +324,7 @@ class TestKernels:
             ax = int(rng.integers(t.ndim))
             vec = rng.standard_normal(2 * t.shape[ax])[::2] if trial % 2 else rng.standard_normal(t.shape[ax])
             want = np.tensordot(t, vec, axes=([ax], [0]))
-            got = _absorb(t, ax, vec)
+            got = belief._absorb_all(t, [(ax, vec)])
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), (shape, ax, trial)
 
     def test_absorb_all_takes_pairs_in_any_order(self):
@@ -589,8 +588,7 @@ class TestProjectors:
         net, state = converged_instance(9)
         _, gauge = symmetrize(net, state)
         pr = projectors_from_bp(gauge, sorted(net.edges))
-        for eid, p in pr.items():
-            iso = p.isometry
+        for eid, iso in pr.items():
             assert iso.shape == (net.edges[eid].dim, 1)
             assert iso[0, 0] == 1.0 and np.all(iso[1:] == 0.0)
 
@@ -598,7 +596,7 @@ class TestProjectors:
         net, state = converged_instance(10)
         _, gauge = symmetrize(net, state)
         pr = projectors_from_bp(gauge, [0])
-        u = pr[0].isometry
+        u = pr[0]
         p = u @ u.T
         q = np.eye(p.shape[0]) - p
         np.testing.assert_allclose(p @ p, p, atol=1e-14)
@@ -614,7 +612,7 @@ class TestProjectors:
         net2, gauge = symmetrize(net, state)
         pr = projectors_from_bp(gauge, sorted(net2.edges))
         parts = [
-            Partition(id=k, edges=(e,), projector=Factorized((pr[e].isometry,)))
+            Partition(id=k, edges=(e,), projector=Factorized((pr[e],)))
             for k, e in enumerate(sorted(net2.edges))
         ]
         exp = build_combinatorial(net2, parts)

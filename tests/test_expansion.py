@@ -227,19 +227,22 @@ class TestResidue:
         res = evaluate_residue(exp)
         assert abs(float(res)) < 1e-12 * abs(float(contract(g.net)))
 
-    def test_pattern_sum_equals_dense(self):
-        rng = np.random.default_rng(14)
-        g = random_grid((3, 3), 2, bias=0.2, seed=14)
-        pa = Partition(
-            id=0, edges=(g.h_edge(0, 0), g.h_edge(1, 0)),
-            projector=Factorized((rand_iso(2, 1, rng), rand_iso(2, 1, rng))),
-        )
-        pb = Partition(
-            id=1, edges=(g.v_edge(0, 1),),
-            projector=Factorized((rand_iso(2, 1, rng),)),
-        )
-        dense = evaluate_residue(build_combinatorial(g.net, [pa, pb]), cross_check=True)
-        patterns = residue_pattern_sum(g.net, [pa, pb])
+    @pytest.mark.parametrize("chi, rank, seed, layout", [
+        (2, 1, 14, [[("h", 0, 0), ("h", 1, 0)], [("v", 0, 1)]]),
+        (3, 2, 16, [[("h", 0, 0), ("h", 1, 0)], [("v", 0, 1)], [("h", 2, 1), ("v", 1, 2)]]),
+    ], ids=["chi2-rank1", "chi3-rank2"])
+    def test_pattern_sum_equals_dense(self, chi, rank, seed, layout):
+        rng = np.random.default_rng(seed)
+        g = random_grid((3, 3), chi, bias=0.2, seed=seed)
+        parts = [
+            Partition(
+                id=k, edges=tuple(getattr(g, f"{kind}_edge")(r, c) for kind, r, c in cut),
+                projector=Factorized(tuple(rand_iso(chi, rank, rng) for _ in cut)),
+            )
+            for k, cut in enumerate(layout)
+        ]
+        dense = evaluate_residue(build_combinatorial(g.net, parts), cross_check=True)
+        patterns = residue_pattern_sum(g.net, parts)
         np.testing.assert_allclose(float(dense), float(patterns), rtol=1e-10, atol=1e-12)
 
     def test_cross_check_detects_mismatch(self):

@@ -29,7 +29,7 @@ from pne.network import (
     _plan_dp,
     _plan_for,
     _plan_greedy,
-    _plan_key,
+    _planner_key,
     _plan_sweep,
     plan_order,
     subnetwork,
@@ -125,7 +125,7 @@ class TestContract:
 
     def test_plan_independence(self):
         g = random_grid((3, 3), 3, bias=0.2, seed=5)
-        key = _plan_key(g.net)
+        key = _planner_key(_layout(g.net))
         plans = [
             _plan_sweep(key),
             _plan_sweep(key, reverse=True),
@@ -279,7 +279,7 @@ class TestPlanStrategies:
 
         rng = np.random.default_rng(11)
         keys = [_random_key(rng) for _ in range(150)]
-        keys += [_plan_key(random_grid(shape, 2, seed=0).net) for shape in ((3, 3), (4, 5), (2, 2, 2))]
+        keys += [_planner_key(_layout(random_grid(shape, 2, seed=0).net)) for shape in ((3, 3), (4, 5), (2, 2, 2))]
         for key in keys:
             for seed in (None, 0, 3, 7):
                 assert _plan_greedy(key, seed) == rescore_all(key, seed), (key, seed)
@@ -541,7 +541,7 @@ class TestCompiledContract:
         kinds = set()
         for _ in range(300):
             net = _random_network(rng)
-            key = _plan_key(net)
+            key = _planner_key(_layout(net))
             plans = [plan_order(net), _plan_sweep(key, reverse=True), _plan_greedy(key, seed=2)]
             for plan in plans:
                 _same_bytes(contract(net, plan=plan), oracle_contract(net, plan=plan))
@@ -572,7 +572,7 @@ class TestCompiledContract:
         t0, t1, t2 = rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
         a = TensorNetwork.build({0: t0, 1: t1, 2: t2}, {0: [(0, 0), (1, 0)], 1: [(1, 1), (2, 0)], 2: [(2, 1), (0, 1)]})
         b = TensorNetwork.build({0: t0, 1: t1, 2: t2}, {0: [(0, 0), (1, 1)], 1: [(1, 0), (2, 0)], 2: [(2, 1), (0, 1)]})
-        assert _plan_key(a) == _plan_key(b) and _layout(a) != _layout(b)
+        assert _planner_key(_layout(a)) == _planner_key(_layout(b)) and _layout(a) != _layout(b)
         assert plan_order(a) == plan_order(b)
         for _ in range(2):
             np.testing.assert_allclose(float(contract(a)), np.trace(t0.T @ t1 @ t2), rtol=1e-12)
@@ -636,7 +636,7 @@ class TestCompiledContract:
             info = _plan_for.cache_info()
             assert info.currsize == info.maxsize == PLAN_CACHE_SIZE
             # A plan that is not the cached one is compiled for the call only.
-            contract(net, plan=_plan_greedy(_plan_key(net), seed=1))
+            contract(net, plan=_plan_greedy(_planner_key(_layout(net)), seed=1))
             assert _plan_for.cache_info().currsize == PLAN_CACHE_SIZE
         finally:
             _plan_for.cache_clear()

@@ -34,7 +34,6 @@ def test_public_surface_is_pinned():
         "build_combinatorial",
         "build_linear",
         "contract",
-        "contract_pair",
         "dominant_eig",
         "evaluate",
         "evaluate_residue",

@@ -1,101 +1,18 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pne.tensor import (
-    AxisMismatchError,
     DominantEig,
     EigenConvergenceError,
     TensorError,
-    contract_pair,
     dominant_eig,
     near_uniform,
     orthogonal_complement,
     svd,
     svd_stack,
 )
-
-
-def loop_contract(a, b, pairs):
-    """Naive nested-loop contraction oracle."""
-    ax_a = [p[0] for p in pairs]
-    ax_b = [p[1] for p in pairs]
-    free_a = [i for i in range(a.ndim) if i not in ax_a]
-    free_b = [i for i in range(b.ndim) if i not in ax_b]
-    out_shape = [a.shape[i] for i in free_a] + [b.shape[i] for i in free_b]
-    out = np.zeros(out_shape) if out_shape else np.zeros(())
-    for idx_a in itertools.product(*(range(s) for s in a.shape)):
-        for idx_b in itertools.product(*(range(b.shape[i]) for i in ax_b)):
-            full_b = [0] * b.ndim
-            ok = True
-            for (i, j), v in zip(pairs, [idx_a[p[0]] for p in pairs]):
-                full_b[j] = v
-            for j, v in zip(ax_b, idx_b):
-                if full_b[j] != v:
-                    ok = False
-            if not ok:
-                continue
-            free_vals_b = []
-            for idx_full_b in itertools.product(*(range(b.shape[i]) for i in free_b)):
-                for j, v in zip(free_b, idx_full_b):
-                    full_b[j] = v
-                key = tuple(idx_a[i] for i in free_a) + idx_full_b
-                out[key] += a[idx_a] * b[tuple(full_b)]
-    return out
-
-
-class TestContractPair:
-    def test_identity_times_vector(self):
-        out = contract_pair(np.eye(2), np.array([3.0, 4.0]), [(1, 0)])
-        np.testing.assert_allclose(out, [3.0, 4.0])
-
-    def test_dot_product(self):
-        v = np.array([1.0, 2.0, 2.0])
-        out = contract_pair(v, v, [(0, 0)])
-        assert out.ndim == 0
-        assert float(out) == 9.0
-
-    def test_against_loop_oracle(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(3, 4, 5))
-        b = rng.normal(size=(5, 4))
-        out = contract_pair(a, b, [(2, 0), (1, 1)])
-        oracle = np.einsum("ijk,kj->i", a, b)
-        np.testing.assert_allclose(out, oracle, atol=1e-12)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2**31 - 1), st.floats(-5, 5, allow_nan=False))
-    def test_bilinear(self, seed, alpha):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(2, 3))
-        b = rng.normal(size=(3, 2))
-        lhs = contract_pair(alpha * a, b, [(1, 0)])
-        rhs = alpha * contract_pair(a, b, [(1, 0)])
-        np.testing.assert_allclose(lhs, rhs, atol=1e-10)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2**31 - 1))
-    def test_small_shapes_match_loops(self, seed):
-        rng = np.random.default_rng(seed)
-        ra = int(rng.integers(1, 4))
-        rb = int(rng.integers(1, 4))
-        npairs = int(rng.integers(1, min(ra, rb) + 1))
-        dims = [int(rng.integers(1, 5)) for _ in range(npairs)]
-        a_shape = dims + [int(rng.integers(1, 5)) for _ in range(ra - npairs)]
-        b_shape = dims + [int(rng.integers(1, 5)) for _ in range(rb - npairs)]
-        a = rng.normal(size=a_shape)
-        b = rng.normal(size=b_shape)
-        pairs = [(i, i) for i in range(npairs)]
-        np.testing.assert_allclose(
-            contract_pair(a, b, pairs), loop_contract(a, b, pairs), atol=1e-10
-        )
-
-    def test_mismatch_raises(self):
-        with pytest.raises(AxisMismatchError, match="axis 0"):
-            contract_pair(np.zeros((2, 3)), np.zeros((3, 3)), [(0, 0)])
 
 
 class TestSvd:

@@ -212,8 +212,8 @@ class TestProjectors:
         g = random_grid((2, 3), 4, bias=0.2, seed=9)
         state = run_weight_passing(g.net, alpha=0.8, tol=1e-10, max_sweeps=300)
         pr = projectors_from_weights(state, [0, 1], rank=2)
-        for p in pr.values():
-            mat = p.isometry @ p.isometry.T
+        for u in pr.values():
+            mat = u @ u.T
             np.testing.assert_allclose(mat @ mat, mat, atol=1e-14)
             assert np.linalg.matrix_rank(mat) == 2
 
@@ -221,7 +221,7 @@ class TestProjectors:
         g = random_grid((2, 2), 3, bias=0.2, seed=10)
         state = run_weight_passing(g.net, alpha=0.8, max_sweeps=50)
         pr = projectors_from_weights(state, [0], rank=state.net.edges[0].dim)
-        u = pr[0].isometry
+        u = pr[0]
         np.testing.assert_allclose(u @ u.T, np.eye(u.shape[0]), atol=1e-14)
 
     def test_rank_too_large(self):
