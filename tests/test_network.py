@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pne.expansion import evaluate
 from pne.models import random_grid
@@ -151,6 +153,90 @@ class TestContract:
             net2 = apply_insertions(g.net, [EdgeInsertion(eid, DenseOp(x, side=0))])
             net2 = apply_insertions(net2, [EdgeInsertion(eid, DenseOp(np.linalg.inv(x), side=1))])
             np.testing.assert_allclose(float(contract(net2)), base, rtol=1e-10)
+
+
+def pair_net(a, b, pairs):
+    """Two-node network joining axis ``i`` of ``a`` to axis ``j`` of ``b`` for
+    each ``(i, j)`` in ``pairs``; the open edges are numbered so that the
+    result carries the free axes of ``a`` first, then those of ``b``."""
+    att = {k: [(0, i), (1, j)] for k, (i, j) in enumerate(pairs)}
+    free = [(0, i) for i in range(a.ndim) if i not in {p[0] for p in pairs}]
+    free += [(1, j) for j in range(b.ndim) if j not in {p[1] for p in pairs}]
+    for k, ep in enumerate(free, start=len(pairs)):
+        att[k] = [ep]
+    return TensorNetwork.build({0: a, 1: b}, att)
+
+
+def loop_contract(a, b, pairs):
+    """Naive nested-loop contraction oracle."""
+    ax_a = [p[0] for p in pairs]
+    ax_b = [p[1] for p in pairs]
+    free_a = [i for i in range(a.ndim) if i not in ax_a]
+    free_b = [i for i in range(b.ndim) if i not in ax_b]
+    out = np.zeros([a.shape[i] for i in free_a] + [b.shape[i] for i in free_b])
+    for idx_a in itertools.product(*(range(s) for s in a.shape)):
+        full_b = [0] * b.ndim
+        for i, j in pairs:
+            full_b[j] = idx_a[i]
+        for idx_free_b in itertools.product(*(range(b.shape[j]) for j in free_b)):
+            for j, v in zip(free_b, idx_free_b):
+                full_b[j] = v
+            key = tuple(idx_a[i] for i in free_a) + idx_free_b
+            out[key] += a[idx_a] * b[tuple(full_b)]
+    return out
+
+
+class TestPairContraction:
+    """Two-node contractions: every pairwise product of the package runs
+    through ``contract``'s pair step."""
+
+    def test_identity_times_vector(self):
+        out = contract(pair_net(np.eye(2), np.array([3.0, 4.0]), [(1, 0)]))
+        np.testing.assert_allclose(out, [3.0, 4.0])
+
+    def test_dot_product(self):
+        v = np.array([1.0, 2.0, 2.0])
+        out = contract(pair_net(v, v, [(0, 0)]))
+        assert out.ndim == 0
+        assert float(out) == 9.0
+
+    def test_against_loop_oracle(self):
+        rng = np.random.default_rng(0)
+        a = rng.normal(size=(3, 4, 5))
+        b = rng.normal(size=(5, 4))
+        out = contract(pair_net(a, b, [(2, 0), (1, 1)]))
+        oracle = np.einsum("ijk,kj->i", a, b)
+        np.testing.assert_allclose(out, oracle, atol=1e-12)
+        np.testing.assert_allclose(out, loop_contract(a, b, [(2, 0), (1, 1)]), atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.floats(-5, 5, allow_nan=False))
+    def test_bilinear(self, seed, alpha):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(2, 3))
+        b = rng.normal(size=(3, 2))
+        lhs = contract(pair_net(alpha * a, b, [(1, 0)]))
+        rhs = alpha * contract(pair_net(a, b, [(1, 0)]))
+        np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**31 - 1))
+    def test_small_shapes_match_loops(self, seed):
+        rng = np.random.default_rng(seed)
+        ra = int(rng.integers(1, 4))
+        rb = int(rng.integers(1, 4))
+        npairs = int(rng.integers(0, min(ra, rb) + 1))
+        dims = [int(rng.integers(1, 5)) for _ in range(npairs)]
+        a = rng.normal(size=dims + [int(rng.integers(1, 5)) for _ in range(ra - npairs)])
+        b = rng.normal(size=dims + [int(rng.integers(1, 5)) for _ in range(rb - npairs)])
+        pairs = [(i, i) for i in range(npairs)]
+        np.testing.assert_allclose(
+            contract(pair_net(a, b, pairs)), loop_contract(a, b, pairs), atol=1e-10
+        )
+
+    def test_mismatch_raises(self):
+        with pytest.raises(NetworkError, match="extent 3 of node 1 axis 0 != edge dim 2"):
+            pair_net(np.zeros((2, 3)), np.zeros((3, 3)), [(0, 0)])
 
 
 class TestPlanOrder:
