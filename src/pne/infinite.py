@@ -6,8 +6,9 @@ The lattice is partitioned into width-L strips along one or both axes.
 the sets of active vertical and horizontal strips; each term reduces to a
 product of strip transfer-matrix eigenvalues (one axis active) or of finite
 capped patches (both axes active), both from the e0-capped strip row
-transfer operator T_k: eigenvalues by power iteration from the BP vacuum
-e0^{(x)k}, a k-column by p-row patch as the moment e0^{(x)k}' T_k^p e0^{(x)k}.
+transfer operator T_k: leading eigenvalues by Krylov from the BP vacuum
+e0^{(x)k} (restarted Arnoldi, :func:`pne.tensor.dominant_eig`), a k-column
+by p-row patch as the moment e0^{(x)k}' T_k^p e0^{(x)k}.
 The strip and cylinder transfer operators share one row kernel, compiled
 once per unit and width into a program of transpose, reshape and ``np.dot``
 steps that has the bits of a ``np.tensordot`` loop; a :class:`StripContext`
@@ -19,6 +20,7 @@ by its single-site capped scalar so the logarithms stay well conditioned.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -173,9 +175,10 @@ def transfer_eigs(
     """Leading eigenvalue of the width-k strip transfer operator for each k.
 
     ``axis=0`` advances along rows (vertical strips, one value per row of k
-    sites); ``axis=1`` along columns. Power iteration starts from the BP
-    vacuum e0^{(x)k} plus VACUUM_START_MIX near_uniform (in case the vacuum is
-    orthogonal to the dominant vector); a degenerate leading pair raises.
+    sites); ``axis=1`` along columns. Krylov from the BP vacuum: the Arnoldi
+    run of :func:`pne.tensor.dominant_eig` starts from e0^{(x)k} plus
+    VACUUM_START_MIX near_uniform (in case the vacuum spans an invariant
+    subspace without the dominant vector); a degenerate leading pair raises.
     ``ctx`` caches the values by width, ``tol`` and ``max_iter``.
     """
     if axis not in (0, 1):
@@ -217,6 +220,36 @@ def _cyclic_gaps(offsets: tuple[int, ...], width: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
+class _Patterns:
+    """free_energy's activation patterns for one ``(width, axes, mode)``."""
+
+    rows: tuple[tuple[str, int, tuple], ...]     # (description, sign, gap key), in pattern order
+    keys: tuple[tuple[tuple, tuple[tuple[int, int], ...]], ...]   # distinct gap keys, (w, h) patches
+    vwidths: frozenset[int]                      # axis-0 strip widths the keys need
+    hwidths: frozenset[int]                      # axis-1 strip widths
+
+
+@functools.lru_cache(maxsize=32)
+def _pattern_table(width: int, axes: str, mode: str) -> _Patterns:
+    # every subset of the strip offsets, by size, then in combinations order
+    subsets = [s for n in range(width + 1) for s in itertools.combinations(range(width), n)]
+    vsets = [(0,)] if mode == "single" else subsets
+    hsets = subsets if axes == "vh" else [()]
+    gaps = {s: _cyclic_gaps(s, width) for s in subsets}
+    rows, keys = [], {}
+    for sv, sh in itertools.product(vsets, hsets):
+        if not (sv or sh):
+            continue
+        gv, gh = gaps[sv], gaps[sh]
+        keys.setdefault((gv, gh), tuple((w, h) for w in gv for h in gh))
+        desc = f"v{sv} x h{sh}" if sv and sh else (f"v{sv}" if sv else f"h{sh}")
+        rows.append((desc, 1 if (len(sv) + len(sh)) % 2 == 1 else -1, (gv, gh)))
+    return _Patterns(rows=tuple(rows), keys=tuple(keys.items()),
+                     vwidths=frozenset(w for s in vsets for w in gaps[s]),
+                     hwidths=frozenset(w for s in hsets for w in gaps[s]))
+
+
+@dataclass(frozen=True)
 class FreeEnergyResult:
     value: float                     # free energy density, f = -lim log(Z_N)/N
     width: int
@@ -245,9 +278,11 @@ def free_energy(
     one axis active is a product of strip eigenvalues over the cyclic gaps
     of its offsets, each raised to the supercell height (``width`` for
     "vh", 1 for "v"); a pattern with both axes active is a product of capped
-    rectangular patches, one per pair of gaps; each distinct pair of gap
-    sequences is multiplied out once. The density is -log of the signed sum
-    per supercell site.
+    rectangular patches, one per pair of gaps. The patterns, their gap
+    sequences and the widths they need are tabled once per
+    ``(width, axes, mode)``, and each distinct pair of gap sequences is
+    multiplied out once per call. The density is -log of the signed sum per
+    supercell site.
     """
     width = int(width)
     if width < 1:
@@ -262,41 +297,31 @@ def free_energy(
         ctx = prepare_strips(unit, **bp_kwargs)
 
     height = width if axes == "vh" else 1
-    # every subset of the strip offsets, by size, then in combinations order
-    subsets = [s for n in range(width + 1) for s in itertools.combinations(range(width), n)]
-    vsets = [(0,)] if mode == "single" else subsets
-    hsets = subsets if axes == "vh" else [()]
-    gaps = {s: _cyclic_gaps(s, width) for s in subsets}
-    lams = transfer_eigs(ctx, {w for s in vsets for w in gaps[s]}, axis=0)
-    gams = transfer_eigs(ctx, {w for s in hsets for w in gaps[s]}, axis=1)
+    table = _pattern_table(width, axes, mode)
+    lams = transfer_eigs(ctx, table.vwidths, axis=0)
+    gams = transfer_eigs(ctx, table.hwidths, axis=1)
     pats = {(w, h): patch_scalar(ctx, w, h) for w in lams for h in sorted(gams, reverse=True)}
+    lpow = {w: lam ** height for w, lam in lams.items()}
+    gpow = {w: gam ** width for w, gam in gams.items()}
     products: dict[tuple, float] = {}          # by (gaps of sv, gaps of sh)
-    terms: list[tuple[str, int, float]] = []
+    for (gv, gh), pairs in table.keys:
+        if not gh:
+            products[gv, gh] = math.prod(map(lpow.__getitem__, gv))
+        elif not gv:
+            products[gv, gh] = math.prod(map(gpow.__getitem__, gh))
+        else:
+            products[gv, gh] = math.prod(map(pats.__getitem__, pairs))
+    terms = tuple((desc, sign, products[key]) for desc, sign, key in table.rows)
     total = 0.0
-    vname, hname = {s: f"v{s}" for s in vsets}, {s: f"h{s}" for s in hsets}
-    patterns = [(sv, sh) for sv in vsets for sh in hsets if sv or sh]
-    for sv, sh in patterns:
-        gv, gh = gaps[sv], gaps[sh]
-        val = products.get((gv, gh))
-        if val is None:
-            if not gh:
-                val = math.prod(lams[w] ** height for w in gv)
-            elif not gv:
-                val = math.prod(gams[w] ** width for w in gh)
-            else:
-                val = math.prod(pats[w, hgt] for w in gv for hgt in gh)
-            products[gv, gh] = val
-        desc = f"{vname[sv]} x {hname[sh]}" if sv and sh else (vname[sv] if sv else hname[sh])
-        sign = 1 if (len(sv) + len(sh)) % 2 == 1 else -1
-        terms.append((desc, sign, val))
+    for _, sign, val in terms:
         total += sign * val
     if total <= 0:
         raise InfiniteError(
-            f"strip expansion argument {total:.6e} is not positive; term breakdown: {terms}"
+            f"strip expansion argument {total:.6e} is not positive; term breakdown: {list(terms)}"
         )
     value = -math.log(total) / (width * height) - ctx.log_site_scale
     return FreeEnergyResult(
-        value=value, width=width, axes=axes, mode=mode, terms=tuple(terms), argument=float(total)
+        value=value, width=width, axes=axes, mode=mode, terms=terms, argument=float(total)
     )
 
 

@@ -1,5 +1,6 @@
 """Dense real tensor primitives: bipartitioned SVD, basis columns,
-orthogonal complements and dominant-eigenvalue solving.
+orthogonal complements and dominant eigenvalues of mat-vec operators
+(explicitly restarted Arnoldi, :func:`dominant_eig`).
 
 All tensors are plain ``numpy.ndarray`` objects of dtype float64 in row-major
 layout. Complex arithmetic is out of scope; every routine coerces its input
@@ -32,7 +33,8 @@ class TensorError(ValueError):
 
 
 class EigenConvergenceError(TensorError):
-    """Power iteration failed to converge within the iteration budget."""
+    """The dominant eigenvalue was not found: no convergence within the
+    mat-vec budget, a non-finite mat-vec output or a complex leading pair."""
 
     def __init__(self, msg: str, residual: float, iterations: int):
         super().__init__(msg)
@@ -144,14 +146,20 @@ def orthogonal_complement(row: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(vh[1:, :])
 
 
+KRYLOV_DIM = 20     # Arnoldi basis size: dominant_eig restarts after this many mat-vecs
+
+
 @dataclass(frozen=True)
 class DominantEig:
-    """Result of power iteration.
+    """Leading Ritz pair of a restarted Arnoldi run.
 
-    ``degenerate`` is set (and ``value`` holds the common magnitude) when the
-    iteration locks into a period-2 cycle, the signature of a dominant
-    ``+lambda/-lambda`` pair. Downstream consumers that assume a simple
-    dominant eigenvalue must check this flag.
+    ``iterations`` counts mat-vecs. ``residual`` is the Ritz residual
+    ``|A x - value x| / |value|`` read off the Hessenberg matrix, 0 once the
+    Krylov space is invariant. ``degenerate`` is set, and ``value`` holds the
+    common magnitude, when the two leading Ritz values are ``+lambda`` and
+    ``-lambda`` to within ``sqrt(tol)``, the signature of a dominant ``+/-``
+    pair. Downstream consumers that assume a simple dominant eigenvalue must
+    check this flag.
     """
 
     value: float
@@ -163,7 +171,7 @@ class DominantEig:
 
 def near_uniform(n: int) -> np.ndarray:
     """Ones, tilted at entries 0 and 1 so symmetric operators do not trap
-    power iteration in an orthogonal subspace: dominant_eig's default start."""
+    the Krylov space in an orthogonal subspace: dominant_eig's default start."""
     v = np.ones(n)
     v[0] += 0.1
     v[1:2] -= 0.05
@@ -177,14 +185,20 @@ def dominant_eig(
     max_iter: int = 10000,
     start: np.ndarray | None = None,
 ) -> DominantEig:
-    """Largest-magnitude eigenvalue of a linear operator given as a mat-vec.
+    """Largest-magnitude eigenvalue of a real linear operator given as a mat-vec.
 
-    Plain power iteration with per-step normalization from :func:`near_uniform`
-    or a finite nonzero ``start`` of length ``n``; a start orthogonal to the
-    dominant vector converges to another eigenvalue. Each step takes the
-    norms of ``w - prev`` and ``w + prev`` once, for both the degenerate-pair
-    test and the residual. An ``apply`` output with a non-finite norm raises
-    :class:`EigenConvergenceError` at once, naming the iteration.
+    Explicitly restarted Arnoldi from :func:`near_uniform` or a finite
+    nonzero ``start`` of length ``n``: each mat-vec output is orthogonalized
+    against the basis by Gram-Schmidt with one reorthogonalization pass, and
+    the leading Ritz pair of the Hessenberg matrix is checked after every
+    mat-vec. The run stops at the first Ritz residual below ``tol``, or when
+    the Krylov space is invariant; after KRYLOV_DIM mat-vecs without either
+    it restarts from the Ritz vector, whose largest-magnitude entry is made
+    positive. A start inside an invariant subspace finds that subspace's
+    leading eigenvalue, and a zero operator returns 0. A complex leading pair
+    raises :class:`EigenConvergenceError` naming it, as does an ``apply``
+    output with a non-finite norm (at the mat-vec that made it) and a run
+    that has not converged after ``max_iter`` mat-vecs.
     """
     if n < 1:
         raise TensorError("operator dimension must be at least 1")
@@ -195,39 +209,65 @@ def dominant_eig(
     v = near_uniform(n) if start is None else np.array(start, dtype=np.float64)
     if v.shape != (n,) or not np.isfinite(v).all() or not v.any():
         raise TensorError(f"start must be a finite nonzero vector of shape ({n},)")
-    v /= np.linalg.norm(v)
-    sqrt_tol = np.sqrt(tol)
-    prev = None
-    prev2 = None
+    dim = min(KRYLOV_DIM, n)
+    basis = np.empty((dim, n))
+    hess = np.zeros((dim + 1, dim))
+    basis[0] = v / np.linalg.norm(v)
     residual = np.inf
+    j = 0                   # the basis vector applied next
     for it in range(1, max_iter + 1):
-        w = apply(v)
+        w = apply(basis[j])
         nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            return DominantEig(value=0.0, vector=v, iterations=it, residual=0.0)
         if not math.isfinite(nrm):
             raise EigenConvergenceError(
-                f"power iteration produced a vector of norm {nrm} at iteration {it}",
+                f"Arnoldi produced a vector of norm {nrm} at iteration {it}",
                 residual=float(residual),
                 iterations=it,
             )
-        w = w / nrm
-        if prev is not None:
-            minus = np.linalg.norm(w - prev)
-            residual = min(minus, np.linalg.norm(w + prev))
-            if prev2 is not None and residual > sqrt_tol and np.linalg.norm(w - prev2) < tol:
-                # Period-2 cycle that is no sign flip: degenerate +/- pair;
-                # nrm estimates |lambda|.
-                return DominantEig(value=nrm, vector=w, iterations=it, residual=minus, degenerate=True)
-            if residual < tol:
-                lam = float(w @ apply(w))
-                return DominantEig(value=lam, vector=w, iterations=it, residual=residual)
-        prev2 = prev
-        prev = w
-        v = w
-    raise EigenConvergenceError(
-        f"power iteration did not converge in {max_iter} iterations "
-        f"(last residual {residual:.3e})",
-        residual=float(residual),
-        iterations=max_iter,
-    )
+        q = basis[: j + 1]
+        h = q @ w
+        w = w - h @ q
+        again = q @ w
+        w -= again @ q
+        hess[: j + 1, j] = h + again
+        beta = hess[j + 1, j] = np.linalg.norm(w)
+        vals, vecs = np.linalg.eig(hess[: j + 1, : j + 1])
+        order = np.argsort(-np.abs(vals), kind="stable")
+        theta, y = vals[order[0]], vecs[:, order[0]]
+        invariant = j + 1 == n or beta <= 4 * np.finfo(float).eps * nrm
+        if invariant:
+            residual = 0.0
+        else:
+            residual = beta * abs(y[-1]) / abs(theta) if theta else np.inf
+        if theta.imag and (invariant or residual < tol):
+            raise EigenConvergenceError(
+                f"the leading eigenvalues are a complex pair {theta.real:.6g} +/- "
+                f"{abs(theta.imag):.6g}i (after {it} mat-vecs)",
+                residual=float(residual),
+                iterations=it,
+            )
+        x = (y @ q).real
+        if invariant or residual < tol:
+            break
+        if j + 1 < dim:
+            basis[j + 1] = w / beta
+            j += 1
+        else:               # restart from the Ritz vector
+            basis[0] = x / np.linalg.norm(x)
+            j = 0
+    else:
+        raise EigenConvergenceError(
+            f"Arnoldi did not converge in {max_iter} mat-vecs (last residual {residual:.3e})",
+            residual=float(residual),
+            iterations=max_iter,
+        )
+    x /= np.linalg.norm(x)
+    if x[np.abs(x).argmax()] < 0:
+        x = -x
+    theta = float(theta.real)
+    degenerate = False
+    if j and theta:
+        second = vals[order[1]]
+        degenerate = not second.imag and abs(theta + second.real) <= math.sqrt(tol) * abs(theta)
+    return DominantEig(value=abs(theta) if degenerate else theta, vector=x, iterations=it,
+                       residual=float(residual), degenerate=bool(degenerate))

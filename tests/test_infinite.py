@@ -25,7 +25,7 @@ from pne.models import (
     uniform_fixed_point,
 )
 from pne.network import contract
-from pne.tensor import EigenConvergenceError
+from pne.tensor import EigenConvergenceError, dominant_eig
 from test_tensor import oracle_dominant_eig
 
 
@@ -61,7 +61,7 @@ class TestTransferEigs:
     def test_vacuum_start_escapes_a_subdominant_vacuum(self, axis):
         # T_1 = diag(0.5, 1.0) on both axes, and T_2 = T_1 (x) T_1: the BP
         # vacuum e0^{(x)k} is an exact eigenvector with 0.5**k, the dominant
-        # value is 1. Power iteration from the bare vacuum would stop at 0.5**k.
+        # value is 1. Krylov from the bare vacuum would stop at 0.5**k.
         unit = np.zeros((2, 2, 2, 2))
         unit[0, 0, 0, 0] = 0.5
         unit[1, 1, 0, 0] = 1.0
@@ -96,6 +96,31 @@ class TestTransferEigs:
             mat = np.einsum("adxm,bemy,x,y->abde", u, u, e0, e0).reshape(9, 9)
             dense = np.max(np.abs(np.linalg.eigvals(mat)))
             np.testing.assert_allclose(transfer_eigs(ctx, [2], axis=axis)[2], dense, rtol=1e-10)
+
+
+class TestKrylovAgainstPowerIteration:
+    """transfer_eigs' Arnoldi values against the power-iteration loop that it
+    replaced, from the same vacuum start, on every strip the strip-infinite
+    workload and the infinite suite use and on two units without the Ising
+    symmetries."""
+
+    @pytest.mark.parametrize("name", ["ising 0.7", "ising 0.84", "ising 0.87", "ising 0.95",
+                                      "ising 1.2", "aklt", "random"])
+    def test_widths_one_to_six_on_both_axes(self, name, monkeypatch):
+        if name == "aklt":
+            unit = aklt_norm_tensor()
+        elif name == "random":
+            unit = random_tensor((3,) * 4, bias=0.5, seed=1)
+        else:
+            frac = float(name.split()[1])
+            unit = block_unit(ising_unit_tensor(2, frac * BETA_C_2D), (2, 2)).materialize()
+        ubp = uniform_fixed_point(unit)
+        krylov = [transfer_eigs(prepare_strips(unit, ubp), range(1, 7), axis=axis) for axis in (0, 1)]
+        monkeypatch.setattr(infinite, "dominant_eig", oracle_dominant_eig)
+        power = [transfer_eigs(prepare_strips(unit, ubp), range(1, 7), axis=axis) for axis in (0, 1)]
+        for got, want in zip(krylov, power):
+            for k in range(1, 7):
+                assert abs(got[k] - want[k]) <= 1e-13 * abs(want[k]), k
 
 
 class TestPatchScalar:
@@ -266,6 +291,29 @@ class TestCylinder:
         dense = np.max(np.real(np.linalg.eigvals(mat)))
         np.testing.assert_allclose(cylinder_baseline(unit, 4), -math.log(dense) / 4, rtol=1e-10)
 
+    def test_critical_spin_ring_of_eight_against_dense(self, monkeypatch):
+        # the L = 8 spin cylinder at beta_c, whose gap is small: within 60
+        # mat-vecs and equal to the dense eigenvalue of the materialized
+        # 256 x 256 ring operator
+        unit = ising_unit_tensor(2, BETA_C_2D)
+        apply = infinite._ring_operator(unit, 8)
+        mat = np.stack([apply(col) for col in np.eye(256)], axis=1)
+        vals = np.linalg.eigvals(mat)
+        dense = vals[np.abs(vals).argmax()]
+        assert dense.imag == 0
+        results = []
+
+        def recorded(*args, **kwargs):
+            results.append(dominant_eig(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(infinite, "dominant_eig", recorded)
+        f = cylinder_baseline(unit, 8)
+        (res,) = results
+        assert res.iterations <= 60 and not res.degenerate
+        assert abs(res.value - dense.real) <= 1e-12 * dense.real
+        assert f == -math.log(res.value) / 8
+
     def test_converges_to_onsager(self):
         beta = 0.75 * BETA_C_2D
         f = cylinder_baseline(ising_unit_tensor(2, beta), 10)
@@ -367,7 +415,7 @@ class TestCompiledRow:
             for k in range(1, 7):
                 apply, oracle = infinite._operator(ctx, axis, k), oracle_strip_operator(oriented, k)
                 # the vacuum, a random state, and each applied once more (as
-                # patch_scalar and power iteration feed outputs back in)
+                # patch_scalar and Arnoldi feed outputs back in)
                 for v in (ctx.e0(k), rng.normal(size=oriented.shape[0] ** k)):
                     got, want = apply(v), oracle(v)
                     _same_bytes(got, want)
@@ -397,7 +445,6 @@ class TestCompiledRow:
         ubp = uniform_fixed_point(blocked)
         got = {w: free_energy(blocked, w, ctx=prepare_strips(blocked, ubp)) for w in range(1, 6)}
         monkeypatch.setattr(infinite, "_strip_operator", oracle_strip_operator)
-        monkeypatch.setattr(infinite, "dominant_eig", oracle_dominant_eig)
         for w in range(1, 6):
             want = free_energy(blocked, w, ctx=prepare_strips(blocked, ubp))
             assert got[w] == want      # value, terms and argument, floats compared exactly
@@ -407,11 +454,10 @@ class TestCompiledRow:
         got = [cylinder_baseline(unit, length) for length in range(1, 5)]
         monkeypatch.setattr(infinite, "_ring_operator",
                             lambda unit, length: lambda v: oracle_ring_apply(unit, length, v))
-        monkeypatch.setattr(infinite, "dominant_eig", oracle_dominant_eig)
         assert got == [cylinder_baseline(unit, length) for length in range(1, 5)]
 
     def test_free_energy_calls_the_traced_names(self, monkeypatch):
-        # perfbench times power iteration and patches by wrapping these two
+        # perfbench times eigenvalues and patches by wrapping these two
         # module-level names; a path around them would read as zero time.
         calls = {"dominant_eig": 0, "patch_scalar": 0}
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pne import tensor
 from pne.tensor import (
     DominantEig,
     EigenConvergenceError,
@@ -248,8 +249,8 @@ class TestDominantEig:
 
 
 def oracle_dominant_eig(apply, n, tol=1e-12, max_iter=10000, start=None):
-    """The power-iteration loop with six norms per step that the four-norm
-    loop replaced, verbatim."""
+    """Power iteration with six norms per step, verbatim: bit for bit the
+    loop that restarted Arnoldi replaced, kept as a second oracle."""
     if n < 1:
         raise TensorError("operator dimension must be at least 1")
     v = near_uniform(n) if start is None else np.array(start, dtype=np.float64)
@@ -288,15 +289,6 @@ def oracle_dominant_eig(apply, n, tol=1e-12, max_iter=10000, start=None):
     )
 
 
-def same_eig(got, want):
-    """Every field equal, floats bit for bit and of the same type."""
-    for name in ("value", "residual"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert type(a) is type(b) and np.float64(a).tobytes() == np.float64(b).tobytes(), name
-    assert got.vector.shape == want.vector.shape and got.vector.tobytes() == want.vector.tobytes()
-    assert (got.iterations, got.degenerate) == (want.iterations, want.degenerate)
-
-
 def _spd(seed, n, shift):
     m = np.random.default_rng(seed).normal(size=(n, n))
     return m @ m.T + shift * np.eye(n)
@@ -320,23 +312,94 @@ EIG_CASES = {
 }
 
 
-class TestDominantEigOracle:
-    @pytest.mark.parametrize("case", list(EIG_CASES))
-    def test_bit_equal_to_six_norm_loop(self, case):
-        m, kwargs = EIG_CASES[case]
-        same_eig(dominant_eig(lambda v: m @ v, m.shape[0], **kwargs),
-                 oracle_dominant_eig(lambda v: m @ v, m.shape[0], **kwargs))
+def _nonsymmetric(seed, n):
+    """``S D S^-1`` for a random ``S``: a simple real dominant eigenvalue 3,
+    then 2x2 blocks of complex pairs and one real value, all inside |z| < 2."""
+    rng = np.random.default_rng(seed)
+    d = np.zeros((n, n))
+    d[0, 0] = 3.0
+    for i in range(1, n - 1, 2):
+        a, b = rng.uniform(-1.4, 1.4, size=2)
+        d[i:i + 2, i:i + 2] = [[a, -b], [b, a]]
+    if n % 2 == 0:
+        d[-1, -1] = rng.uniform(-1.9, 1.9)
+    s = rng.normal(size=(n, n))
+    return s @ d @ np.linalg.inv(s)
 
-    def test_same_failure_as_six_norm_loop(self):
+
+def dense_dominant(m, start=None):
+    """Largest-magnitude eigenvalue of ``m`` among those whose eigenvectors
+    the start vector has a component on (all of them for the default start),
+    and whether the two leading ones are a +/- pair."""
+    vals, vecs = np.linalg.eig(m)
+    coef = np.abs(np.linalg.solve(vecs, near_uniform(len(m)) if start is None else start))
+    vals = vals[coef > 1e-12 * coef.max()]
+    vals = vals[np.argsort(-np.abs(vals), kind="stable")]
+    pair = len(vals) > 1 and abs(vals[0] + vals[1]) < 1e-9 * abs(vals[0])
+    return (abs(vals[0]) if pair else vals[0].real), pair
+
+
+class TestDominantEigOracle:
+    @pytest.mark.parametrize("case", list(EIG_CASES) + ["nonsymmetric 30x30"])
+    def test_matches_dense_eigenvalues(self, case):
+        m, kwargs = EIG_CASES.get(case) or (_nonsymmetric(11, 30), {})
+        want, pair = dense_dominant(m, kwargs.get("start"))
+        assert abs(np.imag(want)) == 0
+        res = dominant_eig(lambda v: m @ v, m.shape[0], **kwargs)
+        assert abs(res.value - want) <= 1e-12 * abs(want)
+        assert res.degenerate == pair
+        assert res.vector.shape == (m.shape[0],) and np.isclose(np.linalg.norm(res.vector), 1.0)
+        if not pair:
+            resid = np.linalg.norm(m @ res.vector - res.value * res.vector) / abs(res.value)
+            assert resid < 1e-10
+
+    def test_nonsymmetric_operator_is_not_trivial(self):
+        m = _nonsymmetric(11, 30)
+        vals = np.linalg.eigvals(m)
+        assert not np.allclose(m, m.T) and np.any(np.imag(vals) != 0)
+        np.testing.assert_allclose(dense_dominant(m)[0], 3.0, rtol=1e-12)
+
+    def test_complex_leading_pair_named(self):
         rot = np.array([[0.6, -0.8], [0.8, 0.6]])     # eigenvalues 0.6 +/- 0.8i
-        errors = []
-        for solver in (dominant_eig, oracle_dominant_eig):
-            with pytest.raises(EigenConvergenceError) as info:
-                solver(lambda v: rot @ v, 2, max_iter=50)
-            errors.append(info.value)
-        got, want = errors
-        assert str(got) == str(want)
-        assert (got.residual, got.iterations) == (want.residual, want.iterations)
+        with pytest.raises(EigenConvergenceError, match=r"complex pair 0\.6 \+/- 0\.8i") as info:
+            dominant_eig(lambda v: rot @ v, 2, max_iter=50)
+        assert info.value.iterations <= 2
+
+    def test_near_degenerate_positive_pair(self):
+        m = np.diag(np.concatenate([[1.0, 1.0 - 1e-6], np.linspace(0.5, 0.01, 28)]))
+        res = dominant_eig(lambda v: m @ v, 30)
+        assert not res.degenerate and res.iterations <= 60
+        assert abs(res.value - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("m", [np.array([[-3.0]]), np.array([[0.5, 2.0], [0.25, -1.0]])],
+                             ids=["n=1", "n=2"])
+    def test_smallest_operators(self, m):
+        want, pair = dense_dominant(m)
+        res = dominant_eig(lambda v: m @ v, len(m))
+        assert not pair and not res.degenerate and res.iterations <= len(m)
+        assert abs(res.value - want) <= 1e-12 * abs(want)
+
+    def test_zero_operator(self):
+        res = dominant_eig(lambda v: np.zeros_like(v), 5)
+        assert (res.value, res.iterations, res.residual, res.degenerate) == (0.0, 1, 0.0, False)
+
+    def test_counts_mat_vecs_and_restarts(self):
+        # A spectrum that needs more than one Krylov cycle: every mat-vec is
+        # counted, and max_iter caps them.
+        m = np.diag(1.0 - np.arange(200) / 2000.0)
+        calls = []
+
+        def apply(v):
+            calls.append(1)
+            return m @ v
+
+        res = dominant_eig(apply, 200, tol=1e-12)
+        assert res.iterations == len(calls) > tensor.KRYLOV_DIM
+        assert abs(res.value - 1.0) <= 1e-12 and res.residual < 1e-12
+        calls.clear()
+        with pytest.raises(EigenConvergenceError, match="did not converge in 25 mat-vecs") as info:
+            dominant_eig(apply, 200, tol=1e-12, max_iter=25)
+        assert info.value.iterations == len(calls) == 25
 
 
 class TestDominantEigArguments:
