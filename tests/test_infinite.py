@@ -100,8 +100,9 @@ class TestTransferEigs:
 
 class TestKrylovAgainstPowerIteration:
     """transfer_eigs' Arnoldi values against the power-iteration loop that it
-    replaced, from the same vacuum start, on every strip the strip-infinite
-    workload and the infinite suite use and on two units without the Ising
+    replaced, from the same vacuum start: the blocked Ising strips across
+    the strip-infinite range of beta/beta_c, on both sides of the band
+    around 0.855 where BP slows down, and two units without the Ising
     symmetries."""
 
     @pytest.mark.parametrize("name", ["ising 0.7", "ising 0.84", "ising 0.87", "ising 0.95",
