@@ -167,7 +167,7 @@ def _outgoing(stack: np.ndarray, vecs: list[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
-def _layout(dims):
+def _message_layout(dims):
     """Where each message key lives while messages are iterated: keys of one
     extent, in key order, are the rows of one ``(K, dim)`` stack. Returns
     ``{dim: keys}`` and ``{key: (dim, row)}``."""
@@ -244,7 +244,7 @@ def _iterate_messages(dims, emit, tol, max_iter, damping, seed, error, initial=N
     :func:`pne.models.uniform_fixed_point`; failures raise ``error``.
 
     ``dims`` maps each message key to its extent. Messages live in one
-    ``(K, dim)`` stack per extent, laid out by :func:`_layout`.
+    ``(K, dim)`` stack per extent, laid out by :func:`_message_layout`.
     ``emit(stacks)`` returns the raw update of every message in the same
     layout. The start is ``initial`` (finite nonzero vectors) or ones plus
     1e-3 noise drawn in key order. Each sweep normalizes the update, keeps
@@ -261,7 +261,7 @@ def _iterate_messages(dims, emit, tol, max_iter, damping, seed, error, initial=N
     """
     if not 0.0 <= damping < 1.0:
         raise error(f"damping {damping} is outside [0, 1)")
-    groups, place = _layout(dims)
+    groups, place = _message_layout(dims)
 
     def by_key(rows):
         rows = {dim: list(r) for dim, r in rows.items()}
@@ -337,7 +337,7 @@ def run_bp(
     source = {(eid, d): (eid, 0 if edge.is_open else d) for eid, edge in sorted(net.edges.items()) for d in (0, 1)}
     dims = {k: net.edges[k[0]].dim for k in source.values()}
     start = None if initial is None else {k: _start_message(initial, *k, dim) for k, dim in dims.items()}
-    emit = _stack_emit(_node_chunks(net, _layout(dims)[1]))
+    emit = _stack_emit(_node_chunks(net, _message_layout(dims)[1]))
     messages, it, residuals, history, converged = _iterate_messages(
         dims, emit, tol, max_iter, damping, seed, BPError, start)
     return BPState(messages={k: messages[src] for k, src in source.items()}, iterations=it,

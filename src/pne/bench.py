@@ -300,7 +300,7 @@ def _identity_selftest(suite: str, seed: int) -> bool:
     exact = contract(g.net)
     err = float(np.linalg.norm(np.asarray(val + res - exact).ravel()))
     scale = max(float(np.linalg.norm(np.asarray(exact).ravel())), 1e-300)
-    return err / scale < 1e-8
+    return err / scale < 1e-10
 
 
 def _expansion_flops(exp) -> int:
@@ -342,7 +342,7 @@ def _scalar_records(suite, geometry, model, param, seed_tag, g, methods, workers
                                    bp_state=bp_state if projectors == "bp" else None, **kwargs)
                 out.append(_preset_record(suite, geometry, model, param, seed_tag, method, pre, rank,
                                           exact, workers))
-        except (NetworkError, BenchError) as exc:
+        except (NetworkError, BenchError):
             out.append(BenchRecord(suite, geometry, model, param, seed_tag, method, preset, rank,
                                    "rel", math.nan, exact, math.nan, 0, converged=False))
     return out

@@ -66,8 +66,8 @@ def cmd_contract(args) -> int:
     from pne.network import contract, plan_order
 
     net = pio.load_network(args.netfile)
+    value = contract(net)
     plan = plan_order(net)
-    value = contract(net, plan=plan)
     if value.ndim == 0:
         print(f"scalar = {float(value)!r}")
     else:

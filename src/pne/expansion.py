@@ -21,9 +21,10 @@ every term that carries it. The order of absorption is the one stated
 above, so a term's bits are those of building it alone. Shared arrays are
 read-only, and the table is dropped when the build returns. Each factor is
 checked (shape and orthonormality) once per build, not once per term.
-The input network is validated once per build, and no term is: a term is
-the input with checked operators absorbed on, or cut into, covered axes, so
-its plan is read from the plan cache by layout without validating it.
+A build validates its input network before it builds any term. Each term
+takes its plan from :func:`plan_order`, which checks the term's layout
+once per layout in the plan cache, and :func:`evaluate` contracts it with
+:func:`contract`.
 """
 
 from __future__ import annotations
@@ -49,9 +50,8 @@ from pne.network import (
     insert_joint_dense,
     insert_joint_isometry,
     insert_joint_ketbra,
+    plan_order,
     validate,
-    _layout,
-    _plan_for,
 )
 from pne.tensor import asarray, basis_columns
 
@@ -328,9 +328,8 @@ def _expansion(
 ) -> Expansion:
     """One term per (pattern, coefficient), plus the all-complement residue.
 
-    Only ``net`` is validated (see the module docstring), raising what
-    :func:`plan_order` would. The terms share one node-variant table,
-    dropped when the build returns."""
+    ``net`` is validated first, raising what :func:`plan_order` would. The
+    terms share one node-variant table, dropped when the build returns."""
     problems = validate(net)
     if problems:
         raise NetworkError("cannot plan an invalid network: " + "; ".join(problems))
@@ -339,7 +338,7 @@ def _expansion(
     for pattern, coefficient in patterns:
         work = _pattern_network(net, partitions, pattern, table)
         terms.append(ExpansionTerm(pattern=pattern, coefficient=coefficient, network=work,
-                                   plan=_plan_for(_layout(work))[0]))
+                                   plan=plan_order(work)))
     residue = ResidueSpec(coefficient=1.0, network=net, partitions=partitions)
     return Expansion(form=form, net=net, partitions=partitions, terms=terms, residues=[residue])
 
@@ -418,7 +417,7 @@ def evaluate(
 
     def term_value(t: ExpansionTerm) -> np.ndarray:
         try:
-            return contract(t.network, plan=t.plan, memory_cap_bytes=memory_cap_bytes)
+            return contract(t.network, memory_cap_bytes=memory_cap_bytes)
         except NetworkError as exc:
             raise ExpansionError(f"term {t.pattern} failed to contract: {exc}") from exc
     if workers and workers > 1:

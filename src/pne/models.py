@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 
-from pne.belief import _absorb_all, _iterate_messages, _layout, _message_gauge, _rows, _stack_emit
+from pne.belief import _absorb_all, _iterate_messages, _message_gauge, _message_layout, _rows, _stack_emit
 from pne.network import NetworkError, TensorNetwork, absorb_matrix, contract, subnetwork
 from pne.tensor import asarray
 
@@ -336,7 +336,7 @@ def uniform_fixed_point(
     unit. A lazy blocked unit contracts its cluster once per face."""
     ops = unit if isinstance(unit, BlockedUnit) else _UnitOps(unit)
     dims = {(g, s): ops.face_dim(g, s) for g in range(ops.ndim) for s in (0, 1)}
-    groups, place = _layout(dims)
+    groups, place = _message_layout(dims)
     dense = ops._materialized if isinstance(ops, BlockedUnit) else ops.unit
     # The cap on face (g, s) is the message a neighbor emits from (g, 1 - s);
     # face (g, s) is axis 2 * g + s, so dims lists the faces in axis order.

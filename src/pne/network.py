@@ -19,22 +19,25 @@ because the benchmark tracer (``perfbench/tracing.py``) wraps it by name
 as its ``insert`` layer, and fails to start without it; it can go once
 that layer is pointed elsewhere.
 
-:func:`contract` runs a *compiled* plan. A plan is compiled once per network
-layout (node ids, each edge's id, endpoints with their axes, and dim) into
-a program of steps over slots of the node list. A pair step stores the
-permutations, the ``(m, k)`` and ``(k, n)`` matrix shapes and the output
-shape that ``np.tensordot`` would derive from the step's axis lists on
-every call, and runs the same transpose, reshape, ``np.dot`` and reshape,
-so every value has ``np.tensordot``'s bits. Trace and outer steps store
-their operands and axes, and the program ends with the permutation that
-puts the open edges in ascending edge-id order.
+:func:`plan_order` is the one way to the plan cache. It keys the cache by
+the network's *layout* (node ids and shapes, each edge's id, endpoints with
+their axes, and dim), and a miss checks the layout with :func:`validate`'s
+rules before planning it; the cache keeps no failure, so a hit proves the
+network valid. A cached plan carries a program compiled for its layout: a
+program of steps over slots of the node list, which :func:`contract` runs.
+A pair step stores the permutations, the ``(m, k)`` and ``(k, n)`` matrix
+shapes and the output shape that ``np.tensordot`` would derive from the
+step's axis lists on every call, and runs the same transpose, reshape,
+``np.dot`` and reshape, so every value has ``np.tensordot``'s bits. Trace
+and outer steps store their operands and axes, and the program ends with
+the permutation that puts the open edges in ascending edge-id order.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -173,33 +176,49 @@ class TensorNetwork:
         return max(self.edges, default=-1) + 1
 
 
+# A network's layout: its node ids, their shapes and, in edge-dict order,
+# each edge's (edge id, (node, axis) endpoints, dim). It keys the cache of
+# plans and compiled programs, and fixes whether the network is valid.
+Layout = tuple[tuple[int, ...], tuple[tuple[int, ...], ...],
+               tuple[tuple[int, tuple[tuple[int, int], ...], int], ...]]
+
+
+def _layout(net: TensorNetwork) -> Layout:
+    return (tuple(net.nodes), tuple([t.shape for t in net.nodes.values()]),
+            tuple([(eid, e.endpoints, e.dim) for eid, e in net.edges.items()]))
+
+
 def validate(net: TensorNetwork) -> list[str]:
     """Return a list of structural violations (empty when the network is ok)."""
-    problems: list[str] = [] if net.nodes else ["network has no nodes"]
+    return _violations(_layout(net))
+
+
+def _violations(layout: Layout) -> list[str]:
+    node_ids, node_shapes, edges = layout
+    shapes = dict(zip(node_ids, node_shapes))
+    problems: list[str] = [] if shapes else ["network has no nodes"]
     seen: dict[tuple[int, int], int] = {}
-    for eid, edge in net.edges.items():
-        if not 1 <= len(edge.endpoints) <= 2:
-            problems.append(f"edge {eid}: has {len(edge.endpoints)} endpoints")
+    for eid, ends, dim in edges:
+        if not 1 <= len(ends) <= 2:
+            problems.append(f"edge {eid}: has {len(ends)} endpoints")
             continue
-        for n, ax in edge.endpoints:
-            if n not in net.nodes:
+        for n, ax in ends:
+            if n not in shapes:
                 problems.append(f"edge {eid}: unknown node {n}")
                 continue
-            t = net.nodes[n]
-            if not 0 <= ax < t.ndim:
+            shape = shapes[n]
+            if not 0 <= ax < len(shape):
                 problems.append(f"edge {eid}: node {n} has no axis {ax}")
                 continue
-            if t.shape[ax] != edge.dim:
-                problems.append(
-                    f"edge {eid}: extent {t.shape[ax]} of node {n} axis {ax} != edge dim {edge.dim}"
-                )
+            if shape[ax] != dim:
+                problems.append(f"edge {eid}: extent {shape[ax]} of node {n} axis {ax} != edge dim {dim}")
             key = (n, ax)
             if key in seen:
                 problems.append(f"axis {ax} of node {n} covered by edges {seen[key]} and {eid}")
             else:
                 seen[key] = eid
-    for n, t in net.nodes.items():
-        for ax in range(t.ndim):
+    for n, shape in shapes.items():
+        for ax in range(len(shape)):
             if (n, ax) not in seen:
                 problems.append(f"axis {ax} of node {n} is not covered by any edge")
     return problems
@@ -465,6 +484,8 @@ class ContractionPlan:
     total_flops: int
     peak_step_flops: int
     peak_result_entries: int
+    # The compiled program of a cached plan (see :func:`plan_order`).
+    program: _Program | None = field(default=None, compare=False, repr=False)
 
     def cost_exponent(self, chi: float) -> float:
         """Peak step cost as a power of ``chi`` (exact when all extents are
@@ -474,22 +495,13 @@ class ContractionPlan:
         return math.log(self.peak_step_flops) / math.log(chi)
 
 
-# A network's layout: its node ids and, in edge-dict order, each edge's
-# (edge id, (node, axis) endpoints, dim). It keys the cache of plans and
-# compiled programs.
-Layout = tuple[tuple[int, ...], tuple[tuple[int, tuple[tuple[int, int], ...], int], ...]]
-
 # What a planner reads of a layout: its node ids and each edge's (edge id,
 # endpoint node ids, dim).
 PlanKey = tuple[tuple[int, ...], tuple[tuple[int, tuple[int, ...], int], ...]]
 
 
-def _layout(net: TensorNetwork) -> Layout:
-    return tuple(net.nodes), tuple([(eid, e.endpoints, e.dim) for eid, e in net.edges.items()])
-
-
 def _planner_key(layout: Layout) -> PlanKey:
-    node_ids, edges = layout
+    node_ids, _, edges = layout
     return node_ids, tuple((eid, tuple(n for n, _ in ends), int(dim)) for eid, ends, dim in edges)
 
 
@@ -666,7 +678,10 @@ PLAN_CACHE_SIZE = 4096
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _plan_for(layout: Layout) -> tuple[ContractionPlan, _Program]:
+def _plan_for(layout: Layout) -> ContractionPlan:
+    problems = _violations(layout)
+    if problems:
+        raise NetworkError("cannot plan an invalid network: " + "; ".join(problems))
     # The heuristics still run under DP_NODE_CAP. On 454 DP-eligible preset
     # structures none beat the DP strictly, but in 245 a heuristic ties it
     # with a different plan and wins by list order: dropping them would
@@ -677,7 +692,7 @@ def _plan_for(layout: Layout) -> tuple[ContractionPlan, _Program]:
     if len(key[0]) <= DP_NODE_CAP:
         candidates.append(_plan_dp(key))
     plan = min(candidates, key=lambda p: (p.peak_step_flops, p.total_flops))
-    return plan, _compile(plan, layout)
+    return replace(plan, program=_compile(plan, layout))
 
 
 def plan_order(net: TensorNetwork) -> ContractionPlan:
@@ -692,19 +707,16 @@ def plan_order(net: TensorNetwork) -> ContractionPlan:
     right shape). Disconnected components end in outer products between the
     smallest surviving node ids.
 
-    Plans are memoized for the whole process by layout: node ids and each
-    edge's id, endpoints (node and axis) and dim, never tensor values. The
-    strategies read only node ids and dims, so layouts that differ only in
-    axes get equal plans; the key holds the axes because the same entry
-    holds the plan compiled for :func:`contract`. Networks that share a
-    layout share one plan object while it stays cached. The network is
-    still validated on every call; expansion builds skip that for their
-    terms (see :mod:`pne.expansion`).
+    Plans are memoized for the whole process by layout: node ids and
+    shapes, and each edge's id, endpoints (node and axis) and dim, never
+    tensor values. A layout is checked with :func:`validate`'s rules when it
+    is first planned; an invalid one raises :class:`NetworkError` and is not
+    cached, so every call on an invalid network raises. The strategies read
+    only node ids and dims, so layouts that differ only in axes get equal
+    plans, each with the program compiled for its own layout. Networks that
+    share a layout share one plan object while it stays cached.
     """
-    problems = validate(net)
-    if problems:
-        raise NetworkError("cannot plan an invalid network: " + "; ".join(problems))
-    return _plan_for(_layout(net))[0]
+    return _plan_for(_layout(net))
 
 
 _TRACE, _PAIR, _OUTER = range(3)
@@ -719,56 +731,51 @@ class _Program:
     steps: tuple[tuple, ...]
     last: int                          # slot that holds the result
     final: tuple[int, ...] | None      # open axes to ascending edge ids
-    peak_entries: int                  # entries of the largest step result
+
+    def __call__(self, tensors: list) -> np.ndarray:
+        """Run the steps on the node tensors in layout order; consumed
+        slots of ``tensors`` are cleared."""
+        for kind, a, b, out, args in self.steps:
+            if kind == _PAIR:
+                perm_a, shape_a, perm_b, shape_b, shape = args
+                res = np.dot(tensors[a].transpose(perm_a).reshape(shape_a),
+                             tensors[b].transpose(perm_b).reshape(shape_b)).reshape(shape)
+            elif kind == _OUTER:
+                res = np.multiply.outer(tensors[a], tensors[b])
+            else:
+                res = np.trace(tensors[a], axis1=args[0], axis2=args[1])
+            tensors[a] = tensors[b] = None     # let consumed operands be freed
+            tensors[out] = res
+        result = tensors[self.last]
+        return result if self.final is None else result.transpose(self.final)
 
 
 def _compile(plan: ContractionPlan, layout: Layout) -> _Program:
-    """Compile ``plan`` for ``layout``.
+    """Compile ``plan`` for ``layout``, the layout it was made for.
 
     Tracks each live node's axis edge ids through the steps the way an
     uncompiled contraction would: a trace removes the node's smallest
     self-loop; a pair contracts the shared edges in ascending id order,
     keeping ``a``'s other axes and then ``b``'s; nodes that share no edge
-    take an outer product. A plan made for another wiring of the same nodes
-    therefore still contracts this network correctly, and the program's
-    ``peak_entries`` is the largest result it makes on this network (equal to
-    the plan's ``peak_result_entries`` when the plan was made for this
-    layout). Raises :class:`NetworkError` when the plan does not fit the
-    network's nodes.
+    take an outer product.
     """
-    node_ids, edges = layout
-    planned = {n for s in plan.steps for n in s.nodes}
-    if planned != set(node_ids) and (planned or len(node_ids) > 1):
-        raise NetworkError(
-            f"plan is for nodes {sorted(planned)}, but the network has nodes {sorted(node_ids)}"
-        )
+    node_ids, shapes, edges = layout
     slot = {n: i for i, n in enumerate(node_ids)}
     dims = {eid: int(dim) for eid, _, dim in edges}
-    live: dict[int, list[int]] = {n: [] for n in node_ids}
+    live: dict[int, list[int]] = {n: [-1] * len(shape) for n, shape in zip(node_ids, shapes)}
     for eid, ends, _ in edges:
         for n, ax in ends:
-            legs = live[n]
-            legs.extend([-1] * (ax + 1 - len(legs)))
-            legs[ax] = eid
+            live[n][ax] = eid
 
     steps = []
-    peak = 0
-    for k, step in enumerate(plan.steps):
-        gone = [n for n in step.nodes if n not in live]
-        if gone or step.result not in step.nodes:
-            raise NetworkError(f"plan step {k} ({step.kind} of nodes {step.nodes}, keeping "
-                               f"{step.result}) uses nodes that are merged or not its own")
+    for step in plan.steps:
         if step.kind == "trace":
             (n,) = step.nodes
             legs = live[n]
-            loops = [e for e in set(legs) if legs.count(e) == 2]
-            if not loops:
-                raise NetworkError(f"plan step {k} traces node {n}, which has no self-loop")
-            eid = min(loops)
+            eid = min(e for e in set(legs) if legs.count(e) == 2)
             i, j = (i for i, e in enumerate(legs) if e == eid)
             steps.append((_TRACE, slot[n], slot[n], slot[n], (i, j)))
             live[n] = [e for e in legs if e != eid]
-            peak = max(peak, math.prod(dims[e] for e in live[n]) or 1)
             continue
         a, b = step.nodes
         la, lb = live.pop(a), live.pop(b)
@@ -787,57 +794,28 @@ def _compile(plan: ContractionPlan, layout: Layout) -> _Program:
         else:
             steps.append((_OUTER, slot[a], slot[b], slot[step.result], ()))
         live[step.result] = [e for e in la if e not in shared] + [e for e in lb if e not in shared]
-        peak = max(peak, math.prod(dims[e] for e in live[step.result]) or 1)
 
-    if len(live) != 1:
-        raise NetworkError(f"plan leaves nodes {sorted(live)} uncontracted")
     ((last, open_ids),) = live.items()
     final = tuple(sorted(range(len(open_ids)), key=open_ids.__getitem__)) if open_ids else None
-    return _Program(steps=tuple(steps), last=slot[last], final=final, peak_entries=peak)
+    return _Program(steps=tuple(steps), last=slot[last], final=final)
 
 
-def contract(
-    net: TensorNetwork,
-    memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES,
-    plan: ContractionPlan | None = None,
-) -> np.ndarray:
+def contract(net: TensorNetwork, memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES) -> np.ndarray:
     """Contract the network exactly.
 
     Closed networks yield a rank-0 array; open edges become result axes in
-    ascending edge-id order. Raises :class:`MemoryBudgetError` before
-    materializing an intermediate larger than ``memory_cap_bytes``, sized
-    from the steps the program runs on this network.
-
-    Runs the program compiled with the cached plan of the network's layout
-    (planning the layout if it is not cached). An explicit ``plan`` that is
-    not that cached plan is compiled for this network on each call; one
-    that does not fit its nodes raises :class:`NetworkError`.
+    ascending edge-id order. Runs the program of :func:`plan_order`'s plan,
+    so an invalid network raises what :func:`plan_order` raises. Raises
+    :class:`MemoryBudgetError` before materializing an intermediate larger
+    than ``memory_cap_bytes``, sized by the plan's ``peak_result_entries``
+    (the largest result its program makes).
     """
-    if plan is None:
-        plan = plan_order(net)
-    layout = _layout(net)
-    cached, program = _plan_for(layout)
-    if plan is not cached:
-        program = _compile(plan, layout)
-    big = program.peak_entries
+    plan = plan_order(net)
+    big = plan.peak_result_entries
     if big * 8 > memory_cap_bytes:
         raise MemoryBudgetError(
             f"planned intermediate of {big} entries ({big * 8} bytes) "
             f"exceeds the {memory_cap_bytes}-byte cap",
             shape=(big,),
         )
-
-    tensors = list(net.nodes.values())
-    for kind, a, b, out, args in program.steps:
-        if kind == _PAIR:
-            perm_a, shape_a, perm_b, shape_b, shape = args
-            res = np.dot(tensors[a].transpose(perm_a).reshape(shape_a),
-                         tensors[b].transpose(perm_b).reshape(shape_b)).reshape(shape)
-        elif kind == _OUTER:
-            res = np.multiply.outer(tensors[a], tensors[b])
-        else:
-            res = np.trace(tensors[a], axis1=args[0], axis2=args[1])
-        tensors[a] = tensors[b] = None     # let consumed operands be freed
-        tensors[out] = res
-    result = tensors[program.last]
-    return result if program.final is None else result.transpose(program.final)
+    return plan.program(list(net.nodes.values()))

@@ -51,6 +51,7 @@ from pne.network import (
     NetworkError,
     TensorNetwork,
     absorb_matrix,
+    contract,
     validate,
 )
 from pne.tensor import basis_columns, svd_stack
@@ -109,8 +110,6 @@ class WeightState:
         return out
 
     def contract_value(self) -> float:
-        from pne.network import contract
-
         return float(contract(self.network_with_weights())) * float(np.exp(self.log_prefactor))
 
 

@@ -27,6 +27,7 @@ from pne.network import (
     insert_joint_isometry,
     insert_joint_ketbra,
     _Planner,
+    _compile,
     _layout,
     _plan_dp,
     _plan_for,
@@ -44,6 +45,12 @@ def vec_net():
     return TensorNetwork.build(
         {0: np.array([1.0, 2.0]), 1: np.array([3.0, 4.0])}, {0: [(0, 0), (1, 0)]}
     )
+
+
+def run_plan(plan, net):
+    """``plan`` compiled for ``net``'s own layout and run the way
+    :func:`contract` runs a cached plan's program."""
+    return _compile(plan, _layout(net))(list(net.nodes.values()))
 
 
 def brute_force_value(net):
@@ -135,7 +142,7 @@ class TestContract:
             _plan_greedy(key, seed=3),
             _plan_dp(key),
         ]
-        values = [float(contract(g.net, plan=plan)) for plan in plans]
+        values = [float(run_plan(plan, g.net)) for plan in plans]
         for v in values[1:]:
             np.testing.assert_allclose(v, values[0], rtol=1e-10)
 
@@ -410,12 +417,22 @@ class TestPlanCache:
         assert _plan_for.cache_info().hits == 1
 
     def test_invalid_twin_still_raises(self):
+        # A warmed entry never vouches for a network it has not seen: same
+        # edges, but node 0 has a wrong extent, then an extra trailing axis.
         g = random_grid((2, 3), 3, seed=0)
         plan_order(g.net)
-        bad = g.net.copy()
-        bad.nodes[0] = bad.nodes[0][..., :2]   # same edges, wrong extent
-        with pytest.raises(NetworkError, match="invalid"):
-            plan_order(bad)
+        wrong_extent, extra_axis = g.net.copy(), g.net.copy()
+        wrong_extent.nodes[0] = g.net.nodes[0][..., :2]
+        extra_axis.nodes[0] = g.net.nodes[0][..., None]
+        cases = ((wrong_extent, "extent 2 of node 0"), (extra_axis, "axis 2 of node 0 is not covered"))
+        for bad, problem in cases:
+            message = "cannot plan an invalid network: " + "; ".join(validate(bad))
+            assert problem in message
+            for call in (plan_order, contract):
+                with pytest.raises(NetworkError) as info:
+                    call(bad)
+                assert type(info.value) is NetworkError and str(info.value) == message
+        np.testing.assert_allclose(float(contract(g.net)), brute_force_value(g.net), rtol=1e-12)
 
 
 class TestInsertions:
@@ -630,7 +647,7 @@ class TestCompiledContract:
             key = _planner_key(_layout(net))
             plans = [plan_order(net), _plan_sweep(key, reverse=True), _plan_greedy(key, seed=2)]
             for plan in plans:
-                _same_bytes(contract(net, plan=plan), oracle_contract(net, plan=plan))
+                _same_bytes(run_plan(plan, net), oracle_contract(net, plan=plan))
                 kinds.update(s.kind for s in plan.steps)
             _same_bytes(contract(net), oracle_contract(net))
         assert kinds == {"trace", "pair", "outer"}
@@ -640,7 +657,7 @@ class TestCompiledContract:
         terms = build_preset("grid3x3-chi4", g, projectors="random", seed=2).expansion.terms
         assert any(not t.flags.writeable for term in terms for t in term.network.nodes.values())
         for term in terms:
-            _same_bytes(contract(term.network, plan=term.plan), oracle_contract(term.network, plan=term.plan))
+            _same_bytes(contract(term.network), oracle_contract(term.network, plan=term.plan))
 
     def test_open_edges_in_ascending_id_order(self):
         rng = np.random.default_rng(4)
@@ -653,64 +670,35 @@ class TestCompiledContract:
 
     def test_layouts_differing_only_in_axes(self):
         # Equal node ids, edge ids and dims; node 1's axes are swapped. The
-        # plans are equal, but each network must run its own program.
+        # plans compare equal, but each carries its own layout's program.
         rng = np.random.default_rng(5)
         t0, t1, t2 = rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
         a = TensorNetwork.build({0: t0, 1: t1, 2: t2}, {0: [(0, 0), (1, 0)], 1: [(1, 1), (2, 0)], 2: [(2, 1), (0, 1)]})
         b = TensorNetwork.build({0: t0, 1: t1, 2: t2}, {0: [(0, 0), (1, 1)], 1: [(1, 0), (2, 0)], 2: [(2, 1), (0, 1)]})
         assert _planner_key(_layout(a)) == _planner_key(_layout(b)) and _layout(a) != _layout(b)
-        assert plan_order(a) == plan_order(b)
+        assert plan_order(a) == plan_order(b) and plan_order(a).program != plan_order(b).program
         for _ in range(2):
             np.testing.assert_allclose(float(contract(a)), np.trace(t0.T @ t1 @ t2), rtol=1e-12)
             np.testing.assert_allclose(float(contract(b)), np.trace(t0.T @ t1.T @ t2), rtol=1e-12)
-            np.testing.assert_allclose(float(contract(b, plan=plan_order(a))), np.trace(t0.T @ t1.T @ t2), rtol=1e-12)
-
-    def test_plan_of_another_wiring_of_the_same_nodes(self):
-        wide, tall = random_grid((2, 3), 3, bias=0.2, seed=6), random_grid((3, 2), 3, bias=0.2, seed=6)
-        assert sorted(wide.net.nodes) == sorted(tall.net.nodes)
-        foreign = plan_order(tall.net)
-        got = contract(wide.net, plan=foreign)
-        _same_bytes(got, oracle_contract(wide.net, plan=foreign))
-        np.testing.assert_allclose(float(got), float(contract(wide.net)), rtol=1e-10)
-        # Two pairs 0-1 and 2-3 end in an outer step; rewired as 0-2 and 1-3,
-        # that step contracts both edges and the pair steps become outer ones.
-        rng = np.random.default_rng(6)
-        ts = {n: rng.normal(size=3) for n in range(4)}
-        pairs = TensorNetwork.build(ts, {0: [(0, 0), (1, 0)], 1: [(2, 0), (3, 0)]})
-        rewired = TensorNetwork.build(ts, {0: [(0, 0), (2, 0)], 1: [(1, 0), (3, 0)]})
-        plan = plan_order(pairs)
-        assert [s.kind for s in plan.steps] == ["pair", "pair", "outer"]
-        got = contract(rewired, plan=plan)
-        _same_bytes(got, oracle_contract(rewired, plan=plan))
-        np.testing.assert_allclose(float(got), (ts[0] @ ts[2]) * (ts[1] @ ts[3]), rtol=1e-12)
-
-    def test_plan_of_other_nodes_is_named(self):
-        small, big = random_grid((2, 2), 3, seed=0), random_grid((2, 3), 3, seed=0)
-        with pytest.raises(NetworkError, match=r"plan is for nodes \[0, 1, 2, 3, 4, 5\].*\[0, 1, 2, 3\]"):
-            contract(small.net, plan=plan_order(big.net))
-        with pytest.raises(NetworkError, match="plan is for nodes"):
-            contract(big.net, plan=plan_order(small.net))
-
-    def test_memory_cap_sizes_the_steps_run_on_this_network(self):
-        # The plan of pairs 0-1 and 2-3 makes nothing larger than one entry;
-        # on the rewiring 0-2, 1-3 its pair steps become 64 x 64 outer products.
-        rng = np.random.default_rng(7)
-        ts = {n: rng.normal(size=64) for n in range(4)}
-        pairs = TensorNetwork.build(ts, {0: [(0, 0), (1, 0)], 1: [(2, 0), (3, 0)]})
-        rewired = TensorNetwork.build(ts, {0: [(0, 0), (2, 0)], 1: [(1, 0), (3, 0)]})
-        plan = plan_order(pairs)
-        assert plan.peak_result_entries == 1
-        with pytest.raises(MemoryBudgetError, match="4096 entries") as info:
-            contract(rewired, plan=plan, memory_cap_bytes=64)
-        assert info.value.shape == (4096,)
-        np.testing.assert_allclose(float(contract(pairs, plan=plan, memory_cap_bytes=64)),
-                                   (ts[0] @ ts[1]) * (ts[2] @ ts[3]), rtol=1e-12)
 
     def test_cached_program_peak_is_the_plans(self):
+        # contract checks its memory cap against the plan's peak, so that
+        # must be the largest result the cached program makes.
+        class Recording(list):
+            peak = 0
+
+            def __setitem__(self, i, t):
+                if t is not None:
+                    self.peak = max(self.peak, t.size or 1)   # plans count an empty result as 1
+                super().__setitem__(i, t)
+
         rng = np.random.default_rng(20)
         for _ in range(300):
-            plan, program = _plan_for(_layout(_random_network(rng)))
-            assert program.peak_entries == plan.peak_result_entries
+            net = _random_network(rng)
+            plan = plan_order(net)
+            tensors = Recording(net.nodes.values())
+            _same_bytes(plan.program(tensors), oracle_contract(net))
+            assert tensors.peak == plan.peak_result_entries
 
     def test_cache_stays_bounded(self):
         _plan_for.cache_clear()
@@ -721,9 +709,6 @@ class TestCompiledContract:
                 assert float(contract(net)) == 5.0
             info = _plan_for.cache_info()
             assert info.currsize == info.maxsize == PLAN_CACHE_SIZE
-            # A plan that is not the cached one is compiled for the call only.
-            contract(net, plan=_plan_greedy(_planner_key(_layout(net)), seed=1))
-            assert _plan_for.cache_info().currsize == PLAN_CACHE_SIZE
         finally:
             _plan_for.cache_clear()
 
