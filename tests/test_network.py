@@ -151,6 +151,19 @@ class TestContract:
         with pytest.raises(MemoryBudgetError):
             contract(g.net, memory_cap_bytes=64)
 
+    def test_memory_cap_is_the_plans_peak(self):
+        # The cap admits the plan's largest result exactly and refuses it
+        # one byte short, before any step runs.
+        g = random_grid((3, 3), 4, seed=1)
+        peak = plan_order(g.net).peak_result_entries
+        assert peak > 1
+        want = float(contract(g.net))
+        assert float(contract(g.net, memory_cap_bytes=8 * peak)) == want
+        message = rf"planned intermediate of {peak} entries \({8 * peak} bytes\) exceeds the {8 * peak - 1}-byte cap"
+        with pytest.raises(MemoryBudgetError, match=message) as info:
+            contract(g.net, memory_cap_bytes=8 * peak - 1)
+        assert info.value.shape == (peak,)
+
     def test_gauge_invariance(self):
         rng = np.random.default_rng(11)
         g = random_grid((2, 3), 3, bias=0.2, seed=2)
@@ -435,6 +448,37 @@ class TestPlanCache:
         np.testing.assert_allclose(float(contract(g.net)), brute_force_value(g.net), rtol=1e-12)
 
 
+    def test_raises_exactly_when_validate_complains(self):
+        # A hit proves a network valid only if every miss is checked and no
+        # failure is cached: half the networks get a node with a wrong
+        # extent or an uncovered extra axis.
+        rng = np.random.default_rng(21)
+        invalid = 0
+        for _ in range(300):
+            net = _random_network(rng)
+            if rng.random() < 0.5:
+                n = int(rng.choice(list(net.nodes)))
+                shape = list(net.nodes[n].shape)
+                if shape and rng.random() < 0.5:
+                    shape[int(rng.integers(len(shape)))] += 1
+                else:
+                    shape.append(int(rng.integers(1, 3)))
+                net.nodes[n] = np.zeros(shape)
+            problems = validate(net)
+            if not problems:
+                _same_bytes(contract(net), oracle_contract(net))
+                continue
+            invalid += 1
+            size = _plan_for.cache_info().currsize
+            for call in (plan_order, contract):
+                with pytest.raises(NetworkError) as info:
+                    call(net)
+                assert type(info.value) is NetworkError
+                assert str(info.value) == "cannot plan an invalid network: " + "; ".join(problems)
+            assert _plan_for.cache_info().currsize == size
+        assert 100 < invalid < 200
+
+
 class TestInsertions:
     def test_identity_everywhere(self):
         g = random_grid((2, 2), 3, bias=0.3, seed=4)
@@ -680,6 +724,17 @@ class TestCompiledContract:
         for _ in range(2):
             np.testing.assert_allclose(float(contract(a)), np.trace(t0.T @ t1 @ t2), rtol=1e-12)
             np.testing.assert_allclose(float(contract(b)), np.trace(t0.T @ t1.T @ t2), rtol=1e-12)
+
+    def test_one_layout_shares_one_program(self):
+        # A program holds no tensor: networks of one layout run the same
+        # program, each on its own values, in any order.
+        nets = [random_grid((2, 3), 2, bias=0.2, seed=s).net for s in range(3)]
+        assert len({_layout(net) for net in nets}) == 1
+        assert len({id(plan_order(net).program) for net in nets}) == 1
+        want = [brute_force_value(net) for net in nets]
+        assert len(set(want)) == 3
+        for i in (2, 0, 1, 0):
+            np.testing.assert_allclose(float(contract(nets[i])), want[i], rtol=1e-12)
 
     def test_cached_program_peak_is_the_plans(self):
         # contract checks its memory cap against the plan's peak, so that
