@@ -22,12 +22,11 @@ from pne.models import (
     BETA_C_2D,
     BETA_C_3D,
     GridNetwork,
-    aklt_norm_tensor,
-    block,
+    ModelSpec,
     block_unit,
     capped_patch,
+    finite_patch,
     ising_free_energy_2d,
-    ising_open_patch,
     ising_unit_tensor,
     random_tensor,
     uniform_fixed_point,
@@ -120,29 +119,6 @@ def svd_baseline_5x4(
 # Instances
 # ---------------------------------------------------------------------------
 
-_UNIT_CACHE: dict = {}
-
-
-def _unit16(kind: str, beta: float | None):
-    """Bond-dimension-16 uniform unit plus its self-consistent caps."""
-    key = (kind, None if beta is None else round(beta, 12))
-    if key in _UNIT_CACHE:
-        return _UNIT_CACHE[key]
-    if kind == "ising2d":
-        unit = block_unit(ising_unit_tensor(2, beta), (4, 4)).maybe_materialize()
-    elif kind == "aklt":
-        unit = block_unit(aklt_norm_tensor(), (2, 2)).maybe_materialize()
-    elif kind == "ising3d":
-        unit = block_unit(ising_unit_tensor(3, beta), (2, 2, 2)).maybe_materialize()
-    else:
-        raise BenchError(f"unknown uniform model {kind!r}")
-    ubp = uniform_fixed_point(unit)
-    if not ubp.converged:
-        raise BenchError(f"uniform message passing failed for {kind} at beta={beta}")
-    _UNIT_CACHE[key] = (unit, ubp)
-    return _UNIT_CACHE[key]
-
-
 def make_instance(
     kind: str,
     shape: tuple[int, ...],
@@ -151,10 +127,13 @@ def make_instance(
     seed: int = 0,
     open_axes: frozenset = frozenset(),
 ) -> GridNetwork:
-    """One benchmark network: a boundary-capped patch of a uniform unit.
+    """One benchmark network: a boundary-capped patch of a uniform unit of
+    bond dimension 16.
 
-    ``kind``: ising2d | ising3d | aklt | random (2D) | random3d. Random
-    units are drawn per seed; the deterministic models are cached.
+    ``kind``: ising2d | ising3d | aklt | random (2D) | random3d. The Ising
+    and AKLT units are blocked to dimension 16 and capped by
+    :func:`pne.models.finite_patch`, which raises :class:`ModelError` for
+    any other kind; random units are drawn per seed.
     """
     if kind in ("random", "random3d"):
         legs = 4 if kind == "random" else 6
@@ -163,8 +142,8 @@ def make_instance(
         if not ubp.converged:
             raise BenchError(f"uniform message passing failed for random seed {seed}")
         return capped_patch(unit, shape, ubp.caps(), open_axes)
-    unit, ubp = _unit16(kind, beta)
-    return capped_patch(unit, shape, ubp.caps(), open_axes)
+    factors = {"ising2d": (4, 4), "aklt": (2, 2), "ising3d": (2, 2, 2)}.get(kind)
+    return finite_patch(ModelSpec(kind, beta, block_factors=factors, patch=tuple(shape), open_axes=open_axes))
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +423,7 @@ def _run_degenerate(trials, seed, workers):
     wp_kw = dict(alpha=0.8, tol=1e-10, max_sweeps=400)
     for t_over_tc in (0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2):
         beta = BETA_C_2D / t_over_tc
-        patch = ising_open_patch(2, beta, (12, 12))
-        g = block(patch, (4, 4))
+        g = finite_patch(ModelSpec("ising2d", beta, block_factors=(4, 4), patch=(3, 3), boundary="open"))
         exact = float(contract(g.net))
         param = f"T/Tc={t_over_tc:.2f}"
         records.append(BenchRecord("degenerate-ising", "12x12->3x3", "ising2d-open", param, "-",

@@ -10,7 +10,8 @@ coordinate. A uniform *unit* tensor carries one axis pair per grid axis in
 the order ``[(0,-), (0,+), (1,-), (1,+), ...]``, where ``(g,+)`` faces the
 neighbor at larger coordinate. Bond edges are directed from the smaller
 coordinate (tail) to the larger (head). Node and edge ids of every grid
-network follow one layout, :func:`_grid_layout`.
+network, and of the cell cluster of every blocked unit, follow one layout,
+:func:`_grid_layout`.
 """
 
 from __future__ import annotations
@@ -281,22 +282,6 @@ def random_grid(
 # Uniform (infinite-lattice) message passing
 # ---------------------------------------------------------------------------
 
-class _UnitOps:
-    """Uniform-update dispatch for a dense unit tensor."""
-
-    def __init__(self, unit: np.ndarray):
-        self.unit = asarray(unit)
-        if self.unit.ndim % 2:
-            raise ModelError("a unit tensor needs one axis pair per grid axis")
-        self.ndim = self.unit.ndim // 2
-
-    def face_dim(self, g: int, s: int) -> int:
-        return self.unit.shape[2 * g + s]
-
-    def apply_caps(self, caps: dict[AxisDir, np.ndarray | None]) -> np.ndarray:
-        return _absorb_all(self.unit, [(2 * g + s, vec) for (g, s), vec in caps.items() if vec is not None])
-
-
 @dataclass
 class UniformBP:
     """Self-consistent messages of a translation-invariant lattice.
@@ -330,14 +315,15 @@ def uniform_fixed_point(
     loop :func:`pne.belief.run_bp` uses. ``damping`` keeps that fraction of
     the previous message and must lie in [0, 1).
 
-    A dense unit (or a materialized :class:`BlockedUnit`) is a stack of one
+    ``unit`` is a dense unit tensor or a :class:`BlockedUnit`. A
+    materialized unit (a dense one is a block of one cell) is a stack of one
     node for :func:`pne.belief._outgoing`, which emits every face from
     shared prefixes in its stated absorption order without copying the
     unit. A lazy blocked unit contracts its cluster once per face."""
-    ops = unit if isinstance(unit, BlockedUnit) else _UnitOps(unit)
+    ops = _as_unit(unit)
     dims = {(g, s): ops.face_dim(g, s) for g in range(ops.ndim) for s in (0, 1)}
     groups, place = _message_layout(dims)
-    dense = ops._materialized if isinstance(ops, BlockedUnit) else ops.unit
+    dense = ops._materialized
     # The cap on face (g, s) is the message a neighbor emits from (g, 1 - s);
     # face (g, s) is axis 2 * g + s, so dims lists the faces in axis order.
     if dense is not None:
@@ -378,20 +364,31 @@ def symmetrize_uniform(unit: np.ndarray, ubp: UniformBP) -> tuple[np.ndarray, di
 # Blocking
 # ---------------------------------------------------------------------------
 
+# A blocked unit is materialized when its dense tensor has at most this many
+# entries. The 16-dim 2D units (Ising blocked 4x4, AKLT blocked 2x2) have
+# 2^16 entries and are materialized; a 2x2x2-blocked 3D Ising unit has 2^24
+# and stays lazy.
+_MATERIALIZE_MAX_ENTRIES = 2**21
+
+
 class BlockedUnit:
     """Coarse-grained uniform tensor, kept as a contraction recipe.
 
-    The blocked tensor is the exact contraction of a cluster of unit copies
-    with the boundary sub-axes of each face fused (transverse positions in
-    lexicographic order). Faces can be capped or left open without ever
-    materializing the full tensor, which keeps 3D blocks affordable."""
+    The blocked tensor is the exact contraction of a ``factors`` cluster of
+    unit copies, wired by :func:`_grid_layout` with every outward leg open,
+    whose legs are fused face by face (face cells in position order). Faces
+    can be capped or left open without ever materializing the full tensor,
+    which keeps 3D blocks affordable. A block of one cell is the unit
+    itself, materialized from the start; this is how every unit function
+    takes a dense unit."""
 
     def __init__(self, unit: np.ndarray, factors: tuple[int, ...]):
         self.unit = asarray(unit)
-        # Two legs per grid axis; an odd-rank unit matches no factor count.
-        self.factors = _block_factors(factors, self.unit.ndim / 2)
+        if self.unit.ndim % 2:
+            raise ModelError("a unit tensor needs one axis pair per grid axis")
+        self.factors = _block_factors(factors, self.unit.ndim // 2)
         self.ndim = len(self.factors)
-        self._materialized: np.ndarray | None = None
+        self._materialized = self.unit if all(f == 1 for f in self.factors) else None
 
     def face_cells(self, g: int, s: int) -> list[Pos]:
         edge_coord = self.factors[g] - 1 if s == 1 else 0
@@ -404,57 +401,53 @@ class BlockedUnit:
         """Contract the cluster with fused cap vectors on the given faces.
 
         Faces mapped to None (or omitted) stay open; the result carries one
-        fused axis per open face in canonical ``(g, s)`` order."""
+        fused axis per open face in canonical ``(g, s)`` order. A cap whose
+        size is not its face's dimension, or a direction the unit lacks,
+        raises :class:`ModelError`."""
+        dirs = list(itertools.product(range(self.ndim), (0, 1)))
+        for d in caps:
+            if d not in dirs:
+                raise ModelError(f"a rank-{2 * self.ndim} unit has no direction {d}")
+        capped = {d: np.asarray(caps[d]) for d in dirs if caps.get(d) is not None}
+        for d, vec in capped.items():
+            if vec.size != self.face_dim(*d):
+                raise ModelError(f"the cap on direction {d} has length {vec.size}, "
+                                 f"but that face has dimension {self.face_dim(*d)}")
         if self._materialized is not None:
-            return _UnitOps(self._materialized).apply_caps(caps)
-        cells = _positions(self.factors)
-        node_of = {p: i for i, p in enumerate(cells)}
-        tensors = {node_of[p]: self.unit for p in cells}
-        attachments: dict[int, list[tuple[int, int]]] = {}
-        eid = 0
-        for g in range(self.ndim):
-            for pos in cells:
-                nxt = _shifted(pos, g, 1)
-                if nxt in node_of:
-                    attachments[eid] = [(node_of[pos], 2 * g + 1), (node_of[nxt], 2 * g)]
-                    eid += 1
-        open_faces: list[AxisDir] = []
-        n_extra = len(tensors)
-        for g in range(self.ndim):
-            for s in (0, 1):
-                face = self.face_cells(g, s)
-                vec = caps.get((g, s))
-                if vec is not None:
-                    v = np.asarray(vec).reshape((self.unit.shape[2 * g + s],) * len(face))
-                    tensors[n_extra] = v
-                    for k, cell in enumerate(face):
-                        attachments[eid] = [(node_of[cell], 2 * g + s), (n_extra, k)]
-                        eid += 1
-                    n_extra += 1
-                else:
-                    open_faces.append((g, s))
-                    for cell in face:
-                        attachments[eid] = [(node_of[cell], 2 * g + s)]
-                        eid += 1
-        res = contract(TensorNetwork.build(tensors, {e: tuple(a) for e, a in attachments.items()}))
-        # Open sub-axes arrive grouped per face in (g, s) order; fuse each group.
-        shape = []
-        for g, s in open_faces:
-            shape.append(self.unit.shape[2 * g + s] ** len(self.face_cells(g, s)))
-        return res.reshape(tuple(shape))
+            return _absorb_all(self._materialized, [(2 * g + s, vec) for (g, s), vec in capped.items()])
+        faces, (node_of, _, open_leg, wiring) = self._cluster
+        tensors = {node: self.unit for node in node_of.values()}
+        attachments = dict(wiring)
+        for (g, s), vec in capped.items():
+            cap_node = len(tensors)
+            tensors[cap_node] = vec.reshape((self.unit.shape[2 * g + s],) * len(faces[(g, s)]))
+            for k, p in enumerate(faces[(g, s)]):
+                attachments[open_leg[(p, (g, s))]] += ((cap_node, k),)
+        net = TensorNetwork.build(tensors, attachments)
+        open_faces = [[open_leg[(p, d)] for p in faces[d]] for d in dirs if d not in capped]
+        return _fuse_faces(net, contract(net), open_faces)
+
+    @functools.cached_property
+    def _cluster(self):
+        """The cells of each face, and the cluster's layout with every outward leg open."""
+        faces = {(g, s): self.face_cells(g, s) for g in range(self.ndim) for s in (0, 1)}
+        return faces, _grid_layout(self.factors, frozenset((p, d) for d, cells in faces.items() for p in cells))
 
     def materialize(self) -> np.ndarray:
         if self._materialized is None:
             self._materialized = self.apply_caps({})
         return self._materialized
 
-    def maybe_materialize(self, max_entries: int = 2**21) -> "np.ndarray | BlockedUnit":
-        total = 1
-        for g in range(self.ndim):
-            total *= self.face_dim(g, 0) * self.face_dim(g, 1)
-        if total <= max_entries:
-            return self.materialize()
-        return self
+    def maybe_materialize(self) -> "np.ndarray | BlockedUnit":
+        """The dense tensor if it has at most ``_MATERIALIZE_MAX_ENTRIES``
+        entries, else this lazy unit."""
+        total = math.prod(self.face_dim(g, s) for g in range(self.ndim) for s in (0, 1))
+        return self.materialize() if total <= _MATERIALIZE_MAX_ENTRIES else self
+
+
+def _as_unit(unit) -> BlockedUnit:
+    """``unit`` if it is blocked, else the dense unit as a block of one cell."""
+    return unit if isinstance(unit, BlockedUnit) else BlockedUnit(unit, (1,) * (np.ndim(unit) // 2))
 
 
 def block_unit(unit: np.ndarray, factors: tuple[int, ...]) -> BlockedUnit:
@@ -470,6 +463,15 @@ def _block_factors(factors, ndim: int) -> tuple[int, ...]:
     if any(f < 1 for f in factors):
         raise ModelError(f"blocking factors {factors} must be positive")
     return factors
+
+
+def _fuse_faces(net: TensorNetwork, t: np.ndarray, faces: list[list[int]]) -> np.ndarray:
+    """``t``, whose axes are ``net``'s open edges in ascending id order (as
+    :func:`contract` leaves them), with the edges of each face made adjacent
+    and fused into one axis, in the order ``faces`` lists them."""
+    axis_of = {eid: i for i, eid in enumerate(sorted(eid for face in faces for eid in face))}
+    t = t.transpose([axis_of[eid] for face in faces for eid in face])
+    return t.reshape([math.prod(net.edges[eid].dim for eid in face) for face in faces])
 
 
 def block(grid: GridNetwork, factors: tuple[int, ...]) -> GridNetwork:
@@ -489,13 +491,8 @@ def block(grid: GridNetwork, factors: tuple[int, ...]) -> GridNetwork:
         for _, g, s in _site_axes(new_shape, bpos):
             rim = cells[-1][g] if s == 1 else cells[0][g]
             faces.append([grid.bond[(g, p if s == 1 else _shifted(p, g, -1))] for p in cells if p[g] == rim])
-        cut = [eid for face in faces for eid in face]
-        # contract leaves the cut bonds in edge-id order, which interleaves
-        # the two faces of an axis after the first; put them face by face.
-        by_id = sorted(cut)
-        blocked = contract(subnetwork(grid.net, [grid.node_of[p] for p in cells]))
-        blocked = blocked.transpose([by_id.index(eid) for eid in cut])
-        tensors[bpos] = blocked.reshape([math.prod(grid.net.edges[e].dim for e in face) for face in faces])
+        sub = subnetwork(grid.net, [grid.node_of[p] for p in cells])
+        tensors[bpos] = _fuse_faces(sub, contract(sub), faces)
     return _assemble_grid(new_shape, tensors)
 
 
@@ -514,16 +511,20 @@ def capped_patch(
     ``unit`` is a dense unit tensor or a :class:`BlockedUnit`; ``caps`` maps
     each outward direction to the vector absorbed there (typically the
     self-consistent incoming messages). Directions listed in ``open_axes``
-    are left as open legs instead."""
-    ops = unit if isinstance(unit, BlockedUnit) else _UnitOps(unit)
-    ndim = ops.ndim
-    if len(shape) != ndim:
+    are left as open legs instead. A direction some site must cap but
+    ``caps`` lacks raises :class:`ModelError`, as :meth:`BlockedUnit.apply_caps`
+    does for a cap of the wrong length."""
+    ops = _as_unit(unit)
+    if len(shape) != ops.ndim:
         raise ModelError(f"patch shape {shape} does not match the unit rank")
     tensors: dict[Pos, np.ndarray] = {}
     for pos in _positions(shape):
         kept = {(g, s) for _, g, s in _site_axes(shape, pos, open_axes)}
-        cap_pattern = {d: None if d in kept else caps[d] for d in itertools.product(range(ndim), (0, 1))}
-        tensors[pos] = np.asarray(ops.apply_caps(cap_pattern))
+        capped = [d for d in itertools.product(range(ops.ndim), (0, 1)) if d not in kept]
+        for d in capped:
+            if caps.get(d) is None:
+                raise ModelError(f"caps give no vector for direction {d}")
+        tensors[pos] = np.asarray(ops.apply_caps({d: caps[d] for d in capped}))
     return _assemble_grid(shape, tensors, open_axes)
 
 
@@ -585,9 +586,7 @@ def finite_patch(spec: ModelSpec) -> GridNetwork:
             return _blocked_patch(lambda shape: capped_patch(unit, shape, caps), spec.patch, spec.block_factors)
     else:
         raise ModelError(f"unknown model kind {spec.kind!r}")
-    work = unit
-    if spec.block_factors and any(f != 1 for f in spec.block_factors):
-        work = block_unit(unit, spec.block_factors).maybe_materialize()
+    work = block_unit(unit, spec.block_factors or (1,) * (unit.ndim // 2)).maybe_materialize()
     ubp = uniform_fixed_point(work)
     if not ubp.converged:
         raise ModelError(f"uniform message passing did not converge in {ubp.iterations} sweeps "

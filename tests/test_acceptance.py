@@ -327,6 +327,7 @@ def test_criterion_7_combinatorial_counting():
     print(f"\nACCEPTANCE 7: PASS - 6 principal + {len(subleading)} sub-leading terms")
 
 
+@pytest.mark.filterwarnings("default:.*floored during weight update:UserWarning")
 def test_criterion_8_degenerate_fixed_point_rescue():
     t0 = time.time()
     r1_at_07 = None

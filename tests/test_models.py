@@ -12,7 +12,7 @@ from pne.models import (
     BlockedUnit,
     ModelError,
     ModelSpec,
-    _UnitOps,
+    _as_unit,
     aklt_norm_tensor,
     aklt_peps_tensor,
     block,
@@ -47,8 +47,8 @@ def per_direction_uniform_bp(unit, tol=1e-12, max_iter=4000, damping=0.2, seed=0
     states (axes below the face's own from the front, ascending, then the
     axes above it from the back, descending); a lazy blocked unit contracts
     its cluster network."""
-    ops = unit if isinstance(unit, BlockedUnit) else _UnitOps(unit)
-    dense = unit._materialized if isinstance(unit, BlockedUnit) else ops.unit
+    ops = _as_unit(unit)
+    dense = ops._materialized
     rng = np.random.default_rng(seed)
     dirs = [(g, s) for g in range(ops.ndim) for s in (0, 1)]
     out = {}
@@ -289,6 +289,93 @@ class TestBlocking:
             block(g, factors)
         with pytest.raises(ModelError, match="positive"):
             block_unit(ising_unit_tensor(2, 0.4), factors)
+
+
+class TestUnitForms:
+    """A dense unit, a materialized block and a lazy block answer the same
+    calls, with the same named errors."""
+
+    FORMS = {
+        "dense": lambda: ising_unit_tensor(2, 0.3),
+        "materialized": lambda: materialized(ising_unit_tensor(2, 0.3), (2, 2)),
+        "lazy": lambda: block_unit(ising_unit_tensor(2, 0.3), (2, 2)),
+    }
+
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    def test_bad_caps_raise_named_errors(self, form):
+        unit = self.FORMS[form]()
+        n = _as_unit(unit).face_dim(0, 1)
+        caps = {(g, s): np.ones(n) for g in range(2) for s in (0, 1)}
+        with pytest.raises(ModelError, match=rf"direction \(0, 1\) has length 3, but that face has dimension {n}"):
+            capped_patch(unit, (2, 2), {**caps, (0, 1): np.ones(3)})
+        without = {d: v for d, v in caps.items() if d != (1, 0)}
+        with pytest.raises(ModelError, match=r"no vector for direction \(1, 0\)"):
+            capped_patch(unit, (2, 2), without)
+        with pytest.raises(ModelError, match=r"no vector for direction \(1, 0\)"):
+            capped_patch(unit, (2, 2), {**caps, (1, 0): None})
+        with pytest.raises(ModelError, match=r"rank-4 unit has no direction \(2, 0\)"):
+            _as_unit(unit).apply_caps({(2, 0): np.ones(n)})
+        # A direction no site caps may be missing.
+        open_axes = frozenset({((0, 0), (1, 0)), ((1, 0), (1, 0))})
+        grid = capped_patch(unit, (2, 2), without, open_axes)
+        assert sorted(grid.open_leg) == sorted(open_axes)
+
+    @pytest.mark.parametrize("rank", [1, 3, 5])
+    def test_odd_rank_unit_rejected(self, rank):
+        unit = np.ones((2,) * rank)
+        calls = [
+            lambda: block_unit(unit, (1,) * (rank // 2)),
+            lambda: block_unit(unit, (1,) * (rank // 2 + 1)),
+            lambda: uniform_fixed_point(unit),
+            lambda: capped_patch(unit, (1,) * (rank // 2), {}),
+        ]
+        for call in calls:
+            with pytest.raises(ModelError, match="a unit tensor needs one axis pair per grid axis"):
+                call()
+
+    def test_maybe_materialize_threshold(self):
+        # 16**6 = 2**24 entries stay lazy; 16**4 = 2**16 are materialized.
+        lazy = block_unit(ising_unit_tensor(3, 0.2), (2, 2, 2))
+        assert lazy.maybe_materialize() is lazy
+        assert lazy._materialized is None
+        for unit, factors in ((ising_unit_tensor(2, 0.3), (4, 4)), (aklt_norm_tensor(), (2, 2))):
+            bu = block_unit(unit, factors)
+            dense = bu.maybe_materialize()
+            assert isinstance(dense, np.ndarray) and dense.shape == (16,) * 4
+            assert dense is bu._materialized
+
+    def test_lazy_matches_materialized_3d(self):
+        unit = ising_unit_tensor(3, 0.18)
+        lazy = block_unit(unit, (2, 2, 2))
+        dense = materialized(unit, (2, 2, 2))
+        rng = np.random.default_rng(11)
+        dirs = [(g, s) for g in range(3) for s in (0, 1)]
+        caps = {d: rng.normal(size=16) for d in dirs}
+        open_sets = [(), ((0, 0),), ((1, 1),), ((2, 0),), ((0, 0), (0, 1)), ((0, 1), (2, 0)),
+                     ((1, 0), (2, 1)), ((0, 0), (1, 1), (2, 0)), ((0, 1), (1, 0), (1, 1))]
+        for open_faces in open_sets:
+            pattern = {d: None if d in open_faces else caps[d] for d in dirs}
+            got, want = lazy.apply_caps(pattern), dense.apply_caps(pattern)
+            assert got.shape == want.shape == (16,) * len(open_faces)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), open_faces
+
+    @pytest.mark.parametrize("form", ["lazy", "materialized"])
+    def test_capped_block_equals_blocked_patch(self, form):
+        unit = random_tensor((3,) * 4, bias=0.3, seed=5)
+        rng = np.random.default_rng(6)
+        caps = {(g, s): rng.normal(size=3) for g in range(2) for s in (0, 1)}
+        # Each face of a 2x2 block has two cells: its cap is the Kronecker
+        # product of theirs, in face-cell order.
+        fused = {d: np.kron(c, c) for d, c in caps.items()}
+        coarse_unit = block_unit(unit, (2, 2)) if form == "lazy" else materialized(unit, (2, 2))
+        coarse = capped_patch(coarse_unit, (2, 2), fused)
+        blocked = block(capped_patch(unit, (4, 4), caps), (2, 2))
+        wiring = lambda g: {eid: (e.endpoints, e.dim) for eid, e in g.net.edges.items()}
+        assert wiring(coarse) == wiring(blocked)
+        for node, want in blocked.net.nodes.items():
+            got = coarse.net.nodes[node]
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), node
 
 
 class TestUniformBP:
