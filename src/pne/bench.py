@@ -4,6 +4,13 @@ and the suite runner that reproduces the accuracy comparisons as CSV tables.
 Every suite is deterministic for fixed seeds: instance generators are
 seeded, evaluation reduces in fixed term order, and the CSV contains no
 timestamps or timings.
+
+A suite is declared once, as an entry of ``_SUITES`` at the end of this
+module: its runner, its default trial count and the preset of its
+exactness self-check. A suite that scores scalar methods on every instance
+of some model classes gets its runner from ``_scalar``, given a class
+generator and a method list; suites whose rows differ in kind (open
+tensors, rows skipped on failure, no lattice) have their own runners.
 """
 
 from __future__ import annotations
@@ -216,8 +223,8 @@ def run_suite(
     """
     if name not in _SUITES:
         raise BenchError(f"unknown suite {name!r}; available: {', '.join(suite_names())}")
-    runner, default_trials = _SUITES[name]
-    records = runner(trials if trials is not None else default_trials, seed, workers)
+    runner, default_trials, _ = _SUITES[name]
+    records = runner(name, trials if trials is not None else default_trials, seed, workers)
     medians = _aggregate(records)
     records = records + medians
     ok = _identity_selftest(name, seed)
@@ -254,22 +261,13 @@ def _aggregate(records: list[BenchRecord]) -> list[BenchRecord]:
 
 def _identity_selftest(suite: str, seed: int) -> bool:
     """Randomized exactness identity on a small instance of the suite's
-    geometry: expansion plus complement residue must equal the exact value."""
+    self-check preset: expansion plus complement residue must equal the
+    exact value."""
     from pne.expansion import evaluate_residue
     from pne.models import random_grid
     from pne.presets import PRESETS
 
-    preset = {
-        "doubleloop": "doubleloop-3v",
-        "grid3x3": "grid3x3-chi4",
-        "cube222": "cube222-chi3",
-        "open2x3": "open2x3-chi4",
-        "grid5x4": "grid5x4-chi6",
-        "grid4x3-recursive": "grid4x3-recursive",
-        "degenerate-ising": "grid3x3-chi5",
-        "rank-sweep": "grid3x3-chi5",
-        "infinite": "doubleloop-3v",
-    }[suite]
+    preset = _SUITES[suite][2]
     shape = PRESETS[preset][0]
     open_axes = OPEN2X3_AXES if preset.startswith("open2x3") else frozenset()
     g = random_grid(shape, 3, bias=0.2, seed=seed + 99991, open_axes=open_axes)
@@ -286,168 +284,118 @@ def _expansion_flops(exp) -> int:
     return int(sum(t.plan.total_flops for t in exp.terms))
 
 
-def _preset_record(suite, geometry, model, param, seed_tag, method, pre, rank, exact, workers):
+def _preset_record(row, method, pre, rank, exact, workers):
     """The row of one preset expansion: its scaled value against ``exact``
-    and the planned flops of its terms."""
+    and the planned flops of its terms. ``row`` is the instance's
+    :class:`BenchRecord` with its first five fields bound."""
     val = float(evaluate(pre.expansion, workers=workers).value) * pre.scale
-    return BenchRecord(suite, geometry, model, param, seed_tag, method, pre.name, rank, "rel",
-                       val, exact, rel_error(exact, val), _expansion_flops(pre.expansion))
+    return row(method, pre.name, rank, "rel", val, exact, rel_error(exact, val), _expansion_flops(pre.expansion))
 
 
-def _scalar_records(suite, geometry, model, param, seed_tag, g, methods, workers):
-    """Evaluate scalar methods against the exact contraction of ``g``."""
+def _scalar_records(row, g, methods, workers):
+    """Evaluate scalar methods against the exact contraction of ``g``.
+
+    A method is (method, preset, projectors, rank, kwargs); the "bp" and
+    "svd" rows name no preset. The "bp" row's state is shared by the later
+    BP-projector methods, and one weight-passing state, made by the first
+    weights method that runs, by all weights methods; ``kwargs`` go to the
+    solver of that state. A method that raises, or BP that does not
+    converge, gives a ``converged=False`` row, and the next methods still
+    run."""
     exact = float(contract(g.net))
-    plan = plan_order(g.net)
-    out = [BenchRecord(suite, geometry, model, param, seed_tag, "exact", "-", 0, "abs",
-                       exact, exact, 0.0, plan.total_flops)]
-    bp_state = None
+    out = [row("exact", "-", 0, "abs", exact, exact, 0.0, plan_order(g.net).total_flops)]
+    bp_state = weight_state = None
     for method, preset, projectors, rank, kwargs in methods:
         try:
             if method == "bp":
                 bp_state = run_bp(g.net, **kwargs)
                 if not bp_state.converged:
-                    out.append(BenchRecord(suite, geometry, model, param, seed_tag, "bp", "-", 1,
-                                           "rel", math.nan, exact, math.nan, 0, converged=False))
-                    continue
+                    raise BenchError("message passing did not converge")
                 val = bp_scalar(g.net, bp_state)
-                out.append(BenchRecord(suite, geometry, model, param, seed_tag, "bp", "-", 1,
-                                       "rel", val, exact, rel_error(exact, val), 0))
+                out.append(row("bp", "-", 1, "rel", val, exact, rel_error(exact, val), 0))
             elif method == "svd":
                 val = svd_baseline_5x4(g, chi_keep=rank)
-                out.append(BenchRecord(suite, geometry, model, param, seed_tag, "svd-baseline", "-",
-                                       rank, "rel", val, exact, rel_error(exact, val), 0))
+                out.append(row("svd-baseline", "-", rank, "rel", val, exact, rel_error(exact, val), 0))
             else:
+                if projectors == "weights" and weight_state is None:
+                    weight_state = run_weight_passing(g.net, **kwargs)
                 pre = build_preset(preset, g, projectors=projectors, rank=rank,
-                                   bp_state=bp_state if projectors == "bp" else None, **kwargs)
-                out.append(_preset_record(suite, geometry, model, param, seed_tag, method, pre, rank,
-                                          exact, workers))
+                                   bp_state=bp_state, weight_state=weight_state)
+                out.append(_preset_record(row, method, pre, rank, exact, workers))
         except (NetworkError, BenchError):
-            out.append(BenchRecord(suite, geometry, model, param, seed_tag, method, preset, rank,
-                                   "rel", math.nan, exact, math.nan, 0, converged=False))
+            out.append(row(method, preset, rank, "rel", math.nan, exact, math.nan, 0, converged=False))
     return out
 
 
 BP_KW = dict(tol=1e-12, max_iter=4000)
+_DEGENERATE_WP_KW = dict(alpha=0.8, tol=1e-10, max_sweeps=400)
 
 
-def _classes_2d(trials, seed):
-    yield ("ising2d", f"beta={BETA_C_2D:.6f}", [("-", BETA_C_2D, None)])
-    yield ("aklt", "-", [("-", None, None)])
-    yield ("random", "bias=0.2", [(str(seed + t), None, seed + t) for t in range(trials)])
+# A class generator yields (model, param, seed tag, instance) for a lattice
+# shape; the instances are built one at a time, as they are run.
+def _classes_2d(shape, trials, seed, open_axes=frozenset()):
+    yield "ising2d", f"beta={BETA_C_2D:.6f}", "-", make_instance("ising2d", shape, BETA_C_2D, open_axes=open_axes)
+    yield "aklt", "-", "-", make_instance("aklt", shape, open_axes=open_axes)
+    for s in range(seed, seed + trials):
+        yield "random", "bias=0.2", str(s), make_instance("random", shape, seed=s, open_axes=open_axes)
 
 
-def _classes_3d(trials, seed):
+def _classes_3d(shape, trials, seed):
     for t_over_tc in (0.9, 1.0, 1.1):
-        yield ("ising3d", f"T/Tc={t_over_tc:.2f}", [("-", BETA_C_3D / t_over_tc, None)])
-    yield ("random3d", "bias=0.2", [(str(seed + t), None, seed + t) for t in range(trials)])
+        yield "ising3d", f"T/Tc={t_over_tc:.2f}", "-", make_instance("ising3d", shape, BETA_C_3D / t_over_tc)
+    for s in range(seed, seed + trials):
+        yield "random3d", "bias=0.2", str(s), make_instance("random3d", shape, seed=s)
 
 
-# suite -> (geometry, shape, model classes, methods) of the suites that run
-# scalar methods on every instance of their model classes.
-_SCALAR = {
-    "doubleloop": ("2x3", (2, 3), _classes_2d, [
-        ("bp", "-", "bp", 1, BP_KW),
-        ("single-cut", "doubleloop-cut1", "bp", 1, {}),
-        ("pne", "doubleloop-3v", "bp", 1, {}),
-    ]),
-    "grid3x3": ("3x3", (3, 3), _classes_2d, [
-        ("bp", "-", "bp", 1, BP_KW),
-        ("pne-chi4", "grid3x3-chi4", "bp", 1, {}),
-        ("pne-chi5", "grid3x3-chi5", "bp", 1, {}),
-    ]),
-    "grid5x4": ("5x4", (5, 4), _classes_2d, [
-        ("bp", "-", "bp", 1, BP_KW),
-        ("svd", "-", "-", 16, {}),
-        ("pne", "grid5x4-chi6", "bp", 1, {}),
-    ]),
-    "cube222": ("2x2x2", (2, 2, 2), _classes_3d, [
-        ("bp", "-", "bp", 1, BP_KW),
-        ("pne-chi3", "cube222-chi3", "bp", 1, {}),
-        ("pne-chi4", "cube222-chi4", "bp", 1, {}),
-        ("pne-chi5", "cube222-chi5", "bp", 1, {}),
-    ]),
-    "grid4x3-recursive": ("4x3", (4, 3), _classes_2d, [
-        ("bp", "-", "bp", 1, BP_KW),
-        ("pne-recursive", "grid4x3-recursive", "bp", 1, {}),
-    ]),
-}
-
-
-def _run_scalar(suite, trials, seed, workers):
-    geometry, shape, classes, methods = _SCALAR[suite]
-    records = []
-    for model, param, instances in classes(trials, seed):
-        for tag, beta, s in instances:
-            g = make_instance(model, shape, beta=beta, seed=s if s is not None else 0)
-            records += _scalar_records(suite, geometry, model, param, tag, g, methods, workers)
-    return records
-
-
-def _run_open2x3(trials, seed, workers):
-    records = []
-    for model, param, instances in _classes_2d(trials, seed):
-        for tag, beta, s in instances:
-            g = make_instance(model, (2, 3), beta=beta, seed=s if s is not None else 0,
-                              open_axes=OPEN2X3_AXES)
-            exact_plan = plan_order(g.net)
-            bp_state = run_bp(g.net, **BP_KW)
-            if not bp_state.converged:
-                records.append(BenchRecord("open2x3", "2x3-open", model, param, tag, "bp", "-", 1,
-                                           "2norm", math.nan, math.nan, math.nan, 0, converged=False))
-                continue
-            pre5 = build_preset("open2x3-chi5", g, projectors="bp", bp_state=bp_state)
-            pre4 = build_preset("open2x3-chi4", g, projectors="bp", bp_state=bp_state)
-            # Both presets share the same symmetrized gauge; errors are
-            # reported in the original frame by undoing the open-leg gauges.
-            order = pre5.net.open_edge_ids()
-            back = lambda t: pre5.gauge.compensate_open(t, order)
-            exact_t = back(contract(pre5.net))
-            norm = float(np.linalg.norm(exact_t.ravel()))
-            bp_t = back(bp_approx(pre5.net, run_bp(pre5.net, **BP_KW)))
-            records.append(BenchRecord("open2x3", "2x3-open", model, param, tag, "exact", "-", 0,
-                                       "abs", norm, norm, 0.0, exact_plan.total_flops))
-            records.append(BenchRecord("open2x3", "2x3-open", model, param, tag, "bp", "-", 1,
-                                       "2norm", float(np.linalg.norm(bp_t.ravel())), norm,
-                                       tensor_error(exact_t, bp_t), 0))
-            for mname, pre in (("pne-chi5", pre5), ("pne-chi4", pre4)):
-                val = back(evaluate(pre.expansion, workers=workers).value)
-                records.append(BenchRecord("open2x3", "2x3-open", model, param, tag, mname,
-                                           pre.name, 1, "2norm", float(np.linalg.norm(val.ravel())),
-                                           norm, tensor_error(exact_t, val),
-                                           _expansion_flops(pre.expansion)))
-    return records
-
-
-def _run_degenerate(trials, seed, workers):
-    records = []
-    wp_kw = dict(alpha=0.8, tol=1e-10, max_sweeps=400)
+def _classes_open_ising(shape, trials, seed):
+    """Open-boundary Ising lattices blocked 4x4 down to ``shape``, from the
+    ordered phase, where BP's fixed points are degenerate, through T_c."""
     for t_over_tc in (0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2):
-        beta = BETA_C_2D / t_over_tc
-        g = finite_patch(ModelSpec("ising2d", beta, block_factors=(4, 4), patch=(3, 3), boundary="open"))
-        exact = float(contract(g.net))
-        param = f"T/Tc={t_over_tc:.2f}"
-        records.append(BenchRecord("degenerate-ising", "12x12->3x3", "ising2d-open", param, "-",
-                                   "exact", "-", 0, "abs", exact, exact, 0.0,
-                                   plan_order(g.net).total_flops))
-        bp_state = run_bp(g.net, tol=1e-11, max_iter=6000)
-        if bp_state.converged:
-            val = bp_scalar(g.net, bp_state)
-            records.append(BenchRecord("degenerate-ising", "12x12->3x3", "ising2d-open", param, "-",
-                                       "bp", "-", 1, "rel", val, exact, rel_error(exact, val), 0))
-            for preset in ("grid3x3-chi5", "grid3x3-chi4"):
-                pre = build_preset(preset, g, projectors="bp", bp_state=bp_state)
-                records.append(_preset_record("degenerate-ising", "12x12->3x3", "ising2d-open", param,
-                                              "-", f"pne-r1({preset[-4:]})", pre, 1, exact, workers))
-        weight_state = run_weight_passing(g.net, **wp_kw)
-        for preset in ("grid3x3-chi5", "grid3x3-chi4"):
-            pre = build_preset(preset, g, projectors="weights", rank=2,
-                               weight_state=weight_state)
-            records.append(_preset_record("degenerate-ising", "12x12->3x3", "ising2d-open", param,
-                                          "-", f"pne-r2({preset[-4:]})", pre, 2, exact, workers))
+        spec = ModelSpec("ising2d", BETA_C_2D / t_over_tc, block_factors=(4, 4), patch=shape, boundary="open")
+        yield "ising2d-open", f"T/Tc={t_over_tc:.2f}", "-", finite_patch(spec)
+
+
+def _scalar(geometry, shape, classes, methods):
+    """The runner of a suite that scores ``methods`` (see
+    :func:`_scalar_records`) on every instance of ``classes``."""
+    def run(suite, trials, seed, workers):
+        records = []
+        for model, param, tag, g in classes(shape, trials, seed):
+            row = functools.partial(BenchRecord, suite, geometry, model, param, tag)
+            records += _scalar_records(row, g, methods, workers)
+        return records
+    return run
+
+
+def _run_open2x3(suite, trials, seed, workers):
+    records = []
+    for model, param, tag, g in _classes_2d((2, 3), trials, seed, OPEN2X3_AXES):
+        row = functools.partial(BenchRecord, suite, "2x3-open", model, param, tag)
+        exact_plan = plan_order(g.net)
+        bp_state = run_bp(g.net, **BP_KW)
+        if not bp_state.converged:
+            records.append(row("bp", "-", 1, "2norm", math.nan, math.nan, math.nan, 0, converged=False))
+            continue
+        pre5 = build_preset("open2x3-chi5", g, projectors="bp", bp_state=bp_state)
+        pre4 = build_preset("open2x3-chi4", g, projectors="bp", bp_state=bp_state)
+        # Both presets share the same symmetrized gauge; errors are
+        # reported in the original frame by undoing the open-leg gauges.
+        order = pre5.net.open_edge_ids()
+        back = lambda t: pre5.gauge.compensate_open(t, order)
+        exact_t = back(contract(pre5.net))
+        norm = float(np.linalg.norm(exact_t.ravel()))
+        bp_t = back(bp_approx(pre5.net, run_bp(pre5.net, **BP_KW)))
+        records.append(row("exact", "-", 0, "abs", norm, norm, 0.0, exact_plan.total_flops))
+        records.append(row("bp", "-", 1, "2norm", float(np.linalg.norm(bp_t.ravel())), norm,
+                           tensor_error(exact_t, bp_t), 0))
+        for mname, pre in (("pne-chi5", pre5), ("pne-chi4", pre4)):
+            val = back(evaluate(pre.expansion, workers=workers).value)
+            records.append(row(mname, pre.name, 1, "2norm", float(np.linalg.norm(val.ravel())), norm,
+                               tensor_error(exact_t, val), _expansion_flops(pre.expansion)))
     return records
 
 
-def _run_rank_sweep(trials, seed, workers):
+def _run_rank_sweep(suite, trials, seed, workers):
     records = []
     setups = [
         ("2x3", (2, 3), "doubleloop-single", (2, 4, 6, 8), "doubleloop-2col", (1, 2, 3, 4)),
@@ -457,6 +405,7 @@ def _run_rank_sweep(trials, seed, workers):
     for t in range(trials):
         for geom, shape, single, sranks, multi, mranks in setups:
             g = make_instance("random", shape, seed=seed + t)
+            row = functools.partial(BenchRecord, suite, geom, "random", "bias=0.2", str(seed + t))
             exact = float(contract(g.net))
             try:
                 weight_state = run_weight_passing(g.net, **wp_kw)
@@ -468,12 +417,11 @@ def _run_rank_sweep(trials, seed, workers):
                 for r in ranks:
                     pre = build_preset(preset, g, projectors="weights", rank=r,
                                        weight_state=weight_state)
-                    records.append(_preset_record("rank-sweep", geom, "random", "bias=0.2",
-                                                  str(seed + t), variant, pre, r, exact, workers))
+                    records.append(_preset_record(row, variant, pre, r, exact, workers))
     return records
 
 
-def _run_infinite(trials, seed, workers):
+def _run_infinite(suite, trials, seed, workers):
     records = []
     for frac in (0.7, 0.9, 1.0, 1.05, 1.2):
         beta = frac * BETA_C_2D
@@ -487,20 +435,47 @@ def _run_infinite(trials, seed, workers):
         for width in (2, 4, 6):
             rows += [(f"cylinder-blocked-L{width}", cylinder_baseline(blocked, width) / 4.0),
                      (f"cylinder-spin-L{width}", cylinder_baseline(unit2, width))]
-        records += [BenchRecord("infinite", "inf-2d", "ising2d", f"beta/betac={frac:.2f}", "-",
-                                method, "-", 1, "rel", f, f_exact, abs((f - f_exact) / f_exact), 0)
-                    for method, f in rows]
+        row = functools.partial(BenchRecord, suite, "inf-2d", "ising2d", f"beta/betac={frac:.2f}", "-")
+        records += [row(method, "-", 1, "rel", f, f_exact, abs((f - f_exact) / f_exact), 0) for method, f in rows]
     return records
 
 
+# name -> (runner, default trial count, preset of the exactness self-check);
+# ``runner(name, trials, seed, workers)`` returns the suite's rows.
 _SUITES = {
-    "doubleloop": (functools.partial(_run_scalar, "doubleloop"), 100),
-    "grid3x3": (functools.partial(_run_scalar, "grid3x3"), 100),
-    "cube222": (functools.partial(_run_scalar, "cube222"), 30),
-    "open2x3": (_run_open2x3, 100),
-    "grid5x4": (functools.partial(_run_scalar, "grid5x4"), 30),
-    "grid4x3-recursive": (functools.partial(_run_scalar, "grid4x3-recursive"), 20),
-    "degenerate-ising": (_run_degenerate, 1),
-    "rank-sweep": (_run_rank_sweep, 30),
-    "infinite": (_run_infinite, 1),
+    "doubleloop": (_scalar("2x3", (2, 3), _classes_2d, [
+        ("bp", "-", "bp", 1, BP_KW),
+        ("single-cut", "doubleloop-cut1", "bp", 1, {}),
+        ("pne", "doubleloop-3v", "bp", 1, {}),
+    ]), 100, "doubleloop-3v"),
+    "grid3x3": (_scalar("3x3", (3, 3), _classes_2d, [
+        ("bp", "-", "bp", 1, BP_KW),
+        ("pne-chi4", "grid3x3-chi4", "bp", 1, {}),
+        ("pne-chi5", "grid3x3-chi5", "bp", 1, {}),
+    ]), 100, "grid3x3-chi4"),
+    "grid5x4": (_scalar("5x4", (5, 4), _classes_2d, [
+        ("bp", "-", "bp", 1, BP_KW),
+        ("svd", "-", "-", 16, {}),
+        ("pne", "grid5x4-chi6", "bp", 1, {}),
+    ]), 30, "grid5x4-chi6"),
+    "cube222": (_scalar("2x2x2", (2, 2, 2), _classes_3d, [
+        ("bp", "-", "bp", 1, BP_KW),
+        ("pne-chi3", "cube222-chi3", "bp", 1, {}),
+        ("pne-chi4", "cube222-chi4", "bp", 1, {}),
+        ("pne-chi5", "cube222-chi5", "bp", 1, {}),
+    ]), 30, "cube222-chi3"),
+    "grid4x3-recursive": (_scalar("4x3", (4, 3), _classes_2d, [
+        ("bp", "-", "bp", 1, BP_KW),
+        ("pne-recursive", "grid4x3-recursive", "bp", 1, {}),
+    ]), 20, "grid4x3-recursive"),
+    "degenerate-ising": (_scalar("12x12->3x3", (3, 3), _classes_open_ising, [
+        ("bp", "-", "bp", 1, dict(tol=1e-11, max_iter=6000)),
+        ("pne-r1(chi5)", "grid3x3-chi5", "bp", 1, {}),
+        ("pne-r1(chi4)", "grid3x3-chi4", "bp", 1, {}),
+        ("pne-r2(chi5)", "grid3x3-chi5", "weights", 2, _DEGENERATE_WP_KW),
+        ("pne-r2(chi4)", "grid3x3-chi4", "weights", 2, _DEGENERATE_WP_KW),
+    ]), 1, "grid3x3-chi5"),
+    "open2x3": (_run_open2x3, 100, "open2x3-chi4"),
+    "rank-sweep": (_run_rank_sweep, 30, "grid3x3-chi5"),
+    "infinite": (_run_infinite, 1, "doubleloop-3v"),
 }

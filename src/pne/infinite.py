@@ -56,11 +56,13 @@ class StripContext:
     """Symmetrized, site-normalized unit tensor plus cached strip data.
 
     ``log_site_scale`` restores absolute free energies:
-    f(original unit) = f(normalized unit) - log_site_scale.
+    f(original unit) = f(normalized unit) - log_site_scale. ``source`` is
+    the unit the context was prepared from, which :func:`free_energy` checks.
     """
 
     unit: np.ndarray                   # gauged and normalized, axes (u-, u+, l-, l+)
     log_site_scale: float
+    source: np.ndarray | None = field(default=None, repr=False)
     lambdas: dict[tuple, float] = field(default_factory=dict)   # axis-0 strip eigenvalues
     gammas: dict[tuple, float] = field(default_factory=dict)    # axis-1 strip eigenvalues
     patches: dict[tuple[int, int], float] = field(default_factory=dict)
@@ -87,7 +89,7 @@ def prepare_strips(unit: np.ndarray, ubp: UniformBP | None = None, **bp_kwargs) 
     site = float(gauged[0, 0, 0, 0])
     if site <= 0:
         raise InfiniteError(f"single-site capped scalar is {site:.3e}; cannot normalize logs")
-    return StripContext(unit=gauged / site, log_site_scale=math.log(site))
+    return StripContext(unit=gauged / site, log_site_scale=math.log(site), source=unit)
 
 
 def _row_program(first: np.ndarray, unit: np.ndarray, k: int) -> tuple[list[tuple], tuple]:
@@ -282,7 +284,8 @@ def free_energy(
     sequences and the widths they need are tabled once per
     ``(width, axes, mode)``, and each distinct pair of gap sequences is
     multiplied out once per call. The density is -log of the signed sum per
-    supercell site.
+    supercell site. A ``ctx`` from :func:`prepare_strips` must come from
+    ``unit`` itself (or an equal array), else :class:`InfiniteError`.
     """
     width = int(width)
     if width < 1:
@@ -295,6 +298,8 @@ def free_energy(
         raise InfiniteError("mode='single' keeps one strip set and needs axes='v'")
     if ctx is None:
         ctx = prepare_strips(unit, **bp_kwargs)
+    elif ctx.source is not unit and not np.array_equal(ctx.source, unit):
+        raise InfiniteError("ctx was prepared from a different unit than the one given")
 
     height = width if axes == "vh" else 1
     table = _pattern_table(width, axes, mode)

@@ -389,13 +389,14 @@ class BlockedUnit:
         self.factors = _block_factors(factors, self.unit.ndim // 2)
         self.ndim = len(self.factors)
         self._materialized = self.unit if all(f == 1 for f in self.factors) else None
+        self._clusters: dict[tuple[AxisDir, ...], tuple] = {}    # by capped faces, see _capped_cluster
 
     def face_cells(self, g: int, s: int) -> list[Pos]:
         edge_coord = self.factors[g] - 1 if s == 1 else 0
         return [p for p in _positions(self.factors) if p[g] == edge_coord]
 
     def face_dim(self, g: int, s: int) -> int:
-        return self.unit.shape[2 * g + s] ** len(self.face_cells(g, s))
+        return self.unit.shape[2 * g + s] ** math.prod(f for h, f in enumerate(self.factors) if h != g)
 
     def apply_caps(self, caps: dict[AxisDir, np.ndarray | None]) -> np.ndarray:
         """Contract the cluster with fused cap vectors on the given faces.
@@ -403,7 +404,9 @@ class BlockedUnit:
         Faces mapped to None (or omitted) stay open; the result carries one
         fused axis per open face in canonical ``(g, s)`` order. A cap whose
         size is not its face's dimension, or a direction the unit lacks,
-        raises :class:`ModelError`."""
+        raises :class:`ModelError`. A lazy unit builds its cluster network
+        once per set of capped faces and keeps it; later calls swap in only
+        the cap tensors."""
         dirs = list(itertools.product(range(self.ndim), (0, 1)))
         for d in caps:
             if d not in dirs:
@@ -415,23 +418,32 @@ class BlockedUnit:
                                  f"but that face has dimension {self.face_dim(*d)}")
         if self._materialized is not None:
             return _absorb_all(self._materialized, [(2 * g + s, vec) for (g, s), vec in capped.items()])
-        faces, (node_of, _, open_leg, wiring) = self._cluster
-        tensors = {node: self.unit for node in node_of.values()}
-        attachments = dict(wiring)
-        for (g, s), vec in capped.items():
-            cap_node = len(tensors)
-            tensors[cap_node] = vec.reshape((self.unit.shape[2 * g + s],) * len(faces[(g, s)]))
-            for k, p in enumerate(faces[(g, s)]):
-                attachments[open_leg[(p, (g, s))]] += ((cap_node, k),)
-        net = TensorNetwork.build(tensors, attachments)
-        open_faces = [[open_leg[(p, d)] for p in faces[d]] for d in dirs if d not in capped]
+        dirs_capped = tuple(capped)
+        if dirs_capped not in self._clusters:
+            self._clusters[dirs_capped] = self._capped_cluster(dirs_capped)
+        net, cap_node, open_faces = self._clusters[dirs_capped]
+        nodes = dict(net.nodes)
+        for d, vec in capped.items():
+            nodes[cap_node[d]] = asarray(vec).reshape(nodes[cap_node[d]].shape)
+        net = TensorNetwork(nodes=nodes, edges=net.edges)
         return _fuse_faces(net, contract(net), open_faces)
 
-    @functools.cached_property
-    def _cluster(self):
-        """The cells of each face, and the cluster's layout with every outward leg open."""
+    def _capped_cluster(self, capped: tuple[AxisDir, ...]):
+        """The cluster network with one cap node on each face in ``capped``
+        (its tensor a placeholder that each call replaces), the cap node of
+        each such face, and the open legs of each other face."""
         faces = {(g, s): self.face_cells(g, s) for g in range(self.ndim) for s in (0, 1)}
-        return faces, _grid_layout(self.factors, frozenset((p, d) for d, cells in faces.items() for p in cells))
+        node_of, _, open_leg, attachments = _grid_layout(
+            self.factors, frozenset((p, d) for d, cells in faces.items() for p in cells))
+        tensors = {node: self.unit for node in node_of.values()}
+        cap_node = {}
+        for g, s in capped:
+            cap_node[g, s] = len(tensors)
+            tensors[len(tensors)] = np.zeros((self.unit.shape[2 * g + s],) * len(faces[g, s]))
+            for k, p in enumerate(faces[g, s]):
+                attachments[open_leg[p, (g, s)]] += ((cap_node[g, s], k),)
+        open_faces = [[open_leg[p, d] for p in cells] for d, cells in faces.items() if d not in capped]
+        return TensorNetwork.build(tensors, attachments), cap_node, open_faces
 
     def materialize(self) -> np.ndarray:
         if self._materialized is None:

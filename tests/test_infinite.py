@@ -361,6 +361,19 @@ class TestErrors:
         with pytest.raises(InfiniteError, match="single"):
             free_energy(unit, 3, axes="vh", mode="single", max_iter=200)
 
+    def test_context_of_another_unit_rejected(self):
+        cold, hot = ising_unit_tensor(2, 0.3), ising_unit_tensor(2, 0.5)
+        ctx = prepare_strips(cold)
+        assert ctx.source is cold
+        with pytest.raises(InfiniteError, match="different unit"):
+            free_energy(cold, 2, ctx=prepare_strips(hot))
+        with pytest.raises(InfiniteError, match="different unit"):
+            free_energy(cold, 2, ctx=StripContext(unit=ctx.unit, log_site_scale=ctx.log_site_scale))
+        # The same unit, or an equal copy of it, gets the context-free value.
+        want = free_energy(cold, 2).value
+        assert free_energy(cold, 2, ctx=ctx).value == want
+        assert free_energy(cold.copy(), 2, ctx=ctx).value == want
+
 
 def oracle_row(first, unit, k, v):
     """The tensordot row loop that the compiled row program replaced, verbatim."""

@@ -359,6 +359,22 @@ class TestUnitForms:
             assert got.shape == want.shape == (16,) * len(open_faces)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), open_faces
 
+    def test_lazy_caps_swapped_on_a_kept_cluster(self):
+        # The lazy unit keeps one cluster network per set of capped faces;
+        # calls repeating a set must use their own caps, never the last ones.
+        unit = random_tensor((3,) * 4, bias=0.3, seed=7)
+        lazy = block_unit(unit, (2, 2))
+        dense = materialized(unit, (2, 2))
+        rng = np.random.default_rng(12)
+        first, second = ((0, 0), (1, 1)), ((0, 1),)
+        for capped in (first, second, first, first, second):
+            caps = {d: rng.normal(size=9) for d in capped}
+            got, want = lazy.apply_caps(caps), dense.apply_caps(caps)
+            assert got.shape == want.shape == (9,) * (4 - len(capped))
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), capped
+        assert sorted(lazy._clusters) == [((0, 0), (1, 1)), ((0, 1),)]
+        assert lazy._materialized is None
+
     @pytest.mark.parametrize("form", ["lazy", "materialized"])
     def test_capped_block_equals_blocked_patch(self, form):
         unit = random_tensor((3,) * 4, bias=0.3, seed=5)
