@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from pne.belief import bp_approx, bp_scalar, run_bp
-from pne.expansion import evaluate
+from pne.expansion import evaluate, evaluate_residue
 from pne.infinite import cylinder_baseline, free_energy, prepare_strips
 from pne.models import (
     BETA_C_2D,
@@ -35,11 +35,12 @@ from pne.models import (
     finite_patch,
     ising_free_energy_2d,
     ising_unit_tensor,
+    random_grid,
     random_tensor,
     uniform_fixed_point,
 )
 from pne.network import Edge, NetworkError, contract, plan_order, subnetwork
-from pne.presets import OPEN2X3_AXES, build_preset
+from pne.presets import OPEN2X3_AXES, PRESETS, build_preset
 from pne.tensor import svd
 from pne.weights import run_weight_passing
 
@@ -263,13 +264,8 @@ def _identity_selftest(suite: str, seed: int) -> bool:
     """Randomized exactness identity on a small instance of the suite's
     self-check preset: expansion plus complement residue must equal the
     exact value."""
-    from pne.expansion import evaluate_residue
-    from pne.models import random_grid
-    from pne.presets import PRESETS
-
     preset = _SUITES[suite][2]
-    shape = PRESETS[preset][0]
-    open_axes = OPEN2X3_AXES if preset.startswith("open2x3") else frozenset()
+    shape, open_axes, _ = PRESETS[preset]
     g = random_grid(shape, 3, bias=0.2, seed=seed + 99991, open_axes=open_axes)
     pre = build_preset(preset, g, projectors="random", rank=1, seed=seed)
     val = evaluate(pre.expansion).value
@@ -296,10 +292,10 @@ def _scalar_records(row, g, methods, workers):
     """Evaluate scalar methods against the exact contraction of ``g``.
 
     A method is (method, preset, projectors, rank, kwargs); the "bp" and
-    "svd" rows name no preset. The "bp" row's state is shared by the later
-    BP-projector methods, and one weight-passing state, made by the first
-    weights method that runs, by all weights methods; ``kwargs`` go to the
-    solver of that state. A method that raises, or BP that does not
+    "svd-baseline" rows name no preset. The "bp" row's state is shared by
+    the later BP-projector methods, and one weight-passing state, made by
+    the first weights method that runs, by all weights methods; ``kwargs``
+    go to the solver of that state. A method that raises, or BP that does not
     converge, gives a ``converged=False`` row, and the next methods still
     run."""
     exact = float(contract(g.net))
@@ -313,9 +309,9 @@ def _scalar_records(row, g, methods, workers):
                     raise BenchError("message passing did not converge")
                 val = bp_scalar(g.net, bp_state)
                 out.append(row("bp", "-", 1, "rel", val, exact, rel_error(exact, val), 0))
-            elif method == "svd":
+            elif method == "svd-baseline":
                 val = svd_baseline_5x4(g, chi_keep=rank)
-                out.append(row("svd-baseline", "-", rank, "rel", val, exact, rel_error(exact, val), 0))
+                out.append(row(method, "-", rank, "rel", val, exact, rel_error(exact, val), 0))
             else:
                 if projectors == "weights" and weight_state is None:
                     weight_state = run_weight_passing(g.net, **kwargs)
@@ -455,7 +451,7 @@ _SUITES = {
     ]), 100, "grid3x3-chi4"),
     "grid5x4": (_scalar("5x4", (5, 4), _classes_2d, [
         ("bp", "-", "bp", 1, BP_KW),
-        ("svd", "-", "-", 16, {}),
+        ("svd-baseline", "-", "-", 16, {}),
         ("pne", "grid5x4-chi6", "bp", 1, {}),
     ]), 30, "grid5x4-chi6"),
     "cube222": (_scalar("2x2x2", (2, 2, 2), _classes_3d, [

@@ -113,7 +113,7 @@ def cmd_expand(args) -> int:
     print(f"preset {args.preset} ({pre.expansion.form}, {len(pre.expansion.terms)} terms)")
     for term, tval in zip(pre.expansion.terms, result.term_values):
         mag = float(tval) if np.asarray(tval).ndim == 0 else float(np.linalg.norm(np.asarray(tval).ravel()))
-        print(f"  {''.join(term.pattern)}  coeff {term.coefficient:+d}  value {mag!r}")
+        print(f"  {''.join(term.pattern)}  coeff {term.coefficient:+d}  value {mag * pre.scale!r}")
     if value.ndim == 0:
         print(f"expansion value = {float(value)!r}")
     else:
@@ -130,7 +130,7 @@ def cmd_expand(args) -> int:
     if args.residue:
         res = evaluate_residue(pre.expansion, cross_check=False)
         mag = float(res) if res.ndim == 0 else float(np.linalg.norm(res.ravel()))
-        print(f"residue (direct complement evaluation) = {mag!r}")
+        print(f"residue (direct complement evaluation) = {mag * pre.scale!r}")
     return 0
 
 

@@ -1,12 +1,14 @@
 """Partitioned expansions of network contractions.
 
 A *partition* selects a set of edges and a projector on their joint index
-space; its complement is never materialized at full extent. The linear form
-telescopes the contraction into M terms (prefix of complements, then the
-projector); the combinatorial form is an inclusion-exclusion over the
-2^M - 1 non-empty activation patterns. Both are exact identities once the
-all-complement *residue* is added back, for any network and any idempotent
-projectors.
+space: one isometry per edge (:class:`Factorized`), or a pair ``tail @
+head.T`` over the merged space (:class:`JointPair`), which holds any
+idempotent matrix, oblique or orthogonal. Its complement is never
+materialized at full extent. The linear form telescopes the contraction
+into M terms (prefix of complements, then the projector); the
+combinatorial form is an inclusion-exclusion over the 2^M - 1 non-empty
+activation patterns. Both are exact identities once the all-complement
+*residue* is added back, for any network and any idempotent projectors.
 
 Every term and every residue is one *pattern*: partition k carries the
 identity ("I"), its projector ("P") or its complement ("Q"). A pattern's
@@ -19,8 +21,9 @@ table* while it runs: each node tensor with an ordered prefix of absorbed
 operators is computed once, from the next shorter prefix, and shared by
 every term that carries it. The order of absorption is the one stated
 above, so a term's bits are those of building it alone. Shared arrays are
-read-only, and the table is dropped when the build returns. Each factor is
-checked (shape and orthonormality) once per build, not once per term.
+read-only, and the table is dropped when the build returns. Each factor
+(shape and orthonormality) and each joint pair (shape and biorthogonality)
+is checked once per build, not once per term.
 A build validates its input network before it builds any term. Each term
 takes its plan from :func:`plan_order`, which checks the term's layout
 once per layout in the plan cache, and :func:`evaluate` contracts it with
@@ -48,8 +51,7 @@ from pne.network import (
     checked_isometry,
     contract,
     insert_joint_dense,
-    insert_joint_isometry,
-    insert_joint_ketbra,
+    insert_joint_pair,
     plan_order,
     validate,
 )
@@ -58,8 +60,7 @@ from pne.tensor import asarray, basis_columns
 __all__ = [
     "ExpansionError",
     "Factorized",
-    "JointIsometry",
-    "JointKetBra",
+    "JointPair",
     "Partition",
     "ExpansionTerm",
     "Expansion",
@@ -89,24 +90,29 @@ class Factorized:
 
 
 @dataclass(frozen=True)
-class JointIsometry:
-    """A single isometry over the merged edge space (orthogonal projector of
-    rank r that need not factorize over the edges)."""
+class JointPair:
+    """The projector ``tail @ head.T`` over the merged edge space: ``tail``
+    and ``head`` are (D, r) with ``head.T @ tail = I_r``, so every rank-r
+    idempotent matrix is one, and it need not factorize over the edges. An
+    isometry ``w`` gives the orthogonal projector ``JointPair(w, w)``."""
 
-    isometry: np.ndarray
+    tail: np.ndarray
+    head: np.ndarray
+
+    @classmethod
+    def ketbra(cls, ket, bra) -> JointPair:
+        """The oblique rank-1 projector ``|ket><bra| / <bra|ket>``, e.g. from
+        two-site fixed-point messages whose symmetrizing gauge cannot be
+        absorbed into separate endpoint tensors."""
+        ket = asarray(ket).reshape(-1)
+        bra = asarray(bra).reshape(-1)
+        ov = float(bra @ ket)
+        if abs(ov) < 1e-14:
+            raise ExpansionError(f"ket/bra overlap {ov:.2e} is numerically singular")
+        return cls((1.0 / ov) * ket[:, None], bra[:, None])
 
 
-@dataclass(frozen=True)
-class JointKetBra:
-    """Oblique rank-1 projector ``|ket><bra| / <bra|ket>`` over the merged
-    edge space, e.g. from two-site fixed-point messages whose symmetrizing
-    gauge cannot be absorbed into separate endpoint tensors."""
-
-    ket: np.ndarray
-    bra: np.ndarray
-
-
-Projector = Factorized | JointIsometry | JointKetBra
+Projector = Factorized | JointPair
 
 
 @dataclass(frozen=True)
@@ -130,9 +136,7 @@ class Partition:
     def rank(self) -> int:
         if isinstance(self.projector, Factorized):
             return math.prod(f.shape[1] for f in self.projector.factors)
-        if isinstance(self.projector, JointIsometry):
-            return self.projector.isometry.shape[1]
-        return 1
+        return self.projector.tail.shape[1]
 
     def dense_matrix(self) -> np.ndarray:
         """The projector as a dense matrix on the merged edge space."""
@@ -142,21 +146,7 @@ class Partition:
                 f = asarray(f)
                 mat = np.kron(mat, f @ f.T)
             return mat
-        if isinstance(self.projector, JointIsometry):
-            w = asarray(self.projector.isometry)
-            return w @ w.T
-        ket, bra, ov = _ketbra_overlap(self)
-        return np.outer(ket, bra) / ov
-
-
-def _ketbra_overlap(part: Partition) -> tuple[np.ndarray, np.ndarray, float]:
-    """Flat ket and bra of a joint rank-1 partition, and their (nonsingular) overlap."""
-    ket = asarray(part.projector.ket).reshape(-1)
-    bra = asarray(part.projector.bra).reshape(-1)
-    ov = float(bra @ ket)
-    if abs(ov) < 1e-14:
-        raise ExpansionError(f"partition {part.id}: ket/bra overlap {ov:.2e} is numerically singular")
-    return ket, bra, ov
+        return asarray(self.projector.tail) @ asarray(self.projector.head).T
 
 
 def _shared(table: dict, key: tuple, make: Callable[[], np.ndarray]) -> np.ndarray:
@@ -238,11 +228,7 @@ def _pattern_network(
             absorb(n, ax, ("P", id(f)), u)
         work.edges[remap[e]] = Edge(endpoints=edge.endpoints, dim=u.shape[1])
     for part in joints:
-        if isinstance(part.projector, JointIsometry):
-            work = insert_joint_isometry(work, part.edges, part.projector.isometry)
-        else:
-            ket, bra, ov = _ketbra_overlap(part)
-            work = insert_joint_ketbra(work, part.edges, ket, bra, scale=1.0 / ov)
+        work = insert_joint_pair(work, part.edges, part.projector.tail, part.projector.head)
     return work
 
 
@@ -287,8 +273,8 @@ class Expansion:
 
 def _check_partitions(net: TensorNetwork, partitions: Sequence[Partition]) -> None:
     """Reject a partition list no expansion of ``net`` can carry. Each
-    distinct factor of an edge is checked here once, so the builder does not
-    check it per term."""
+    distinct factor of an edge and each joint pair is checked here once, so
+    the builder does not check it per term."""
     if not partitions:
         raise ExpansionError("an expansion needs at least one partition")
     seen: dict[int, tuple] = {}     # edge -> its first factor, as given and as checked
@@ -318,6 +304,22 @@ def _check_partitions(net: TensorNetwork, partitions: Sequence[Partition]) -> No
                     )
             else:
                 joint_edges.add(e)
+        if not factorized:
+            _check_pair(part, math.prod(net.edges[e].dim for e in part.edges))
+
+
+def _check_pair(part: Partition, dim: int) -> None:
+    """Raise unless the joint pair of ``part`` is (dim, r), r >= 1, with
+    ``head.T @ tail = I_r`` to 1e-8 times the product of the factors'
+    spectral norms, which is 1 for an isometry."""
+    tail, head = asarray(part.projector.tail), asarray(part.projector.head)
+    if tail.ndim != 2 or tail.shape != head.shape or tail.shape[0] != dim or tail.shape[1] < 1:
+        raise ExpansionError(
+            f"partition {part.id}: pair shapes {tail.shape}/{head.shape} are incompatible with merged dim {dim}"
+        )
+    bound = 1e-8 * np.linalg.norm(tail, 2) * np.linalg.norm(head, 2)
+    if not np.allclose(head.T @ tail, np.eye(tail.shape[1]), atol=bound):
+        raise ExpansionError(f"partition {part.id}: head.T @ tail is not the identity (pair not biorthogonal)")
 
 
 def _expansion(

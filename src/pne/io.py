@@ -24,7 +24,7 @@ from typing import BinaryIO
 import numpy as np
 
 from pne.belief import BPState
-from pne.expansion import Factorized, JointIsometry, JointKetBra, Partition
+from pne.expansion import Factorized, JointPair, Partition
 from pne.models import GridNetwork, grid_view
 from pne.network import Edge, TensorNetwork, validate
 from pne.weights import WeightState
@@ -274,21 +274,15 @@ def save_partitions(path: str, partitions, form: str | None = None) -> None:
     for part in partitions:
         proj = part.projector
         if isinstance(proj, Factorized):
-            kind = "factorized"
-            shapes = [list(f.shape) for f in proj.factors]
-            payload.extend(np.asarray(f, dtype=np.float64) for f in proj.factors)
-        elif isinstance(proj, JointIsometry):
-            kind = "joint_isometry"
-            shapes = [list(proj.isometry.shape)]
-            payload.append(np.asarray(proj.isometry, dtype=np.float64))
-        elif isinstance(proj, JointKetBra):
-            kind = "joint_ketbra"
-            shapes = [[int(np.asarray(proj.ket).size)], [int(np.asarray(proj.bra).size)]]
-            payload.append(np.asarray(proj.ket, dtype=np.float64).reshape(-1))
-            payload.append(np.asarray(proj.bra, dtype=np.float64).reshape(-1))
+            kind, arrays = "factorized", proj.factors
+        elif isinstance(proj, JointPair):
+            kind, arrays = "joint", (proj.tail, proj.head)
         else:
             raise ValueError(f"unknown projector {proj!r}")
-        records.append({"id": part.id, "edges": list(part.edges), "kind": kind, "shapes": shapes})
+        arrays = [np.asarray(f, dtype=np.float64) for f in arrays]
+        payload.extend(arrays)
+        records.append({"id": part.id, "edges": list(part.edges), "kind": kind,
+                        "shapes": [list(f.shape) for f in arrays]})
     header = {"kind": "partitions", "partitions": records}
     if form is not None:
         header["form"] = form
@@ -296,26 +290,29 @@ def save_partitions(path: str, partitions, form: str | None = None) -> None:
         _write(fh, header, payload)
 
 
+# Partition kind -> its projector, from the kind's arrays in header order.
+# "joint_isometry" (one isometry) and "joint_ketbra" (flat ket and bra) were
+# written before "joint", under the same format version.
+_PROJECTOR_KINDS = {
+    "factorized": lambda arrays: Factorized(factors=tuple(arrays)),
+    "joint": lambda arrays: JointPair(*arrays),
+    "joint_isometry": lambda arrays: JointPair(arrays[0], arrays[0]),
+    "joint_ketbra": lambda arrays: JointPair.ketbra(*arrays),
+}
+
+
 def _partitions_from_header(header: dict, buf) -> tuple[list[Partition], str | None]:
     out = []
     offset = 0
     for rec in header["partitions"]:
         kind = rec["kind"]
-        if kind == "factorized":
-            factors = []
-            for shape in rec["shapes"]:
-                arr, offset = _take(buf, offset, shape)
-                factors.append(arr)
-            proj = Factorized(factors=tuple(factors))
-        elif kind == "joint_isometry":
-            arr, offset = _take(buf, offset, rec["shapes"][0])
-            proj = JointIsometry(isometry=arr)
-        elif kind == "joint_ketbra":
-            ket, offset = _take(buf, offset, rec["shapes"][0])
-            bra, offset = _take(buf, offset, rec["shapes"][1])
-            proj = JointKetBra(ket=ket, bra=bra)
-        else:
+        if kind not in _PROJECTOR_KINDS:
             raise ContainerError(f"unknown partition kind {kind!r}")
+        arrays = []
+        for shape in rec["shapes"]:
+            arr, offset = _take(buf, offset, shape)
+            arrays.append(arr)
+        proj = _PROJECTOR_KINDS[kind](arrays)
         out.append(Partition(id=int(rec["id"]), edges=tuple(int(e) for e in rec["edges"]), projector=proj))
     return out, header.get("form")
 

@@ -6,10 +6,12 @@ attachment are *open*: their axes survive contraction and appear in the
 result in ascending edge-id order. Edge ids are stable integers assigned at
 construction; every canonical ordering in the package derives from them.
 
-The ``insert_joint_*`` functions insert an operator over the joint space
-of several edges. Expansion builders absorb their single-edge operators
-with :func:`absorb_matrix` directly, sharing the dressed tensors between
-terms (see :mod:`pne.expansion`).
+:func:`insert_joint_pair` inserts an operator ``tail @ head.T`` over the
+joint space of several edges as two factor nodes, and
+:func:`insert_joint_dense` inserts a dense operator there as one node.
+Expansion builders absorb their single-edge operators with
+:func:`absorb_matrix` directly, sharing the dressed tensors between terms
+(see :mod:`pne.expansion`).
 
 :func:`apply_insertions` is the public single-edge API: it inserts
 :class:`Identity`, :class:`ProjectorP` (absorbed as its isometric factor,
@@ -61,8 +63,7 @@ __all__ = [
     "absorb_matrix",
     "checked_isometry",
     "apply_insertions",
-    "insert_joint_ketbra",
-    "insert_joint_isometry",
+    "insert_joint_pair",
     "insert_joint_dense",
     "contract",
     "plan_order",
@@ -403,46 +404,33 @@ def _cut_joint(
     return out, continuation
 
 
-def insert_joint_ketbra(
+def insert_joint_pair(
     net: TensorNetwork,
     edge_ids: Sequence[int],
-    ket: np.ndarray,
-    bra: np.ndarray,
-    scale: float = 1.0,
+    tail: np.ndarray,
+    head: np.ndarray,
 ) -> TensorNetwork:
-    """Insert a rank-1 operator ``scale * |ket><bra|`` over the joint space of
-    several edges.
+    """Insert the operator ``tail @ head.T`` over the joint space of several
+    edges without materializing it densely.
 
-    The edges are cut; a ket node joins their tail attachments and a bra node
-    joins the head attachments (each reshaped over the per-edge extents).
+    ``tail`` and ``head`` are (D, r), D the product of the edge extents. The
+    edges are cut; a tail node joins their tail attachments and a head node
+    their head attachments, each reshaped over the per-edge extents. At
+    r > 1 the two nodes share a new edge of extent r; at r = 1 they are an
+    outer product, with no edge between them.
     """
     dims, bigdim = _joint_dims(net, edge_ids)
-    ket = asarray(ket).reshape(-1)
-    bra = asarray(bra).reshape(-1)
-    if ket.size != bigdim or bra.size != bigdim:
-        raise InsertionError(f"joint vectors of length {ket.size}/{bra.size} != merged dim {bigdim}")
-    out, _ = _cut_joint(net, edge_ids, (scale * ket).reshape(dims), bra.reshape(dims))
-    return out
-
-
-def insert_joint_isometry(
-    net: TensorNetwork,
-    edge_ids: Sequence[int],
-    isometry: np.ndarray,
-) -> TensorNetwork:
-    """Insert the orthogonal projector ``W W^T`` over the joint space of
-    several edges without materializing it densely.
-
-    ``W`` is (D, r); it becomes a (k+1)-leg node on each side of the cut,
-    joined by a new rank-r edge.
-    """
-    dims, bigdim = _joint_dims(net, edge_ids)
-    w = checked_isometry(isometry, bigdim, InsertionError, "joint projector factor over the merged edges")
-    r = w.shape[1]
-    k = len(dims)
+    tail, head = asarray(tail), asarray(head)
+    if tail.ndim != 2 or tail.shape != head.shape or tail.shape[1] < 1 or tail.shape[0] != bigdim:
+        raise InsertionError(
+            f"joint factors of shapes {tail.shape}/{head.shape} are not (D, r) for merged dim {bigdim}"
+        )
+    r, k = tail.shape[1], len(dims)
+    shape = dims + [r] if r > 1 else dims
     tail_node = net.next_node_id()
-    out, _ = _cut_joint(net, edge_ids, w.reshape(dims + [r]), w.reshape(dims + [r]))
-    out.edges[out.next_edge_id()] = Edge(endpoints=((tail_node, k), (tail_node + 1, k)), dim=r)
+    out, _ = _cut_joint(net, edge_ids, tail.reshape(shape), head.reshape(shape))
+    if r > 1:
+        out.edges[out.next_edge_id()] = Edge(endpoints=((tail_node, k), (tail_node + 1, k)), dim=r)
     return out
 
 

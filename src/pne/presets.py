@@ -27,7 +27,7 @@ from pne.expansion import (
     Expansion,
     ExpansionError,
     Factorized,
-    JointKetBra,
+    JointPair,
     Partition,
     build_combinatorial,
     build_linear,
@@ -169,22 +169,23 @@ def _grid4x3_recursive(g: GridNetwork) -> LayoutSpec:
     )
 
 
-# Each preset: the lattice shape it is defined on, and its layout.
-PRESETS: dict[str, tuple[tuple[int, ...], Callable[[GridNetwork], LayoutSpec]]] = {
-    "doubleloop-3v": ((2, 3), _doubleloop_3v),
-    "doubleloop-cut1": ((2, 3), _doubleloop_cut1),
-    "doubleloop-single": ((2, 3), _doubleloop_single),
-    "doubleloop-2col": ((2, 3), _doubleloop_2col),
-    "grid3x3-chi5": ((3, 3), _grid3x3_chi5),
-    "grid3x3-chi4": ((3, 3), _grid3x3_chi4),
-    "grid3x3-single": ((3, 3), _grid3x3_single),
-    "cube222-chi5": ((2, 2, 2), _cube_chi5),
-    "cube222-chi4": ((2, 2, 2), _cube_chi4),
-    "cube222-chi3": ((2, 2, 2), _cube_chi3),
-    "open2x3-chi5": ((2, 3), _open2x3_chi5),
-    "open2x3-chi4": ((2, 3), _open2x3_chi4),
-    "grid5x4-chi6": ((5, 4), _grid5x4_chi6),
-    "grid4x3-recursive": ((4, 3), _grid4x3_recursive),
+# Each preset: the lattice shape it is defined on, the open legs of that
+# lattice (``open_axes`` of the grid generators), and its layout.
+PRESETS: dict[str, tuple[tuple[int, ...], frozenset, Callable[[GridNetwork], LayoutSpec]]] = {
+    "doubleloop-3v": ((2, 3), frozenset(), _doubleloop_3v),
+    "doubleloop-cut1": ((2, 3), frozenset(), _doubleloop_cut1),
+    "doubleloop-single": ((2, 3), frozenset(), _doubleloop_single),
+    "doubleloop-2col": ((2, 3), frozenset(), _doubleloop_2col),
+    "grid3x3-chi5": ((3, 3), frozenset(), _grid3x3_chi5),
+    "grid3x3-chi4": ((3, 3), frozenset(), _grid3x3_chi4),
+    "grid3x3-single": ((3, 3), frozenset(), _grid3x3_single),
+    "cube222-chi5": ((2, 2, 2), frozenset(), _cube_chi5),
+    "cube222-chi4": ((2, 2, 2), frozenset(), _cube_chi4),
+    "cube222-chi3": ((2, 2, 2), frozenset(), _cube_chi3),
+    "open2x3-chi5": ((2, 3), OPEN2X3_AXES, _open2x3_chi5),
+    "open2x3-chi4": ((2, 3), OPEN2X3_AXES, _open2x3_chi4),
+    "grid5x4-chi6": ((5, 4), frozenset(), _grid5x4_chi6),
+    "grid4x3-recursive": ((4, 3), frozenset(), _grid4x3_recursive),
 }
 
 
@@ -286,14 +287,16 @@ def build_preset(
     """Instantiate a named partition layout on a generator lattice.
 
     The network and factors come from :func:`source_projectors` on
-    ``grid.net``. The recursive preset cuts its over-budget terms with
-    random factors under ``projectors="random"`` and re-gauges them with BP
-    otherwise, ``"weights"`` included, starting that BP at the parent's
-    fixed point (see :func:`_build_recursive`).
+    ``grid.net``. A joint two-site partition takes the grouped fixed-point
+    messages under ``projectors="bp"`` and a seeded random rank-1 isometry
+    over its merged space under ``"random"``. The recursive preset cuts its
+    over-budget terms with random factors under ``projectors="random"`` and
+    re-gauges them with BP otherwise, ``"weights"`` included, starting that
+    BP at the parent's fixed point (see :func:`_build_recursive`).
     """
     if name not in PRESETS:
         raise PresetError(f"unknown preset {name!r}; available: {', '.join(preset_names())}")
-    shape, layout_of = PRESETS[name]
+    shape, _, layout_of = PRESETS[name]
     if grid.shape != shape:
         raise PresetError(f"preset {name} expects a {shape} lattice, got {grid.shape}")
     if rank < 1:
@@ -307,14 +310,20 @@ def build_preset(
     )
     partitions = _factorized_partitions(layout.edge_lists, factor_of)
     for pid, pair in enumerate(layout.joint_pairs, len(partitions)):
-        if projectors != "bp":
-            raise PresetError("joint two-site partitions require fixed-point message projectors")
-        derived, fused = grouped_network(net, pair)
-        sub_state = run_bp(derived, **(bp_kwargs or {}))
-        if not sub_state.converged:
-            raise PresetError(f"grouped message passing on pair {pair} did not converge")
-        ket, bra, ov = joint_message_pair(sub_state, fused)
-        partitions.append(Partition(id=pid, edges=tuple(pair), projector=JointKetBra(ket=ket, bra=bra)))
+        if projectors == "random":
+            dim = net.edges[pair[0]].dim * net.edges[pair[1]].dim
+            w = _random_isometry(dim, 1, np.random.default_rng((seed, pid)))
+            proj = JointPair(w, w)
+        elif projectors == "bp":
+            derived, fused = grouped_network(net, pair)
+            sub_state = run_bp(derived, **(bp_kwargs or {}))
+            if not sub_state.converged:
+                raise PresetError(f"grouped message passing on pair {pair} did not converge")
+            ket, bra, _ = joint_message_pair(sub_state, fused)
+            proj = JointPair.ketbra(ket, bra)
+        else:
+            raise PresetError("joint two-site partitions take fixed-point message or random projectors")
+        partitions.append(Partition(id=pid, edges=tuple(pair), projector=proj))
 
     if layout.form == "linear":
         expansion = build_linear(net, partitions)

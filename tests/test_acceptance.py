@@ -16,8 +16,7 @@ from pne.belief import bp_approx, bp_scalar, run_bp, symmetrize
 from pne.bench import make_instance, rel_error, run_suite, tensor_error
 from pne.expansion import (
     Factorized,
-    JointIsometry,
-    JointKetBra,
+    JointPair,
     Partition,
     build_combinatorial,
     build_linear,
@@ -72,9 +71,10 @@ def _random_partitions(net, grid, rng, allow_joint):
             edges = (chosen.pop(), chosen.pop())
             dim = net.edges[edges[0]].dim * net.edges[edges[1]].dim
             if rng.integers(0, 2):
-                proj = JointIsometry(rand_iso(dim, int(rng.integers(1, dim)), rng))
+                w = rand_iso(dim, int(rng.integers(1, dim)), rng)
+                proj = JointPair(w, w)
             else:
-                proj = JointKetBra(rng.normal(size=dim), rng.normal(size=dim))
+                proj = JointPair.ketbra(rng.normal(size=dim), rng.normal(size=dim))
             parts.append(Partition(id=pid, edges=edges, projector=proj))
         elif kind == 1 and len(chosen) >= 2:
             edges = (chosen.pop(), chosen.pop())

@@ -107,6 +107,29 @@ class TestSuites:
         assert all(len(line.split(",")) == len(header) for line in lines[1:])
 
 
+def test_failed_svd_row_keeps_the_method_name(monkeypatch):
+    # A failed svd-baseline row is named like a good one, so the medians
+    # group the two.
+    from pne import bench
+
+    calls = []
+
+    def baseline(g, chi_keep):
+        calls.append(1)
+        if len(calls) == 4:
+            raise BenchError("baseline failed")
+        return svd_baseline_5x4(g, chi_keep)
+
+    monkeypatch.setattr(bench, "make_instance", lambda kind, shape, *a, seed=0, **kw:
+                        random_grid(shape, 2, bias=0.2, seed=seed))
+    monkeypatch.setattr(bench, "svd_baseline_5x4", baseline)
+    records = run_suite("grid5x4", trials=2).records
+    svd_rows = [(r.model, r.seed, r.converged) for r in records if r.method == "svd-baseline"]
+    assert svd_rows == [("ising2d", "-", True), ("aklt", "-", True), ("random", "0", True),
+                        ("random", "1", False), ("random", "median", False)]
+    assert not [r for r in records if r.method == "svd"]
+
+
 class TestMakeInstance:
     def test_random_is_seed_deterministic(self):
         a = make_instance("random", (2, 3), seed=5)

@@ -4,9 +4,10 @@ import re
 
 import pytest
 
+from pne.bench import make_instance
 from pne.cli import main
 from pne.expansion import evaluate
-from pne.io import save_network
+from pne.io import save_grid, save_network
 from pne.models import ModelSpec, finite_patch
 from pne.network import TensorNetwork
 from pne.presets import build_preset
@@ -41,6 +42,22 @@ def test_model_contract_bp_expand_bench(tmp_path, capsys):
 
     assert main(["bench", "list"]) == 0
     assert "grid5x4" in capsys.readouterr().out.split()
+
+
+def test_expand_term_values_carry_the_weight_prefactor(tmp_path, capsys):
+    # Weight projectors scale the network by a prefactor; the printed terms
+    # and residue carry it like the printed total and exact value.
+    path = tmp_path / "g.pnec"
+    save_grid(path, make_instance("random", (3, 3), seed=2))
+    assert main(["expand", str(path), "--preset", "grid3x3-chi5", "--projector", "weights",
+                 "--exact", "--residue"]) == 0
+    out = capsys.readouterr().out
+    terms = re.findall(r"^  [IPQ]+  coeff (\S+)  value (\S+)$", out, re.M)
+    assert len(terms) == 4
+    value, exact = _number("expansion value", out), _number("exact", out)
+    assert abs(sum(int(c) * float(v) for c, v in terms) - value) <= 1e-12 * abs(value)
+    residue = _number(r"residue \(direct complement evaluation\)", out)
+    assert abs(value + residue - exact) <= 1e-10 * abs(exact)
 
 
 def _fails(capsys, argv, message):

@@ -10,8 +10,7 @@ import pytest
 from pne.expansion import (
     ExpansionError,
     Factorized,
-    JointIsometry,
-    JointKetBra,
+    JointPair,
     Partition,
     build_combinatorial,
     build_linear,
@@ -34,8 +33,7 @@ from pne.network import (
     apply_insertions,
     contract,
     insert_joint_dense,
-    insert_joint_isometry,
-    insert_joint_ketbra,
+    insert_joint_pair,
     plan_order,
     validate,
 )
@@ -153,7 +151,7 @@ class TestBuildCombinatorial:
         parts = [
             Partition(id=0, edges=tuple(line[:2]), projector=Factorized(tuple(isos[e] for e in line[:2]))),
             Partition(id=1, edges=tuple(line[1:]), projector=Factorized(tuple(isos[e] for e in line[1:]))),
-            Partition(id=2, edges=joint, projector=JointIsometry(w)),
+            Partition(id=2, edges=joint, projector=JointPair(w, w)),
         ]
         exp = build_combinatorial(g.net, parts)
         assert exp.term_count == 7
@@ -332,7 +330,7 @@ class TestOverlappingPartitions:
         with pytest.raises(ExpansionError, match="repeated edge"):
             Partition(id=0, edges=(0, 0), projector=Factorized((q, q)))
         with pytest.raises(ExpansionError, match="repeated edge"):
-            Partition(id=1, edges=(2, 1, 2), projector=JointIsometry(np.eye(27)[:, :1]))
+            Partition(id=1, edges=(2, 1, 2), projector=JointPair(np.eye(27)[:, :1], np.eye(27)[:, :1]))
 
 
 def test_wide_joint_sizes_do_not_wrap():
@@ -342,9 +340,16 @@ def test_wide_joint_sizes_do_not_wrap():
     edges = {2 * a + ax: Edge(((a, ax), (a + 2, ax)), dim=2**16) for a in (0, 1) for ax in (0, 1)}
     net = TensorNetwork(nodes={n: big for n in range(4)}, edges=edges)
     with pytest.raises(InsertionError, match=f"merged dim {2**64}$"):
-        insert_joint_ketbra(net, sorted(edges), np.ones(4), np.ones(4))
+        insert_joint_pair(net, sorted(edges), np.ones((4, 1)), np.ones((4, 1)))
     part = Partition(id=0, edges=tuple(sorted(edges)), projector=Factorized((big,) * 4))
     assert part.rank() == 2**64
+
+
+def oblique_pair(dim, rank, rng):
+    """A random oblique pair: ``head.T @ tail = I`` with ``tail != head``."""
+    tail = rng.normal(size=(dim, rank))
+    b = rng.normal(size=(dim, rank))
+    return JointPair(tail, b @ np.linalg.inv(b.T @ tail).T)
 
 
 class TestJointPartitions:
@@ -352,7 +357,8 @@ class TestJointPartitions:
         rng = np.random.default_rng(23)
         g = random_grid((2, 2, 2), 2, bias=0.2, seed=23)
         pair = (g.bond[(0, (0, 0, 0))], g.bond[(0, (0, 1, 1))])
-        part = Partition(id=0, edges=pair, projector=JointIsometry(rand_iso(4, 2, rng)))
+        w = rand_iso(4, 2, rng)
+        part = Partition(id=0, edges=pair, projector=JointPair(w, w))
         exp = build_combinatorial(g.net, [part])
         val = evaluate(exp)
         res = evaluate_residue(exp)
@@ -363,12 +369,87 @@ class TestJointPartitions:
         rng = np.random.default_rng(24)
         g = random_grid((2, 2, 2), 2, bias=0.2, seed=24)
         pair = (g.bond[(1, (0, 0, 0))], g.bond[(1, (1, 0, 1))])
-        part = Partition(id=0, edges=pair, projector=JointKetBra(rng.normal(size=4), rng.normal(size=4)))
+        part = Partition(id=0, edges=pair, projector=JointPair.ketbra(rng.normal(size=4), rng.normal(size=4)))
         exp = build_combinatorial(g.net, [part])
         val = evaluate(exp)
         res = evaluate_residue(exp)
         ex = float(contract(g.net))
         assert abs((float(val.value) + float(res) - ex) / ex) < 1e-10
+
+    @pytest.mark.parametrize("single", [False, True], ids=["two-edge", "single-edge"])
+    def test_oblique_rank2_pair_exactness(self, single):
+        # An oblique projector of rank 2, next to a factorized partition.
+        rng = np.random.default_rng(25)
+        g = random_grid((2, 2, 2), 3 if single else 2, bias=0.2, seed=25)
+        edges = (g.bond[(0, (0, 0, 0))],) + (() if single else (g.bond[(0, (0, 1, 1))],))
+        dim = math.prod(g.net.edges[e].dim for e in edges)
+        joint = Partition(id=0, edges=edges, projector=oblique_pair(dim, 2, rng))
+        p = joint.dense_matrix()
+        assert joint.rank() == 2 and not np.allclose(p, p.T)
+        np.testing.assert_allclose(p @ p, p, atol=1e-12)
+        other = g.bond[(1, (0, 0, 0))]
+        parts = [joint, Partition(id=1, edges=(other,), projector=Factorized((rand_iso(g.net.edges[other].dim, 1, rng),)))]
+        exp = build_combinatorial(g.net, parts)
+        assert exp.term_count == 3
+        ex = float(contract(g.net))
+        assert abs((float(evaluate(exp).value) + float(evaluate_residue(exp)) - ex) / ex) < 1e-10
+
+    def test_bad_pairs_rejected_before_any_term(self, monkeypatch):
+        rng = np.random.default_rng(26)
+        g = random_grid((2, 2, 2), 2, bias=0.2, seed=26)
+        pair = (g.bond[(0, (0, 0, 0))], g.bond[(0, (0, 1, 1))])
+        w = rand_iso(4, 2, rng)
+
+        def no_terms(*args, **kwargs):
+            raise AssertionError("a term was built")
+
+        monkeypatch.setattr(pne.expansion, "_pattern_network", no_terms)
+        for proj, message in [
+            (JointPair(rng.normal(size=(4, 2)), rng.normal(size=(4, 2))), "not biorthogonal"),
+            (JointPair(2.0 * w, w), "not biorthogonal"),
+            (JointPair(w, w[:, :1]), "pair shapes"),
+            (JointPair(np.eye(9)[:, :1], np.eye(9)[:, :1]), "merged dim 4"),
+            (JointPair(np.zeros((4, 0)), np.zeros((4, 0))), "pair shapes"),
+        ]:
+            with pytest.raises(ExpansionError, match=message):
+                build_combinatorial(g.net, [Partition(id=0, edges=pair, projector=proj)])
+
+    def test_biorthogonality_bound_scales_with_the_factors(self):
+        # head.T @ tail = I is checked to 1e-8 times the product of the
+        # factors' spectral norms. A nearly orthogonal ket and bra make that
+        # product about 3e4, so a 1e-6 miss passes and a 1e-2 miss does not.
+        g = random_grid((2, 2, 2), 2, bias=0.2, seed=27)
+        pair = (g.bond[(0, (0, 0, 0))], g.bond[(0, (0, 1, 1))])
+        rng = np.random.default_rng(27)
+        ket = rng.normal(size=4)
+        bra = rng.normal(size=4)
+        bra -= (bra @ ket - 1e-4) / (ket @ ket) * ket
+        proj = JointPair.ketbra(ket, bra)
+        assert 1e4 < np.linalg.norm(proj.tail, 2) * np.linalg.norm(proj.head, 2) < 1e5
+        near = JointPair((1 + 1e-6) * proj.tail, proj.head)
+        assert build_combinatorial(g.net, [Partition(id=0, edges=pair, projector=near)]).term_count == 1
+        far = JointPair((1 + 1e-2) * proj.tail, proj.head)
+        with pytest.raises(ExpansionError, match="not biorthogonal"):
+            build_combinatorial(g.net, [Partition(id=0, edges=pair, projector=far)])
+
+    def test_each_pair_checked_once_per_build(self, monkeypatch):
+        calls = []
+        real = pne.expansion._check_pair
+        monkeypatch.setattr(pne.expansion, "_check_pair", lambda part, dim: calls.append(part.id) or real(part, dim))
+        exp = _preset("cube222-chi4", "bp").expansion
+        assert exp.term_count == 7
+        assert sorted(calls) == [0, 1, 2]
+
+    def test_ketbra_columns(self):
+        rng = np.random.default_rng(28)
+        ket, bra = rng.normal(size=6), rng.normal(size=6)
+        pair = JointPair.ketbra(ket, bra)
+        assert pair.tail.shape == pair.head.shape == (6, 1)
+        # The bits of the scaled ket that the message projector has always had.
+        assert np.array_equal(pair.tail[:, 0], (1.0 / float(bra @ ket)) * ket)
+        assert np.array_equal(pair.head[:, 0], bra)
+        with pytest.raises(ExpansionError, match="numerically singular"):
+            JointPair.ketbra(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
 
 class TestRecursive:
@@ -464,12 +545,7 @@ def reference_network(net, partitions, pattern):
             work, [EdgeInsertion(remap[e], ProjectorP(f)) for e, f in sorted(factors.items())]
         )
     for part in joints:
-        if isinstance(part.projector, JointIsometry):
-            work = insert_joint_isometry(work, part.edges, part.projector.isometry)
-        else:
-            ket = np.asarray(part.projector.ket, dtype=float).reshape(-1)
-            bra = np.asarray(part.projector.bra, dtype=float).reshape(-1)
-            work = insert_joint_ketbra(work, part.edges, ket, bra, scale=1.0 / float(bra @ ket))
+        work = insert_joint_pair(work, part.edges, part.projector.tail, part.projector.head)
     return work
 
 
@@ -586,28 +662,28 @@ class TestNodeVariantTable:
 
 
 def _case_grid(name, chi, bias=0.2, seed=0):
-    from pne.presets import OPEN2X3_AXES, PRESETS
+    from pne.presets import PRESETS
 
-    open_axes = OPEN2X3_AXES if name.startswith("open2x3") else frozenset()
-    return random_grid(PRESETS[name][0], chi, bias=bias, seed=seed, open_axes=open_axes)
+    shape, open_axes, _ = PRESETS[name]
+    return random_grid(shape, chi, bias=bias, seed=seed, open_axes=open_axes)
 
 
 def _source_cases():
-    """Every preset with every source it accepts: bp, weights at rank 1 and,
-    where the layout allows it, rank 2, and random."""
+    """Every preset with every source it accepts: bp, random, and weights at
+    rank 1 and, where the layout allows it, rank 2."""
     from pne.presets import PRESETS, preset_names
 
     for name in preset_names():
         g = _case_grid(name, 2)
-        layout = PRESETS[name][1](g)
+        layout = PRESETS[name][2](g)
         yield name, "bp", 1
+        yield name, "random", 1
         if layout.joint_pairs:
-            continue            # joint partitions take fixed-point messages only
+            continue            # joint partitions take fixed-point messages or random pairs
         if g.net.is_closed:     # weight passing is defined on closed networks
             yield name, "weights", 1
             if layout.rank_capable:
                 yield name, "weights", 2
-        yield name, "random", 1
 
 
 class TestValidateOnce:

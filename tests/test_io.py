@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pne.belief import run_bp
-from pne.expansion import Factorized, JointIsometry, JointKetBra, Partition
+from pne.expansion import Factorized, JointPair, Partition
 from pne.io import (
     ContainerError,
     load_any,
@@ -137,28 +137,64 @@ def test_states_without_stored_history_load_empty(tmp_path):
     assert load_weight_state(wp_path).residual_history == []
 
 
+def _header(path):
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack_from("<I", blob, 4)
+    return json.loads(blob[8 : 8 + hlen])
+
+
 def test_partitions_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     q, _ = np.linalg.qr(rng.normal(size=(4, 2)))
     parts = [
         Partition(id=0, edges=(0, 1), projector=Factorized((np.eye(3)[:, :1], np.eye(3)[:, :2]))),
-        Partition(id=1, edges=(2, 3), projector=JointIsometry(q)),
-        Partition(id=2, edges=(4,), projector=JointKetBra(rng.normal(size=3), rng.normal(size=3))),
+        Partition(id=1, edges=(2, 3), projector=JointPair(q, q)),
+        Partition(id=2, edges=(4,), projector=JointPair.ketbra(rng.normal(size=3), rng.normal(size=3))),
     ]
+    tail, b = rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
+    parts.append(Partition(id=3, edges=(5, 6), projector=JointPair(tail, b @ np.linalg.inv(b.T @ tail).T)))
     path = tmp_path / "parts.pnec"
     save_partitions(path, parts, form="combinatorial")
+    assert [rec["kind"] for rec in _header(path)["partitions"]] == ["factorized", "joint", "joint", "joint"]
     loaded, form = load_partitions(path)
     assert form == "combinatorial"
-    assert [p.id for p in loaded] == [0, 1, 2]
+    assert [p.id for p in loaded] == [0, 1, 2, 3]
     assert loaded[0].edges == (0, 1)
     np.testing.assert_array_equal(loaded[0].projector.factors[1], np.eye(3)[:, :2])
-    np.testing.assert_array_equal(loaded[1].projector.isometry, q)
-    np.testing.assert_array_equal(loaded[2].projector.ket, parts[2].projector.ket)
+    np.testing.assert_array_equal(loaded[1].projector.tail, q)
+    np.testing.assert_array_equal(loaded[1].projector.head, q)
+    np.testing.assert_array_equal(loaded[2].projector.tail, parts[2].projector.tail)
+    np.testing.assert_array_equal(loaded[2].projector.head, parts[2].projector.head)
+    np.testing.assert_array_equal(loaded[3].projector.tail, parts[3].projector.tail)
+    np.testing.assert_array_equal(loaded[3].projector.head, parts[3].projector.head)
+
+
+def test_pre_joint_partition_kinds_load(tmp_path):
+    # Files written before the "joint" kind, under the same format version:
+    # an isometry w, and a flat ket and bra.
+    rng = np.random.default_rng(6)
+    w, _ = np.linalg.qr(rng.normal(size=(4, 2)))
+    ket, bra = rng.normal(size=3), rng.normal(size=3)
+    header = {"format_version": 1, "kind": "partitions", "partitions": [
+        {"id": 0, "edges": [0, 1], "kind": "joint_isometry", "shapes": [[4, 2]]},
+        {"id": 1, "edges": [2], "kind": "joint_ketbra", "shapes": [[3], [3]]},
+    ]}
+    blob = json.dumps(header).encode()
+    payload = b"".join(np.asarray(a, dtype="<f8").tobytes() for a in (w, ket, bra))
+    path = tmp_path / "old.pnec"
+    path.write_bytes(b"PNEC" + struct.pack("<I", len(blob)) + blob + payload)
+    (iso, kb), _ = load_partitions(path)
+    np.testing.assert_array_equal(iso.projector.tail, w)
+    np.testing.assert_array_equal(iso.projector.head, w)
+    want = JointPair.ketbra(ket, bra)
+    np.testing.assert_array_equal(kb.projector.tail, want.tail)
+    np.testing.assert_array_equal(kb.projector.head, want.head)
+    assert (iso.edges, kb.edges) == ((0, 1), (2,))
 
 
 def test_unknown_partition_kind_rejected(tmp_path):
     rng = np.random.default_rng(4)
-    parts = [Partition(id=0, edges=(0,), projector=JointKetBra(rng.normal(size=3), rng.normal(size=3)))]
+    parts = [Partition(id=0, edges=(0,), projector=JointPair.ketbra(rng.normal(size=3), rng.normal(size=3)))]
     path = tmp_path / "parts.pnec"
     save_partitions(path, parts)
     _edit_header(path, lambda header: header["partitions"][0].update(kind="bogus"))

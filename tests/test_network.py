@@ -24,8 +24,7 @@ from pne.network import (
     apply_insertions,
     contract,
     insert_joint_dense,
-    insert_joint_isometry,
-    insert_joint_ketbra,
+    insert_joint_pair,
     _Planner,
     _compile,
     _layout,
@@ -38,7 +37,7 @@ from pne.network import (
     subnetwork,
     validate,
 )
-from pne.presets import OPEN2X3_AXES, PRESETS, build_preset
+from pne.presets import PRESETS, build_preset
 
 
 def vec_net():
@@ -406,10 +405,7 @@ class TestPlanCache:
 
     def test_cached_plans_match_fresh_ones(self):
         terms = []
-        for name, (shape, _) in sorted(PRESETS.items()):
-            if name == "cube222-chi4":   # its joint partitions need BP projectors
-                continue
-            open_axes = OPEN2X3_AXES if name.startswith("open2x3") else frozenset()
+        for name, (shape, open_axes, _) in sorted(PRESETS.items()):
             g = random_grid(shape, 3, bias=0.2, seed=5, open_axes=open_axes)
             terms += build_preset(name, g, projectors="random", seed=1).expansion.terms
         assert _plan_for.cache_info().hits > 0
@@ -565,7 +561,7 @@ class TestJointInsertions:
         edges = sorted(g.net.edges)[:2]
         rng = np.random.default_rng(0)
         w, _ = np.linalg.qr(rng.normal(size=(4, 2)))
-        via_iso = insert_joint_isometry(g.net, edges, w)
+        via_iso = insert_joint_pair(g.net, edges, w, w)
         via_dense, _ = insert_joint_dense(g.net, edges, w @ w.T)
         np.testing.assert_allclose(float(contract(via_iso)), float(contract(via_dense)), rtol=1e-10)
 
@@ -574,9 +570,37 @@ class TestJointInsertions:
         edges = sorted(g.net.edges)[:2]
         rng = np.random.default_rng(1)
         ket, bra = rng.normal(size=4), rng.normal(size=4)
-        via_kb = insert_joint_ketbra(g.net, edges, ket, bra, scale=0.7)
+        via_kb = insert_joint_pair(g.net, edges, 0.7 * ket[:, None], bra[:, None])
         via_dense, _ = insert_joint_dense(g.net, edges, 0.7 * np.outer(ket, bra))
         np.testing.assert_allclose(float(contract(via_kb)), float(contract(via_dense)), rtol=1e-10)
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_pair_layout(self, rank):
+        # A rank-1 pair is an outer product of two nodes; a rank-r pair joins
+        # them by one new edge of extent r.
+        g = random_grid((2, 2), 2, bias=0.2, seed=10)
+        edges = sorted(g.net.edges)[:2]
+        rng = np.random.default_rng(2)
+        tail, head = rng.normal(size=(4, rank)), rng.normal(size=(4, rank))
+        out = insert_joint_pair(g.net, edges, tail, head)
+        t = g.net.next_node_id()
+        assert sorted(set(out.nodes) - set(g.net.nodes)) == [t, t + 1]
+        legs = (2, 2) + ((rank,) if rank > 1 else ())
+        assert out.nodes[t].shape == out.nodes[t + 1].shape == legs
+        between = [e for e in out.edges.values() if {n for n, _ in e.endpoints} == {t, t + 1}]
+        assert between == ([Edge(((t, 2), (t + 1, 2)), dim=rank)] if rank > 1 else [])
+        assert len(out.edges) == len(g.net.edges) + len(edges) + len(between)
+        assert validate(out) == []
+        via_dense, _ = insert_joint_dense(g.net, edges, tail @ head.T)
+        np.testing.assert_allclose(float(contract(out)), float(contract(via_dense)), rtol=1e-10)
+
+    def test_pair_shapes_checked(self):
+        g = random_grid((2, 2), 2, bias=0.2, seed=11)
+        edges = sorted(g.net.edges)[:2]
+        for tail, head in [(np.ones((4, 2)), np.ones((4, 1))), (np.ones((3, 1)), np.ones((3, 1))),
+                           (np.ones(4), np.ones(4)), (np.ones((4, 0)), np.ones((4, 0)))]:
+            with pytest.raises(InsertionError, match="merged dim 4$"):
+                insert_joint_pair(g.net, edges, tail, head)
 
 
 def oracle_contract(net, memory_cap_bytes=DEFAULT_MEMORY_CAP_BYTES, plan=None):

@@ -5,7 +5,7 @@ from pne.belief import run_bp
 from pne.expansion import evaluate, evaluate_residue
 from pne.models import BETA_C_2D, ModelSpec, finite_patch, random_grid
 from pne.network import contract
-from pne.presets import OPEN2X3_AXES, PresetError, build_preset, preset_names
+from pne.presets import OPEN2X3_AXES, PRESETS, PresetError, build_preset, preset_names
 from pne.weights import rank_stage
 
 CHI = 3
@@ -57,6 +57,21 @@ def test_random_projector_exactness(name):
     shape, open_axes = GEOMETRIES[name]
     g = random_grid(shape, CHI, bias=0.2, seed=17, open_axes=open_axes)
     pre = build_preset(name, g, projectors="random", seed=3)
+    val = evaluate(pre.expansion).value
+    res = evaluate_residue(pre.expansion, cross_check=False)
+    exact = contract(g.net)
+    err = np.linalg.norm(np.asarray(val + res - exact).ravel())
+    assert err / max(np.linalg.norm(np.asarray(exact).ravel()), 1e-300) < 1e-10
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_recorded_geometry_passes_the_random_identity(name):
+    # Each PRESETS entry records its lattice shape and open legs; a random
+    # grid built from them carries the preset, joint pairs included.
+    shape, open_axes, _ = PRESETS[name]
+    assert GEOMETRIES.get(name, (shape, open_axes)) == (shape, open_axes)
+    g = random_grid(shape, CHI, bias=0.2, seed=29, open_axes=open_axes)
+    pre = build_preset(name, g, projectors="random", seed=4)
     val = evaluate(pre.expansion).value
     res = evaluate_residue(pre.expansion, cross_check=False)
     exact = contract(g.net)
