@@ -16,22 +16,27 @@ network takes the complements first, in partition order, then the
 projectors, with a factor shared by several partitions absorbed once.
 
 The terms of one build differ only in what sits on a few edges, so most of
-their dressed node tensors recur. A build therefore keeps a *node-variant
-table* while it runs: each node tensor with an ordered prefix of absorbed
-operators is computed once, from the next shorter prefix, and shared by
-every term that carries it. The order of absorption is the one stated
-above, so a term's bits are those of building it alone. Shared arrays are
-read-only, and the table is dropped when the build returns. Each factor
-(shape and orthonormality) and each joint pair (shape and biorthogonality)
-is checked once per build, not once per term.
-A build validates its input network before it builds any term. Each term
-takes its plan from :func:`plan_order`, which checks the term's layout
-once per layout in the plan cache, and :func:`evaluate` contracts it with
+their dressed node tensors recur, and their layouts depend on the network's
+layout and the partitions' structure, never on tensor values. A build is
+therefore split in two. Its *program*, compiled once per structure and
+cached, lists the distinct node variants in creation order (a node tensor
+with an ordered prefix of absorbed operators, made from the next shorter
+prefix) and, per term, the variant of each node, the term's edge dict and
+its plan. A *replay* runs one :func:`absorb_matrix` per variant with the
+build's own operands, in the order stated above, so a term's bits are those
+of building it alone, then wraps each term's nodes and a copy of its edge
+dict in a network. Shared arrays are read-only; the program holds no
+tensor. Each factor (shape and orthonormality) and each joint pair (shape
+and biorthogonality) is checked once per build, not once per term, and a
+build validates its input network before it builds any term, cached
+program or not. The first build of a structure takes its term plans from
+:func:`plan_order`; :func:`evaluate` contracts each term with
 :func:`contract`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -47,11 +52,12 @@ from pne.network import (
     MemoryBudgetError,
     NetworkError,
     TensorNetwork,
+    _layout,
+    _near_identity,
+    _wire_joint,
     absorb_matrix,
     checked_isometry,
     contract,
-    insert_joint_dense,
-    insert_joint_pair,
     plan_order,
     validate,
 )
@@ -149,87 +155,185 @@ class Partition:
         return asarray(self.projector.tail) @ asarray(self.projector.head).T
 
 
-def _shared(table: dict, key: tuple, make: Callable[[], np.ndarray]) -> np.ndarray:
-    """``table[key]``, computed by ``make`` on first use and made read-only."""
-    arr = table.get(key)
-    if arr is None:
-        arr = table[key] = make()
-        arr.flags.writeable = False
-    return arr
+# An entry holds no tensor, and about 100 KiB at most among the presets (the
+# 63 terms of grid3x3-chi4); one expand-finite run uses 15.
+PROGRAM_CACHE_SIZE = 128
 
 
-def _pattern_network(
-    net: TensorNetwork, partitions: Sequence[Partition], pattern: Sequence[str], table: dict,
+@dataclass
+class _Program:
+    """The structure of every pattern network of one build (see
+    :func:`_program`), replayed with the tensors of each build.
+
+    A value is a root, ``("node", n)`` for node ``n`` of the input network
+    or ``(kind, k, shape)`` for the dense complement (``"dense"``) or a pair
+    factor (``"tail"``, ``"head"``) of partition ``k`` reshaped over its
+    edges; or an absorption ``(prefix value, axis, operator)``, the operator
+    ``("Q", k)`` for the complement of partition ``k`` or ``("P", j)`` for
+    the j-th distinct factor object."""
+
+    values: tuple[tuple, ...]           # creation order: prefixes first
+    # Per pattern: (node id, value index) in node-dict order, and edge dict.
+    terms: tuple[tuple[tuple[tuple[int, int], ...], dict[int, Edge]], ...]
+    dense: tuple[tuple[int, int], ...]  # (partition index, merged dim) in build order
+    plans: tuple[ContractionPlan, ...] | None = None   # set by the first build that plans
+
+
+def _program_key(
+    net: TensorNetwork, partitions: Sequence[Partition], patterns: Sequence[tuple[str, ...]],
+) -> tuple[tuple, list]:
+    """The key of :func:`_program`, plus the distinct factor objects in
+    first-occurrence order.
+
+    The key holds what the term layouts and the absorption order depend on:
+    the layout of ``net``, each partition's id, edges, kind and factor
+    shapes, which partitions share a factor object (as the first-occurrence
+    number of each factor, not its ``id()``), and the patterns."""
+    number: dict[int, int] = {}
+    factors: list = []
+    parts = []
+    for part in partitions:
+        if isinstance(part.projector, Factorized):
+            spec = []
+            for f in part.projector.factors:
+                j = number.setdefault(id(f), len(factors))
+                if j == len(factors):
+                    factors.append(f)
+                spec.append((np.shape(f), j))
+            parts.append((part.id, part.edges, "F", tuple(spec)))
+        else:
+            parts.append((part.id, part.edges, "J", np.shape(part.projector.tail)))
+    return (_layout(net), tuple(parts), tuple(patterns)), factors
+
+
+@functools.lru_cache(maxsize=PROGRAM_CACHE_SIZE)
+def _program(key: tuple) -> _Program:
+    """Compile the pattern networks of a build from its structure alone.
+
+    Each pattern's network is built as the module docstring states. A
+    single-edge complement is absorbed at the tail of its (possibly
+    continued) edge, so complements of overlapping partitions compose
+    tail to head. A multi-edge or joint complement is a dense node over the
+    merged space, wired by :func:`_wire_joint`. The factors go in as one
+    batch in edge order, each absorbed at both endpoints in endpoint order,
+    then the joint pairs, which never share edges with anything.
+
+    A node's variant is its root and the operators absorbed into it so far,
+    each ``(axis, operator)``; every absorption is on the tail side. Each
+    distinct variant is one value, computed from its prefix, and a factor
+    shared by several partitions is one operator."""
+    (node_ids, _, edge_list), parts, patterns = key
+    base = {eid: Edge(endpoints=ends, dim=dim) for eid, ends, dim in edge_list}
+    values: list[tuple] = []
+    index: dict[tuple, int] = {}
+
+    def value(variant: tuple) -> int:
+        i = index.get(variant)
+        if i is None:
+            root, ops = variant
+            step = root if not ops else (value((root, ops[:-1])),) + ops[-1]
+            i = index[variant] = len(values)
+            values.append(step)
+        return i
+
+    terms, dense = [], []
+    for pattern in patterns:
+        edges = dict(base)
+        remap: dict[int, int] = {}      # partition edge -> its continuation
+        variant = {n: (("node", n), ()) for n in node_ids}
+
+        def absorb(n: int, ax: int, op: tuple) -> None:
+            root, ops = variant[n]
+            variant[n] = (root, ops + ((ax, op),))
+
+        factors: dict[int, tuple[int, int]] = {}    # edge -> (factor, rank)
+        joints = []
+        for k, ((_, pedges, kind, spec), tag) in enumerate(zip(parts, pattern)):
+            if tag == "P" and kind == "F":
+                for e, (shape, j) in zip(pedges, spec):
+                    factors.setdefault(e, (j, shape[1]))
+            elif tag == "P":
+                joints.append(k)
+            elif tag == "Q":
+                eids = [remap.get(e, e) for e in pedges]
+                if kind == "F" and len(pedges) == 1:
+                    n, ax = edges[eids[0]].endpoints[0]
+                    absorb(n, ax, ("Q", k))
+                    continue
+                dims = [edges[e].dim for e in eids]
+                dense.append((k, math.prod(dims)))
+                node = max(variant) + 1
+                variant[node] = (("dense", k, tuple(dims + dims)), ())
+                continuation = _wire_joint(edges, eids, node)
+                remap.update((e, continuation[c]) for e, c in zip(pedges, eids))
+        for e, (j, r) in sorted(factors.items()):
+            eid = remap.get(e, e)
+            edge = edges[eid]
+            for n, ax in edge.endpoints:
+                absorb(n, ax, ("P", j))
+            edges[eid] = Edge(endpoints=edge.endpoints, dim=r)
+        for k in joints:
+            _, pedges, _, (_, r) = parts[k]
+            legs = tuple(edges[e].dim for e in pedges) + ((r,) if r > 1 else ())
+            node = max(variant) + 1
+            variant[node] = (("tail", k, legs), ())
+            variant[node + 1] = (("head", k, legs), ())
+            _wire_joint(edges, pedges, node, r)
+        terms.append((tuple((n, value(v)) for n, v in variant.items()), edges))
+    return _Program(values=tuple(values), terms=tuple(terms), dense=tuple(dense))
+
+
+def _pattern_networks(
+    net: TensorNetwork, partitions: Sequence[Partition], patterns: Sequence[tuple[str, ...]],
     memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES,
-) -> TensorNetwork:
-    """The network of one pattern, built as the module docstring states.
+) -> tuple[_Program, list[TensorNetwork]]:
+    """The network of each pattern, replayed from the cached program of the
+    build's structure: one :func:`absorb_matrix` per value, with the
+    operands and in the order the program records, so every term has the
+    bits of building it alone. The values, complement matrices included,
+    are shared by all terms and read-only; the input network's nodes are
+    shared as they are. Raises :class:`MemoryBudgetError` before building
+    a dense complement larger than ``memory_cap_bytes``, decided on every
+    call."""
+    key, factors = _program_key(net, partitions, patterns)
+    prog = _program(key)
+    for k, dim in prog.dense:
+        if dim * dim * 8 > memory_cap_bytes:
+            raise MemoryBudgetError(
+                f"partition {partitions[k].id}: dense complement of {dim}x{dim} entries "
+                f"({dim * dim * 8} bytes) exceeds the {memory_cap_bytes}-byte cap",
+                shape=(dim, dim),
+            )
+    complements: dict[int, np.ndarray] = {}
 
-    Complements of overlapping partitions compose as operators on the shared
-    edges, tail to head: a single-edge complement is absorbed at the tail of
-    its (possibly continued) edge. The factors go in as one batch in edge
-    order, each absorbed at both endpoints in endpoint order, then the joint
-    projectors, which never share edges with anything. A multi-edge or joint
-    complement is a dense D x D matrix over the merged space;
-    :class:`MemoryBudgetError` is raised before building one larger than
-    ``memory_cap_bytes``.
+    def operand(op: tuple) -> np.ndarray:
+        kind, k = op
+        if kind == "P":
+            return asarray(factors[k])
+        if k not in complements:
+            complements[k] = _complement(partitions[k])
+        return complements[k]
 
-    ``table`` is the node-variant table of one build. A node's key is its
-    root, ``("node", n)`` for node ``n`` of ``net`` or ``("dense", k)`` for
-    the complement node of partition ``k``, followed by the ops absorbed
-    into it so far, each ``(axis, operator)``. Every absorption is on the
-    tail side. The complement of partition ``k`` is the operator ``("Q",
-    k)`` and a factor is ``("P", id(factor))``, so a factor shared by
-    several partitions is one operator. Each key is absorbed once, from its
-    prefix, with the operands and order above, so a term's bits do not
-    depend on which terms were built before it. The stored arrays,
-    complement matrices included, are shared by all terms and read-only.
-    """
-    work = net.copy()
-    remap = {e: e for e in net.edges}
-    variant: dict[int, tuple] = {n: ("node", n) for n in net.nodes}
-
-    def absorb(n: int, ax: int, op: tuple, m: np.ndarray) -> None:
-        key = variant[n] + ((ax, op),)
-        work.nodes[n] = _shared(table, key, lambda: absorb_matrix(work.nodes[n], ax, m, head_side=False))
-        variant[n] = key
-
-    factors: dict[int, np.ndarray] = {}
-    joints: list[Partition] = []
-    for k, (part, tag) in enumerate(zip(partitions, pattern)):
-        if tag == "P":
-            if isinstance(part.projector, Factorized):
-                for e, f in zip(part.edges, part.projector.factors):
-                    factors.setdefault(e, f)
-            else:
-                joints.append(part)
-        elif tag == "Q":
-            single = part.is_single_edge and isinstance(part.projector, Factorized)
-            dim = math.prod(net.edges[e].dim for e in part.edges)
-            if not single and dim * dim * 8 > memory_cap_bytes:
-                raise MemoryBudgetError(
-                    f"partition {part.id}: dense complement of {dim}x{dim} entries "
-                    f"({dim * dim * 8} bytes) exceeds the {memory_cap_bytes}-byte cap",
-                    shape=(dim, dim),
-                )
-            q = _shared(table, ("Q", k), lambda: _complement(part))
-            eids = [remap[e] for e in part.edges]
-            if single:
-                n, ax = work.edges[eids[0]].endpoints[0]
-                absorb(n, ax, ("Q", k), q)
-            else:
-                variant[work.next_node_id()] = ("dense", k)
-                work, continuation = insert_joint_dense(work, eids, q)
-                for orig, cur in zip(part.edges, eids):
-                    remap[orig] = continuation[cur]
-    for e, f in sorted(factors.items()):
-        u = asarray(f)
-        edge = work.edges[remap[e]]
-        for n, ax in edge.endpoints:
-            absorb(n, ax, ("P", id(f)), u)
-        work.edges[remap[e]] = Edge(endpoints=edge.endpoints, dim=u.shape[1])
-    for part in joints:
-        work = insert_joint_pair(work, part.edges, part.projector.tail, part.projector.head)
-    return work
+    values: list[np.ndarray] = []
+    for step in prog.values:
+        src, k = step[0], step[1]
+        if src == "node":
+            values.append(net.nodes[k])
+            continue
+        if src == "dense":
+            arr = operand(("Q", k)).reshape(step[2])
+        elif src in ("tail", "head"):
+            pair = partitions[k].projector
+            arr = asarray(pair.tail if src == "tail" else pair.head).reshape(step[2])
+        else:
+            arr = absorb_matrix(values[src], k, operand(step[2]), head_side=False)
+        arr.flags.writeable = False
+        values.append(arr)
+    networks = [
+        TensorNetwork(nodes={n: values[i] for n, i in nodes}, edges=dict(edges))
+        for nodes, edges in prog.terms
+    ]
+    return prog, networks
 
 
 def _complement(part: Partition) -> np.ndarray:
@@ -318,7 +422,7 @@ def _check_pair(part: Partition, dim: int) -> None:
             f"partition {part.id}: pair shapes {tail.shape}/{head.shape} are incompatible with merged dim {dim}"
         )
     bound = 1e-8 * np.linalg.norm(tail, 2) * np.linalg.norm(head, 2)
-    if not np.allclose(head.T @ tail, np.eye(tail.shape[1]), atol=bound):
+    if not _near_identity(head.T @ tail, bound):
         raise ExpansionError(f"partition {part.id}: head.T @ tail is not the identity (pair not biorthogonal)")
 
 
@@ -331,16 +435,18 @@ def _expansion(
     """One term per (pattern, coefficient), plus the all-complement residue.
 
     ``net`` is validated first, raising what :func:`plan_order` would. The
-    terms share one node-variant table, dropped when the build returns."""
+    first build of a structure plans its terms with :func:`plan_order` and
+    keeps the plans with the program; a later one looks up no plan."""
     problems = validate(net)
     if problems:
         raise NetworkError("cannot plan an invalid network: " + "; ".join(problems))
-    table: dict = {}
-    terms = []
-    for pattern, coefficient in patterns:
-        work = _pattern_network(net, partitions, pattern, table)
-        terms.append(ExpansionTerm(pattern=pattern, coefficient=coefficient, network=work,
-                                   plan=plan_order(work)))
+    prog, networks = _pattern_networks(net, partitions, [p for p, _ in patterns])
+    if prog.plans is None:
+        prog.plans = tuple(plan_order(work) for work in networks)
+    terms = [
+        ExpansionTerm(pattern=pattern, coefficient=coefficient, network=work, plan=plan)
+        for (pattern, coefficient), work, plan in zip(patterns, networks, prog.plans)
+    ]
     residue = ResidueSpec(coefficient=1.0, network=net, partitions=partitions)
     return Expansion(form=form, net=net, partitions=partitions, terms=terms, residues=[residue])
 
@@ -388,12 +494,16 @@ def build_combinatorial(
             f"{m} partitions would create {2 ** m - 1} terms (cap {cap}); "
             "use recursive_expand to keep the term count bounded"
         )
-    patterns = [
+    return _expansion("combinatorial", net, partitions, _combinatorial_patterns(m))
+
+
+@functools.cache
+def _combinatorial_patterns(m: int) -> tuple[tuple[tuple[str, ...], int], ...]:
+    return tuple(
         (tuple("P" if k in active else "I" for k in range(m)), 1 if size % 2 == 1 else -1)
         for size in range(1, m + 1)
         for active in itertools.combinations(range(m), size)
-    ]
-    return _expansion("combinatorial", net, partitions, patterns)
+    )
 
 
 @dataclass(frozen=True)
@@ -462,7 +572,7 @@ def evaluate_residue(
     total = None
     for spec in exp.residues:
         all_q = ("Q",) * len(spec.partitions)
-        work = _pattern_network(spec.network, spec.partitions, all_q, {}, memory_cap_bytes)
+        _, (work,) = _pattern_networks(spec.network, spec.partitions, [all_q], memory_cap_bytes)
         val = spec.coefficient * contract(work, memory_cap_bytes=memory_cap_bytes)
         total = val if total is None else total + val
     total = np.asarray(total)
@@ -487,10 +597,9 @@ def residue_pattern_sum(
     """Residue of factorized partitions as the explicit sum over per-edge
     complement patterns (at least one complement within every partition).
 
-    Each pattern's network is built by :func:`_pattern_network` on the
-    partitions split into single-edge :class:`Factorized` ones, every edge
-    carrying its factor ("P") or its complement ("Q"), with one node-variant
-    table for the whole sum. Exponential in the total edge count;
+    The pattern networks are one build on the partitions split into
+    single-edge :class:`Factorized` ones, every edge carrying its factor
+    ("P") or its complement ("Q"). Exponential in the total edge count;
     verification oracle only.
     """
     seen_edges = set()
@@ -504,11 +613,9 @@ def residue_pattern_sum(
     singles = [Partition(id=k, edges=(e,), projector=Factorized((f,))) for k, (e, f) in enumerate(edge_factors)]
     _check_partitions(net, singles)
     choices = [[p for p in itertools.product("PQ", repeat=len(part.edges)) if "Q" in p] for part in partitions]
-    table: dict = {}
+    patterns = [tuple(itertools.chain.from_iterable(combo)) for combo in itertools.product(*choices)]
     total = None
-    for combo in itertools.product(*choices):
-        pattern = tuple(itertools.chain.from_iterable(combo))
-        work = _pattern_network(net, singles, pattern, table, memory_cap_bytes)
+    for work in _pattern_networks(net, singles, patterns, memory_cap_bytes)[1]:
         val = contract(work, memory_cap_bytes=memory_cap_bytes)
         total = val if total is None else total + val
     return np.asarray(total)

@@ -9,9 +9,11 @@ construction; every canonical ordering in the package derives from them.
 :func:`insert_joint_pair` inserts an operator ``tail @ head.T`` over the
 joint space of several edges as two factor nodes, and
 :func:`insert_joint_dense` inserts a dense operator there as one node.
-Expansion builders absorb their single-edge operators with
-:func:`absorb_matrix` directly, sharing the dressed tensors between terms
-(see :mod:`pne.expansion`).
+Both wire the cut with :func:`_wire_joint`, which touches edges only.
+Expansion builders wire their term layouts with it before any tensor
+exists, and absorb their single-edge operators with :func:`absorb_matrix`
+directly, sharing the dressed tensors between terms (see
+:mod:`pne.expansion`).
 
 :func:`apply_insertions` is the public single-edge API: it inserts
 :class:`Identity`, :class:`ProjectorP` (absorbed as its isometric factor,
@@ -298,6 +300,14 @@ def absorb_matrix(t: np.ndarray, ax: int, m: np.ndarray, head_side: bool) -> np.
     return out.reshape(rest + out.shape[1:]).transpose(*range(ax), t.ndim - 1, *range(ax, t.ndim - 1))
 
 
+def _near_identity(gram: np.ndarray, atol: float) -> bool:
+    """``np.allclose(gram, I, atol=atol)`` by its own rule, ``|gram - I| <=
+    atol + 1e-5 |I|`` everywhere (so a NaN or inf entry fails), without its
+    argument handling."""
+    eye = np.eye(gram.shape[0])
+    return bool((np.abs(gram - eye) <= atol + 1e-5 * eye).all())
+
+
 def checked_isometry(u, dim: int, error: type[NetworkError], what: str) -> np.ndarray:
     """``u`` as an array, if it is a (dim, r) isometry: 1 <= r <= dim and
     orthonormal columns to atol 1e-8. Otherwise raises ``error``, its
@@ -305,7 +315,7 @@ def checked_isometry(u, dim: int, error: type[NetworkError], what: str) -> np.nd
     u = asarray(u)
     if u.ndim != 2 or u.shape[0] != dim or not 1 <= u.shape[1] <= dim:
         raise error(f"{what}: shape {u.shape} is incompatible with dim {dim}")
-    if not np.allclose(u.T @ u, np.eye(u.shape[1]), atol=1e-8):
+    if not _near_identity(u.T @ u, 1e-8):
         raise error(f"{what}: columns are not orthonormal")
     return u
 
@@ -370,38 +380,39 @@ def _joint_dims(net: TensorNetwork, edge_ids: Sequence[int]) -> tuple[list[int],
     return dims, math.prod(dims)
 
 
-def _cut_joint(
-    net: TensorNetwork,
+def _wire_joint(
+    edges: dict[int, Edge],
     edge_ids: Sequence[int],
-    tail: np.ndarray,
-    head: np.ndarray | None = None,
-) -> tuple[TensorNetwork, dict[int, int]]:
-    """Cut the edges and wire them through new nodes.
+    node: int,
+    rank: int | None = None,
+) -> dict[int, int]:
+    """Cut the closed edges ``edge_ids`` of ``edges``, in place, and wire them
+    through new nodes.
 
-    Edge m's tail attachment joins axis m of the ``tail`` node and its head
-    attachment joins axis m of the ``head`` node, or axis k + m of ``tail``
-    when there is no ``head`` (k edges). The new nodes take the next free
-    node ids and each cut edge the next two free edge ids (tail side first),
-    in ``edge_ids`` order. Returns the new network plus, per cut edge, the
-    id of its head-side edge.
+    With ``rank=None`` the one new node ``node`` joins edge m's tail
+    attachment at axis m and its head attachment at axis k + m (k edges).
+    Otherwise a pair does: the tail node ``node`` joins the tail attachments
+    and the head node ``node + 1`` the head attachments, both at axis m, and
+    at ``rank > 1`` the two share a new edge of extent ``rank`` at axis k.
+    Each cut edge takes the next two free edge ids (tail side first), in
+    ``edge_ids`` order, and the pair's edge the id after them. Returns, per
+    cut edge, the id of its head-side edge. Reads and writes edges only, so
+    a builder can wire a layout before it has the tensors.
     """
-    out = net.copy()
-    tail_node = head_node = out.next_node_id()
-    out.nodes[tail_node] = tail
-    offset = len(edge_ids)
-    if head is not None:
-        head_node, offset = tail_node + 1, 0
-        out.nodes[head_node] = head
-    next_eid = out.next_edge_id()
+    k = len(edge_ids)
+    head_node, offset = (node, k) if rank is None else (node + 1, 0)
+    next_eid = max(edges, default=-1) + 1
     continuation: dict[int, int] = {}
     for m, eid in enumerate(edge_ids):
-        edge = out.edges.pop(eid)
+        edge = edges.pop(eid)
         (tn, tax), (hn, hax) = edge.endpoints
-        out.edges[next_eid] = Edge(endpoints=((tn, tax), (tail_node, m)), dim=edge.dim)
-        out.edges[next_eid + 1] = Edge(endpoints=((head_node, offset + m), (hn, hax)), dim=edge.dim)
+        edges[next_eid] = Edge(endpoints=((tn, tax), (node, m)), dim=edge.dim)
+        edges[next_eid + 1] = Edge(endpoints=((head_node, offset + m), (hn, hax)), dim=edge.dim)
         continuation[eid] = next_eid + 1
         next_eid += 2
-    return out, continuation
+    if rank is not None and rank > 1:
+        edges[next_eid] = Edge(endpoints=((node, k), (node + 1, k)), dim=rank)
+    return continuation
 
 
 def insert_joint_pair(
@@ -417,7 +428,7 @@ def insert_joint_pair(
     edges are cut; a tail node joins their tail attachments and a head node
     their head attachments, each reshaped over the per-edge extents. At
     r > 1 the two nodes share a new edge of extent r; at r = 1 they are an
-    outer product, with no edge between them.
+    outer product, with no edge between them (see :func:`_wire_joint`).
     """
     dims, bigdim = _joint_dims(net, edge_ids)
     tail, head = asarray(tail), asarray(head)
@@ -425,12 +436,12 @@ def insert_joint_pair(
         raise InsertionError(
             f"joint factors of shapes {tail.shape}/{head.shape} are not (D, r) for merged dim {bigdim}"
         )
-    r, k = tail.shape[1], len(dims)
+    r = tail.shape[1]
     shape = dims + [r] if r > 1 else dims
-    tail_node = net.next_node_id()
-    out, _ = _cut_joint(net, edge_ids, tail.reshape(shape), head.reshape(shape))
-    if r > 1:
-        out.edges[out.next_edge_id()] = Edge(endpoints=((tail_node, k), (tail_node + 1, k)), dim=r)
+    out = net.copy()
+    node = out.next_node_id()
+    out.nodes[node], out.nodes[node + 1] = tail.reshape(shape), head.reshape(shape)
+    _wire_joint(out.edges, edge_ids, node, r)
     return out
 
 
@@ -450,7 +461,10 @@ def insert_joint_dense(
     op = asarray(op)
     if op.shape != (bigdim, bigdim):
         raise InsertionError(f"joint operator shape {op.shape} != ({bigdim}, {bigdim})")
-    return _cut_joint(net, edge_ids, op.reshape(dims + dims))
+    out = net.copy()
+    node = out.next_node_id()
+    out.nodes[node] = op.reshape(dims + dims)
+    return out, _wire_joint(out.edges, edge_ids, node)
 
 
 # ---------------------------------------------------------------------------

@@ -284,7 +284,8 @@ def build_preset(
     bp_state: BPState | None = None,
     weight_state: WeightState | None = None,
 ) -> PresetExpansion:
-    """Instantiate a named partition layout on a generator lattice.
+    """Instantiate a named partition layout on a generator lattice, whose
+    shape and open legs must be the ones :data:`PRESETS` records.
 
     The network and factors come from :func:`source_projectors` on
     ``grid.net``. A joint two-site partition takes the grouped fixed-point
@@ -296,9 +297,13 @@ def build_preset(
     """
     if name not in PRESETS:
         raise PresetError(f"unknown preset {name!r}; available: {', '.join(preset_names())}")
-    shape, _, layout_of = PRESETS[name]
+    shape, open_axes, layout_of = PRESETS[name]
     if grid.shape != shape:
         raise PresetError(f"preset {name} expects a {shape} lattice, got {grid.shape}")
+    if frozenset(grid.open_leg) != open_axes:
+        raise PresetError(
+            f"preset {name} expects open legs {sorted(open_axes)}, got {sorted(grid.open_leg)}"
+        )
     if rank < 1:
         raise PresetError(f"rank {rank} must be at least 1")
     layout = layout_of(grid)

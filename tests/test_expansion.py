@@ -403,7 +403,7 @@ class TestJointPartitions:
         def no_terms(*args, **kwargs):
             raise AssertionError("a term was built")
 
-        monkeypatch.setattr(pne.expansion, "_pattern_network", no_terms)
+        monkeypatch.setattr(pne.expansion, "_pattern_networks", no_terms)
         for proj, message in [
             (JointPair(rng.normal(size=(4, 2)), rng.normal(size=(4, 2))), "not biorthogonal"),
             (JointPair(2.0 * w, w), "not biorthogonal"),
@@ -431,6 +431,27 @@ class TestJointPartitions:
         far = JointPair((1 + 1e-2) * proj.tail, proj.head)
         with pytest.raises(ExpansionError, match="not biorthogonal"):
             build_combinatorial(g.net, [Partition(id=0, edges=pair, projector=far)])
+
+    def test_biorthogonality_bound_is_allclose(self):
+        # head.T @ tail = (1 + t) I_2 just inside and just outside
+        # np.allclose's bound, 1e-8 |tail| |head| + 1e-5.
+        w = rand_iso(4, 2, np.random.default_rng(29))
+        decisions = set()
+        for t in 1.001e-5 * (1 + np.linspace(-1e-6, 1e-6, 41)):
+            for sign in (1, -1):
+                tail = (1 + sign * t) * w
+                bound = 1e-8 * np.linalg.norm(tail, 2) * np.linalg.norm(w, 2)
+                want = bool(np.allclose(w.T @ tail, np.eye(2), atol=bound))
+                part = Partition(id=0, edges=(0, 1), projector=JointPair(tail, w))
+                try:
+                    pne.expansion._check_pair(part, 4)
+                    got = True
+                except ExpansionError as exc:
+                    assert "not biorthogonal" in str(exc)
+                    got = False
+                assert got == want, (t, sign)
+                decisions.add(got)
+        assert decisions == {True, False}
 
     def test_each_pair_checked_once_per_build(self, monkeypatch):
         calls = []
@@ -617,7 +638,7 @@ class TestNodeVariantTable:
         def no_terms(*args, **kwargs):
             raise AssertionError("a term was built")
 
-        monkeypatch.setattr(pne.expansion, "_pattern_network", no_terms)
+        monkeypatch.setattr(pne.expansion, "_pattern_networks", no_terms)
         with pytest.raises(ExpansionError, match=rf"partition 1: .*{message}") as info:
             builder(g.net, parts)
         assert f"edge {edges[1]}" in str(info.value)
@@ -633,8 +654,8 @@ class TestNodeVariantTable:
             Partition(id=2, edges=(g.h_edge(1, 1),), projector=Factorized((rand_iso(3, 2, rng),))),
         ]
         calls = []
-        real = np.allclose
-        monkeypatch.setattr(np, "allclose", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        real = pne.expansion.checked_isometry
+        monkeypatch.setattr(pne.expansion, "checked_isometry", lambda *a, **kw: calls.append(1) or real(*a, **kw))
         exp = build_combinatorial(g.net, parts)
         assert exp.term_count == 7
         assert len(calls) == 4      # one per distinct factor, over 7 terms
@@ -714,7 +735,7 @@ class TestValidateOnce:
         def no_terms(*args, **kwargs):
             raise AssertionError("a term was built")
 
-        monkeypatch.setattr(pne.expansion, "_pattern_network", no_terms)
+        monkeypatch.setattr(pne.expansion, "_pattern_networks", no_terms)
         with pytest.raises(NetworkError, match=f"cannot plan an invalid network: axis {axis} of node 0 "
                                                "is not covered by any edge"):
             builder(net, parts)
@@ -731,3 +752,115 @@ class TestValidateOnce:
         monkeypatch.setattr(pne.expansion, "validate", lambda *a, **kw: calls.append(1) or real(*a, **kw))
         exp = _preset(name, projectors).expansion
         assert len(calls) == len(exp.residues) == (3 if exp.form == "recursive" else 1)
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _build_snapshot(name, projectors, rank, seed):
+    """Every term, residue and value of one preset build, as bytes."""
+    from pne.presets import build_preset
+
+    g = _case_grid(name, 3, bias=0.5 if projectors == "bp" else 0.2, seed=seed)
+    exp = build_preset(name, g, projectors=projectors, rank=rank, seed=1,
+                       bp_kwargs=dict(max_iter=4000)).expansion
+    terms = [
+        (t.pattern, t.coefficient, t.plan, list(t.network.edges.items()),
+         [(n, a.shape, a.tobytes()) for n, a in t.network.nodes.items()])
+        for t in exp.terms
+    ]
+    values = [evaluate(exp).value, evaluate_residue(exp, cross_check=False)]
+    parts = exp.partitions
+    factorized = all(isinstance(p.projector, Factorized) for p in parts)
+    edges = [e for p in parts for e in p.edges]
+    if factorized and len(set(edges)) == len(edges) <= 8:
+        values.append(residue_pattern_sum(exp.net, parts))
+    return terms, values
+
+
+class TestProgramCache:
+    @pytest.mark.parametrize("name, projectors, rank",
+                             [c for c in _source_cases() if c[1] != "weights" or c[2] == 2])
+    def test_replay_is_bit_identical_to_a_cold_build(self, name, projectors, rank):
+        # Cold: a build on an empty cache. Warm: the same build replayed from
+        # programs compiled for another instance of the structure.
+        pne.expansion._program.cache_clear()
+        cold_terms, cold_values = _build_snapshot(name, projectors, rank, seed=21)
+        pne.expansion._program.cache_clear()
+        _build_snapshot(name, projectors, rank, seed=23)
+        misses = pne.expansion._program.cache_info().misses
+        warm_terms, warm_values = _build_snapshot(name, projectors, rank, seed=21)
+        assert pne.expansion._program.cache_info().misses == misses     # every build replayed
+        assert warm_terms == cold_terms
+        assert len(warm_values) == len(cold_values)
+        for got, want in zip(warm_values, cold_values):
+            _same_bits(got, want)
+
+    def test_structure_decides_the_program(self):
+        from pne.presets import OPEN2X3_AXES
+
+        rng = np.random.default_rng(41)
+        g = random_grid((2, 3), 3, bias=0.2, seed=41)
+        a, b, c = g.v_edge(0, 0), g.v_edge(0, 1), g.v_edge(0, 2)
+
+        def parts(fa, fb, fb2, fc):      # two partitions that share edge b
+            return [Partition(id=0, edges=(a, b), projector=Factorized((fa, fb))),
+                    Partition(id=1, edges=(b, c), projector=Factorized((fb2, fc)))]
+
+        def key(net, parts):
+            return pne.expansion._program_key(net, parts, [("P",) * len(parts)])[0]
+
+        fa, fb, fc = (rand_iso(3, 1, rng) for _ in range(3))
+        w = rand_iso(9, 1, rng)
+        base = parts(fa, fb, fb, fc)
+        keys = {
+            "base": key(g.net, base),
+            "rank": key(g.net, parts(fa, fb, fb, rand_iso(3, 2, rng))),
+            "sharing": key(g.net, parts(fa, fb, fb.copy(), fc)),
+            "open legs": key(random_grid((2, 3), 3, seed=41, open_axes=OPEN2X3_AXES).net, base),
+        }
+        lone_c = Partition(id=1, edges=(c,), projector=Factorized((fc,)))
+        for kind, proj in [("factorized (a, b)", Factorized((fa, fb))), ("joint (a, b)", JointPair(w, w))]:
+            keys[kind] = key(g.net, [Partition(id=0, edges=(a, b), projector=proj), lone_c])
+        assert len(set(keys.values())) == len(keys)
+        programs = {name: pne.expansion._program(k) for name, k in keys.items()}
+        assert len({id(p) for p in programs.values()}) == len(programs)
+        # New values on the same structure share the program.
+        other = random_grid((2, 3), 3, bias=0.5, seed=42)
+        fb = rand_iso(3, 1, rng)
+        again = parts(rand_iso(3, 1, rng), fb, fb, rand_iso(3, 1, rng))
+        assert pne.expansion._program(key(other.net, again)) is programs["base"]
+
+    def test_cache_holds_no_tensor(self):
+        rng = np.random.default_rng(43)
+        g = random_grid((3, 3), 3, bias=0.2, seed=43)
+        line = [g.v_edge(0, c) for c in range(3)]
+        parts = single_parts(g, line, [rand_iso(3, 1, rng) for _ in line])
+        exp = build_combinatorial(g.net, parts)
+        evaluate_residue(exp)
+        refs = [weakref.ref(a) for a in g.net.nodes.values()]
+        refs += [weakref.ref(f) for p in parts for f in p.projector.factors]
+        refs += [weakref.ref(a) for t in exp.terms for a in t.network.nodes.values()]
+        key = pne.expansion._program_key(g.net, parts, [t.pattern for t in exp.terms])[0]
+        del g, parts, exp
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        hits = pne.expansion._program.cache_info().hits
+        pne.expansion._program(key)
+        assert pne.expansion._program.cache_info().hits == hits + 1     # still cached
+
+    def test_dense_complement_cap_is_decided_per_call(self):
+        rng = np.random.default_rng(44)
+        g = random_grid((2, 3), 3, bias=0.2, seed=44)
+        edges = (g.v_edge(0, 0), g.v_edge(0, 1))
+        parts = [Partition(id=7, edges=edges, projector=Factorized((rand_iso(3, 1, rng), rand_iso(3, 1, rng))))]
+        exp = build_combinatorial(g.net, parts)
+        value = evaluate_residue(exp)
+        hits = pne.expansion._program.cache_info().hits
+        with pytest.raises(MemoryBudgetError, match=r"partition 7: dense complement of 9x9 entries "
+                                                    r"\(648 bytes\) exceeds the 600-byte cap"):
+            evaluate_residue(exp, cross_check=False, memory_cap_bytes=600)
+        assert pne.expansion._program.cache_info().hits == hits + 1
+        _same_bits(evaluate_residue(exp), value)

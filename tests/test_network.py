@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pne.expansion
 from pne.expansion import evaluate
 from pne.models import random_grid
 from pne.network import (
@@ -22,6 +23,7 @@ from pne.network import (
     TensorNetwork,
     absorb_matrix,
     apply_insertions,
+    checked_isometry,
     contract,
     insert_joint_dense,
     insert_joint_pair,
@@ -401,6 +403,8 @@ class TestPlanStrategies:
 class TestPlanCache:
     @pytest.fixture(autouse=True)
     def fresh_cache(self):
+        # Builds of a cached expansion program look up no plan.
+        pne.expansion._program.cache_clear()
         _plan_for.cache_clear()
 
     def test_cached_plans_match_fresh_ones(self):
@@ -501,6 +505,36 @@ class TestInsertions:
         net = vec_net()
         with pytest.raises(InsertionError, match="orthonormal"):
             apply_insertions(net, [EdgeInsertion(0, ProjectorP(np.array([[2.0], [0.0]])))])
+
+
+def _gram_cases():
+    """Factors whose Gram matrix deviates from the identity just inside and
+    just outside ``np.allclose``'s bound at atol 1e-8: a diagonal entry near
+    1 + 1.001e-5 and an off-diagonal one near 1e-8, plus NaN and inf."""
+    for t in 1.001e-5 * (1 + np.linspace(-1e-6, 1e-6, 41)):
+        yield np.array([[np.sqrt(1 + t)], [0.0], [0.0]])
+        yield np.array([[np.sqrt(1 - t)], [0.0], [0.0]])
+    for c in 1e-8 * (1 + np.linspace(-1e-6, 1e-6, 41)):
+        yield np.array([[1.0, c], [0.0, np.sqrt(1 - c * c)], [0.0, 0.0]])
+    yield np.array([[np.nan], [0.0], [0.0]])
+    yield np.array([[np.inf], [0.0], [0.0]])
+
+
+class TestIsometryCheck:
+    def test_bound_is_allclose_at_atol_1e8(self):
+        decisions = set()
+        for u in _gram_cases():
+            want = bool(np.allclose(u.T @ u, np.eye(u.shape[1]), atol=1e-8))
+            try:
+                checked_isometry(u, 3, InsertionError, "factor")
+                got = True
+            except InsertionError as exc:
+                assert "columns are not orthonormal" in str(exc)
+                got = False
+            assert got == want, u
+            decisions.add((u.shape[1], got))
+        # Both sides of the bound are reached, on and off the diagonal.
+        assert decisions == {(1, True), (1, False), (2, True), (2, False)}
 
 
 class TestAbsorbMatrix:

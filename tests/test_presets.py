@@ -186,6 +186,15 @@ def test_wrong_geometry():
         build_preset("grid3x3-chi5", g)
 
 
+def test_open_legs_must_match_the_preset():
+    closed = random_grid((2, 3), CHI, bias=0.2, seed=1)
+    with pytest.raises(PresetError, match=r"open2x3-chi4 expects open legs \[\(\(1, 0\), .*\], got \[\]$"):
+        build_preset("open2x3-chi4", closed, projectors="random")
+    opened = random_grid((2, 3), CHI, bias=0.2, seed=1, open_axes=OPEN2X3_AXES)
+    with pytest.raises(PresetError, match=r"doubleloop-3v expects open legs \[\], got \[\(\(1, 0\), .*\]$"):
+        build_preset("doubleloop-3v", opened, projectors="random")
+
+
 def test_bp_rank_restriction():
     g = random_grid((2, 3), CHI, bias=0.5, seed=1)
     with pytest.raises(PresetError, match="rank 1"):
