@@ -14,6 +14,15 @@ kernel :func:`_outgoing` absorbs each node's incoming messages from its
 first axis upward and from its last axis downward, so no node tensor is
 transposed or copied; its docstring states that order. Absorbing a set of
 caps into one tensor (:func:`_absorb_all`) keeps descending axis order.
+
+The gauge step (:func:`symmetrize`, and
+:func:`pne.models.symmetrize_uniform` for a uniform unit) works on stacks
+too. The message pairs of one extent are the rows of two ``(K, dim)``
+stacks, and :func:`_message_gauge` writes every pair's gauge matrix ``x``
+and its inverse in closed form: a Householder complement of the reverse
+message (:func:`pne.tensor.orthogonal_complement`) and a rank-1
+correction, with no SVD and no solve. Each node then takes the matrices of
+all its axes in one :func:`_absorb_axes` pass, one gemm per axis.
 """
 
 from __future__ import annotations
@@ -226,12 +235,20 @@ def _node_chunks(net: TensorNetwork, place) -> list:
     return chunks
 
 
-def _start_message(initial, eid: int, d: int, dim: int) -> np.ndarray:
-    if (eid, d) not in initial:
-        raise BPError(f"initial messages have no entry for edge {eid} direction {d}")
-    m = asarray(initial[(eid, d)])
+def _message(messages, key, dim: int, error: type[NetworkError], source: str, what: str) -> np.ndarray:
+    """``messages[key]`` as an array, if it is there and has shape
+    ``(dim,)``; otherwise raises ``error`` naming ``what``, the key's
+    description, and ``source``, what the messages are."""
+    if key not in messages:
+        raise error(f"{source}: no entry for {what}")
+    m = asarray(messages[key])
     if m.shape != (dim,):
-        raise BPError(f"initial message on edge {eid} direction {d} has shape {m.shape}, not ({dim},)")
+        raise error(f"{source}: {what} has shape {m.shape}, not ({dim},)")
+    return m
+
+
+def _start_message(initial, eid: int, d: int, dim: int) -> np.ndarray:
+    m = _message(initial, (eid, d), dim, BPError, "initial messages", f"edge {eid} direction {d}")
     nrm = np.linalg.norm(m)
     if not (np.isfinite(nrm) and nrm > 0.0):
         raise BPError(f"initial message on edge {eid} direction {d} has norm {nrm}; "
@@ -421,48 +438,107 @@ class SymmetrizedGauge:
 
 
 def _message_gauge(fwd: np.ndarray, rev: np.ndarray, error: type[NetworkError],
-                   what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Gauge matrix ``x`` and its inverse for the message pair on ``what``.
+                   names: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Gauge matrices ``x`` and ``x_inv``, as ``(K, d, d)`` stacks, of the
+    message pairs in the rows of the ``(K, d)`` stacks ``fwd`` and ``rev``.
 
-    Raises ``error`` when the overlap ``fwd @ rev`` is below 1e-12. ``x`` stacks the pair-normalized forward message on top of an
-    orthonormal basis of the normalized reverse message's orthogonal
-    complement, so absorbing ``x_inv`` on the tail side and ``x`` on the
-    head side turns both messages into e0.
+    Raises ``error`` naming ``names[k]`` for the first pair whose overlap
+    ``c = fwd @ rev`` is below 1e-12 in magnitude. With ``s = sqrt|c|``, ``a =
+    fwd sign(c) / s``, ``b = rev / s`` and ``C`` the Householder complement
+    of ``rev`` (:func:`pne.tensor.orthogonal_complement`), ``x = [a^T; C]``
+    and ``x_inv = [b, C^T - b (a^T C^T)]``: ``a @ b = 1`` and ``C @ b = 0``
+    make it the inverse, with no solve. Absorbing ``x_inv`` on the tail side
+    and ``x`` on the head side turns both messages into e0.
     """
-    c = float(fwd @ rev)
-    if abs(c) < 1e-12:
-        raise error(f"message overlap {c:.2e} on {what} is too small to fix a gauge")
-    s = np.sqrt(abs(c))
-    x = np.vstack([(fwd * (np.sign(c) / s))[None, :], orthogonal_complement(rev / s)])
-    return x, np.linalg.solve(x, np.eye(x.shape[0]))
+    c = np.vecdot(fwd, rev)
+    small = np.flatnonzero(np.abs(c) < 1e-12)
+    if small.size:
+        k = small[0]
+        raise error(f"message overlap {c[k]:.2e} on {names[k]} is too small to fix a gauge")
+    s = np.sqrt(np.abs(c))[:, None]
+    a = fwd * (np.sign(c)[:, None] / s)
+    b = rev / s
+    comp = orthogonal_complement(rev)
+    n, d = fwd.shape
+    x = np.empty((n, d, d))
+    x[:, 0] = a
+    x[:, 1:] = comp
+    x_inv = np.empty((n, d, d))
+    x_inv[:, :, 0] = b
+    x_inv[:, :, 1:] = comp.transpose(0, 2, 1) - b[:, :, None] * np.vecdot(comp, a[:, None, :])[:, None, :]
+    return x, x_inv
+
+
+def _message_gauges(messages, dims: dict[int, int], forward: int, error: type[NetworkError], source: str,
+                    noun: str) -> dict:
+    """``{p: (x, x_inv)}`` for every ``p`` of ``dims``: the gauge
+    (:func:`_message_gauge`) of the forward message ``messages[(p,
+    forward)]`` and the reverse one ``messages[(p, 1 - forward)]``, both of
+    extent ``dims[p]``. Pairs of one extent are one stacked call. A missing
+    message, one of another extent and a non-finite one raise ``error``
+    naming the key as ``f"{noun} {p} direction {d}"``; an overlap too small
+    to gauge names the pair as ``f"{noun} {p}"``."""
+    by_dim: dict[int, list] = {}
+    for p, dim in dims.items():
+        by_dim.setdefault(dim, []).append(p)
+    out = {}
+    for dim, ps in by_dim.items():
+        stacks = []
+        for d in (forward, 1 - forward):
+            names = [f"{noun} {p} direction {d}" for p in ps]
+            m = np.stack([_message(messages, (p, d), dim, error, source, w) for p, w in zip(ps, names)])
+            bad = np.flatnonzero(~np.isfinite(m).all(axis=1))
+            if bad.size:
+                raise error(f"{source}: {names[bad[0]]} is not finite")
+            stacks.append(m)
+        x, x_inv = _message_gauge(*stacks, error, [f"{noun} {p}" for p in ps])
+        out.update(zip(ps, zip(x, x_inv)))
+    return out
+
+
+def _absorb_axes(t: np.ndarray, mats) -> np.ndarray:
+    """``t`` with ``mats[k]`` absorbed on every axis ``k`` from the right,
+    ``new[.., j, ..] = sum_i t[.., i, ..] mats[k][i, j]``, in one pass: each
+    step is one ``(rest, d) @ (d, d')`` gemm that reads the current first
+    axis through a transposed view and puts the new axis last, so after
+    ``t.ndim`` steps the axes are back in order and no transpose was ever
+    materialized."""
+    for m in mats:
+        t = (t.reshape(t.shape[0], -1).T @ m).reshape(t.shape[1:] + m.shape[1:])
+    return t
 
 
 def symmetrize(net: TensorNetwork, state: BPState) -> tuple[TensorNetwork, SymmetrizedGauge]:
     """Re-gauge every edge so incoming and outgoing messages both become e0.
 
-    The gauge factor pair of each edge comes from ``_message_gauge``;
-    absorbing it into the endpoint tensors leaves the contracted value
-    unchanged.
+    The gauge factor pair of each edge comes from :func:`_message_gauge`,
+    one stacked call per extent; absorbing it into the endpoint tensors
+    (``x_inv`` on the tail axis, ``x^T`` from the right on the head axis,
+    every axis of a node in one :func:`_absorb_axes` pass) leaves the
+    contracted value unchanged. A missing, wrong-extent or non-finite
+    message raises :class:`GaugeError` naming the edge and direction, and
+    an overlap below 1e-12 one naming the edge.
     """
     if not state.converged:
         raise BPError("symmetrize requires a converged BP state")
-    out = net.copy()
+    # Forward is tail -> head (direction 0), reverse head -> tail.
+    factors = _message_gauges(state.messages, {eid: edge.dim for eid, edge in sorted(net.edges.items())}, 0,
+                              GaugeError, "BP state", "edge")
     gauge = SymmetrizedGauge()
+    mats: dict[int, list] = {nid: [None] * t.ndim for nid, t in net.nodes.items()}
     for eid, edge in sorted(net.edges.items()):
-        # Forward is tail -> head, reverse head -> tail.
-        x, x_inv = _message_gauge(state.messages[(eid, 0)], state.messages[(eid, 1)], GaugeError,
-                                  f"edge {eid}")
-        gauge.x[eid] = x
-        gauge.x_inv[eid] = x_inv
-        gauge.dims[eid] = edge.dim
+        x, x_inv = factors[eid]
+        gauge.x[eid], gauge.x_inv[eid], gauge.dims[eid] = x, x_inv, edge.dim
+        tn, tax = edge.endpoints[0]
+        mats[tn][tax] = x_inv
         if edge.is_open:
             gauge.open_edges.add(eid)
-            tn, tax = edge.endpoints[0]
-            out.nodes[tn] = absorb_matrix(out.nodes[tn], tax, x_inv, head_side=False)
         else:
-            (tn, tax), (hn, hax) = edge.endpoints
-            out.nodes[tn] = absorb_matrix(out.nodes[tn], tax, x_inv, head_side=False)
-            out.nodes[hn] = absorb_matrix(out.nodes[hn], hax, x, head_side=True)
+            hn, hax = edge.endpoints[1]
+            mats[hn][hax] = x.T
+    out = net.copy()
+    for nid, ms in mats.items():
+        out.nodes[nid] = _absorb_axes(net.nodes[nid], ms)
     return out, gauge
 
 

@@ -24,8 +24,16 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 
-from pne.belief import _absorb_all, _iterate_messages, _message_gauge, _message_layout, _rows, _stack_emit
-from pne.network import NetworkError, TensorNetwork, absorb_matrix, contract, subnetwork
+from pne.belief import (
+    _absorb_all,
+    _absorb_axes,
+    _iterate_messages,
+    _message_gauges,
+    _message_layout,
+    _rows,
+    _stack_emit,
+)
+from pne.network import NetworkError, TensorNetwork, contract, subnetwork
 from pne.tensor import asarray
 
 __all__ = [
@@ -345,19 +353,18 @@ def symmetrize_uniform(unit: np.ndarray, ubp: UniformBP) -> tuple[np.ndarray, di
 
     Returns the re-gauged unit and the per-axis gauge matrices. On each axis
     the tail side absorbs the inverse and the head side the gauge, so any
-    network tiled from the unit keeps its contraction value."""
+    network tiled from the unit keeps its contraction value. The gauges come
+    from the kernel :func:`pne.belief.symmetrize` uses: a missing,
+    wrong-extent or non-finite message raises :class:`ModelError` naming the
+    axis and direction, and an overlap below 1e-12 one naming the axis."""
     unit = asarray(unit)
-    ndim = unit.ndim // 2
-    gauges: dict[int, np.ndarray] = {}
-    out = unit
-    for g in range(ndim):
-        # Forward is tail -> head (the +g direction), reverse head -> tail.
-        x, x_inv = _message_gauge(ubp.out_messages[(g, 1)], ubp.out_messages[(g, 0)], ModelError,
-                                  f"uniform axis {g}")
-        out = absorb_matrix(out, 2 * g + 1, x_inv, head_side=False)
-        out = absorb_matrix(out, 2 * g, x, head_side=True)
-        gauges[g] = x
-    return out, gauges
+    # Forward is tail -> head (the +g direction), reverse head -> tail.
+    factors = _message_gauges(ubp.out_messages, {g: unit.shape[2 * g] for g in range(unit.ndim // 2)}, 1,
+                              ModelError, "uniform BP state", "axis")
+    mats = []
+    for g in range(unit.ndim // 2):
+        mats += [factors[g][0].T, factors[g][1]]
+    return _absorb_axes(unit, mats), {g: x for g, (x, _) in factors.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -130,20 +130,33 @@ def basis_columns(dim: int, rank: int) -> np.ndarray:
     return iso
 
 
-def orthogonal_complement(row: np.ndarray) -> np.ndarray:
-    """Rows spanning the subspace orthogonal to ``row``.
+def orthogonal_complement(rows: np.ndarray) -> np.ndarray:
+    """Rows spanning the subspace orthogonal to a vector, for one vector or
+    for each row of a stack.
 
-    Returns a ``(d-1, d)`` matrix ``R`` with orthonormal rows satisfying
-    ``R @ row = 0``, built from the subleading right singular vectors of the
-    full-matrices SVD of ``row`` viewed as a 1 x d matrix.
+    A ``(d,)`` input gives a ``(d-1, d)`` matrix ``R`` with orthonormal rows
+    and ``R @ row = 0``; a ``(..., d)`` stack gives one such matrix per row,
+    ``(..., d-1, d)``. ``R`` is rows ``1 .. d-1`` of the Householder
+    reflection ``H = I - u u^T / (1 + |v_0|)`` that swaps ``e0`` and
+    ``-sign(v_0) v``, where ``v`` is the row scaled to unit norm and ``u = v
+    + sign(v_0) e0`` with ``sign(0) = +1``, so no entry of ``u`` cancels. No
+    SVD is taken: ``R = E - u[1:] u^T / (1 + |v_0|)``, ``E`` the last
+    ``d-1`` rows of the identity. A zero or non-finite row raises
+    :class:`TensorError`.
     """
-    row = asarray(row).reshape(-1)
-    d = row.size
-    nrm = np.linalg.norm(row)
-    if nrm == 0.0:
-        raise TensorError("cannot build the orthogonal complement of a zero vector")
-    _, _, vh = np.linalg.svd(row.reshape(1, d), full_matrices=True)
-    return np.ascontiguousarray(vh[1:, :])
+    rows = asarray(rows)
+    if rows.ndim == 0:
+        raise TensorError("the orthogonal complement needs a vector, not a scalar")
+    d = rows.shape[-1]
+    v = rows.reshape(-1, d)
+    nrm = np.sqrt(np.vecdot(v, v))
+    if not (np.isfinite(nrm) & (nrm > 0.0)).all():
+        raise TensorError("cannot build the orthogonal complement of a zero or non-finite vector")
+    v = v / nrm[:, None]
+    u = v.copy()
+    u[:, 0] += np.where(v[:, 0] < 0.0, -1.0, 1.0)
+    r = np.eye(d)[1:] - u[:, 1:, None] * (u / (1.0 + np.abs(v[:, :1])))[:, None, :]
+    return r.reshape(rows.shape[:-1] + (d - 1, d))
 
 
 KRYLOV_DIM = 20     # Arnoldi basis size: dominant_eig restarts after this many mat-vecs

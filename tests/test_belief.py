@@ -5,8 +5,12 @@ from pne import belief
 from pne.belief import (
     STACK_BYTES,
     BPError,
+    BPState,
+    GaugeError,
+    _absorb_axes,
     _absorb_back,
     _absorb_front,
+    _message_gauge,
     _norms,
     _sign_fix,
     bp_approx,
@@ -19,7 +23,7 @@ from pne.belief import (
     symmetrize,
 )
 from pne.models import random_grid
-from pne.network import DenseOp, EdgeInsertion, TensorNetwork, apply_insertions, contract, validate
+from pne.network import DenseOp, EdgeInsertion, TensorNetwork, absorb_matrix, apply_insertions, contract, validate
 from pne.presets import OPEN2X3_AXES
 from pne.tensor import asarray
 
@@ -581,6 +585,145 @@ class TestSymmetrize:
         rotated = contract(net2)
         restored = gauge.compensate_open(rotated, net2.open_edge_ids())
         np.testing.assert_allclose(restored, exact, rtol=1e-9)
+
+
+def gauge_pairs(d, rng):
+    """Message pairs of extent ``d`` for the gauge kernel, as ``(fwd, rev)``
+    stacks. Rows 0-3 are random unit pairs with overlaps of both signs; rev
+    row 1 has a zero first entry (for ``d > 1``) and row 2 a negative one.
+    Rows 4-5 have overlap -+2**-38 (3.6e-12, just above the 1e-12 bound),
+    made of dyadic entries along basis vectors so the kernel's arithmetic
+    on them is exact, as it must be for ``x @ x_inv = I`` at that
+    condition number."""
+    fwd = rng.standard_normal((6, d))
+    rev = rng.standard_normal((6, d))
+    rev[1, 0] = 0.0 if d > 1 else rev[1, 0]
+    rev[2, 0] = -abs(rev[2, 0])
+    rev[:4] /= np.linalg.norm(rev[:4], axis=1, keepdims=True)
+    fwd[:4] = np.array([1.0, -1.0, 1.0, -1.0])[:, None] * rev[:4] + 0.3 * fwd[:4]
+    fwd[:4] /= np.linalg.norm(fwd[:4], axis=1, keepdims=True)
+    fwd[4:] = rev[4:] = 0.0
+    for row, (k, sign) in zip((4, 5), ((0, -1.0), (d - 1, 1.0))):
+        rev[row, k] = sign
+        fwd[row, k] = -2.0**-38
+        if d > 1:
+            fwd[row, (k + 1) % d] = 0.5
+    return fwd, rev
+
+
+class TestGaugeKernel:
+    @pytest.mark.parametrize("d", [1, 2, 3, 16])
+    def test_inverse_and_complement(self, d):
+        fwd, rev = gauge_pairs(d, np.random.default_rng(d))
+        x, x_inv = _message_gauge(fwd, rev, GaugeError, [f"pair {k}" for k in range(len(fwd))])
+        c = np.vecdot(fwd, rev)
+        assert (c[[1, 3]] < 0).all() and (np.abs(c[4:]) == 2.0**-38).all()
+        eye = np.eye(d)
+        for k in range(len(fwd)):
+            np.testing.assert_allclose(x[k] @ x_inv[k], eye, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(x_inv[k] @ x[k], eye, rtol=0, atol=1e-12)
+            comp = x[k, 1:]
+            np.testing.assert_allclose(comp @ comp.T, eye[1:, 1:], rtol=0, atol=1e-12)
+            assert np.abs(comp @ rev[k]).max(initial=0.0) < 1e-12 * np.linalg.norm(rev[k])
+            # Both messages become multiples of e0.
+            for v in (x[k] @ rev[k], fwd[k] @ x_inv[k]):
+                assert np.abs(v[1:]).max(initial=0.0) <= 1e-12 * abs(v[0])
+
+    def test_overlap_below_bound_names_the_pair(self):
+        fwd, rev = gauge_pairs(3, np.random.default_rng(0))
+        fwd[5] *= 2.0**-3                           # overlap 2**-41 < 1e-12
+        with pytest.raises(GaugeError, match="message overlap -4.55e-13 on pair 5 is too small"):
+            _message_gauge(fwd, rev, GaugeError, [f"pair {k}" for k in range(len(fwd))])
+
+
+def self_loop_instance():
+    """A closed network with a self-loop (edge 0 on axes 0 and 1 of node
+    0) and a hand-made converged state: BP itself refuses self-loops."""
+    rng = np.random.default_rng(3)
+    net = TensorNetwork.build({0: rng.random((3, 3, 4)), 1: rng.random((4, 2)), 2: rng.random((2,))},
+                              {0: [(0, 0), (0, 1)], 1: [(0, 2), (1, 0)], 2: [(1, 1), (2, 0)]})
+    messages = {(eid, d): rng.random(edge.dim) + 0.1 for eid, edge in net.edges.items() for d in (0, 1)}
+    return net, BPState(messages=messages, iterations=1, residuals={k: 0.0 for k in messages},
+                        converged=True, tol=1e-12)
+
+
+def per_edge_symmetrize(net, gauge):
+    """The nodes the gauge step made before it went node by node: per edge,
+    ``x_inv`` absorbed on the tail and ``x`` on the head, one
+    :func:`absorb_matrix` call each, in edge order."""
+    nodes = dict(net.nodes)
+    for eid, edge in sorted(net.edges.items()):
+        tn, tax = edge.endpoints[0]
+        nodes[tn] = absorb_matrix(nodes[tn], tax, gauge.x_inv[eid], head_side=False)
+        if not edge.is_open:
+            hn, hax = edge.endpoints[1]
+            nodes[hn] = absorb_matrix(nodes[hn], hax, gauge.x[eid], head_side=True)
+    return nodes
+
+
+class TestSymmetrizeNetworks:
+    def instance(self, kind):
+        if kind == "closed":
+            return converged_instance(4, shape=(3, 3), chi=5)
+        if kind == "open":
+            g = random_grid((2, 3), 3, bias=0.5, seed=8, open_axes=OPEN2X3_AXES)
+            return g.net, run_bp(g.net, tol=1e-12, max_iter=4000, seed=2)
+        return self_loop_instance()
+
+    @pytest.mark.parametrize("kind", ["closed", "open", "self-loop"])
+    def test_one_pass_equals_per_edge_chain(self, kind):
+        net, state = self.instance(kind)
+        net2, gauge = symmetrize(net, state)
+        old = per_edge_symmetrize(net, gauge)
+        for nid, t in net2.nodes.items():
+            assert t.shape == old[nid].shape
+            assert np.linalg.norm(t - old[nid]) <= 1e-13 * np.linalg.norm(old[nid])
+
+    def test_self_loop_value_preserved(self):
+        net, state = self_loop_instance()
+        net2, gauge = symmetrize(net, state)
+        np.testing.assert_allclose(float(contract(net2)), float(contract(net)), rtol=1e-12)
+        x = gauge.x[0]
+        np.testing.assert_allclose(x @ state.messages[(0, 1)], [x[0] @ state.messages[(0, 1)], 0.0, 0.0],
+                                   atol=1e-12)
+
+    def test_no_svd_and_no_solve(self, monkeypatch):
+        net, state = self.instance("open")
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the gauge step must not factorize or solve")
+        monkeypatch.setattr(np.linalg, "svd", forbidden)
+        monkeypatch.setattr(np.linalg, "solve", forbidden)
+        monkeypatch.setattr(np.linalg, "inv", forbidden)
+        symmetrize(net, state)
+
+    def test_absorb_axes_rotates_back(self):
+        rng = np.random.default_rng(0)
+        t = rng.standard_normal((2, 3, 4))
+        mats = [rng.standard_normal((2, 5)), rng.standard_normal((3, 3)), rng.standard_normal((4, 1))]
+        np.testing.assert_allclose(_absorb_axes(t, mats), np.einsum("abc,ax,by,cz->xyz", t, *mats), rtol=1e-13)
+        assert _absorb_axes(np.asarray(2.5), []) == 2.5
+
+
+class TestSymmetrizeErrors:
+    def test_missing_message(self):
+        net, state = converged_instance(4)
+        del state.messages[(3, 1)]
+        with pytest.raises(GaugeError, match=r"BP state: no entry for edge 3 direction 1"):
+            symmetrize(net, state)
+
+    def test_wrong_extent(self):
+        net, state = converged_instance(4)
+        state.messages[(2, 0)] = np.ones(5)
+        with pytest.raises(GaugeError, match=r"edge 2 direction 0 has shape \(5,\), not \(4,\)"):
+            symmetrize(net, state)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_message(self, bad):
+        net, state = converged_instance(4)
+        state.messages[(5, 1)] = state.messages[(5, 1)].copy()
+        state.messages[(5, 1)][1] = bad
+        with pytest.raises(GaugeError, match=r"BP state: edge 5 direction 1 is not finite"):
+            symmetrize(net, state)
 
 
 class TestProjectors:

@@ -26,9 +26,10 @@ from pne.models import (
     ising_unit_tensor,
     random_grid,
     random_tensor,
+    symmetrize_uniform,
     uniform_fixed_point,
 )
-from pne.network import contract
+from pne.network import absorb_matrix, contract
 
 
 def sign_fix_row(v):
@@ -459,6 +460,45 @@ class TestUniformBP:
         with pytest.raises(ModelError, match=r"non-finite outgoing message \([01], [01]\)"):
             uniform_fixed_point(unit)
         assert len(sweeps) == 1
+
+
+class TestSymmetrizeUniform:
+    @pytest.mark.parametrize("unit", [ising_unit_tensor(2, 0.3), random_tensor((3, 3, 2, 2), bias=0.5, seed=2)],
+                             ids=["ising", "random"])
+    def test_matches_per_axis_chain_and_gauges_to_e0(self, unit):
+        ubp = uniform_fixed_point(unit)
+        assert ubp.converged
+        gauged, gauges = symmetrize_uniform(unit, ubp)
+        # The per-axis chain the gauge step ran before it went in one pass.
+        old = unit
+        for g, x in gauges.items():
+            old = absorb_matrix(old, 2 * g + 1, np.linalg.inv(x), head_side=False)
+            old = absorb_matrix(old, 2 * g, x, head_side=True)
+        assert np.linalg.norm(gauged - old) <= 1e-12 * np.linalg.norm(old)
+        for m in uniform_fixed_point(gauged).out_messages.values():
+            np.testing.assert_allclose(m, np.eye(m.size)[0], atol=1e-9)
+
+    def test_missing_message(self):
+        unit = ising_unit_tensor(2, 0.3)
+        ubp = uniform_fixed_point(unit)
+        del ubp.out_messages[(1, 0)]
+        with pytest.raises(ModelError, match=r"uniform BP state: no entry for axis 1 direction 0"):
+            symmetrize_uniform(unit, ubp)
+
+    def test_wrong_extent(self):
+        unit = ising_unit_tensor(2, 0.3)
+        ubp = uniform_fixed_point(unit)
+        ubp.out_messages[(0, 1)] = np.ones(3)
+        with pytest.raises(ModelError, match=r"axis 0 direction 1 has shape \(3,\), not \(2,\)"):
+            symmetrize_uniform(unit, ubp)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_message(self, bad):
+        unit = ising_unit_tensor(2, 0.3)
+        ubp = uniform_fixed_point(unit)
+        ubp.out_messages[(1, 1)] = np.array([1.0, bad])
+        with pytest.raises(ModelError, match=r"uniform BP state: axis 1 direction 1 is not finite"):
+            symmetrize_uniform(unit, ubp)
 
 
 class TestFinitePatch:

@@ -186,6 +186,50 @@ class TestOrthogonalComplement:
         with pytest.raises(TensorError):
             orthogonal_complement(np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_zero_or_non_finite_row_of_a_stack(self, bad):
+        rows = np.ones((3, 4))
+        rows[1] = bad
+        with pytest.raises(TensorError, match="zero or non-finite"):
+            orthogonal_complement(rows)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 16])
+    def test_stack_properties(self, d):
+        # Random rows with a negative, a zero and a positive first entry,
+        # rows along +-e0 and a row along another basis vector: orthonormal
+        # rows of the complement, each orthogonal to its row.
+        rng = np.random.default_rng(d)
+        rows = rng.standard_normal((8, d)) * rng.uniform(1e-3, 1e3, size=(8, 1))
+        rows[0, 0] = -abs(rows[0, 0])
+        rows[1, 0] = 0.0 if d > 1 else rows[1, 0]
+        rows[2, 0] = abs(rows[2, 0])
+        rows[3] = np.eye(d)[0]
+        rows[4] = -np.eye(d)[0]
+        rows[5] = np.eye(d)[d - 1]
+        comp = orthogonal_complement(rows)
+        assert comp.shape == (8, d - 1, d)
+        unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        for r, c in zip(unit, comp):
+            np.testing.assert_allclose(c @ c.T, np.eye(d - 1), atol=1e-12)
+            assert np.abs(c @ r).max(initial=0.0) < 1e-12
+            full = np.vstack([r, c])
+            np.testing.assert_allclose(full @ full.T, np.eye(d), atol=1e-12)
+
+    def test_stack_equals_per_row_calls(self):
+        rng = np.random.default_rng(9)
+        rows = rng.standard_normal((2, 5, 6))
+        rows[0, 1, 0] = 0.0
+        comp = orthogonal_complement(rows)
+        assert comp.shape == (2, 5, 5, 6)
+        for idx in np.ndindex(2, 5):
+            assert comp[idx].tobytes() == orthogonal_complement(rows[idx]).tobytes()
+
+    def test_basis_vector_complement_is_exact(self):
+        # Along a basis vector the reflection has entries 0 and +-1 only.
+        r = orthogonal_complement(np.array([0.0, 0.0, -2.0]))
+        assert set(np.unique(r)) <= {-1.0, 0.0, 1.0}
+        assert not (r @ np.array([0.0, 0.0, 1.0])).any()
+
 
 class TestDominantEig:
     def test_diagonal(self):
